@@ -3,7 +3,8 @@
 Subcommands: gen, spectral, hom, check, prune, partition, rowcover,
 regularize, pipeline, sweep.  Single runs emit JSON (versioned schema,
 sorted keys, no timestamps); sweeps emit CSV with a pinned header.  All
-output is deterministic given flags + seed, independent of SSLAB_THREADS.
+output is deterministic given flags + seed.  Each subcommand takes only the
+flags it reads; any other flag is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from . import graphs, homcounts, regularize, sidorenko, spectra, supersat
 
@@ -38,18 +40,93 @@ def _fs(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+# -- report serialization --------------------------------------------------
+
+
+def _fields(obj, drop=()) -> dict:
+    """A dataclass's fields by name, leaving out `drop` and None values."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+# What each report type drops, renames or derives; any other dataclass
+# emits its non-None fields as they are.  Derived keys are emitted even
+# when None: the emptied branch reports a null gap_ratio and count_method.
+_SHAPES = {
+    supersat.PruneTrace: lambda tr: {
+        **_fields(tr, drop=("final_graph", "final_perron")),
+        "final_m": tr.final_graph.edge_count,
+        "gap_ratio": tr.gap_ratio,
+    },
+    supersat.AcdPartition: lambda acd: {
+        **_fields(acd, drop=("c_set", "d_set")),
+        "a_size": len(acd.a_set),
+        "c_size": len(acd.c_set),
+        "d_size": len(acd.d_set),
+    },
+    supersat.RowCoverOutcome: lambda rc: {
+        **_fields(rc, drop=("b_set",)),
+        **({"b_size": len(rc.b_set)} if rc.b_set is not None else {}),
+    },
+    supersat.PipelineReport: lambda rep: {
+        **_fields(rep, drop=("lam",)),
+        "lambda": rep.lam,
+        **({"count_method": rep.count_method} if rep.count is not None else {}),
+    },
+    sidorenko.IneqReport: lambda rep: {
+        **_fields(rep, drop=("lam",)),
+        "lambda": rep.lam,
+    },
+    regularize.RegularBundle: lambda b: {
+        **_fields(b, drop=("vertices",)),
+        "component_size": len(b.vertices),
+    },
+}
+
+
+def _shape(obj) -> dict:
+    return _SHAPES.get(type(obj), _fields)(obj)
+
+
+def _plain(x):
+    """JSON-ready copy of a report value: dataclasses through `_SHAPES`,
+    floats rounded by `_f`, tuples and arrays as lists, dict keys as str."""
+    if is_dataclass(x):
+        x = _shape(x)
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, float):
+        return _f(x)
+    return x
+
+
+def _render(kind: str, *parts) -> str:
+    """The `sslab.report.v1` text of one run: the schema and kind, then the
+    keys of each part (a report dataclass or a dict) in turn."""
+    obj = {"schema": SCHEMA, "kind": kind}
+    for part in parts:
+        obj.update(_shape(part) if is_dataclass(part) else part)
+    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout when `path` is None."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args, kind: str, *parts) -> None:
+    _write(args.out, _render(kind, *parts))
+
+
 def _load_graph(args) -> graphs.Graph:
-    if not getattr(args, "infile", None):
-        raise UsageError("--in is required")
     with open(args.infile) as fh:
         return graphs.read_edge_list(fh.read())
 
@@ -70,29 +147,27 @@ def _pattern_graph(name: str, t: int | None, pn: int | None) -> graphs.Graph:
 
 # -- subcommands -----------------------------------------------------------
 
+# gen: the flags that give each family's size parameters, in order
+_GEN_PARAMS = {
+    "split": ("k", "m"),
+    "gnm": ("n", "m"),
+    "cycle": ("n",),
+    "path": ("n",),
+    "clique": ("n",),
+    "empty": ("n",),
+    "star": ("n",),
+    "complete-bipartite": ("a", "b"),
+}
+
 
 def cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "split":
-        g = graphs.split_graph(args.k, args.m)
-    elif fam == "gnm":
-        if args.seed is None:
-            raise UsageError("gnm requires --seed")
-        g = graphs.sample_gnm(args.n, args.m, args.seed)
-    elif fam in {"cycle", "path", "clique", "empty"}:
-        g = graphs.make_family(graphs.FamilyRequest(fam, (args.n,)))
-    elif fam == "star":
-        g = graphs.star(args.n)
-    elif fam == "complete-bipartite":
-        g = graphs.complete_bipartite(args.a, args.b)
-    else:
-        raise UsageError(f"unknown family {fam!r}")
-    text = graphs.write_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    names = _GEN_PARAMS[args.family]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"family {args.family} requires {', '.join(missing)}")
+    params = tuple(getattr(args, name) for name in names)
+    g = graphs.make_family(graphs.FamilyRequest(args.family, params, args.seed))
+    _write(args.out, graphs.write_edge_list(g))
     return 0
 
 
@@ -100,18 +175,17 @@ def cmd_spectral(args) -> int:
     g = _load_graph(args)
     pd = spectra.perron(g, tol=args.tol)
     _emit(
+        args,
+        "spectral",
         {
-            "schema": SCHEMA,
-            "kind": "spectral",
             "n": g.n,
             "m": g.edge_count,
-            "lambda": _f(pd.lam),
+            "lambda": pd.lam,
             "component": pd.component_id,
             "residual_below_tol": pd.residual <= args.tol,
-            "sup_norm": _f(max(pd.x)),
-            "g_loc": _f(supersat.localization_g(pd, g.edge_count)),
+            "sup_norm": max(pd.x),
+            "g_loc": supersat.localization_g(pd, g.edge_count),
         },
-        args,
     )
     return 0
 
@@ -123,9 +197,9 @@ def cmd_hom(args) -> int:
     inj = homcounts.inj_count(h, g)
     aut = homcounts.aut_order(h)
     _emit(
+        args,
+        "hom",
         {
-            "schema": SCHEMA,
-            "kind": "hom",
             "pattern": args.pattern,
             "pattern_vertices": h.n,
             "pattern_edges": h.edge_count,
@@ -135,7 +209,6 @@ def cmd_hom(args) -> int:
             "copies": inj.value // aut,
             "method": res.method,
         },
-        args,
     )
     return 0
 
@@ -150,163 +223,69 @@ def cmd_check(args) -> int:
     else:
         h = _pattern_graph(args.pattern, args.t, args.pn)
     rep = sidorenko.check_suite(h, g, tol=args.tol)
-    obj = {
-        "schema": SCHEMA,
-        "kind": "check",
-        "pattern": args.pattern,
-        "hom": rep.hom,
-        "lambda": _f(rep.lam),
-        "rhs_i": _f(rep.rhs_i),
-        "holds_i": rep.holds_i,
-        "spectral_forms_applicable": rep.spectral_forms_applicable,
-    }
-    if rep.spectral_forms_applicable:
-        obj.update(
-            {
-                "rhs_ii": _f(rep.rhs_ii),
-                "rhs_iii": _f(rep.rhs_iii),
-                "rhs_cert": _f(rep.rhs_cert),
-                "holds_ii": rep.holds_ii,
-                "holds_iii": rep.holds_iii,
-                "holds_cert": rep.holds_cert,
-                "chain_slack": _f(rep.chain_slack),
-            }
-        )
-    _emit(obj, args)
+    _emit(args, "check", {"pattern": args.pattern}, rep)
     applicable = [rep.holds_i]
     if rep.spectral_forms_applicable:
         applicable += [rep.holds_ii, rep.holds_iii, rep.holds_cert]
     return 0 if all(applicable) else 1
 
 
-def _trace_dict(trace: supersat.PruneTrace) -> dict:
-    return {
-        "eta": _f(trace.eta),
-        "t": trace.t,
-        "initial_m": trace.initial_m,
-        "initial_lambda": _f(trace.initial_lambda),
-        "final_m": trace.final_graph.edge_count,
-        "alpha": _f(trace.alpha),
-        "gap_ratio": _f(trace.gap_ratio) if trace.gap_ratio is not None else None,
-        "emptied": trace.emptied,
-        "steps": [
-            {
-                "edge": list(s.edge),
-                "m_i": s.m_i,
-                "lambda_i": _f(s.lambda_i),
-                "split_ref": _f(s.split_ref),
-                "delta_i": _f(s.delta_i),
-                "product": _f(s.product),
-            }
-            for s in trace.steps
-        ],
-    }
-
-
 def cmd_prune(args) -> int:
-    g = _load_graph(args)
-    trace = supersat.heavy_prune(g, args.t, eta=args.eta)
-    _emit({"schema": SCHEMA, "kind": "prune", **_trace_dict(trace)}, args)
+    trace = supersat.heavy_prune(_load_graph(args), args.t, eta=args.eta)
+    _emit(args, "prune", trace)
     return 0
-
-
-def _acd_dict(acd: supersat.AcdPartition) -> dict:
-    return {
-        "a_size": len(acd.a_set),
-        "c_size": len(acd.c_set),
-        "d_size": len(acd.d_set),
-        "a_set": list(acd.a_set),
-        "sup_norm": _f(acd.sup_norm),
-        "g_loc": _f(acd.g_loc),
-        "g_tilde": _f(acd.g_tilde),
-        "k_levels": acd.k_levels,
-        "ell": acd.ell,
-        "index_set": list(acd.index_set),
-        "s_sums": {str(i): v for i, v in sorted(acd.s_sums.items())},
-        "i_star": acd.i_star,
-        "s_threshold": _f(acd.s_threshold),
-        "r_threshold": _f(acd.r_threshold),
-        "e_ac": acd.e_ac,
-        "e_core": acd.e_core,
-        "t1_ok": acd.t1_ok,
-        "t2_ok": acd.t2_ok,
-        "t3_ok": acd.t3_ok,
-    }
 
 
 def cmd_partition(args) -> int:
-    g = _load_graph(args)
-    eta = args.eta if args.eta is not None else 1.0 / (16 * args.t)
-    trace = supersat.heavy_prune(g, args.t, eta=eta)
+    trace = supersat.heavy_prune(_load_graph(args), args.t, eta=args.eta)
     if trace.emptied:
-        _emit({"schema": SCHEMA, "kind": "partition", "error": "emptied"}, args)
+        _emit(args, "partition", {"error": "emptied"})
         return 0
     try:
-        acd = supersat.acd_partition(
-            trace.final_graph, eta, pd=trace.final_perron
-        )
+        acd = supersat.partition_pruned(trace)
     except supersat.TooDelocalizedError as exc:
         _emit(
+            args,
+            "partition",
             {
-                "schema": SCHEMA,
-                "kind": "partition",
                 "error": "too-delocalized",
                 "k_levels": exc.k_levels,
-                "index_set": list(exc.index_set),
+                "index_set": exc.index_set,
             },
-            args,
         )
         return 0
-    _emit({"schema": SCHEMA, "kind": "partition", **_acd_dict(acd)}, args)
+    _emit(args, "partition", acd)
     return 0
 
 
-def _rowcover_dict(rc: supersat.RowCoverOutcome) -> dict:
-    obj = {
-        "variant": rc.variant,
-        "r_set": list(rc.r_set),
-        "theta": _f(rc.theta),
-        "epsilon": _f(rc.epsilon),
-        "sigma1": _f(rc.sigma1),
-        "e_ad": rc.e_ad,
-        "e_uncovered": rc.e_uncovered,
-        "degenerate": rc.degenerate,
-    }
-    if rc.variant == "many-copies":
-        obj.update(
-            {"d_star": rc.d_star, "floor_l": rc.floor_l, "copy_bound": rc.copy_bound}
-        )
-    else:
-        obj.update(
-            {
-                "b_size": len(rc.b_set),
-                "e_ar_b": rc.e_ar_b,
-                "e_r_dnb": rc.e_r_dnb,
-            }
-        )
-    return obj
-
-
-def _parse_vertex_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _vertex_list(flag: str, text: str, n: int) -> list[int]:
+    try:
+        vs = [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated vertex ids, got {text!r}")
+    for v in vs:
+        if not 0 <= v < n:
+            raise UsageError(f"{flag}: vertex {v} out of range for n={n}")
+    return vs
 
 
 def cmd_rowcover(args) -> int:
     g = _load_graph(args)
-    if args.a_side and args.d_side:
-        a_set = _parse_vertex_list(args.a_side)
-        d_set = _parse_vertex_list(args.d_side)
+    if (args.a_side is None) != (args.d_side is None):
+        raise UsageError("--a-side and --d-side go together")
+    if args.a_side is not None:
+        if args.eta is not None:
+            raise UsageError("--eta applies only when the sides come from pruning")
+        a_set = _vertex_list("--a-side", args.a_side, g.n)
+        d_set = _vertex_list("--d-side", args.d_side, g.n)
     else:
-        eta = args.eta if args.eta is not None else 1.0 / (16 * args.t)
-        trace = supersat.heavy_prune(g, args.t, eta=eta)
+        trace = supersat.heavy_prune(g, args.t, eta=args.eta)
         if trace.emptied:
-            _emit({"schema": SCHEMA, "kind": "rowcover", "error": "emptied"}, args)
+            _emit(args, "rowcover", {"error": "emptied"})
             return 0
-        acd = supersat.acd_partition(trace.final_graph, eta, pd=trace.final_perron)
-        g = trace.final_graph
-        a_set, d_set = list(acd.a_set), list(acd.d_set)
-    rc = supersat.row_cover_analyze(g, a_set, d_set, args.t)
-    _emit({"schema": SCHEMA, "kind": "rowcover", **_rowcover_dict(rc)}, args)
+        acd = supersat.partition_pruned(trace)
+        g, a_set, d_set = trace.final_graph, acd.a_set, acd.d_set
+    _emit(args, "rowcover", supersat.row_cover_analyze(g, a_set, d_set, args.t))
     return 0
 
 
@@ -314,64 +293,21 @@ def cmd_regularize(args) -> int:
     g = _load_graph(args)
     bundle = regularize.build_regular(g, args.k)
     dist = regularize.edge_distribution(g)
-    obj = {
-        "schema": SCHEMA,
-        "kind": "regularize",
-        "k": bundle.k,
-        "component_size": len(bundle.vertices),
-        "n_vec": list(bundle.n_vec),
-        "n_mat": [[int(x) for x in row] for row in bundle.n_mat],
-        "d_k": bundle.d_k,
-        "t_k_size": bundle.t_k_size,
-        "lambda_k": _f(bundle.lambda_k),
-        "entropy_gap": _f(regularize.entropy_gap(dist)),
-        "log_lambda": _f(math.log(dist.lam)),
+    derived = {
+        "entropy_gap": regularize.entropy_gap(dist),
+        "log_lambda": math.log(dist.lam),
     }
     if args.materialize:
         fk = regularize.materialize_fk(bundle, g, cap=args.cap)
-        obj["fk_vertices"] = fk.n
-        obj["fk_edges"] = fk.edge_count
-    _emit(obj, args)
+        derived.update(fk_vertices=fk.n, fk_edges=fk.edge_count)
+    _emit(args, "regularize", bundle, derived)
     return 0
-
-
-def _pipeline_dict(rep: supersat.PipelineReport) -> dict:
-    obj = {
-        "schema": SCHEMA,
-        "kind": "pipeline",
-        "t": rep.t,
-        "pattern": rep.pattern,
-        "n": rep.n,
-        "m": rep.m,
-        "lambda": _f(rep.lam),
-        "split_threshold": _f(rep.split_threshold),
-        "above_threshold": rep.above_threshold,
-        "branch": rep.branch,
-        "sharp_constant": _f(rep.sharp_constant),
-        "notes": list(rep.notes),
-    }
-    if rep.trace is not None:
-        obj["trace"] = _trace_dict(rep.trace)
-    if rep.g_loc is not None:
-        obj["g_loc"] = _f(rep.g_loc)
-    if rep.acd is not None:
-        obj["acd"] = _acd_dict(rep.acd)
-    if rep.rowcover is not None:
-        obj["rowcover"] = _rowcover_dict(rep.rowcover)
-    if rep.count is not None:
-        obj["count"] = rep.count
-        obj["count_method"] = rep.count_method
-        obj["ratio"] = _f(rep.ratio)
-    if rep.copy_lower_bound is not None:
-        obj["copy_lower_bound"] = _f(rep.copy_lower_bound)
-    return obj
 
 
 def cmd_pipeline(args) -> int:
     g = _load_graph(args)
     cfg = supersat.SupersatConfig(eta=args.eta, budget=args.budget)
-    rep = supersat.supersat_count(g, args.t, args.pattern, cfg)
-    _emit(_pipeline_dict(rep), args)
+    _emit(args, "pipeline", supersat.supersat_count(g, args.t, args.pattern, cfg))
     return 0
 
 
@@ -429,12 +365,9 @@ def _sweep_row(family: str, pattern: str, t: int, m: int, sample: int, seed: int
         except sidorenko.SidorenkoError:
             expected = ""
     return (
-        family,
-        m,
-        sample,
         f"{CSV_SCHEMA},{family},{pattern},{t},{m},{sample},{row_seed},{g.n},"
         f"{_fs(pd.lam)},{_fs(thr)},{int(pd.lam > thr + 1e-12)},{count},"
-        f"{_fs(count / float(m) ** t)},{_fs(sharp)},{expected}",
+        f"{_fs(count / float(m) ** t)},{_fs(sharp)},{expected}"
     )
 
 
@@ -447,30 +380,23 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep step must be > 0")
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    ms = list(range(start, stop + 1, step))
-    tasks = [
-        (fam, args.pattern, args.t, m, s, args.seed)
+    # rows come out sorted by (family, m, sample)
+    families = sorted(f.strip() for f in args.families.split(",") if f.strip())
+    rows = [
+        (fam, m, s)
         for fam in families
-        for m in ms
+        for m in range(start, stop + 1, step)
         for s in range(args.samples)
     ]
-    work = sum(_estimate_work(fam, pat, t, m) for fam, pat, t, m, _, _ in tasks)
+    work = sum(_estimate_work(fam, args.pattern, args.t, m) for fam, m, _ in rows)
     sys.stderr.write(f"estimated work: {work} elementary steps\n")
     if work > 10**9 and not args.force:
         sys.stderr.write("budget exceeded; re-run with --force\n")
         return 2
-    threads = int(os.environ.get("SSLAB_THREADS", "0")) or (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda a: _sweep_row(*a), tasks))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = [CSV_HEADER] + [r[3] for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines = [
+        _sweep_row(fam, args.pattern, args.t, m, s, args.seed) for fam, m, s in rows
+    ]
+    _write(args.out, "\n".join([CSV_HEADER, *lines]) + "\n")
     return 0
 
 
@@ -481,81 +407,65 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sslab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, t_flag=True):
-        sp.add_argument("--in", dest="infile")
+    def command(name, func, *, infile=True, t=None):
+        """A subcommand with --out, plus --in (required) unless `infile` is
+        false, plus --t when `t` is not None (required when `t` is true).
+        No abbreviations, so a stray --t cannot turn into --tol."""
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.set_defaults(func=func)
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--json", action="store_true", help="JSON output (default)")
-        if t_flag:
-            sp.add_argument("--t", type=int)
+        if infile:
+            sp.add_argument("--in", dest="infile", required=True)
+        if t is not None:
+            sp.add_argument("--t", type=int, required=t)
+        return sp
 
-    sp = sub.add_parser("gen")
-    common(sp, t_flag=False)
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--b", type=int)
-    sp.set_defaults(func=cmd_gen)
+    sp = command("gen", cmd_gen, infile=False)
+    sp.add_argument("--family", required=True, choices=list(_GEN_PARAMS))
+    for flag in ("--k", "--m", "--n", "--a", "--b", "--seed"):
+        sp.add_argument(flag, type=int)
 
-    sp = sub.add_parser("spectral")
-    common(sp)
-    sp.set_defaults(func=cmd_spectral)
+    sp = command("spectral", cmd_spectral)
+    sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = sub.add_parser("hom")
-    common(sp)
+    sp = command("hom", cmd_hom, t=False)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
-    sp.set_defaults(func=cmd_hom)
 
-    sp = sub.add_parser("check")
-    common(sp)
+    sp = command("check", cmd_check, t=False)
+    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
     sp.add_argument("--pattern-file")
-    sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("prune")
-    common(sp)
+    sp = command("prune", cmd_prune, t=True)
     sp.add_argument("--eta", type=float)
-    sp.set_defaults(func=cmd_prune)
 
-    sp = sub.add_parser("partition")
-    common(sp)
+    sp = command("partition", cmd_partition, t=True)
     sp.add_argument("--eta", type=float)
-    sp.set_defaults(func=cmd_partition)
 
-    sp = sub.add_parser("rowcover")
-    common(sp)
+    sp = command("rowcover", cmd_rowcover, t=True)
     sp.add_argument("--eta", type=float)
     sp.add_argument("--a-side")
     sp.add_argument("--d-side")
-    sp.set_defaults(func=cmd_rowcover)
 
-    sp = sub.add_parser("regularize")
-    common(sp, t_flag=False)
+    sp = command("regularize", cmd_regularize)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
     sp.add_argument("--cap", type=int, default=5000)
-    sp.set_defaults(func=cmd_regularize)
 
-    sp = sub.add_parser("pipeline")
-    common(sp)
+    sp = command("pipeline", cmd_pipeline, t=True)
     sp.add_argument("--pattern", required=True, choices=["ktt", "c2t"])
     sp.add_argument("--eta", type=float)
     sp.add_argument("--budget", type=int, default=10**9)
-    sp.set_defaults(func=cmd_pipeline)
 
-    sp = sub.add_parser("sweep")
-    common(sp)
+    sp = command("sweep", cmd_sweep, infile=False, t=True)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--pattern", required=True, choices=["ktt", "c2t"])
     sp.add_argument("--m-range", required=True)
     sp.add_argument("--samples", type=int, default=1)
     sp.add_argument("--families", default="gnm-balanced")
     sp.add_argument("--force", action="store_true")
-    sp.set_defaults(func=cmd_sweep)
     return p
 
 
@@ -566,25 +476,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        needs_t = args.command in {
-            "hom",
-            "check",
-            "prune",
-            "partition",
-            "rowcover",
-            "pipeline",
-            "sweep",
-        }
-        if needs_t and getattr(args, "t", None) is None:
-            if args.command in {"prune", "partition", "rowcover", "pipeline", "sweep"}:
-                raise UsageError("--t is required")
-        if args.command == "sweep" and args.seed is None:
-            raise UsageError("--seed is required for sweep")
         return args.func(args)
-    except (UsageError, OSError, graphs.GraphError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (
+        UsageError,
+        OSError,
+        graphs.GraphError,
         spectra.SpectraError,
         homcounts.CountError,
         sidorenko.SidorenkoError,

@@ -56,10 +56,6 @@ class Graph:
     # -- derived accessors -------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -482,8 +481,3 @@ def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
         value = _enumerate_c2t(g, t, budget)
         method = "cycle-enum"
     return CountResult(value, method, time.perf_counter() - t0)
-
-
-@lru_cache(maxsize=None)
-def aut_cached(n: int, edges: tuple) -> int:
-    return aut_order(Graph.from_edges(n, edges))

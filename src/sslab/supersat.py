@@ -6,7 +6,7 @@ row-cover analysis, and the branch-dispatching counting driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,16 +88,10 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         m_i = current.edge_count
         if lam0 is None:
             lam0 = pd.lam
-        threshold = eta / math.sqrt(m_i)
-        worst = None
-        for u, v in current.edges:
-            prod = float(pd.x[u] * pd.x[v])
-            if prod < threshold and (worst is None or prod < worst[0] - 0.0):
-                if worst is None or prod < worst[0]:
-                    worst = (prod, (u, v))
-        if worst is None:
+        bad = heavy_violations(current, pd, eta)
+        if not bad:
             break
-        prod, edge = worst
+        u, v, prod = min(bad, key=lambda e: e[2])  # first minimum in edge order
         ref = (
             split_lambda(t - 1, m_i)
             if m_i >= max(1, (t - 1) * (t - 2) // 2)
@@ -105,7 +99,7 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         )
         steps.append(
             PruneStep(
-                edge=edge,
+                edge=(u, v),
                 m_i=m_i,
                 lambda_i=pd.lam,
                 split_ref=ref,
@@ -113,10 +107,7 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
                 product=prod,
             )
         )
-        current = current.delete_edge(*edge)
-        if current.edge_count == 0:
-            pd = None
-            break
+        current = current.delete_edge(u, v)
     m_prime = current.edge_count
     final_pd = pd if m_prime > 0 else None
     gap_ratio = final_pd.lam / math.sqrt(m_prime) if final_pd else None
@@ -125,7 +116,7 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         t=t,
         steps=tuple(steps),
         initial_m=m0,
-        initial_lambda=lam0 if lam0 is not None else 0.0,
+        initial_lambda=lam0,
         final_graph=current,
         final_perron=final_pd,
         alpha=m_prime / m0,
@@ -296,6 +287,14 @@ def acd_partition(
     )
 
 
+def partition_pruned(trace: PruneTrace) -> AcdPartition:
+    """The A/C/D partition of a non-empty pruned graph, at the eta it was
+    pruned with and from the Perron data pruning ended on."""
+    if trace.emptied:
+        raise SupersatError("pruning removed every edge")
+    return acd_partition(trace.final_graph, trace.eta, pd=trace.final_perron)
+
+
 # -- aligned rows and row cover --------------------------------------------
 
 
@@ -382,7 +381,8 @@ def row_cover_analyze(
         degenerate = True
         r_list = [max(a_sorted, key=lambda a: (deg_d[a], -a))]
     r_set = tuple(sorted(r_list))
-    not_r = [a for a in a_sorted if a not in set(r_set)]
+    r_lookup = set(r_set)
+    not_r = [a for a in a_sorted if a not in r_lookup]
     e_uncovered = sum(deg_d[a] for a in not_r)
     # the aligned rows carry almost all A-D edges
     assert degenerate or e_uncovered <= theta * e_ad + 1e-9
@@ -402,17 +402,10 @@ def row_cover_analyze(
             floor_l=floor_l,
             copy_bound=bound,
         )
-    b = None
-    for a in r_set:
-        nbrs = {w for w in h.adjacency[a] if w in dset}
-        b = nbrs if b is None else b & nbrs
-    b_set = tuple(sorted(b)) if b else tuple()
-    e_ar_b = sum(1 for a in not_r for w in h.adjacency[a] if w in set(b_set))
+    b = set.intersection(*({w for w in h.adjacency[a] if w in dset} for a in r_set))
+    e_ar_b = sum(1 for a in not_r for w in h.adjacency[a] if w in b)
     e_r_dnb = sum(
-        1
-        for a in r_set
-        for w in h.adjacency[a]
-        if w in dset and w not in set(b_set)
+        1 for a in r_set for w in h.adjacency[a] if w in dset and w not in b
     )
     return RowCoverOutcome(
         variant="cover",
@@ -423,7 +416,7 @@ def row_cover_analyze(
         e_ad=e_ad,
         e_uncovered=e_uncovered,
         degenerate=degenerate,
-        b_set=b_set,
+        b_set=tuple(sorted(b)),
         e_ar_b=e_ar_b,
         e_r_dnb=e_r_dnb,
     )
@@ -492,95 +485,53 @@ def supersat_count(
     m = g.edge_count
     pd = perron(g)
     thr = split_lambda(t - 1, m)
-    sharp = _sharp_constant(t, pattern)
+    above = bool(pd.lam > thr + 1e-12)
+    trace = heavy_prune(g, t, eta=config.eta) if above else None
+    g_loc = acd = rowcover = count = method = lower = ratio = None
     notes: list[str] = []
-    if pd.lam <= thr + 1e-12:
-        return PipelineReport(
-            t=t,
-            pattern=pattern,
-            n=g.n,
-            m=m,
-            lam=pd.lam,
-            split_threshold=thr,
-            above_threshold=False,
-            trace=None,
-            branch="below-threshold",
-            g_loc=None,
-            acd=None,
-            rowcover=None,
-            count=None,
-            count_method=None,
-            copy_lower_bound=None,
-            sharp_constant=sharp,
-            ratio=None,
-            notes=("spectral radius not above the split threshold",),
-        )
-    eta = config.eta if config.eta is not None else 1.0 / (16 * t)
-    trace = heavy_prune(g, t, eta=eta)
-    pruned = trace.final_graph
-    if trace.emptied:
-        return PipelineReport(
-            t=t,
-            pattern=pattern,
-            n=g.n,
-            m=m,
-            lam=pd.lam,
-            split_threshold=thr,
-            above_threshold=True,
-            trace=trace,
-            branch="emptied",
-            g_loc=None,
-            acd=None,
-            rowcover=None,
-            count=0,
-            count_method=None,
-            copy_lower_bound=None,
-            sharp_constant=sharp,
-            ratio=0.0,
-            notes=("pruning removed every edge",),
-        )
-    fpd = trace.final_perron
-    m_prime = pruned.edge_count
-    g_loc = localization_g(fpd, m_prime)
-    nonisolated = [v for v in range(pruned.n) if pruned.degree(v) > 0]
-    core, _ = pruned.induced_subgraph(nonisolated)
-    cr = _count_pattern(core, t, pattern, config.budget)
-    ratio = cr.value / float(m) ** t
-    acd = None
-    rowcover = None
-    if g_loc <= config.g_cut:
-        branch = "delocalized"
-        if pattern == "ktt":
-            lower = ktt_copy_lower(t, fpd.lam, m_prime, core.n)
-        else:
-            lower = c2t_copy_lower(t, fpd.lam, core.n)
-        notes.append("g_loc within g_cut: delocalized counting branch")
+    if not above:
+        branch = "below-threshold"
+        notes.append("spectral radius not above the split threshold")
+    elif trace.emptied:
+        branch, count, ratio = "emptied", 0, 0.0
+        notes.append("pruning removed every edge")
     else:
-        lower = None
-        try:
-            acd = acd_partition(pruned, eta, pd=fpd)
-        except TooDelocalizedError:
-            branch = "delocalized-fallback"
-            notes.append("level-set window too small; fell back to direct count")
+        pruned, fpd = trace.final_graph, trace.final_perron
+        m_prime = pruned.edge_count
+        g_loc = localization_g(fpd, m_prime)
+        nonisolated = [v for v in range(pruned.n) if pruned.degree(v) > 0]
+        core, _ = pruned.induced_subgraph(nonisolated)
+        cr = _count_pattern(core, t, pattern, config.budget)
+        count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t
+        if g_loc <= config.g_cut:
+            branch = "delocalized"
+            notes.append("g_loc within g_cut: delocalized counting branch")
+        else:
+            try:
+                acd = partition_pruned(trace)
+            except TooDelocalizedError:
+                branch = "delocalized-fallback"
+                notes.append("level-set window too small; fell back to direct count")
+            else:
+                if acd.e_core >= config.frac_cut * m_prime:
+                    branch = "dense-core"
+                    notes.append("core carries a dense fraction of the pruned edges")
+                else:
+                    branch = "sparse-core"
+                    if acd.a_set and acd.d_set:
+                        try:
+                            rowcover = row_cover_analyze(
+                                pruned, acd.a_set, acd.d_set, t
+                            )
+                        except SupersatError as exc:
+                            notes.append(f"row-cover not applicable: {exc}")
+                    else:
+                        notes.append("row-cover skipped: empty A or D class")
+        if acd is None:  # delocalized branches: bound copies from the spectrum
             if pattern == "ktt":
                 lower = ktt_copy_lower(t, fpd.lam, m_prime, core.n)
             else:
                 lower = c2t_copy_lower(t, fpd.lam, core.n)
-        else:
-            if acd.e_core >= config.frac_cut * m_prime:
-                branch = "dense-core"
-                notes.append("core carries a dense fraction of the pruned edges")
-            else:
-                branch = "sparse-core"
-                if acd.a_set and acd.d_set:
-                    try:
-                        rowcover = row_cover_analyze(
-                            pruned, acd.a_set, acd.d_set, t
-                        )
-                    except SupersatError as exc:
-                        notes.append(f"row-cover not applicable: {exc}")
-                else:
-                    notes.append("row-cover skipped: empty A or D class")
     return PipelineReport(
         t=t,
         pattern=pattern,
@@ -588,16 +539,16 @@ def supersat_count(
         m=m,
         lam=pd.lam,
         split_threshold=thr,
-        above_threshold=True,
+        above_threshold=above,
         trace=trace,
         branch=branch,
         g_loc=g_loc,
         acd=acd,
         rowcover=rowcover,
-        count=cr.value,
-        count_method=cr.method,
+        count=count,
+        count_method=method,
         copy_lower_bound=lower,
-        sharp_constant=sharp,
+        sharp_constant=_sharp_constant(t, pattern),
         ratio=ratio,
         notes=tuple(notes),
     )

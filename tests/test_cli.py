@@ -58,6 +58,23 @@ class TestGen:
         r = run_cli("gen", "--family", "mystery", "--n", "4")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, missing",
+        [
+            (("--family", "split", "--m", "10"), "--k"),
+            (("--family", "clique"), "--n"),
+            (("--family", "star"), "--n"),
+            (("--family", "complete-bipartite", "--a", "2"), "--b"),
+            (("--family", "gnm", "--n", "5", "--seed", "1"), "--m"),
+        ],
+    )
+    def test_missing_size_flag_is_usage_error(self, args, missing, capsys):
+        from sslab.cli import main
+
+        assert main(["gen", *args]) == 2
+        err = capsys.readouterr().err
+        assert missing in err and "Traceback" not in err
+
 
 class TestSpectral:
     def test_fields_and_determinism(self, split_file):
@@ -147,6 +164,29 @@ class TestPipelineCommands:
         assert obj["variant"] == "many-copies"
         assert obj["copy_bound"] == 10
 
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            (("--a-side", "0,x", "--d-side", "2,3"), "--a-side"),
+            (("--a-side", "0,1", "--d-side", "5,999"), "999"),
+            (("--a-side", "-1", "--d-side", "2,3"), "-1"),
+            (("--a-side", "0,1"), "--d-side"),
+            (("--d-side", "2,3"), "--a-side"),
+            (("--a-side", "0,1", "--d-side", "2,3", "--eta", "0.01"), "--eta"),
+        ],
+    )
+    def test_rowcover_bad_sides_are_usage_errors(
+        self, tmp_path, capsys, sides, message
+    ):
+        from sslab.cli import main
+
+        p = tmp_path / "split.txt"
+        p.write_text(write_edge_list(split_graph(2, 60)))
+        assert main(["rowcover", "--in", str(p), "--t", "2", *sides]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_regularize(self, tmp_path):
         p = tmp_path / "p3.txt"
         p.write_text(write_edge_list(star(2)))
@@ -208,6 +248,27 @@ class TestSweep:
 class TestParsing:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectral", "--in", "g.txt", "--t", "2"),
+            ("spectral", "--in", "g.txt", "--json"),
+            ("hom", "--in", "g.txt", "--pattern", "c2t", "--t", "2", "--tol", "1e-9"),
+            ("prune", "--in", "g.txt", "--t", "2", "--seed", "1"),
+            ("pipeline", "--in", "g.txt", "--t", "2", "--pattern", "ktt",
+             "--tol", "1e-9"),
+            ("regularize", "--in", "g.txt", "--k", "2", "--t", "2"),
+            ("gen", "--family", "star", "--n", "3", "--in", "g.txt"),
+            ("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1",
+             "--seed", "1", "--in", "g.txt"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        from sslab.cli import main
+
+        assert main(list(argv)) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_installed(self, tmp_path):
         # Builds the wrapper an installer generates from the declared entry
