@@ -33,6 +33,7 @@ from .homcounts import (
     count_c2t,
     count_ktt,
     hom_complete_bipartite,
+    hom_contract,
     hom_count,
     inj_count,
 )

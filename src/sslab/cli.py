@@ -236,25 +236,33 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def cmd_partition(args) -> int:
-    trace = supersat.heavy_prune(_load_graph(args), args.t, eta=args.eta)
+def _prune_and_partition(args, kind: str, g: graphs.Graph):
+    """(trace, partition) of the pruned host, or None after emitting the
+    `kind` report of a domain outcome: every edge pruned, or a Perron vector
+    too delocalized for a level-set partition."""
+    trace = supersat.heavy_prune(g, args.t, eta=args.eta)
     if trace.emptied:
-        _emit(args, "partition", {"error": "emptied"})
-        return 0
+        _emit(args, kind, {"error": "emptied"})
+        return None
     try:
-        acd = supersat.partition_pruned(trace)
+        return trace, supersat.partition_pruned(trace)
     except supersat.TooDelocalizedError as exc:
         _emit(
             args,
-            "partition",
+            kind,
             {
                 "error": "too-delocalized",
                 "k_levels": exc.k_levels,
                 "index_set": exc.index_set,
             },
         )
-        return 0
-    _emit(args, "partition", acd)
+        return None
+
+
+def cmd_partition(args) -> int:
+    pruned = _prune_and_partition(args, "partition", _load_graph(args))
+    if pruned is not None:
+        _emit(args, "partition", pruned[1])
     return 0
 
 
@@ -279,11 +287,10 @@ def cmd_rowcover(args) -> int:
         a_set = _vertex_list("--a-side", args.a_side, g.n)
         d_set = _vertex_list("--d-side", args.d_side, g.n)
     else:
-        trace = supersat.heavy_prune(g, args.t, eta=args.eta)
-        if trace.emptied:
-            _emit(args, "rowcover", {"error": "emptied"})
+        pruned = _prune_and_partition(args, "rowcover", g)
+        if pruned is None:
             return 0
-        acd = supersat.partition_pruned(trace)
+        trace, acd = pruned
         g, a_set, d_set = trace.final_graph, acd.a_set, acd.d_set
     _emit(args, "rowcover", supersat.row_cover_analyze(g, a_set, d_set, args.t))
     return 0

@@ -1,12 +1,24 @@
 """Exact counting: homomorphisms, injective homomorphisms, automorphisms,
-closed walks, and fast exact counters for complete-bipartite and even-cycle
-patterns.
+closed walks, and copies of complete-bipartite and even-cycle patterns.
 
-All counts are exact arbitrary-precision integers.  The generic counters are
-backtracking enumerators; the large-host counters use codegree formulas (t=2)
-and a partition-Moebius reduction (2t-cycles, t >= 3): hom counts of every
-loop-free quotient of the cycle are computed by treewidth-2 factor elimination
-on the adjacency matrix and inverted to an injective count.
+Three engines, every result an exact Python int:
+
+- contraction (`hom_contract`): hom(H, G) is a sum over the pattern's
+  vertices of a product of adjacency factors, one per pattern edge, and the
+  engine sums the pattern vertices out one at a time with `np.einsum`.
+  Closed walks, hom(K_{t,t}), the inequality suite and the 2t-cycle counter
+  (t >= 3) all run on it.  The cycle counter uses the spasm identity
+  inj(C_2t, G) = sum_q mu_q hom(q, G) over the loop-free quotients q of C_2t
+  (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.
+- codegree (`count_ktt`, and `count_c2t` at t=2): bitset common-neighbourhood
+  counts, which need no n x n matrix.
+- backtracking (`hom_count`, `inj_count`, `aut_order`): plain enumeration,
+  kept as the independent oracle the other two are tested against.
+
+Exactness rule: float arithmetic is trusted only where the data certify it
+(see `hom_contract`); otherwise the same contraction reruns on Python ints.
+Every parity, divisibility and float-to-int step raises `CountError` when it
+fails, so no result depends on `assert`.
 """
 
 from __future__ import annotations
@@ -14,11 +26,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, cycle
+from .graphs import Graph
 
 
 class CountError(ValueError):
@@ -42,7 +55,7 @@ class CountResult:
     elapsed: float
 
 
-# -- generic backtracking --------------------------------------------------
+# -- generic backtracking (the test oracle) --------------------------------
 
 
 def _connected_order(h: Graph) -> list[int]:
@@ -126,76 +139,180 @@ def aut_order(h: Graph, limit: int = 10) -> int:
     return inj_count(h, h, limit=limit).value
 
 
-# -- closed walks ----------------------------------------------------------
+# -- the contraction engine ------------------------------------------------
+
+_EXACT = 2.0**52  # float64 holds every integer up to 2^53
 
 
-def _int_matpow_trace(rows: list[list[int]], power: int) -> int:
-    """Trace of an exact integer matrix power (binary exponentiation)."""
-    n = len(rows)
+@lru_cache(maxsize=1024)
+def _plan(variables: frozenset, scopes: frozenset) -> tuple:
+    """Elimination steps for factors on `scopes` (sorted variable tuples).
 
-    def mul(a, b):
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    Each step sums out the variable whose result has the fewest variables,
+    lowest index on ties: ("sum", v, result scope).  When every result would
+    have three or more variables, the plan conditions instead, on the
+    variable of that scope found in the most factors, and the rest of the
+    plan runs once per host vertex: ("condition", c, subplan).
+    """
+    variables, scopes = set(variables), set(scopes)
+    steps = []
 
-    result = None
-    base = rows
-    e = power
-    while e:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return sum(result[i][i] for i in range(n))
+    def joined(v):
+        return tuple(sorted({u for s in scopes if v in s for u in s} - {v}))
+
+    while variables:
+        v = min(variables, key=lambda v: (len(joined(v)), v))
+        others = joined(v)
+        if len(others) > 2:
+            c = max(others, key=lambda u: (sum(u in s for s in scopes), -u))
+            rest = {tuple(u for u in s if u != c) for s in scopes} - {()}
+            steps.append(("condition", c, _plan(frozenset(variables - {c}), frozenset(rest))))
+            break
+        variables.discard(v)
+        scopes = {s for s in scopes if v not in s} | ({others} if others else set())
+        steps.append(("sum", v, others))
+    return tuple(steps)
+
+
+def _put(factors: dict, scope: tuple, f: np.ndarray) -> bool:
+    """Multiply `f` into the factor on `scope`; False if a float entry of the
+    product lies past 2^52."""
+    if scope in factors:
+        f = factors[scope] * f
+    factors[scope] = f
+    return f.dtype == object or bool(np.all(f <= _EXACT))
+
+
+def _to_int(x) -> Optional[int]:
+    """The integer a contraction scalar holds; None if it is a float past
+    2^52, which may have been rounded."""
+    x = np.asarray(x).item()
+    if isinstance(x, int):
+        return x
+    if not x <= _EXACT:
+        return None
+    if not x.is_integer():
+        raise CountError(f"contraction produced the non-integer {x!r}")
+    return int(x)
+
+
+def _execute(plan: tuple, factors: dict, n: int) -> Optional[int]:
+    """Run `plan` over `factors` (scope -> array on n host vertices per
+    axis).  Returns the exact value, or None as soon as a float factor or
+    scalar leaves the certified range."""
+    factors = dict(factors)
+    value = 1
+    for step in plan:
+        if step[0] == "condition":
+            _, c, subplan = step
+            total = 0
+            for x in range(n):
+                weight, sliced = 1, {s: f for s, f in factors.items() if c not in s}
+                for s, f in factors.items():
+                    if s == (c,):
+                        weight = _to_int(f[x])
+                    elif c in s:
+                        rest = tuple(u for u in s if u != c)
+                        if not _put(sliced, rest, f[x] if s[0] == c else f[:, x]):
+                            return None
+                if weight == 0:
+                    continue
+                sub = _execute(subplan, sliced, n)
+                if sub is None:
+                    return None
+                total += weight * sub
+            return value * total
+        _, v, others = step
+        inc = [s for s in factors if v in s]
+        if not inc:
+            value *= n
+            continue
+        letters = dict(zip((v, *others), "ijk"))
+        spec = ",".join("".join(letters[u] for u in s) for s in inc)
+        spec += "->" + "".join(letters[u] for u in others)
+        f = np.einsum(spec, *(factors.pop(s) for s in inc), optimize=True)
+        if others:
+            if not _put(factors, others, f):
+                return None
+        else:
+            r = _to_int(f)
+            if r is None:
+                return None
+            value *= r
+    return value
+
+
+def _edge_factors(edges, a: np.ndarray) -> dict:
+    """One factor per pattern edge: `a` on the edge's two vertices, or the
+    diagonal of `a` on a loop; repeated scopes are multiplied together."""
+    factors: dict = {}
+    for u, v in edges:
+        _put(factors, tuple(sorted({u, v})), np.diagonal(a) if u == v else a)
+    return factors
+
+
+def _contract(n_vars: int, edges, a: np.ndarray) -> int:
+    """hom of the pattern (`n_vars` vertices, `edges`) into the host with
+    0/1 adjacency matrix `a`: the float64 run when certified, else the same
+    plan on Python ints."""
+    scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
+    plan = _plan(frozenset(range(n_vars)), scopes)
+    value = _execute(plan, _edge_factors(edges, a), a.shape[0])
+    if value is None:  # some float factor passed 2^52
+        exact = a.astype(np.int64).astype(object)
+        value = _execute(plan, _edge_factors(edges, exact), a.shape[0])
+    return value
+
+
+def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
+    """Exact hom(H, g) for the pattern H on vertices 0..n_vars-1 with the
+    given edge list ((u, u) is a loop; repeated edges are allowed).
+
+    Pattern vertices are summed out one at a time, lowest resulting width
+    first, with `np.einsum` over float64 adjacency factors.  No factor ever
+    has more than two host-vertex axes: where every elimination would need
+    three, the engine conditions on one pattern vertex instead, loops over
+    its n images and adds up the exact integer results.
+
+    Exactness is certified by the data, not by an a-priori bound.  Inputs
+    are nonnegative integers, so every partial sum or product that reaches
+    an output entry is at most that entry.  Float64 computes each partial
+    exactly while it stays at most 2^52; rounding is monotone and 2^52 + 1 is
+    a float, so the first partial past 2^52 leaves its output entry past
+    2^52 as well.  Hence if every factor the engine keeps, and every scalar,
+    is at most 2^52, every float step was exact.  (A partial that reaches no
+    output was multiplied by 0, and is finite because each step's inputs are
+    at most 2^52.)  Otherwise the same plan is rerun once on object arrays
+    of Python ints.
+    """
+    t0 = time.perf_counter()
+    for u, v in edges:
+        if not (0 <= u < n_vars and 0 <= v < n_vars):
+            raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
+    value = _contract(n_vars, edges, g.adjacency_matrix())
+    return CountResult(value, "contraction", time.perf_counter() - t0)
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
-    """Exact number of closed walks of the given length (trace of A^L)."""
+    """Exact number of closed walks of the given length: hom(C_L, g), with
+    C_1 a loop and C_2 a double edge."""
     if length < 1:
         raise CountError("walk length must be >= 1")
     t0 = time.perf_counter()
-    if g.edge_count == 0:
-        return CountResult(0, "trace-power", time.perf_counter() - t0)
-    # float64 is exact while every entry of A^L stays below 2^52;
-    # |(A^L)_uv| <= lambda^L <= (2m)^{L/2} bounds all intermediates.
-    lam_bound = math.sqrt(2 * g.edge_count)
-    if lam_bound**length < 2**52:
-        a = g.adjacency_matrix()
-        tr = float(np.trace(np.linalg.matrix_power(a, length)))
-        value = int(round(tr))
-        assert abs(tr - value) < 0.25
-    else:
-        rows = [[0] * g.n for _ in range(g.n)]
-        for u, v in g.edges:
-            rows[u][v] = 1
-            rows[v][u] = 1
-        value = _int_matpow_trace(rows, length)
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    value = _contract(length, edges, g.adjacency_matrix())
     return CountResult(value, "trace-power", time.perf_counter() - t0)
 
 
-# -- complete bipartite ----------------------------------------------------
-
-
 def hom_complete_bipartite(g: Graph, t: int) -> int:
-    """Exact hom(K_{t,t}, g) = sum over ordered t-tuples u of c(u)^t where
-    c(u) = |N(u_1) cap ... cap N(u_t)| (tuples may repeat vertices)."""
+    """Exact hom(K_{t,t}, g)."""
     if t < 1:
         raise CountError("t must be >= 1")
-    bits = g.adjacency_bits
-    total = 0
+    edges = [(i, t + j) for i in range(t) for j in range(t)]
+    return _contract(2 * t, edges, g.adjacency_matrix())
 
-    def rec(depth: int, common: int):
-        nonlocal total
-        if depth == t:
-            total += common.bit_count() ** t
-            return
-        for v in range(g.n):
-            c = common & bits[v] if depth else bits[v]
-            if c:
-                rec(depth + 1, c)
 
-    rec(0, 0)
-    return total
+# -- codegree counters -----------------------------------------------------
 
 
 def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
@@ -235,22 +352,53 @@ def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
                 rec(v + 1, depth + 1, c)
 
     rec(0, 0, 0)
-    assert doubled % 2 == 0
-    return CountResult(doubled // 2, "codegree", time.perf_counter() - t0)
+    return CountResult(_halve(doubled, "K_{t,t}"), "codegree", time.perf_counter() - t0)
 
 
-# -- pattern quotient machinery for even cycles ----------------------------
+def _halve(doubled: int, what: str) -> int:
+    if doubled % 2:
+        raise CountError(f"odd doubled {what} count {doubled}")
+    return doubled // 2
+
+
+# -- even cycles by partition-Moebius inversion ----------------------------
+
+
+def _refine(nbrs: list, color: list) -> list:
+    """Colour refinement: split colour classes by the multiset of neighbour
+    colours until stable.  Colours come out as ranks of sorted signatures,
+    so any relabelling of the graph relabels the result the same way."""
+    while True:
+        sig = [(c, tuple(sorted(color[w] for w in nb))) for c, nb in zip(color, nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        refined = [rank[s] for s in sig]
+        if len(rank) == len(set(color)):
+            return refined
+        color = refined
 
 
 def _canonical(n: int, edges: frozenset) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(
-            sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (n, best)
+    """Isomorphism-invariant form: the least sorted edge list over the
+    labelings reached by individualization-refinement, which branches on
+    every vertex of the first colour class that is not yet a single vertex."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    forms = []
+
+    def search(color):
+        color = _refine(nbrs, color)
+        if len(set(color)) == n:
+            forms.append(tuple(sorted(tuple(sorted((color[u], color[v]))) for u, v in edges)))
+            return
+        target = min(c for c in color if color.count(c) > 1)
+        for v in range(n):
+            if color[v] == target:
+                search([2 * c + (u == v) for u, c in enumerate(color)])
+
+    search([0] * n)
+    return (n, min(forms))
 
 
 def _set_partitions(items: list[int]):
@@ -265,191 +413,38 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-class _EliminationError(CountError):
-    pass
+@lru_cache(maxsize=None)
+def _cycle_quotients(t: int) -> tuple:
+    """(vertices, edges, mu) for each loop-free quotient class q of C_2t with
+    mu != 0, so that inj(C_2t, G) = sum of mu * hom(q, G) for simple G.
 
-
-def _hom_by_elimination(n_pat: int, edges: frozenset, mats: dict) -> float:
-    """hom(pattern, G) by variable elimination over adjacency factors.
-
-    `mats` carries 'A' (float64 adjacency) plus a cache.  Works whenever a
-    min-degree elimination order keeps every intermediate factor on at most 2
-    variables (true for all quotients of cycles); raises otherwise.
+    Moebius inversion over the partition lattice: a partition with blocks B
+    adds prod (-1)^(|B|-1) (|B|-1)! to the class of its quotient.  Quotients
+    with a loop have no homomorphism into a simple graph and are skipped.
     """
-    a = mats["A"]
-    n = a.shape[0]
-    # factors: dict key -> (vars tuple, ndarray); start with one per edge
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((u, v), a) for u, v in sorted(edges)
-    ]
-    alive = set(range(n_pat))
-    const = 1.0
-    while alive:
-        # pick the variable entangled with the fewest other variables
-        def cost(v):
-            nbrs = set()
-            for vs, _ in factors:
-                if v in vs:
-                    nbrs |= set(vs)
-            nbrs.discard(v)
-            return (len(nbrs), v)
-
-        v = min(alive, key=cost)
-        inc = [(vs, f) for vs, f in factors if v in vs]
-        factors = [(vs, f) for vs, f in factors if v not in vs]
-        others = sorted({u for vs, _ in inc for u in vs if u != v})
-        if len(others) > 2:
-            raise _EliminationError("intermediate factor exceeds 2 variables")
-        if not inc:
-            const *= n
-            alive.discard(v)
-            continue
-        if len(others) == 0:
-            # all incident factors are vectors over v
-            vec = np.ones(n)
-            for vs, f in inc:
-                vec = vec * f
-            const *= float(vec.sum())
-        elif len(others) == 1:
-            u = others[0]
-            vec = np.ones(n)  # over v
-            mat = np.ones((n, n))  # over (u, v), may stay all-ones
-            matted = False
-            for vs, f in inc:
-                if vs == (v,):
-                    vec = vec * f
-                else:
-                    fm = f if vs == (u, v) else f.T
-                    mat = mat * fm if matted else fm.copy()
-                    matted = True
-            res = mat @ vec if matted else np.full(n, vec.sum())
-            factors.append(((u,), res))
-        else:
-            u, w = others
-            # multiply everything into a (u,v) and a (v,w) block, contract v
-            left = None  # (u, v)
-            right = None  # (v, w)
-            vec = None  # (v,)
-            for vs, f in inc:
-                if vs == (v,):
-                    vec = f if vec is None else vec * f
-                elif set(vs) == {u, v}:
-                    fm = f if vs == (u, v) else f.T
-                    left = fm if left is None else left * fm
-                elif set(vs) == {v, w}:
-                    fm = f if vs == (v, w) else f.T
-                    right = fm if right is None else right * fm
-                else:
-                    raise _EliminationError("unexpected factor scope")
-            if left is None:
-                left = np.ones((n, n))
-            if right is None:
-                right = np.ones((n, n))
-            if vec is not None:
-                right = vec[:, None] * right
-            factors.append(((u, w), left @ right))
-        alive.discard(v)
-        # merge duplicate-scope factors to keep widths small
-        merged: dict[tuple[int, ...], np.ndarray] = {}
-        for vs, f in factors:
-            key = tuple(sorted(vs))
-            fm = f if vs == key else f.T
-            merged[key] = merged[key] * fm if key in merged else fm
-        factors = list(merged.items())
-    return const
-
-
-def _inj_by_moebius(n_pat: int, edges: frozenset, mats: dict, memo: dict) -> float:
-    """inj(pattern, G) = hom(pattern) - sum of inj over proper quotients.
-
-    Only loop-free quotients (no block containing an adjacent pair) can carry
-    homomorphisms into a simple graph.
-    """
-    key = _canonical(n_pat, edges)
-    if key in memo:
-        return memo[key]
-    total = _hom_by_elimination(n_pat, edges, mats)
-    assert abs(total - round(total)) < 0.25, "inexact hom contraction"
-    adj = {frozenset(e) for e in edges}
-    for part in _set_partitions(list(range(n_pat))):
-        if len(part) == n_pat:
-            continue  # the discrete partition is the pattern itself
-        block_of = {}
-        for i, block in enumerate(part):
-            for v in block:
-                block_of[v] = i
-        if any(
-            block_of[u] == block_of[v] for e in adj for u, v in [tuple(e)]
-        ):
-            continue
-        q_edges = frozenset(
-            tuple(sorted((block_of[u], block_of[v]))) for u, v in edges
-        )
-        total -= _inj_by_moebius(len(part), q_edges, mats, memo)
-    memo[key] = total
-    return total
-
-
-def _enumerate_c2t(g: Graph, t: int, budget: int) -> int:
-    """Rooted injective closed-walk enumeration: each cycle is walked from its
-    minimum-index vertex in both orientations, so the count is halved."""
     length = 2 * t
-    adj = g.adjacency
-    work = 0
-    total = 0
-
-    def rec(root: int, walk: list[int], used: set):
-        nonlocal total, work
-        v = walk[-1]
-        if len(walk) == length:
-            if root in adj[v]:
-                total += 1
-            return
-        for w in adj[v]:
-            work += 1
-            if work > budget:
-                raise BudgetExceededError("count_c2t budget exceeded", work)
-            if w > root and w not in used:
-                used.add(w)
-                walk.append(w)
-                rec(root, walk, used)
-                walk.pop()
-                used.discard(w)
-
-    for root in range(g.n):
-        rec(root, [root], {root})
-    assert total % 2 == 0
-    return total // 2
-
-
-def _c2t_moebius(g: Graph, t: int) -> int:
-    pat = cycle(2 * t)
-    edges = frozenset(pat.edges)
-    a = g.adjacency_matrix()
-    # exactness guard: every intermediate is an integer bounded by hom(C_2t)
-    lam_bound = math.sqrt(2 * g.edge_count)
-    hom_bound = g.n * lam_bound ** (2 * t)
-    if hom_bound >= 2**52:
-        raise BudgetExceededError(
-            "count_c2t: host too large for exact float64 contraction",
-            int(hom_bound),
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    mu: dict = {}
+    for part in _set_partitions(list(range(length))):
+        block_of = {v: i for i, block in enumerate(part) for v in block}
+        if any(block_of[u] == block_of[v] for u, v in edges):
+            continue
+        q = _canonical(
+            len(part),
+            frozenset(tuple(sorted((block_of[u], block_of[v]))) for u, v in edges),
         )
-    memo: dict = {}
-    inj = _inj_by_moebius(pat.n, edges, {"A": a}, memo)
-    inj_int = int(round(inj))
-    assert abs(inj - inj_int) < 0.25
-    aut = 4 * t  # |Aut(C_2t)|
-    assert inj_int % aut == 0
-    return inj_int // aut
+        sign = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        mu[q] = mu.get(q, 0) + sign
+    return tuple((k, es, c) for (k, es), c in sorted(mu.items()) if c)
 
 
 def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
     t=2: codegree formula (1/2) sum over vertex pairs of C(codeg, 2) (each
-    4-cycle is counted once per diagonal pair).  t>=3: partition-Moebius
-    inversion of closed-walk counts over cycle quotients (exact, integer
-    checked).
+    4-cycle is counted once per diagonal pair).  t>=3: inj(C_2t) from the
+    hom counts of the cycle's quotients, divided by |Aut(C_2t)| = 4t.
+    `budget` bounds the pair scan at t=2.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
@@ -470,14 +465,9 @@ def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
                 c = (bu & bits[v]).bit_count()
                 if c >= 2:
                     doubled += c * (c - 1) // 2
-        assert doubled % 2 == 0
-        return CountResult(doubled // 2, "codegree", time.perf_counter() - t0)
-    try:
-        value = _c2t_moebius(g, t)
-        method = "walk-moebius"
-    except _EliminationError:
-        # some quotients of long cycles exceed the width-2 engine (e.g. the
-        # complete graph on 4 vertices for the 8-cycle); enumerate instead
-        value = _enumerate_c2t(g, t, budget)
-        method = "cycle-enum"
-    return CountResult(value, method, time.perf_counter() - t0)
+        return CountResult(_halve(doubled, "C_4"), "codegree", time.perf_counter() - t0)
+    a = g.adjacency_matrix()
+    inj = sum(mu * _contract(k, edges, a) for k, edges, mu in _cycle_quotients(t))
+    if inj % (4 * t):
+        raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
+    return CountResult(inj // (4 * t), "walk-moebius", time.perf_counter() - t0)

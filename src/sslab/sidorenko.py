@@ -10,15 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .graphs import Graph, complete_bipartite, path, star, union
-from .homcounts import (
-    CountResult,
-    closed_walk_count,
-    hom_complete_bipartite,
-    hom_count,
-)
+from .homcounts import hom_contract
 from .spectra import PerronData, opnorm, perron
 
 
@@ -80,27 +73,6 @@ def _holds(hom: int, rhs: float) -> bool:
     return hom >= rhs - _REL_TOL * abs(rhs)
 
 
-def _pattern_ktt_order(h: Graph) -> Optional[int]:
-    """t if h is K_{t,t} (up to labels), else None."""
-    bip = h.bipartition()
-    if bip is None or h.n % 2 or h.n < 2:
-        return None
-    t = h.n // 2
-    if h.edge_count != t * t:
-        return None
-    return t if all(d == t for d in h.degrees) and len(h.components) == 1 else None
-
-
-def _hom_exact(h: Graph, g: Graph) -> int:
-    """Exact hom via the fastest applicable exact method."""
-    if h.is_cycle_graph() and h.n % 2 == 0:
-        return closed_walk_count(g, h.n).value
-    t = _pattern_ktt_order(h)
-    if t is not None:
-        return hom_complete_bipartite(g, t)
-    return hom_count(h, g).value
-
-
 def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     """Evaluate hom(h,g) against the density form, the two spectral forms,
     and the operator-norm certificate.
@@ -114,7 +86,7 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
         raise SidorenkoError("host needs at least one edge")
     ex = exponents(h)
     v, e = ex.v, ex.e
-    hom = _hom_exact(h, g)
+    hom = hom_contract(h.n, h.edges, g).value
     big_m, n = g.big_m, g.n
     rhs_i = float(big_m) ** e * float(n) ** (v - 2 * e)
     pd = perron(g, tol=tol)

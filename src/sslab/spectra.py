@@ -357,14 +357,15 @@ def cut_diagnostics(
     (b) (lam - lam_U)(lam - lam_W) <= rho^2  (and rho^2 <= m_UW),
     (c) mu(U) <= rho^2 / ((lam - lam_U)^2 + rho^2) when the denominator > 0.
     """
-    u = sorted(set(u_set))
-    w = sorted(set(range(g.n)) - set(u))
+    in_u = set(u_set)
+    u = sorted(in_u)
+    w = [v for v in range(g.n) if v not in in_u]
     if not u or not w:
         raise SpectraError("cut_diagnostics: trivial partition")
     lam = pd.lam
     lam_u = _sub_lambda(g, u, tol)
     lam_w = _sub_lambda(g, w, tol)
-    m_uw = sum(1 for a, b in g.edges if (a in set(u)) != (b in set(u)))
+    m_uw = sum(1 for a, b in g.edges if (a in in_u) != (b in in_u))
     if m_uw > 0:
         rho, _, _ = top_singular(u, w, g)
     else:

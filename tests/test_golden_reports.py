@@ -63,7 +63,7 @@ CLI_CASES = {
     "rowcover-pruned-no-ad-edges": (
         "rowcover", "split300p", ("--t", "2", "--eta", "1e-3"), 2,
     ),
-    "rowcover-pruned-too-delocalized": ("rowcover", "split60p", ("--t", "2"), 2),
+    "rowcover-pruned-too-delocalized": ("rowcover", "split60p", ("--t", "2"), 0),
     "regularize": ("regularize", "p3", ("--k", "4", "--materialize"), 0),
     "pipeline-below-threshold": (
         "pipeline", "cycle40", ("--t", "2", "--pattern", "ktt"), 0,

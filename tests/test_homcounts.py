@@ -1,19 +1,26 @@
-"""Exact counting: backtracking oracles, closed walks, fast counters."""
+"""Exact counting: backtracking oracles, the contraction engine, closed
+walks, fast counters."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sslab
 from sslab import (
     aut_order,
     closed_walk_count,
     count_c2t,
     count_ktt,
     hom_complete_bipartite,
+    hom_contract,
     hom_count,
     inj_count,
 )
@@ -31,7 +38,7 @@ from sslab.homcounts import (
     BudgetExceededError,
     CountError,
     PatternTooLargeError,
-    _enumerate_c2t,
+    _plan,
 )
 from conftest import random_graph
 
@@ -82,6 +89,85 @@ class TestBacktracking:
             assert hom_count(h, g2).value >= hom_count(h, g).value
 
 
+# fixed patterns whose plans condition: K_{3,3}; K4, a quotient of C8; and
+# K4 on 0..3 plus a triangle 0-4-5, an edge 4-1 and a pendant at 0, where the
+# factor on (0, 1) is not symmetric and neither is the rest of the pattern, so
+# conditioning must slice the right axis.  Then isolated vertices and leaves.
+FIXED_PATTERNS = [
+    complete_bipartite(3, 3),
+    complete(4),
+    Graph.from_edges(
+        7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1), (4, 5), (5, 0), (0, 6)]
+    ),
+    Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    Graph.from_edges(6, [(0, 1), (2, 3)]),
+    path(7),
+]
+
+
+def _random_pattern(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if rng.random() < 0.45])
+
+
+class TestContraction:
+    def test_conditioning_plans(self):
+        for h in FIXED_PATTERNS[:3]:
+            scopes = frozenset(h.edges)
+            assert any(step[0] == "condition" for step in _plan(frozenset(range(h.n)), scopes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(FIXED_PATTERNS), st.integers(0, 2**31).map(_random_pattern)),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    # seeds 24, 38 and 68 draw 6-vertex hosts with 12 to 14 edges
+    @example(FIXED_PATTERNS[0], 24)
+    @example(FIXED_PATTERNS[1], 38)
+    @example(FIXED_PATTERNS[2], 68)
+    def test_matches_backtracking(self, h, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        g = sample_gnm(n, rng.randint(0, n * (n - 1) // 2), seed)
+        res = hom_contract(h.n, h.edges, g)
+        assert res.method == "contraction"
+        assert res.value == hom_count(h, g).value
+
+    def test_loops_and_repeated_edges(self):
+        g = random_graph(11, 8)
+        assert hom_contract(1, [(0, 0)], g).value == 0
+        assert hom_contract(2, [(0, 1), (1, 0), (0, 1)], g).value == g.big_m
+        assert hom_contract(3, [], g).value == g.n**3
+
+    def test_edge_outside_pattern(self):
+        with pytest.raises(CountError):
+            hom_contract(2, [(0, 2)], path(3))
+
+    def test_checks_survive_optimize_flag(self):
+        # a non-integer adjacency makes the float-to-int step fail; under -O
+        # that must still be a CountError, not a skipped assert
+        code = (
+            "import numpy as np\n"
+            "from sslab.homcounts import CountError, hom_contract\n"
+            "class Half:\n"
+            "    def adjacency_matrix(self):\n"
+            "        return np.full((3, 3), 0.5)\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    hom_contract(2, [(0, 1)], Half())\n"
+            "except CountError as exc:\n"
+            "    print('CountError', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sslab.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("CountError")
+
+
 class TestClosedWalks:
     def test_matches_hom_of_even_cycles(self):
         for s in range(50):
@@ -109,6 +195,15 @@ class TestClosedWalks:
         g = complete(4)
         want = int(round(np.trace(np.linalg.matrix_power(g.adjacency_matrix(), 9))))
         assert closed_walk_count(g, 9).value == want
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 20, 21, 22, 23, 24, 30])
+    def test_complete_graph_closed_form(self, length):
+        # 5^L crosses 2^52 at L=23, so L >= 23 runs on Python ints; at even
+        # L >= 24 the count is not even a float64 value
+        n = 6
+        want = (n - 1) ** length + (n - 1) * (-1) ** length
+        assert closed_walk_count(complete(n), length).value == want
+        assert (int(float(want)) != want) == (length in (24, 30))
 
     def test_bad_length(self):
         with pytest.raises(CountError):
@@ -160,7 +255,8 @@ class TestEvenCycles:
         for s in range(12):
             g = random_graph(8000 + s, 9)
             for t in (3, 4):
-                assert count_c2t(g, t).value == _enumerate_c2t(g, t, 10**9)
+                inj = inj_count(cycle(2 * t), g).value
+                assert count_c2t(g, t).value == inj // (4 * t)
 
     def test_c4_in_split_closed_form(self):
         # 4-cycles of S_{2,m} with r=0: pairs of independent vertices, C(q,2)
@@ -171,8 +267,8 @@ class TestEvenCycles:
     def test_methods(self):
         assert count_c2t(complete(6), 2).method == "codegree"
         assert count_c2t(complete(8), 3).method == "walk-moebius"
-        # quotients of the 8-cycle include a width-3 pattern; falls back
-        assert count_c2t(complete(9), 4).method == "cycle-enum"
+        # the 8-cycle's quotients include K4, which the engine conditions on
+        assert count_c2t(complete(9), 4).method == "walk-moebius"
 
     def test_zero_small_hosts(self):
         assert count_c2t(path(3), 2).value == 0
