@@ -95,46 +95,35 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_sets[u]
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) integer array, in edge order."""
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
 
     def sparse_adjacency(self) -> csr_matrix:
-        if not self.edges:
-            return csr_matrix((self.n, self.n))
-        rows = []
-        cols = []
-        for u, v in self.edges:
-            rows.append(u)
-            cols.append(v)
-            rows.append(v)
-            cols.append(u)
+        """Symmetric 0/1 float64 CSR adjacency with sorted indices: the one
+        matrix form of the graph, which every other matrix view slices."""
+        e = self.edge_array
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
         data = np.ones(len(rows))
         return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+
+    def adjacency_matrix(self) -> np.ndarray:
+        return self.sparse_adjacency().toarray()
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(self.sparse_adjacency(), directed=False)
+        # labels are assigned in order of each component's smallest vertex
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels))
+        return tuple(tuple(c.tolist()) for c in np.split(order, ends)[:-1])
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict]:
         """Induced subgraph on `vertices` (relabeled 0..len-1) plus old->new map."""
@@ -230,7 +219,8 @@ def split_graph(k: int, m: int) -> Graph:
         w = base + a
         edges.extend((i, w) for i in range(k_))
     g = Graph.from_edges(spec.n, edges)
-    assert g.edge_count == m
+    if g.edge_count != m:
+        raise GraphError(f"split: built {g.edge_count} edges, expected m={m}")
     return g
 
 
@@ -279,42 +269,26 @@ class FamilyRequest:
 
 
 def make_family(req: FamilyRequest) -> Graph:
-    fam, p = req.family, req.params
-    if fam == "split":
-        if len(p) != 2:
-            raise GraphError("split takes (k, m)")
-        return split_graph(*p)
-    if fam == "star":
-        if len(p) != 1:
-            raise GraphError("star takes (leaves,)")
-        return star(p[0])
-    if fam == "clique":
-        if len(p) != 1:
-            raise GraphError("clique takes (n,)")
-        return complete(p[0])
-    if fam == "cycle":
-        if len(p) != 1:
-            raise GraphError("cycle takes (n,)")
-        return cycle(p[0])
-    if fam == "path":
-        if len(p) != 1:
-            raise GraphError("path takes (n,)")
-        return path(p[0])
-    if fam == "complete-bipartite":
-        if len(p) != 2:
-            raise GraphError("complete-bipartite takes (a, b)")
-        return complete_bipartite(*p)
-    if fam == "empty":
-        if len(p) != 1:
-            raise GraphError("empty takes (n,)")
-        return empty_graph(p[0])
-    if fam == "gnm":
-        if len(p) != 2:
-            raise GraphError("gnm takes (n, m)")
-        if req.seed is None:
-            raise GraphError("gnm requires a seed")
-        return sample_gnm(p[0], p[1], req.seed)
-    raise GraphError(f"unknown family {fam!r}")
+    families = {
+        "split": (split_graph, ("k", "m")),
+        "star": (star, ("leaves",)),
+        "clique": (complete, ("n",)),
+        "cycle": (cycle, ("n",)),
+        "path": (path, ("n",)),
+        "complete-bipartite": (complete_bipartite, ("a", "b")),
+        "empty": (empty_graph, ("n",)),
+        "gnm": (sample_gnm, ("n", "m")),
+    }
+    if req.family not in families:
+        raise GraphError(f"unknown family {req.family!r}")
+    build, names = families[req.family]
+    if len(req.params) != len(names):
+        raise GraphError(f"{req.family} takes ({', '.join(names)})")
+    if req.family != "gnm":
+        return build(*req.params)
+    if req.seed is None:
+        raise GraphError("gnm requires a seed")
+    return build(*req.params, req.seed)
 
 
 # -- random graphs ---------------------------------------------------------

@@ -37,17 +37,11 @@ class EdgeDistribution:
 def edge_distribution(g: Graph, tol: float = 1e-12) -> EdgeDistribution:
     pd = perron(g, tol=tol)
     comp = g.components[pd.component_id]
-    idx = {v: i for i, v in enumerate(comp)}
-    x = np.array([pd.x[v] for v in comp])
+    idx = list(comp)
+    x = pd.x[idx]
     x /= np.linalg.norm(x)
-    n0 = len(comp)
-    p = np.zeros((n0, n0))
-    for u, v in g.edges:
-        if u in idx and v in idx:
-            i, j = idx[u], idx[v]
-            val = x[i] * x[j] / pd.lam
-            p[i, j] = val
-            p[j, i] = val
+    block = g.sparse_adjacency()[idx][:, idx].toarray()
+    p = block * np.outer(x, x) / pd.lam
     return EdgeDistribution(vertices=tuple(comp), p=p, pi=x * x, lam=pd.lam)
 
 
@@ -107,7 +101,8 @@ def build_regular(g: Graph, k: int, tol: float = 1e-12) -> RegularBundle:
         n_mat[i, j] = cnt
         n_mat[j, i] = cnt
     n_vec = tuple(int(x) for x in n_mat.sum(axis=1))
-    assert sum(n_vec) == k
+    if sum(n_vec) != k:
+        raise RegularizeError(f"rounded pair counts sum to {sum(n_vec)}, not k={k}")
     d_k = 1
     for i in range(n0):
         d_k *= math.factorial(n_vec[i])
@@ -118,7 +113,8 @@ def build_regular(g: Graph, k: int, tol: float = 1e-12) -> RegularBundle:
         t_k //= math.factorial(ni)
     lam_k = d.lam**k
     # degree can never exceed the tensor-power spectral radius
-    assert d_k <= lam_k * (1 + 1e-9), (d_k, lam_k)
+    if d_k > lam_k * (1 + 1e-9):
+        raise RegularizeError(f"degree d_k={d_k} exceeds lambda^k={lam_k}")
     return RegularBundle(
         k=k,
         vertices=comp,
@@ -167,10 +163,12 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
     k = bundle.k
     support = [i for i in range(n0) if bundle.n_vec[i] > 0]
     tuples = list(_multiset_perms([bundle.n_vec[i] for i in range(n0)]))
-    assert len(tuples) == bundle.t_k_size
+    if len(tuples) != bundle.t_k_size:
+        raise RegularizeError(
+            f"type class has {len(tuples)} tuples, bundle says {bundle.t_k_size}"
+        )
     index = {t: i for i, t in enumerate(tuples)}
     edges = set()
-    idx_of = {v: i for i, v in enumerate(comp)}
     for a in tuples:
         positions = {i: [r for r in range(k) if a[r] == i] for i in support}
         # choose, per symbol i, an assignment of values j to its positions
@@ -198,11 +196,13 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
         rec(0)
     fk = Graph.from_edges(len(tuples), sorted(edges))
     # audits: exact regularity and containment in the tensor power
-    assert all(d == bundle.d_k for d in fk.degrees), "not d_k-regular"
+    if any(d != bundle.d_k for d in fk.degrees):
+        raise RegularizeError(f"materialized graph is not {bundle.d_k}-regular")
     for ia, ib in fk.edges:
         a, b = tuples[ia], tuples[ib]
         for ai, bi in zip(a, b):
-            assert g.has_edge(comp[ai], comp[bi]), "edge leaves the tensor power"
+            if not g.has_edge(comp[ai], comp[bi]):
+                raise RegularizeError("materialized edge leaves the tensor power")
     return fk
 
 

@@ -116,38 +116,37 @@ def perron(
 
     On disconnected input the component attaining the maximum spectral radius
     is chosen (ties broken by smallest component id) and x is zero elsewhere.
+    Each component is solved on its block of the CSR adjacency and x is
+    normalized on the chosen component, so lam and x there are the same as
+    for that component alone.
     """
     if g.edge_count == 0:
         raise NoEdgesError("perron requires at least one edge")
+    a = g.sparse_adjacency()
     best = None
     total_iters = 0
     for cid, comp in enumerate(g.components):
         if len(comp) < 2:
             continue
-        sub, remap = g.induced_subgraph(comp)
-        if sub.edge_count == 0:
-            continue
-        if sub.n <= 64:
-            adj = sub.adjacency_matrix()
-        else:
-            adj = sub.sparse_adjacency()
+        idx = list(comp)
+        block = a[idx][:, idx]
         sub_x0 = None
         if x0 is not None:
-            cand = np.asarray([x0[v] for v in comp], dtype=float)
+            cand = np.asarray(x0, dtype=float)[idx]
             if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
                 sub_x0 = cand
-        if sub.n > 64:
-            lam, xs, res, iters = _lanczos_top(adj, sub.n, tol, max_iter, sub_x0)
+        if len(idx) > 64:
+            solve, adj = _lanczos_top, block
         else:
-            lam, xs, res, iters = _power_iterate(adj, sub.n, tol, max_iter, sub_x0)
+            solve, adj = _power_iterate, block.toarray()
+        lam, xs, res, iters = solve(adj, len(idx), tol, max_iter, sub_x0)
         total_iters += iters
         if best is None or lam > best[0] + 1e-12:
-            best = (lam, comp, xs, res, cid)
-    lam, comp, xs, res, cid = best
+            best = (lam, idx, xs, res, cid)
+    lam, idx, xs, res, cid = best
+    xs = np.maximum(xs, 0.0)
     x = np.zeros(g.n)
-    for local, v in enumerate(sorted(comp)):
-        x[v] = max(xs[local], 0.0)
-    x /= np.linalg.norm(x)
+    x[idx] = xs / np.linalg.norm(xs)
     return PerronData(lam=lam, x=x, component_id=cid, residual=res, iterations=total_iters)
 
 
@@ -259,7 +258,8 @@ def opnorm(
             y = a @ x
             val = float(np.linalg.norm(y, ord=q))
             # monotone by construction; tiny negative drift is roundoff
-            assert val >= prev - 1e-12, "opnorm iterate value decreased"
+            if val < prev - 1e-12:
+                raise SpectraError("opnorm iterate value decreased")
             if prev >= 0 and val - prev < tol:
                 ok = True
                 break
@@ -283,14 +283,7 @@ def opnorm(
 
 
 def incidence_matrix(rows: Sequence[int], cols: Sequence[int], g: Graph) -> np.ndarray:
-    rs, cs = sorted(rows), sorted(cols)
-    m = np.zeros((len(rs), len(cs)))
-    for i, u in enumerate(rs):
-        nb = g.adjacency_sets[u]
-        for j, v in enumerate(cs):
-            if v in nb:
-                m[i, j] = 1.0
-    return m
+    return g.sparse_adjacency()[sorted(rows)][:, sorted(cols)].toarray()
 
 
 def top_singular(rows: Sequence[int], cols: Sequence[int], g: Graph):

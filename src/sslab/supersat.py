@@ -126,12 +126,10 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
 
 
 def heavy_violations(g: Graph, pd: PerronData, eta: float) -> list:
-    thr = eta / math.sqrt(g.edge_count)
-    return [
-        (u, v, float(pd.x[u] * pd.x[v]))
-        for u, v in g.edges
-        if pd.x[u] * pd.x[v] < thr
-    ]
+    e = g.edge_array
+    prod = pd.x[e[:, 0]] * pd.x[e[:, 1]]
+    bad = np.flatnonzero(prod < eta / math.sqrt(g.edge_count))
+    return [(*g.edges[i], float(prod[i])) for i in bad]
 
 
 # -- localization diagnostics ----------------------------------------------
@@ -256,7 +254,8 @@ def acd_partition(
     a_set = tuple(v for v in range(h.n) if x[v] > s_thr)
     c_set = tuple(v for v in range(h.n) if r_thr < x[v] <= s_thr)
     d_set = tuple(v for v in range(h.n) if x[v] <= r_thr)
-    assert s_thr * r_thr < eta / math.sqrt(m) + 1e-15, "threshold product too large"
+    if s_thr * r_thr >= eta / math.sqrt(m) + 1e-15:
+        raise SupersatError("threshold product theta_i* theta_(K-i*) too large")
     t1, t2, t3 = verify_T(h, a_set, c_set, d_set)
     aset, cset = set(a_set), set(c_set)
     e_ac = sum(
@@ -317,6 +316,12 @@ def aligned_rows(
     sigma1, v_right, u_left = top_singular(a_sorted, d_sorted, h)
     if sigma1 == 0:
         raise SupersatError("empty incidence matrix")
+    return _aligned(h, a_sorted, d_sorted, theta, v_right), (sigma1, v_right, u_left)
+
+
+def _aligned(h: Graph, a_sorted: list, d_sorted: list, theta: float, v_right) -> list:
+    """The rows of A whose normalized D-incidence row has squared inner
+    product >= 1 - theta with the top right singular vector `v_right`."""
     d_index = {v: j for j, v in enumerate(d_sorted)}
     r_set = []
     for a in a_sorted:
@@ -328,7 +333,7 @@ def aligned_rows(
         row /= np.linalg.norm(row)
         if float(row @ v_right) ** 2 >= 1 - theta - 1e-12:
             r_set.append(a)
-    return r_set, (sigma1, v_right, u_left)
+    return r_set
 
 
 @dataclass(frozen=True)
@@ -375,7 +380,7 @@ def row_cover_analyze(
     sigma1, v_right, _ = top_singular(a_sorted, d_sorted, h)
     eps = max(0.0, 1.0 - sigma1 * sigma1 / e_ad)
     theta = math.sqrt(eps)
-    r_list, (sigma1, v_right, _) = aligned_rows(h, a_sorted, d_sorted, theta)
+    r_list = _aligned(h, a_sorted, d_sorted, theta, v_right)
     degenerate = False
     if not r_list:
         degenerate = True
@@ -385,7 +390,8 @@ def row_cover_analyze(
     not_r = [a for a in a_sorted if a not in r_lookup]
     e_uncovered = sum(deg_d[a] for a in not_r)
     # the aligned rows carry almost all A-D edges
-    assert degenerate or e_uncovered <= theta * e_ad + 1e-9
+    if not degenerate and e_uncovered > theta * e_ad + 1e-9:
+        raise SupersatError(f"aligned rows miss {e_uncovered} of {e_ad} A-D edges")
     if not degenerate and len(r_set) >= t:
         d_star = min(deg_d[a] for a in r_set)
         floor_l = max(0, math.floor((1 - 2 * (t - 1) * theta) * d_star))
