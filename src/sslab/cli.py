@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -331,9 +332,7 @@ def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
     if family == "split-t-minus-1-perturbed":
         base = graphs.split_graph(t - 1, m - 1)
         # add one seeded edge between independent vertices
-        import random as _random
-
-        rng = _random.Random(row_seed)
+        rng = random.Random(row_seed)
         spec = graphs.SplitSpec(t - 1, m - 1)
         lo = spec.k + (1 if spec.r > 0 else 0)
         indep = list(range(lo, base.n))
@@ -495,7 +494,12 @@ def main(argv=None) -> int:
         supersat.SupersatError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+    except Exception as exc:  # a fault, not a verdict: never exit 1
+        msg = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {msg}\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Graph representation, family constructors, graph algebra, and edge-list I/O.
 
-Graphs are immutable: dense 0-based vertex labels, a sorted tuple of edges
-(u < v), and derived adjacency structure.  Construction validates no loops,
-no duplicate edges, and endpoint range.
+A graph is immutable: a vertex count n (dense 0-based labels) and one
+read-only, lexicographically sorted (m, 2) array of edges (u < v).  Every
+other view (the edge tuple, the CSR adjacency, neighbour lists, degrees,
+components) is derived from that array once per graph.  Construction
+validates no loops, no duplicate edges, and endpoint range.
 """
 
 from __future__ import annotations
@@ -35,91 +37,118 @@ class ParseError(GraphError):
 @dataclass(frozen=True)
 class Graph:
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray  # (m, 2) np.intp, rows (u, v) with u < v, sorted
+
+    def __post_init__(self):
+        self.edge_array.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array.tobytes()))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Edges in any order and orientation.  The first loop or
+        out-of-range edge in input order is reported before any repeat."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        norm = []
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            norm.append((u, v) if u < v else (v, u))
-        dedup = sorted(set(norm))
-        if len(dedup) != len(norm):
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            ok = bool(np.all((e[:, 0] != e[:, 1]) & (e >= 0).all(1) & (e < n).all(1)))
+        except OverflowError:  # an endpoint past the machine integer range
+            ok = False
+        if not ok:
+            for u, v in pairs:
+                if u == v:
+                    raise GraphError(f"loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        e = np.sort(e, axis=1)
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        if (e[1:] == e[:-1]).all(axis=1).any():
             raise GraphError("duplicate edge")
-        return Graph(n, tuple(dedup))
+        return Graph(n, e)
 
-    # -- derived accessors -------------------------------------------------
+    # -- derived views -----------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @property
     def big_m(self) -> int:
         # twice the edge count
-        return 2 * len(self.edges)
+        return 2 * len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def _csr(self) -> csr_matrix:
+        e = self.edge_array
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+
+    def sparse_adjacency(self) -> csr_matrix:
+        """Symmetric 0/1 float64 CSR adjacency with sorted indices, built
+        once: every matrix view slices it, and no caller may modify it."""
+        return self._csr
+
+    def adjacency_matrix(self) -> np.ndarray:
+        return self._csr.toarray()
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
-    def adjacency_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(a) for a in self.adjacency)
+        """Sorted neighbour tuples: the rows of the CSR."""
+        idx, ptr = self._csr.indices.tolist(), self._csr.indptr.tolist()
+        return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.n))
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
         """Neighborhoods as integer bitmasks (bit v set iff v is a neighbor)."""
         bits = [0] * self.n
-        for u, v in self.edges:
+        for u, v in self.edge_array.tolist():
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees[v]
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(np.diff(self._csr.indptr).tolist())
+
+    def _find(self, u: int, v: int) -> int:
+        """Row of the edge {u, v} in `edge_array`, or -1, by bisection."""
+        a, b = (u, v) if u < v else (v, u)
+        e = self.edge_array
+        lo, hi = np.searchsorted(e[:, 0], [a, a + 1])
+        i = lo + int(np.searchsorted(e[lo:hi, 1], b))
+        return i if i < hi and e[i, 1] == b else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets[u]
+        return self._find(u, v) >= 0
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) integer array, in edge order."""
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        e.flags.writeable = False
-        return e
-
-    def sparse_adjacency(self) -> csr_matrix:
-        """Symmetric 0/1 float64 CSR adjacency with sorted indices: the one
-        matrix form of the graph, which every other matrix view slices."""
-        e = self.edge_array
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(len(rows))
-        return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.sparse_adjacency().toarray()
+    def ends_in(self, vertices: Iterable[int]) -> np.ndarray:
+        """(m, 2) booleans: which ends of each edge lie in `vertices`."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(vertices)] = True
+        return mask[self.edge_array]
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
         from scipy.sparse.csgraph import connected_components
 
-        _, labels = connected_components(self.sparse_adjacency(), directed=False)
+        _, labels = connected_components(self._csr, directed=False)
         # labels are assigned in order of each component's smallest vertex
         order = np.argsort(labels, kind="stable")
         ends = np.cumsum(np.bincount(labels))
@@ -128,19 +157,19 @@ class Graph:
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict]:
         """Induced subgraph on `vertices` (relabeled 0..len-1) plus old->new map."""
         vs = sorted(set(vertices))
-        remap = {v: i for i, v in enumerate(vs)}
-        sub = [
-            (remap[u], remap[v])
-            for u, v in self.edges
-            if u in remap and v in remap
-        ]
-        return Graph.from_edges(len(vs), sub), remap
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            raise GraphError(f"induced_subgraph: vertex out of range for n={self.n}")
+        pos = np.full(self.n, -1, dtype=np.intp)
+        pos[vs] = np.arange(len(vs))
+        sub = pos[self.edge_array]  # relabeling keeps the rows sorted
+        keep = (sub >= 0).all(axis=1)
+        return Graph(len(vs), sub[keep]), {v: i for i, v in enumerate(vs)}
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        e = (u, v) if u < v else (v, u)
-        if e not in set(self.edges):
-            raise GraphError(f"no such edge {e}")
-        return Graph(self.n, tuple(x for x in self.edges if x != e))
+        i = self._find(u, v)
+        if i < 0:
+            raise GraphError(f"no such edge {(u, v) if u < v else (v, u)}")
+        return Graph(self.n, np.delete(self.edge_array, i, axis=0))
 
     def is_bipartite(self) -> bool:
         return self.bipartition() is not None
@@ -335,30 +364,24 @@ def tensor_power(g: Graph, k: int, cap: int = 10**6) -> Graph:
         raise CapExceededError(f"tensor power would have {size} vertices", size)
     if k == 1:
         return g
-    edges = []
-    # build by extending (k-1)-tuples one coordinate at a time
-    prev = tensor_power(g, k - 1, cap=cap)
-    for a, b in prev.edges:
-        for u, v in g.edges:
-            edges.append((a * g.n + u, b * g.n + v))
-            edges.append((a * g.n + v, b * g.n + u))
-    return Graph.from_edges(size, edges)
+    # extend each (k-1)-tuple edge (a, b) by each edge (u, v) of g, both ways
+    ab = tensor_power(g, k - 1, cap=cap).edge_array[:, None, :] * g.n
+    uv = g.edge_array[None, :, :]
+    both = np.concatenate([ab + uv, ab + uv[..., ::-1]])
+    return Graph.from_edges(size, both.reshape(-1, 2))
 
 
 def subdivide(h: Graph) -> Graph:
     """Subdivide every edge once: original vertices keep their indices,
     subdivision vertices appended in edge order."""
-    edges = []
-    for idx, (u, v) in enumerate(h.edges):
-        w = h.n + idx
-        edges.append((u, w))
-        edges.append((w, v))
-    return Graph.from_edges(h.n + h.edge_count, edges)
+    e, w = h.edge_array, h.n + np.arange(h.edge_count)
+    halves = np.column_stack([e[:, 0], w, w, e[:, 1]]).reshape(-1, 2)
+    return Graph.from_edges(h.n + h.edge_count, halves)
 
 
 def union(g1: Graph, g2: Graph) -> Graph:
-    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return Graph.from_edges(g1.n + g2.n, list(g1.edges) + shifted)
+    # every shifted row of g2 sorts after every row of g1
+    return Graph(g1.n + g2.n, np.concatenate([g1.edge_array, g2.edge_array + g1.n]))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

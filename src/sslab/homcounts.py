@@ -10,8 +10,8 @@ Three engines, every result an exact Python int:
   (t >= 3) all run on it.  The cycle counter uses the spasm identity
   inj(C_2t, G) = sum_q mu_q hom(q, G) over the loop-free quotients q of C_2t
   (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.
-- codegree (`count_ktt`, and `count_c2t` at t=2): bitset common-neighbourhood
-  counts, which need no n x n matrix.
+- codegree (`count_ktt`): bitset common-neighbourhood counts, which need no
+  n x n matrix.  `count_c2t` at t=2 calls it too, since C_4 = K_{2,2}.
 - backtracking (`hom_count`, `inj_count`, `aut_order`): plain enumeration,
   kept as the independent oracle the other two are tested against.
 
@@ -91,7 +91,7 @@ def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
     back = [[pos[w] for w in h.adjacency[v] if pos[w] < i] for i, v in enumerate(order)]
-    gsets = g.adjacency_sets
+    gsets = [set(a) for a in g.adjacency]
     n = g.n
     total = 0
     image = [0] * h.n
@@ -104,7 +104,7 @@ def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
             return
         anchors = back[i]
         if anchors:
-            cands = set(gsets[image[anchors[0]]])
+            cands = gsets[image[anchors[0]]].copy()
             for a in anchors[1:]:
                 cands &= gsets[image[a]]
         else:
@@ -324,7 +324,8 @@ def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
     common neighborhood and the two sides of a copy are distinct subsets,
     giving exactly the factor 2.  Subsets are enumerated in colex-style
     recursive order with early termination once the running common
-    neighborhood drops below t.
+    neighborhood drops below t; the last level is one pass over a table of
+    C(c, t).  `budget` bounds the vertices tried over all levels.
     """
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
@@ -335,13 +336,17 @@ def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
             f"count_ktt would enumerate ~{estimate} subsets", estimate
         )
     bits = g.adjacency_bits
+    choose = [math.comb(c, t) for c in range(max(g.degrees, default=0) + 1)]
     doubled = 0
     work = 0
 
     def rec(start: int, depth: int, common: int):
         nonlocal doubled, work
-        if depth == t:
-            doubled += math.comb(common.bit_count(), t)
+        if depth == t - 1:
+            work += g.n - start
+            if work > budget:
+                raise BudgetExceededError("count_ktt budget exceeded", work)
+            doubled += sum(choose[(common & b).bit_count()] for b in bits[start:])
             return
         for v in range(start, g.n):
             work += 1
@@ -352,13 +357,9 @@ def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
                 rec(v + 1, depth + 1, c)
 
     rec(0, 0, 0)
-    return CountResult(_halve(doubled, "K_{t,t}"), "codegree", time.perf_counter() - t0)
-
-
-def _halve(doubled: int, what: str) -> int:
     if doubled % 2:
-        raise CountError(f"odd doubled {what} count {doubled}")
-    return doubled // 2
+        raise CountError(f"odd doubled K_{{t,t}} count {doubled}")
+    return CountResult(doubled // 2, "codegree", time.perf_counter() - t0)
 
 
 # -- even cycles by partition-Moebius inversion ----------------------------
@@ -441,10 +442,10 @@ def _cycle_quotients(t: int) -> tuple:
 def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
-    t=2: codegree formula (1/2) sum over vertex pairs of C(codeg, 2) (each
-    4-cycle is counted once per diagonal pair).  t>=3: inj(C_2t) from the
-    hom counts of the cycle's quotients, divided by |Aut(C_2t)| = 4t.
-    `budget` bounds the pair scan at t=2.
+    t=2: C_4 = K_{2,2}, so `count_ktt`'s codegree formula (1/2) sum over
+    vertex pairs of C(codeg, 2).  t>=3: inj(C_2t) from the hom counts of the
+    cycle's quotients, divided by |Aut(C_2t)| = 4t.  `budget` is passed to
+    `count_ktt` at t=2.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
@@ -452,20 +453,7 @@ def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
     if g.n < 2 * t or g.edge_count < 2 * t:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius", 0.0)
     if t == 2:
-        estimate = g.n * (g.n - 1) // 2
-        if estimate > budget:
-            raise BudgetExceededError(
-                f"count_c2t would scan {estimate} pairs", estimate
-            )
-        bits = g.adjacency_bits
-        doubled = 0
-        for u in range(g.n):
-            bu = bits[u]
-            for v in range(u + 1, g.n):
-                c = (bu & bits[v]).bit_count()
-                if c >= 2:
-                    doubled += c * (c - 1) // 2
-        return CountResult(_halve(doubled, "C_4"), "codegree", time.perf_counter() - t0)
+        return count_ktt(g, 2, budget=budget)
     a = g.adjacency_matrix()
     inj = sum(mu * _contract(k, edges, a) for k, edges, mu in _cycle_quotients(t))
     if inj % (4 * t):

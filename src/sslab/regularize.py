@@ -88,18 +88,10 @@ def build_regular(g: Graph, k: int, tol: float = 1e-12) -> RegularBundle:
         raise RegularizeError("k must be even and >= 2")
     d = edge_distribution(g, tol=tol)
     comp = d.vertices
-    idx = {v: i for i, v in enumerate(comp)}
-    comp_edges = sorted(
-        (idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx
-    )
-    q = [2.0 * d.p[i, j] for i, j in comp_edges]
-    s = k // 2
-    m_e = round_counts(q, s)
+    i, j = g.induced_subgraph(comp)[0].edge_array.T  # the component's edges
     n0 = len(comp)
     n_mat = np.zeros((n0, n0), dtype=np.int64)
-    for (i, j), cnt in zip(comp_edges, m_e):
-        n_mat[i, j] = cnt
-        n_mat[j, i] = cnt
+    n_mat[i, j] = n_mat[j, i] = round_counts(2.0 * d.p[i, j], k // 2)
     n_vec = tuple(int(x) for x in n_mat.sum(axis=1))
     if sum(n_vec) != k:
         raise RegularizeError(f"rounded pair counts sum to {sum(n_vec)}, not k={k}")

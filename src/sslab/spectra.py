@@ -358,7 +358,8 @@ def cut_diagnostics(
     lam = pd.lam
     lam_u = _sub_lambda(g, u, tol)
     lam_w = _sub_lambda(g, w, tol)
-    m_uw = sum(1 for a, b in g.edges if (a in in_u) != (b in in_u))
+    ends = g.ends_in(u)
+    m_uw = int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
     if m_uw > 0:
         rho, _, _ = top_singular(u, w, g)
     else:

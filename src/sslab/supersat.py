@@ -129,7 +129,22 @@ def heavy_violations(g: Graph, pd: PerronData, eta: float) -> list:
     e = g.edge_array
     prod = pd.x[e[:, 0]] * pd.x[e[:, 1]]
     bad = np.flatnonzero(prod < eta / math.sqrt(g.edge_count))
-    return [(*g.edges[i], float(prod[i])) for i in bad]
+    return [(u, v, p) for (u, v), p in zip(e[bad].tolist(), prod[bad].tolist())]
+
+
+def _between(p: np.ndarray, q: np.ndarray) -> int:
+    """Number of edges with one end in P and the other in Q, from the
+    endpoint indicators `h.ends_in(P)` and `h.ends_in(Q)`."""
+    return int(np.count_nonzero(p[:, 0] & q[:, 1] | q[:, 0] & p[:, 1]))
+
+
+def _nbrs_in(h: Graph, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For each vertex of P its number of neighbours in Q, 0 off P, from
+    the endpoint indicators of P and Q."""
+    e = h.edge_array
+    return np.bincount(e[p[:, 0] & q[:, 1], 0], minlength=h.n) + np.bincount(
+        e[p[:, 1] & q[:, 0], 1], minlength=h.n
+    )
 
 
 # -- localization diagnostics ----------------------------------------------
@@ -184,15 +199,9 @@ def verify_T(
     a, c, d = set(a_set), set(c_set), set(d_set)
     if a & c or a & d or c & d or (a | c | d) != set(range(h.n)):
         raise SupersatError("A, C, D must partition the vertex set")
-    t1 = t2 = t3 = True
-    for u, v in h.edges:
-        if u in d and v in d:
-            t1 = False
-        if (u in c and v in d) or (u in d and v in c):
-            t2 = False
-        if not ((u in c and v in c) or u in a or v in a):
-            t3 = False
-    return t1, t2, t3
+    ae, ce, de = (h.ends_in(s) for s in (a, c, d))
+    t3 = (ce.all(axis=1) | ae.any(axis=1)).all()
+    return not de.all(axis=1).any(), _between(ce, de) == 0, bool(t3)
 
 
 def acd_partition(
@@ -234,36 +243,29 @@ def acd_partition(
     def theta(hh: int) -> float:
         return 2.0**-hh * sup
 
-    def c_band(i: int) -> set:
-        return {v for v in range(h.n) if theta(k_levels - i) < x[v] <= theta(i)}
+    xe = x[h.edge_array]  # the Perron entries at each edge's two ends
 
-    def b_shell(i: int) -> set:
-        return {v for v in range(h.n) if theta(i) < x[v] <= theta(i - 1)}
+    def f_size(i: int) -> int:
+        """Edges between the band C_i and the shell B_i."""
+        c_band = (theta(k_levels - i) < xe) & (xe <= theta(i))
+        b_shell = (theta(i) < xe) & (xe <= theta(i - 1))
+        return _between(c_band, b_shell)
 
     needed = range(min(index_set) - ell + 1, max(index_set) + 1)
-    f_sizes = {}
-    for i in needed:
-        ci, bi = c_band(i), b_shell(i)
-        f_sizes[i] = sum(
-            1 for u, v in h.edges if (u in ci and v in bi) or (u in bi and v in ci)
-        )
+    f_sizes = {i: f_size(i) for i in needed}
     s_sums = {i: sum(f_sizes[i - j] for j in range(ell)) for i in index_set}
     i_star = min(index_set, key=lambda i: (s_sums[i], i))
     s_thr = theta(i_star)
     r_thr = theta(k_levels - i_star)
-    a_set = tuple(v for v in range(h.n) if x[v] > s_thr)
-    c_set = tuple(v for v in range(h.n) if r_thr < x[v] <= s_thr)
-    d_set = tuple(v for v in range(h.n) if x[v] <= r_thr)
+    a_set = tuple(np.flatnonzero(x > s_thr).tolist())
+    c_set = tuple(np.flatnonzero((r_thr < x) & (x <= s_thr)).tolist())
+    d_set = tuple(np.flatnonzero(x <= r_thr).tolist())
     if s_thr * r_thr >= eta / math.sqrt(m) + 1e-15:
         raise SupersatError("threshold product theta_i* theta_(K-i*) too large")
     t1, t2, t3 = verify_T(h, a_set, c_set, d_set)
-    aset, cset = set(a_set), set(c_set)
-    e_ac = sum(
-        1
-        for u, v in h.edges
-        if (u in aset and v in cset) or (u in cset and v in aset)
-    )
-    e_core = sum(1 for u, v in h.edges if u in cset and v in cset)
+    ae, ce = h.ends_in(a_set), h.ends_in(c_set)
+    e_ac = _between(ae, ce)
+    e_core = int(np.count_nonzero(ce.all(axis=1)))
     return AcdPartition(
         a_set=a_set,
         c_set=c_set,
@@ -372,9 +374,9 @@ def row_cover_analyze(
         raise SupersatError("t must be >= 2")
     a_sorted = sorted(set(a_set))
     d_sorted = sorted(set(d_set))
-    dset = set(d_sorted)
-    deg_d = {a: sum(1 for w in h.adjacency[a] if w in dset) for a in a_sorted}
-    e_ad = sum(deg_d.values())
+    ae, de = h.ends_in(a_sorted), h.ends_in(d_sorted)
+    deg_d = _nbrs_in(h, ae, de)  # 0 off A
+    e_ad = int(deg_d.sum())
     if e_ad < 1:
         raise SupersatError("no A-D edges")
     sigma1, v_right, _ = top_singular(a_sorted, d_sorted, h)
@@ -386,45 +388,29 @@ def row_cover_analyze(
         degenerate = True
         r_list = [max(a_sorted, key=lambda a: (deg_d[a], -a))]
     r_set = tuple(sorted(r_list))
-    r_lookup = set(r_set)
-    not_r = [a for a in a_sorted if a not in r_lookup]
-    e_uncovered = sum(deg_d[a] for a in not_r)
+    e_uncovered = e_ad - int(deg_d[list(r_set)].sum())
     # the aligned rows carry almost all A-D edges
     if not degenerate and e_uncovered > theta * e_ad + 1e-9:
         raise SupersatError(f"aligned rows miss {e_uncovered} of {e_ad} A-D edges")
+    found = dict(r_set=r_set, theta=theta, epsilon=eps, sigma1=sigma1,
+                 e_ad=e_ad, e_uncovered=e_uncovered)
     if not degenerate and len(r_set) >= t:
-        d_star = min(deg_d[a] for a in r_set)
+        d_star = int(deg_d[list(r_set)].min())
         floor_l = max(0, math.floor((1 - 2 * (t - 1) * theta) * d_star))
         bound = math.comb(len(r_set), t) * math.comb(floor_l, t)
         return RowCoverOutcome(
-            variant="many-copies",
-            r_set=r_set,
-            theta=theta,
-            epsilon=eps,
-            sigma1=sigma1,
-            e_ad=e_ad,
-            e_uncovered=e_uncovered,
-            d_star=d_star,
-            floor_l=floor_l,
-            copy_bound=bound,
+            "many-copies", **found, d_star=d_star, floor_l=floor_l, copy_bound=bound
         )
-    b = set.intersection(*({w for w in h.adjacency[a] if w in dset} for a in r_set))
-    e_ar_b = sum(1 for a in not_r for w in h.adjacency[a] if w in b)
-    e_r_dnb = sum(
-        1 for a in r_set for w in h.adjacency[a] if w in dset and w not in b
-    )
+    r_ends = h.ends_in(r_set)
+    # B: the vertices of D adjacent to every row of R
+    b_mask = _nbrs_in(h, de, r_ends) == len(r_set)
     return RowCoverOutcome(
-        variant="cover",
-        r_set=r_set,
-        theta=theta,
-        epsilon=eps,
-        sigma1=sigma1,
-        e_ad=e_ad,
-        e_uncovered=e_uncovered,
+        "cover",
+        **found,
         degenerate=degenerate,
-        b_set=tuple(sorted(b)),
-        e_ar_b=e_ar_b,
-        e_r_dnb=e_r_dnb,
+        b_set=tuple(np.flatnonzero(b_mask).tolist()),
+        e_ar_b=_between(ae & ~r_ends, b_mask[h.edge_array]),
+        e_r_dnb=_between(r_ends, de & ~b_mask[h.edge_array]),
     )
 
 

@@ -219,6 +219,17 @@ class TestSweep:
             assert r.returncode == 0
             assert r.stdout == golden
 
+    def test_t2_counter_matches_golden(self):
+        # golden_sweep_t2.csv: the K_{2,2} sweep over all three families,
+        # then the C_4 sweep on the perturbed family, each with its header
+        common = ("--t", "2", "--m-range", "50:150:50", "--samples", "2", "--seed", "7")
+        ktt = run_cli("sweep", "--pattern", "ktt", *common, "--families",
+                      "gnm-balanced,split-t,split-t-minus-1-perturbed")
+        c4 = run_cli("sweep", "--pattern", "c2t", *common, "--families",
+                     "split-t-minus-1-perturbed")
+        assert ktt.returncode == c4.returncode == 0
+        assert ktt.stdout + c4.stdout == (DATA / "golden_sweep_t2.csv").read_text()
+
     def test_header_pinned(self):
         golden = (DATA / "golden_sweep.csv").read_text()
         assert golden.splitlines()[0] == (
@@ -243,6 +254,44 @@ class TestSweep:
     def test_requires_seed(self):
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
         assert r.returncode == 2
+
+
+class TestUnexpectedErrors:
+    """A fault that escapes a subcommand is one stderr line and exit 2,
+    never a traceback with exit 1, which `check` uses for a failed
+    inequality."""
+
+    ARGV = ["gen", "--family", "star", "--n", "3"]
+
+    def _raise(self, monkeypatch, exc):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr("sslab.cli.cmd_gen", boom)
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        from sslab.cli import main
+
+        self._raise(monkeypatch, MemoryError("Unable to allocate 7.28 TiB"))
+        assert main(self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (AssertionError("bad state"), "AssertionError: bad state"),
+            (KeyError(3), "KeyError: 3"),
+            (ZeroDivisionError("division\nby zero"), "ZeroDivisionError: division by zero"),
+        ],
+    )
+    def test_internal_error(self, monkeypatch, capsys, exc, line):
+        from sslab.cli import main
+
+        self._raise(monkeypatch, exc)
+        assert main(self.ARGV) == 2
+        assert capsys.readouterr().err == f"error: internal: {line}\n"
 
 
 class TestParsing:

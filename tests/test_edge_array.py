@@ -1,0 +1,241 @@
+"""The stored form of a graph: one read-only, sorted (m, 2) edge array, and
+every view of it, checked against a pure-Python reference of the edge-tuple
+semantics (sorted, deduplicated (u, v) tuples with u < v)."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sslab import Graph
+from sslab.graphs import (
+    GraphError,
+    complete,
+    empty_graph,
+    read_edge_list,
+    union,
+    write_edge_list,
+)
+
+
+def ref_edges(n, edges):
+    """Reference `from_edges`: the first loop or out-of-range edge in input
+    order, then duplicates, else the sorted tuple of (min, max) pairs."""
+    norm = []
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        norm.append((min(u, v), max(u, v)))
+    if len(set(norm)) != len(norm):
+        raise GraphError("duplicate edge")
+    return tuple(sorted(norm))
+
+
+def ref_adjacency(n, edges):
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
+
+def ref_components(n, edges):
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted((tuple(c) for c in groups.values()), key=lambda c: c[0]))
+
+
+@st.composite
+def edge_lists(draw, max_n=14):
+    """(n, edges): a simple graph's edges in random order and orientation,
+    on 0..max_n vertices, so n = 0, n = 1 and isolated vertices all occur."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+
+
+def check_stored_form(g):
+    e = g.edge_array
+    assert e.dtype == np.intp and e.shape == (g.edge_count, 2)
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[...] = 0
+    rows = e.tolist()
+    assert rows == sorted(rows) and all(u < v for u, v in rows)
+    assert len(set(map(tuple, rows))) == len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_from_edges_matches_the_reference(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    check_stored_form(g)
+    assert g.edges == ref_edges(n, edges)
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert g == Graph.from_edges(n, list(reversed(edges)))
+    assert g == Graph.from_edges(n, [(v, u) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_views_match_the_reference(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    ref = ref_edges(n, edges)
+    adj = ref_adjacency(n, ref)
+    assert g.adjacency == adj
+    assert g.degrees == tuple(len(a) for a in adj)
+    assert all(type(d) is int for d in g.degrees)
+    assert g.components == ref_components(n, ref)
+    for u in range(n):
+        assert g.degree(u) == len(adj[u])
+        for v in range(n):
+            assert g.has_edge(u, v) == (v in adj[u])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(), st.data())
+def test_delete_edge_matches_the_reference(case, data):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    if not edges:
+        return
+    u, v = data.draw(st.sampled_from(edges))
+    h = g.delete_edge(u, v)
+    check_stored_form(h)
+    assert h.edges == tuple(e for e in ref_edges(n, edges) if e != (min(u, v), max(u, v)))
+    assert h == Graph.from_edges(n, h.edges)
+    with pytest.raises(GraphError, match="no such edge"):
+        h.delete_edge(v, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_the_reference(case, data):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    vs = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+    sub, remap = g.induced_subgraph(vs)
+    keep = sorted(set(vs))
+    want = {v: i for i, v in enumerate(keep)}
+    check_stored_form(sub)
+    assert remap == want and sub.n == len(keep)
+    assert sub.edges == tuple(
+        sorted((want[u], want[v]) for u, v in ref_edges(n, edges) if u in want and v in want)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(max_n=8), edge_lists(max_n=8))
+def test_union_matches_the_reference(c1, c2):
+    (n1, e1), (n2, e2) = c1, c2
+    g = union(Graph.from_edges(n1, e1), Graph.from_edges(n2, e2))
+    check_stored_form(g)
+    assert g.n == n1 + n2
+    assert g.edges == ref_edges(n1 + n2, e1 + [(u + n1, v + n1) for u, v in e2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_edge_list_round_trip(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    back = read_edge_list(write_edge_list(g))
+    check_stored_form(back)
+    assert back == g and hash(back) == hash(g)
+
+
+def test_equality_and_hash_across_construction_routes():
+    routes = [
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)]),
+        Graph.from_edges(4, np.array([[2, 3], [0, 1], [1, 2]])),
+        complete(4).delete_edge(0, 2).delete_edge(0, 3).delete_edge(1, 3),
+        complete(5).induced_subgraph([0, 1, 2, 3])[0].delete_edge(0, 2)
+        .delete_edge(0, 3).delete_edge(3, 1),
+        read_edge_list("# n=4\n0 1\n2 1\n3 2\n"),
+    ]
+    for g in routes:
+        assert g == routes[0] and hash(g) == hash(routes[0])
+    assert len(set(routes)) == 1
+    assert routes[0] != Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    assert routes[0] != Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert routes[0] != routes[0].edges
+    # the hash separates graphs of the same size
+    paths = [Graph.from_edges(4, [(p[0], p[1]), (p[1], p[2]), (p[2], p[3])])
+             for p in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (2, 0, 1, 3))]
+    assert len({hash(g) for g in paths}) == len(set(paths)) == 4
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_views_of_small_and_empty_hosts(n):
+    g = empty_graph(n)
+    assert g.edge_array.shape == (0, 2)
+    assert g.edges == ()
+    assert g.adjacency == ((),) * n
+    assert g.degrees == (0,) * n
+    assert g.components == tuple((v,) for v in range(n))
+    assert g.adjacency_bits == (0,) * n
+    assert g.sparse_adjacency().shape == (n, n)
+
+
+def test_isolated_vertices_at_both_ends():
+    g = Graph.from_edges(7, [(2, 4), (3, 2)])
+    assert g.adjacency == ((), (), (3, 4), (2,), (2,), (), ())
+    assert g.degrees == (0, 0, 2, 1, 1, 0, 0)
+    assert g.components == ((0,), (1,), (2, 3, 4), (5,), (6,))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the first bad edge in input order wins, whatever comes later
+        ([(0, 1), (0, 7), (2, 2)], "edge (0,7) out of range for n=4"),
+        ([(0, 1), (2, 2), (0, 7)], "loop at vertex 2"),
+        ([(-1, 2), (3, 3)], "edge (-1,2) out of range for n=4"),
+        ([(0, 2**70), (1, 1)], f"edge (0,{2**70}) out of range for n=4"),
+        # a repeat is reported only after every edge passed the first checks
+        ([(0, 1), (1, 0), (0, 9)], "edge (0,9) out of range for n=4"),
+        ([(0, 1), (1, 0)], "duplicate edge"),
+        ([(5, 5)], "loop at vertex 5"),
+    ],
+)
+def test_error_precedence(edges, message):
+    with pytest.raises(GraphError) as exc:
+        Graph.from_edges(4, edges)
+    assert str(exc.value) == message
+    with pytest.raises(GraphError) as ref:
+        ref_edges(4, edges)
+    assert str(ref.value) == message
+
+
+def test_negative_vertex_count_rejected():
+    with pytest.raises(GraphError, match="nonnegative"):
+        Graph.from_edges(-1, [])
+
+
+def test_edges_are_derived_once_and_agree_with_the_array():
+    rng = random.Random(5)
+    pairs = {(rng.randrange(40), rng.randrange(40)) for _ in range(200)}
+    edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    g = Graph.from_edges(40, edges)
+    assert g.edges is g.edges
+    assert g.sparse_adjacency() is g.sparse_adjacency()
+    assert np.array_equal(np.array(g.edges, dtype=np.intp).reshape(-1, 2), g.edge_array)

@@ -241,6 +241,43 @@ class TestCompleteBipartite:
     def test_method_tag(self):
         assert count_ktt(complete(5), 2).method == "codegree"
 
+    @staticmethod
+    def _subset_work(g, t):
+        """The vertices the codegree recursion tries, level by level: every
+        vertex after the last one chosen, while the common neighbourhood of
+        the chosen ones still has t or more vertices."""
+        bits = g.adjacency_bits
+
+        def rec(start, depth, common):
+            total = 0
+            for v in range(start, g.n):
+                total += 1
+                c = common & bits[v] if depth else bits[v]
+                if depth + 1 < t and c.bit_count() >= t:
+                    total += rec(v + 1, depth + 1, c)
+            return total
+
+        return rec(0, 0, 0)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_budget_is_the_total_work(self, t):
+        for s in range(12):
+            g = random_graph(8100 + s, 12)
+            work = self._subset_work(g, t)
+            if work < math.comb(g.n, t):
+                continue  # the up-front estimate would refuse first
+            assert count_ktt(g, t, budget=work).value == count_ktt(g, t).value
+            with pytest.raises(BudgetExceededError):
+                count_ktt(g, t, budget=work - 1)
+
+    def test_c4_is_k22(self):
+        for s in range(30):
+            g = random_graph(8200 + s, 14, allow_empty=True)
+            c4, k22 = count_c2t(g, 2), count_ktt(g, 2)
+            assert (c4.value, c4.method) == (k22.value, k22.method)
+        big = split_graph(2, 2001)  # K_2 joined to 1000 independent vertices
+        assert count_c2t(big, 2).value == count_ktt(big, 2).value == math.comb(1000, 2)
+
 
 class TestEvenCycles:
     def test_count_c2t_vs_inj(self):
