@@ -6,7 +6,6 @@ certificates, tensor-power regular subgraphs, and exact subgraph counting.
 """
 
 from .graphs import (
-    FamilyRequest,
     Graph,
     SplitSpec,
     combine,

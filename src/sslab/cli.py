@@ -127,20 +127,16 @@ def _emit(args, kind: str, *parts) -> None:
     _write(args.out, _render(kind, *parts))
 
 
-def _load_graph(args) -> graphs.Graph:
-    with open(args.infile) as fh:
+def _load_graph(path) -> graphs.Graph:
+    with open(path) as fh:
         return graphs.read_edge_list(fh.read())
 
 
 def _pattern_graph(name: str, t: int | None, pn: int | None) -> graphs.Graph:
-    if name == "c2t":
+    if name in supersat.PATTERNS:
         if t is None:
-            raise UsageError("--t required for pattern c2t")
-        return graphs.cycle(2 * t)
-    if name == "ktt":
-        if t is None:
-            raise UsageError("--t required for pattern ktt")
-        return graphs.complete_bipartite(t, t)
+            raise UsageError(f"--t required for pattern {name}")
+        return supersat.PATTERNS[name].graph(t)
     if name == "path":
         return graphs.path(pn if pn is not None else 3)
     raise UsageError(f"unknown pattern {name!r}")
@@ -148,32 +144,20 @@ def _pattern_graph(name: str, t: int | None, pn: int | None) -> graphs.Graph:
 
 # -- subcommands -----------------------------------------------------------
 
-# gen: the flags that give each family's size parameters, in order
-_GEN_PARAMS = {
-    "split": ("k", "m"),
-    "gnm": ("n", "m"),
-    "cycle": ("n",),
-    "path": ("n",),
-    "clique": ("n",),
-    "empty": ("n",),
-    "star": ("n",),
-    "complete-bipartite": ("a", "b"),
-}
-
 
 def cmd_gen(args) -> int:
-    names = _GEN_PARAMS[args.family]
+    _, names = graphs.FAMILIES[args.family]
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise UsageError(f"family {args.family} requires {', '.join(missing)}")
-    params = tuple(getattr(args, name) for name in names)
-    g = graphs.make_family(graphs.FamilyRequest(args.family, params, args.seed))
+    params = [getattr(args, name) for name in names]
+    g = graphs.make_family(args.family, params, args.seed)
     _write(args.out, graphs.write_edge_list(g))
     return 0
 
 
 def cmd_spectral(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     pd = spectra.perron(g, tol=args.tol)
     _emit(
         args,
@@ -192,7 +176,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     h = _pattern_graph(args.pattern, args.t, args.pn)
     res = homcounts.hom_count(h, g)
     inj = homcounts.inj_count(h, g)
@@ -215,12 +199,11 @@ def cmd_hom(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     if args.pattern == "custom":
         if not args.pattern_file:
             raise UsageError("--pattern-file required for custom pattern")
-        with open(args.pattern_file) as fh:
-            h = graphs.read_edge_list(fh.read())
+        h = _load_graph(args.pattern_file)
     else:
         h = _pattern_graph(args.pattern, args.t, args.pn)
     rep = sidorenko.check_suite(h, g, tol=args.tol)
@@ -232,7 +215,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    trace = supersat.heavy_prune(_load_graph(args), args.t, eta=args.eta)
+    trace = supersat.heavy_prune(_load_graph(args.infile), args.t, eta=args.eta)
     _emit(args, "prune", trace)
     return 0
 
@@ -261,32 +244,29 @@ def _prune_and_partition(args, kind: str, g: graphs.Graph):
 
 
 def cmd_partition(args) -> int:
-    pruned = _prune_and_partition(args, "partition", _load_graph(args))
+    pruned = _prune_and_partition(args, "partition", _load_graph(args.infile))
     if pruned is not None:
         _emit(args, "partition", pruned[1])
     return 0
 
 
-def _vertex_list(flag: str, text: str, n: int) -> list[int]:
+def _vertex_list(flag: str, text: str) -> list[int]:
+    """The ids in `text`; row_cover_analyze checks that they are vertices."""
     try:
-        vs = [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise UsageError(f"{flag} takes comma-separated vertex ids, got {text!r}")
-    for v in vs:
-        if not 0 <= v < n:
-            raise UsageError(f"{flag}: vertex {v} out of range for n={n}")
-    return vs
 
 
 def cmd_rowcover(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     if (args.a_side is None) != (args.d_side is None):
         raise UsageError("--a-side and --d-side go together")
     if args.a_side is not None:
         if args.eta is not None:
             raise UsageError("--eta applies only when the sides come from pruning")
-        a_set = _vertex_list("--a-side", args.a_side, g.n)
-        d_set = _vertex_list("--d-side", args.d_side, g.n)
+        a_set = _vertex_list("--a-side", args.a_side)
+        d_set = _vertex_list("--d-side", args.d_side)
     else:
         pruned = _prune_and_partition(args, "rowcover", g)
         if pruned is None:
@@ -298,7 +278,7 @@ def cmd_rowcover(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     bundle = regularize.build_regular(g, args.k)
     dist = regularize.edge_distribution(g)
     derived = {
@@ -313,7 +293,7 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.infile)
     cfg = supersat.SupersatConfig(eta=args.eta, budget=args.budget)
     _emit(args, "pipeline", supersat.supersat_count(g, args.t, args.pattern, cfg))
     return 0
@@ -322,58 +302,53 @@ def cmd_pipeline(args) -> int:
 # -- sweep -----------------------------------------------------------------
 
 
-def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
-    row_seed = (seed * 1_000_003 + m * 101 + sample * 7919) & (2**63 - 1)
+def _sweep_n(family: str, t: int, m: int) -> int:
+    """Vertex count of the `family` sweep host with m edges."""
     if family == "gnm-balanced":
-        n = math.floor(2 * math.sqrt(m)) - t
-        return graphs.sample_gnm(n, m, row_seed), row_seed
+        return math.floor(2 * math.sqrt(m)) - t
     if family == "split-t":
-        return graphs.split_graph(t, m), row_seed
+        return graphs.SplitSpec(t, m).n
     if family == "split-t-minus-1-perturbed":
-        base = graphs.split_graph(t - 1, m - 1)
-        # add one seeded edge between independent vertices
-        rng = random.Random(row_seed)
-        spec = graphs.SplitSpec(t - 1, m - 1)
-        lo = spec.k + (1 if spec.r > 0 else 0)
-        indep = list(range(lo, base.n))
-        if len(indep) < 2:
-            raise UsageError("perturbed family needs >= 2 independent vertices")
-        u, v = sorted(rng.sample(indep, 2))
-        return graphs.Graph.from_edges(base.n, list(base.edges) + [(u, v)]), row_seed
+        return graphs.SplitSpec(t - 1, m - 1).n
     raise UsageError(f"unknown sweep family {family!r}")
 
 
-def _estimate_work(family: str, pattern: str, t: int, m: int) -> int:
+def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
+    row_seed = (seed * 1_000_003 + m * 101 + sample * 7919) & (2**63 - 1)
+    n = _sweep_n(family, t, m)
     if family == "gnm-balanced":
-        n = math.floor(2 * math.sqrt(m)) - t
-    elif family == "split-t":
-        n = graphs.SplitSpec(t, m).n
-    else:
-        n = graphs.SplitSpec(t - 1, m - 1).n + 1
-    if pattern == "ktt":
-        return math.comb(max(n, t), t)
-    return n * n if t >= 3 else n * (n - 1) // 2
+        return graphs.sample_gnm(n, m, row_seed), row_seed
+    if family == "split-t":
+        return graphs.split_graph(t, m), row_seed
+    # S_{t-1,m-1} plus one seeded edge between independent vertices
+    base = graphs.split_graph(t - 1, m - 1)
+    indep = range(graphs.SplitSpec(t - 1, m - 1).indep_start, n)
+    if len(indep) < 2:
+        raise UsageError("perturbed family needs >= 2 independent vertices")
+    u, v = sorted(random.Random(row_seed).sample(indep, 2))
+    return graphs.Graph.from_edges(n, list(base.edges) + [(u, v)]), row_seed
+
+
+def _estimate_work(family: str, pattern: str, t: int, m: int) -> int:
+    return supersat.PATTERNS[pattern].work(_sweep_n(family, t, m), t)
 
 
 def _sweep_row(family: str, pattern: str, t: int, m: int, sample: int, seed: int):
     g, row_seed = _sweep_host(family, t, m, sample, seed)
+    rules = supersat.PATTERNS[pattern]
     pd = spectra.perron(g)
-    thr = spectra.split_lambda(t - 1, m)
-    if pattern == "ktt":
-        count = homcounts.count_ktt(g, t).value
-    else:
-        count = homcounts.count_c2t(g, t).value
-    sharp = supersat._sharp_constant(t, pattern)
+    thr, above = supersat.split_threshold(g, pd, t)
+    count = rules.count(g, t).value
     expected = ""
-    if pattern == "ktt" and family == "gnm-balanced":
+    if rules.gnm_expected and family == "gnm-balanced":
         try:
-            expected = _fs(sidorenko.gnm_expected_ktt(g.n, m, t))
+            expected = _fs(rules.gnm_expected(g.n, m, t))
         except sidorenko.SidorenkoError:
             expected = ""
     return (
         f"{CSV_SCHEMA},{family},{pattern},{t},{m},{sample},{row_seed},{g.n},"
-        f"{_fs(pd.lam)},{_fs(thr)},{int(pd.lam > thr + 1e-12)},{count},"
-        f"{_fs(count / float(m) ** t)},{_fs(sharp)},{expected}"
+        f"{_fs(pd.lam)},{_fs(thr)},{int(above)},{count},"
+        f"{_fs(count / float(m) ** t)},{_fs(rules.sharp(t))},{expected}"
     )
 
 
@@ -396,7 +371,7 @@ def cmd_sweep(args) -> int:
     ]
     work = sum(_estimate_work(fam, args.pattern, args.t, m) for fam, m, _ in rows)
     sys.stderr.write(f"estimated work: {work} elementary steps\n")
-    if work > 10**9 and not args.force:
+    if work > homcounts.WORK_BUDGET and not args.force:
         sys.stderr.write("budget exceeded; re-run with --force\n")
         return 2
     lines = [
@@ -427,9 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("gen", cmd_gen, infile=False)
-    sp.add_argument("--family", required=True, choices=list(_GEN_PARAMS))
-    for flag in ("--k", "--m", "--n", "--a", "--b", "--seed"):
-        sp.add_argument(flag, type=int)
+    sp.add_argument("--family", required=True, choices=list(graphs.FAMILIES))
+    names = dict.fromkeys(name for _, ns in graphs.FAMILIES.values() for name in ns)
+    for name in [*names, "seed"]:
+        sp.add_argument(f"--{name}", type=int)
 
     sp = command("spectral", cmd_spectral)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -461,13 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=5000)
 
     sp = command("pipeline", cmd_pipeline, t=True)
-    sp.add_argument("--pattern", required=True, choices=["ktt", "c2t"])
+    sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))
     sp.add_argument("--eta", type=float)
-    sp.add_argument("--budget", type=int, default=10**9)
+    sp.add_argument("--budget", type=int, default=homcounts.WORK_BUDGET)
 
     sp = command("sweep", cmd_sweep, infile=False, t=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--pattern", required=True, choices=["ktt", "c2t"])
+    sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))
     sp.add_argument("--m-range", required=True)
     sp.add_argument("--samples", type=int, default=1)
     sp.add_argument("--families", default="gnm-balanced")

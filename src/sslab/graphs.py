@@ -9,6 +9,7 @@ validates no loops, no duplicate edges, and endpoint range.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,7 +20,9 @@ from scipy.sparse import csr_matrix
 
 
 class GraphError(ValueError):
-    pass
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message)
+        self.position = position  # input index of the offending edge, if any
 
 
 class CapExceededError(GraphError):
@@ -53,25 +56,30 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Edges in any order and orientation.  The first loop or
-        out-of-range edge in input order is reported before any repeat."""
+        out-of-range edge in input order is reported before any repeat, and
+        the error's `position` is the offending edge's index in the input."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
+        if n > np.iinfo(np.intp).max:
+            raise GraphError(f"vertex count {n} past the index range")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
             ok = bool(np.all((e[:, 0] != e[:, 1]) & (e >= 0).all(1) & (e < n).all(1)))
-        except OverflowError:  # an endpoint past the machine integer range
+        except OverflowError:  # an endpoint past the index range, so past n
             ok = False
         if not ok:
-            for u, v in pairs:
+            for i, (u, v) in enumerate(pairs):
                 if u == v:
-                    raise GraphError(f"loop at vertex {u}")
+                    raise GraphError(f"loop at vertex {u}", i)
                 if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}", i)
         e = np.sort(e, axis=1)
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
-        if (e[1:] == e[:-1]).all(axis=1).any():
-            raise GraphError("duplicate edge")
+        order = np.lexsort((e[:, 1], e[:, 0]))  # stable: a repeat sorts after its first
+        e = e[order]
+        repeats = np.flatnonzero((e[1:] == e[:-1]).all(axis=1)) + 1
+        if len(repeats):
+            raise GraphError("duplicate edge", int(order[repeats].min()))
         return Graph(n, e)
 
     # -- derived views -----------------------------------------------------
@@ -137,10 +145,19 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self._find(u, v) >= 0
 
+    def vertex_list(self, vertices: Iterable[int]) -> list[int]:
+        """`vertices` sorted, after checking each is a vertex of this graph
+        (numpy indexing would wrap a negative id around)."""
+        vs = sorted(vertices)
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
+            bad = vs[0] if vs[0] < 0 else vs[-1]
+            raise GraphError(f"vertex {bad} out of range for n={self.n}")
+        return vs
+
     def ends_in(self, vertices: Iterable[int]) -> np.ndarray:
         """(m, 2) booleans: which ends of each edge lie in `vertices`."""
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(vertices)] = True
+        mask[self.vertex_list(vertices)] = True
         return mask[self.edge_array]
 
     @cached_property
@@ -156,9 +173,7 @@ class Graph:
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict]:
         """Induced subgraph on `vertices` (relabeled 0..len-1) plus old->new map."""
-        vs = sorted(set(vertices))
-        if vs and not (0 <= vs[0] and vs[-1] < self.n):
-            raise GraphError(f"induced_subgraph: vertex out of range for n={self.n}")
+        vs = self.vertex_list(set(vertices))
         pos = np.full(self.n, -1, dtype=np.intp)
         pos[vs] = np.arange(len(vs))
         sub = pos[self.edge_array]  # relabeling keeps the rows sorted
@@ -229,8 +244,13 @@ class SplitSpec:
         object.__setattr__(self, "r", r)
 
     @property
+    def indep_start(self) -> int:
+        """The first independent vertex: after the clique and the extra one."""
+        return self.k + (1 if self.r > 0 else 0)
+
+    @property
     def n(self) -> int:
-        return self.k + self.q + (1 if self.r > 0 else 0)
+        return self.indep_start + self.q
 
 
 def split_graph(k: int, m: int) -> Graph:
@@ -238,15 +258,10 @@ def split_graph(k: int, m: int) -> Graph:
     clique vertices, the extra vertex of degree r (omitted when r=0), then the
     q independent vertices."""
     spec = SplitSpec(k, m)
-    k_, q, r = spec.k, spec.q, spec.r
-    edges = [(i, j) for i in range(k_) for j in range(i + 1, k_)]
-    extra = k_ if r > 0 else None
-    if extra is not None:
-        edges.extend((i, extra) for i in range(r))
-    base = k_ + (1 if r > 0 else 0)
-    for a in range(q):
-        w = base + a
-        edges.extend((i, w) for i in range(k_))
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges.extend((i, k) for i in range(spec.r))  # the extra vertex is k
+    for w in range(spec.indep_start, spec.n):
+        edges.extend((i, w) for i in range(k))
     g = Graph.from_edges(spec.n, edges)
     if g.edge_count != m:
         raise GraphError(f"split: built {g.edge_count} edges, expected m={m}")
@@ -277,11 +292,11 @@ def path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def star(leaves: int) -> Graph:
-    """K_{1,leaves}, center at index 0."""
-    if leaves < 1:
+def star(n: int) -> Graph:
+    """K_{1,n}: center at index 0 and n leaves."""
+    if n < 1:
         raise GraphError("star needs >= 1 leaf")
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -290,46 +305,14 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-@dataclass(frozen=True)
-class FamilyRequest:
-    family: str
-    params: tuple[int, ...]
-    seed: Optional[int] = None
-
-
-def make_family(req: FamilyRequest) -> Graph:
-    families = {
-        "split": (split_graph, ("k", "m")),
-        "star": (star, ("leaves",)),
-        "clique": (complete, ("n",)),
-        "cycle": (cycle, ("n",)),
-        "path": (path, ("n",)),
-        "complete-bipartite": (complete_bipartite, ("a", "b")),
-        "empty": (empty_graph, ("n",)),
-        "gnm": (sample_gnm, ("n", "m")),
-    }
-    if req.family not in families:
-        raise GraphError(f"unknown family {req.family!r}")
-    build, names = families[req.family]
-    if len(req.params) != len(names):
-        raise GraphError(f"{req.family} takes ({', '.join(names)})")
-    if req.family != "gnm":
-        return build(*req.params)
-    if req.seed is None:
-        raise GraphError("gnm requires a seed")
-    return build(*req.params, req.seed)
-
-
 # -- random graphs ---------------------------------------------------------
 
 
 def _edge_unrank(rank: int) -> tuple[int, int]:
-    # rank in colex order: edge (u,v), u<v, has rank C(v,2)+u
-    v = 1
-    while (v + 1) * v // 2 <= rank:
-        v += 1
-    u = rank - v * (v - 1) // 2
-    return u, v
+    # rank in colex order: edge (u,v), u<v, has rank C(v,2)+u, so v is the
+    # largest integer with v(v-1)/2 <= rank
+    v = (1 + math.isqrt(8 * rank + 1)) // 2
+    return rank - v * (v - 1) // 2, v
 
 
 def sample_gnm(n: int, m: int, seed: int) -> Graph:
@@ -347,6 +330,35 @@ def sample_gnm(n: int, m: int, seed: int) -> Graph:
         r = rng.randrange(j + 1)
         chosen.add(r if r not in chosen else j)
     return Graph.from_edges(n, [_edge_unrank(r) for r in chosen])
+
+
+# family -> (builder, names of its size parameters, which are also the
+# `sslab gen` flags that give them); gnm also takes a seed
+FAMILIES = {
+    "split": (split_graph, ("k", "m")),
+    "gnm": (sample_gnm, ("n", "m")),
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "clique": (complete, ("n",)),
+    "empty": (empty_graph, ("n",)),
+    "star": (star, ("n",)),
+    "complete-bipartite": (complete_bipartite, ("a", "b")),
+}
+
+
+def make_family(family: str, params: Sequence[int], seed: Optional[int] = None) -> Graph:
+    """The `family` member with size parameters `params`, in the order
+    FAMILIES names them; `seed` is read by gnm only."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
+    build, names = FAMILIES[family]
+    if len(params) != len(names):
+        raise GraphError(f"{family} takes ({', '.join(names)})")
+    if family != "gnm":
+        return build(*params)
+    if seed is None:
+        raise GraphError("gnm requires a seed")
+    return build(*params, seed)
 
 
 # -- graph algebra ---------------------------------------------------------
@@ -408,10 +420,13 @@ def write_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(text: str) -> Graph:
-    n: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_seen = -1
+    """Parse the edge-list format: blank lines, `#` comments, an optional
+    `# n=<int>` header, and data lines of two integers.  Every other check
+    is `Graph.from_edges`'s, raised as a `ParseError` at the line of the
+    offending edge, or of the header for a bad vertex count."""
+    n, header = None, 0  # the `# n=` header's value and line
+    pairs: list[tuple[int, int]] = []
+    lines: list[int] = []  # line of each pair
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -420,7 +435,7 @@ def read_edge_list(text: str) -> Graph:
             body = line[1:].strip()
             if body.startswith("n="):
                 try:
-                    n = int(body[2:])
+                    n, header = int(body[2:]), lineno
                 except ValueError:
                     raise ParseError(f"bad header {line!r}", lineno)
             continue
@@ -428,19 +443,15 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected two integers, got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"non-integer endpoint in {line!r}", lineno)
-        if u == v:
-            raise ParseError(f"loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate or reversed edge {u} {v}", lineno)
-        seen.add(key)
-        edges.append(key)
-        max_seen = max(max_seen, u, v)
-    if n is None:
-        n = max_seen + 1
-    if max_seen >= n:
-        raise GraphError(f"edge endpoint {max_seen} >= declared n={n}")
-    return Graph.from_edges(n, edges)
+        lines.append(lineno)
+    if n is None:  # the largest endpoint fixes n, within 0..the index range
+        top = max(map(max, pairs), default=-1)
+        n = min(max(top + 1, 0), int(np.iinfo(np.intp).max))
+    try:
+        return Graph.from_edges(n, pairs)
+    except GraphError as exc:
+        line = header if exc.position is None else lines[exc.position]
+        raise ParseError(str(exc), line) from None

@@ -35,6 +35,11 @@ import numpy as np
 from .graphs import Graph
 
 
+# elementary steps a count may take: count_ktt's and count_c2t's default
+# budget, the exact contraction rerun's cap, a sweep's limit without --force
+WORK_BUDGET = 10**9
+
+
 class CountError(ValueError):
     pass
 
@@ -143,9 +148,6 @@ def aut_order(h: Graph, limit: int = 10) -> int:
 # -- the contraction engine ------------------------------------------------
 
 _EXACT = 2.0**52  # float64 holds every integer up to 2^53
-# most Python-int operations the exact rerun of a plan may take (the default
-# budget of count_ktt and count_c2t)
-_OBJECT_WORK = 10**9
 
 
 @lru_cache(maxsize=1024)
@@ -276,7 +278,7 @@ def _contract(n_vars: int, edges, a: np.ndarray) -> int:
     value = _execute(plan, _edge_factors(edges, a), a.shape[0])
     if value is None:  # some float factor passed 2^52
         work = _plan_work(plan, a.shape[0])
-        if work > _OBJECT_WORK:
+        if work > WORK_BUDGET:
             raise BudgetExceededError(
                 f"exact-integer contraction would take ~{work} Python-int operations", work
             )
@@ -304,9 +306,9 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     is at most 2^52, every float step was exact.  (A partial that reaches no
     output was multiplied by 0, and is finite because each step's inputs are
     at most 2^52.)  Otherwise the same plan is rerun once on object arrays
-    of Python ints; a rerun estimated past 10^9 Python-int operations (about
-    n^3 per step, n times that under each conditioning) raises
-    `BudgetExceededError` before it starts.
+    of Python ints; a rerun estimated past `WORK_BUDGET` Python-int
+    operations (about n^3 per step, n times that under each conditioning)
+    raises `BudgetExceededError` before it starts.
     """
     t0 = time.perf_counter()
     for u, v in edges:
@@ -338,7 +340,12 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
 # -- codegree counters -----------------------------------------------------
 
 
-def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
+def codegree_work(n: int, t: int) -> int:
+    """`count_ktt`'s up-front work estimate: the t-subsets of n vertices."""
+    return math.comb(n, t) if n >= t else 0
+
+
+def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     """Exact number of unlabeled K_{t,t} copies.
 
     Codegree formula (1/2) * sum over t-subsets S of C(codeg(S), t), with
@@ -353,7 +360,7 @@ def count_ktt(g: Graph, t: int, budget: int = 10**9) -> CountResult:
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
     t0 = time.perf_counter()
-    estimate = math.comb(g.n, min(t, g.n)) if g.n >= t else 0
+    estimate = codegree_work(g.n, t)
     if estimate > budget:
         raise BudgetExceededError(
             f"count_ktt would enumerate ~{estimate} subsets", estimate
@@ -462,7 +469,7 @@ def _cycle_quotients(t: int) -> tuple:
     return tuple((k, es, c) for (k, es), c in sorted(mu.items()) if c)
 
 
-def count_c2t(g: Graph, t: int, budget: int = 10**9) -> CountResult:
+def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
     t=2: C_4 = K_{2,2}, so `count_ktt`'s codegree formula (1/2) sum over

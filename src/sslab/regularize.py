@@ -154,7 +154,7 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
     n0 = len(comp)
     k = bundle.k
     support = [i for i in range(n0) if bundle.n_vec[i] > 0]
-    tuples = list(_multiset_perms([bundle.n_vec[i] for i in range(n0)]))
+    tuples = fk_tuples(bundle)
     if len(tuples) != bundle.t_k_size:
         raise RegularizeError(
             f"type class has {len(tuples)} tuples, bundle says {bundle.t_k_size}"
@@ -200,5 +200,4 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
 
 def fk_tuples(bundle: RegularBundle) -> list[tuple[int, ...]]:
     """The type-class tuples (component-local symbols) in generation order."""
-    n0 = len(bundle.vertices)
-    return list(_multiset_perms([bundle.n_vec[i] for i in range(n0)]))
+    return list(_multiset_perms(list(bundle.n_vec)))

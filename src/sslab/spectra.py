@@ -54,15 +54,12 @@ class PerronData:
     margin: float = math.inf
 
 
-def _power_iterate(adj, n: int, tol: float, max_iter: int, x0=None):
-    """Power iteration on A + I (the shift removes bipartite oscillation).
+def _power_iterate(adj, x, tol: float, max_iter: int):
+    """Power iteration on A + I (the shift removes bipartite oscillation)
+    from the unit nonnegative start x.
 
     `adj` is anything supporting `adj @ x`.  Returns (lam, x, residual, iters).
     """
-    if x0 is not None and np.all(x0 >= 0) and np.linalg.norm(x0) > 0:
-        x = x0 / np.linalg.norm(x0)
-    else:
-        x = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     residual = math.inf
     for it in range(1, max_iter + 1):
@@ -85,8 +82,9 @@ def _power_iterate(adj, n: int, tol: float, max_iter: int, x0=None):
     )
 
 
-def _lanczos_top(adj, n: int, tol: float, max_iter: int, x0=None):
-    """Top eigenpair of a large sparse component via Lanczos iteration.
+def _lanczos_top(adj, v0, tol: float, max_iter: int):
+    """Top eigenpair of a large sparse component via Lanczos iteration from
+    the unit nonnegative start v0.
 
     Power iteration stagnates at a rounding floor amplified by 1/gap on big
     hosts; the Lanczos solve reaches machine-precision residuals.  Falls back
@@ -94,14 +92,10 @@ def _lanczos_top(adj, n: int, tol: float, max_iter: int, x0=None):
     """
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-    if x0 is not None and np.all(x0 >= 0) and np.linalg.norm(x0) > 0:
-        v0 = x0 / np.linalg.norm(x0)
-    else:
-        v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         vals, vecs = eigsh(adj, k=1, which="LA", v0=v0, tol=0)
     except (ArpackError, ArpackNoConvergence):
-        return _power_iterate(adj, n, tol, max_iter, x0)
+        return _power_iterate(adj, v0, tol, max_iter)
     lam = float(vals[0])
     x = vecs[:, 0]
     if x.sum() < 0:
@@ -109,13 +103,13 @@ def _lanczos_top(adj, n: int, tol: float, max_iter: int, x0=None):
     np.clip(x, 0.0, None, out=x)
     nx = np.linalg.norm(x)
     if nx == 0:
-        return _power_iterate(adj, n, tol, max_iter, x0)
+        return _power_iterate(adj, v0, tol, max_iter)
     x /= nx
     ax = adj @ x
     lam = float(x @ ax)
     residual = float(np.linalg.norm(ax - lam * x)) / max(1.0, lam)
     if residual > tol:
-        return _power_iterate(adj, n, tol, max_iter, x)
+        return _power_iterate(adj, x / np.linalg.norm(x), tol, max_iter)
     return lam, x, residual, 0
 
 
@@ -135,13 +129,14 @@ class _Block:
 
     def solve(self, x0, tol: float, max_iter: int):
         """(lam, xs, residual, iterations), warm-started from x0 restricted
-        to the component when that slice is nonnegative and not ~0."""
-        sub_x0 = None
+        to the component when that slice is nonnegative and not ~0, else
+        started from the uniform vector."""
+        start = np.full(len(self.idx), 1.0 / math.sqrt(len(self.idx)))
         if x0 is not None:
             cand = np.asarray(x0, dtype=float)[self.idx]
             if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
-                sub_x0 = cand
-        return self._solve(self._adj, len(self.idx), tol, max_iter, sub_x0)
+                start = cand / np.linalg.norm(cand)
+        return self._solve(self._adj, start, tol, max_iter)
 
     def unit_vector(self, n: int, xs: np.ndarray) -> np.ndarray:
         """xs clipped at 0 and normalized, on this component of an n-vector."""
@@ -325,7 +320,7 @@ def opnorm(
 
 
 def incidence_matrix(rows: Sequence[int], cols: Sequence[int], g: Graph) -> np.ndarray:
-    return g.sparse_adjacency()[sorted(rows)][:, sorted(cols)].toarray()
+    return g.sparse_adjacency()[g.vertex_list(rows)][:, g.vertex_list(cols)].toarray()
 
 
 def top_singular(rows: Sequence[int], cols: Sequence[int], g: Graph):

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
-from .homcounts import CountResult, count_c2t, count_ktt
-from .sidorenko import c2t_copy_lower, constants, ktt_copy_lower
+from .graphs import Graph, complete_bipartite, cycle
+from .homcounts import WORK_BUDGET, CountResult, codegree_work, count_c2t, count_ktt
+from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
 from .spectra import PerronData, _Block, perron, split_lambda, top_singular
 
 
@@ -334,10 +334,7 @@ def aligned_rows(
         raise SupersatError("theta must lie in [0, 1]")
     a_sorted = sorted(set(a_set))
     d_sorted = sorted(set(d_set))
-    if set(a_sorted) & set(d_sorted):
-        raise SupersatError("A and D must be disjoint")
-    if not a_sorted or not d_sorted:
-        raise SupersatError("empty incidence matrix")
+    # top_singular rejects empty, overlapping and out-of-range sides
     sigma1, v_right, u_left = top_singular(a_sorted, d_sorted, h)
     if sigma1 == 0:
         raise SupersatError("empty incidence matrix")
@@ -370,7 +367,7 @@ class RowCoverOutcome:
     sigma1: float
     e_ad: int
     e_uncovered: int  # e(A \ R, D)
-    degenerate: bool = False
+    degenerate: bool = False  # always False (R is never empty), kept in reports
     # many-copies fields
     d_star: Optional[int] = None
     floor_l: Optional[int] = None
@@ -390,8 +387,8 @@ def row_cover_analyze(
     theta-aligned rows: |R| >= t gives the many-copies bound
     C(|R|,t) * C(L,t) with L = floor((1-2(t-1)theta) * min_R deg_D);
     1 <= |R| < t gives the cover B = intersection of row neighborhoods with
-    its two exception-edge counts; an empty R falls back to the max-degree
-    row with a degenerate flag.
+    its two exception-edge counts.  R is never empty (see below), so the
+    `degenerate` flag is always false.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -405,19 +402,20 @@ def row_cover_analyze(
     sigma1, v_right, _ = top_singular(a_sorted, d_sorted, h)
     eps = max(0.0, 1.0 - sigma1 * sigma1 / e_ad)
     theta = math.sqrt(eps)
-    r_list = _aligned(h, a_sorted, d_sorted, theta, v_right)
-    degenerate = False
-    if not r_list:
-        degenerate = True
-        r_list = [max(a_sorted, key=lambda a: (deg_d[a], -a))]
-    r_set = tuple(sorted(r_list))
+    r_set = tuple(_aligned(h, a_sorted, d_sorted, theta, v_right))
+    # With M the A x D incidence matrix, v = v_right and r_a row a of M
+    # normalized, sum_a deg_a (r_a . v)^2 = |Mv|^2 = sigma1^2, and
+    # sum_a deg_a = e_ad.  So some row has (r_a . v)^2 at least the weighted
+    # mean sigma1^2 / e_ad = 1 - theta^2 >= 1 - theta, and R is not empty.
+    if not r_set:
+        raise SupersatError("no aligned row: the top singular vector is wrong")
     e_uncovered = e_ad - int(deg_d[list(r_set)].sum())
     # the aligned rows carry almost all A-D edges
-    if not degenerate and e_uncovered > theta * e_ad + 1e-9:
+    if e_uncovered > theta * e_ad + 1e-9:
         raise SupersatError(f"aligned rows miss {e_uncovered} of {e_ad} A-D edges")
     found = dict(r_set=r_set, theta=theta, epsilon=eps, sigma1=sigma1,
                  e_ad=e_ad, e_uncovered=e_uncovered)
-    if not degenerate and len(r_set) >= t:
+    if len(r_set) >= t:
         d_star = int(deg_d[list(r_set)].min())
         floor_l = max(0, math.floor((1 - 2 * (t - 1) * theta) * d_star))
         bound = math.comb(len(r_set), t) * math.comb(floor_l, t)
@@ -430,7 +428,6 @@ def row_cover_analyze(
     return RowCoverOutcome(
         "cover",
         **found,
-        degenerate=degenerate,
         b_set=tuple(np.flatnonzero(b_mask).tolist()),
         e_ar_b=_between(ae & ~r_ends, b_mask[h.edge_array]),
         e_r_dnb=_between(r_ends, de & ~b_mask[h.edge_array]),
@@ -445,7 +442,7 @@ class SupersatConfig:
     eta: Optional[float] = None
     g_cut: float = 10.0  # heuristic finite-m proxy for "g = O(1)"
     frac_cut: float = 0.1  # heuristic dense-core threshold e_core >= frac_cut*m'
-    budget: int = 10**9
+    budget: int = WORK_BUDGET
 
 
 @dataclass(frozen=True)
@@ -470,17 +467,34 @@ class PipelineReport:
     notes: tuple[str, ...] = ()
 
 
-def _count_pattern(g: Graph, t: int, pattern: str, budget: int) -> CountResult:
-    if pattern == "ktt":
-        return count_ktt(g, t, budget=budget)
-    if pattern == "c2t":
-        return count_c2t(g, t, budget=budget)
-    raise SupersatError(f"unknown pattern {pattern!r}")
+class Pattern(NamedTuple):
+    """What the CLI, the pipeline and the sweep know about one pattern."""
+
+    graph: Callable[[int], Graph]  # t -> the pattern itself
+    count: Callable[..., CountResult]  # (host, t, budget=...) -> exact copies
+    work: Callable[[int, int], int]  # (n, t) -> `count`'s up-front estimate
+    sharp: Callable[[int], float]  # t -> the paper's sharp constant
+    copy_lower: Callable[[int, float, int, int], float]  # (t, lam, m, n) -> bound
+    gnm_expected: Optional[Callable[[int, int, int], float]]  # (n, m, t) -> mean
 
 
-def _sharp_constant(t: int, pattern: str) -> float:
-    c = constants(t)
-    return c.b_t if pattern == "ktt" else c.c_t
+# K_{t,t} with constant b_t, C_2t with c_t.  C_4 = K_{2,2} runs count_ktt;
+# for t >= 3 the c2t estimate n^2 understates the contraction's n^3 steps.
+PATTERNS = {
+    "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt, codegree_work,
+                   lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
+    "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
+                   lambda n, t: codegree_work(n, 2) if t == 2 else n * n,
+                   lambda t: constants(t).c_t,
+                   lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
+}
+
+
+def split_threshold(g: Graph, pd: PerronData, t: int) -> tuple[float, bool]:
+    """The split threshold lambda(S_{t-1,m}) of the m-edge host g with Perron
+    data pd, and whether pd.lam lies above it by more than 1e-12."""
+    thr = split_lambda(t - 1, g.edge_count)
+    return thr, bool(pd.lam > thr + 1e-12)
 
 
 def supersat_count(
@@ -493,14 +507,14 @@ def supersat_count(
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
-    if pattern not in ("ktt", "c2t"):
+    if pattern not in PATTERNS:
         raise SupersatError(f"unknown pattern {pattern!r}")
     if g.edge_count < 1:
         raise SupersatError("input graph has no edges")
+    rules = PATTERNS[pattern]
     m = g.edge_count
     pd = perron(g)
-    thr = split_lambda(t - 1, m)
-    above = bool(pd.lam > thr + 1e-12)
+    thr, above = split_threshold(g, pd, t)
     trace = heavy_prune(g, t, eta=config.eta) if above else None
     g_loc = acd = rowcover = count = method = lower = ratio = None
     notes: list[str] = []
@@ -516,7 +530,7 @@ def supersat_count(
         g_loc = localization_g(fpd, m_prime)
         nonisolated = [v for v in range(pruned.n) if pruned.degree(v) > 0]
         core, _ = pruned.induced_subgraph(nonisolated)
-        cr = _count_pattern(core, t, pattern, config.budget)
+        cr = rules.count(core, t, budget=config.budget)
         count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t
         if g_loc <= config.g_cut:
             branch = "delocalized"
@@ -543,10 +557,7 @@ def supersat_count(
                     else:
                         notes.append("row-cover skipped: empty A or D class")
         if acd is None:  # delocalized branches: bound copies from the spectrum
-            if pattern == "ktt":
-                lower = ktt_copy_lower(t, fpd.lam, m_prime, core.n)
-            else:
-                lower = c2t_copy_lower(t, fpd.lam, core.n)
+            lower = rules.copy_lower(t, fpd.lam, m_prime, core.n)
     return PipelineReport(
         t=t,
         pattern=pattern,
@@ -563,7 +574,7 @@ def supersat_count(
         count=count,
         count_method=method,
         copy_lower_bound=lower,
-        sharp_constant=_sharp_constant(t, pattern),
+        sharp_constant=rules.sharp(t),
         ratio=ratio,
         notes=tuple(notes),
     )

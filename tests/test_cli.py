@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON/CSV output, determinism, exits."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,7 +137,7 @@ class TestHomAndCheck:
         host.write_text(write_edge_list(complete(6)))
         # hom(C_30, K_6) = 5^30 + 5 is past 2^52, so it needs the exact rerun
         args = ["check", "--in", str(host), "--pattern", "c2t", "--t", "15"]
-        monkeypatch.setattr("sslab.homcounts._OBJECT_WORK", 100)
+        monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 100)
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: exact-integer contraction would take")
@@ -263,6 +264,36 @@ class TestSweep:
     def test_requires_seed(self):
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize(
+        "family", ["gnm-balanced", "split-t", "split-t-minus-1-perturbed"]
+    )
+    def test_work_estimate_sizes_the_host_it_builds(self, family, t):
+        from sslab.cli import _estimate_work, _sweep_host
+        from sslab.supersat import PATTERNS
+
+        for m in (50, 101, 600):
+            g, _ = _sweep_host(family, t, m, 0, 1)
+            for pattern, rules in PATTERNS.items():
+                assert _estimate_work(family, pattern, t, m) == rules.work(g.n, t)
+        if (family, t) == ("split-t-minus-1-perturbed", 3):
+            assert _sweep_host(family, t, 600, 0, 1)[0].n == 301
+            assert _estimate_work(family, "ktt", t, 600) == math.comb(301, 3)
+
+
+class TestInputPastTheIndexRange:
+    @pytest.mark.parametrize(
+        "text", ["# n=99999999999999999999\n0 1\n", "0 99999999999999999999\n"]
+    )
+    def test_is_a_clean_parse_error(self, tmp_path, capsys, text):
+        from sslab.cli import main
+
+        host = tmp_path / "huge.txt"
+        host.write_text(text)
+        assert main(["spectral", "--in", str(host)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "internal" not in err
 
 
 class TestUnexpectedErrors:

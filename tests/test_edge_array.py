@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sslab import Graph
 from sslab.graphs import (
     GraphError,
+    ParseError,
     complete,
     empty_graph,
     read_edge_list,
@@ -239,3 +240,51 @@ def test_edges_are_derived_once_and_agree_with_the_array():
     assert g.edges is g.edges
     assert g.sparse_adjacency() is g.sparse_adjacency()
     assert np.array_equal(np.array(g.edges, dtype=np.intp).reshape(-1, 2), g.edge_array)
+
+
+@pytest.mark.parametrize(
+    "edges, position",
+    [
+        ([(0, 1), (2, 2), (0, 7)], 1),
+        ([(0, 1), (1, 2), (0, 7)], 2),
+        ([(0, 1), (1, 2), (2, 1), (0, 1)], 2),  # the first repeat in input order
+        ([(0, 1), (0, 1), (0, 1)], 1),
+    ],
+)
+def test_error_names_the_input_position(edges, position):
+    with pytest.raises(GraphError) as exc:
+        Graph.from_edges(4, edges)
+    assert exc.value.position == position
+
+
+def test_vertex_count_past_the_index_range_rejected():
+    with pytest.raises(GraphError, match="past the index range") as exc:
+        Graph.from_edges(10**20, [(0, 10**20 - 1)])
+    assert exc.value.position is None
+    with pytest.raises(GraphError, match="past the index range"):
+        Graph.from_edges(np.iinfo(np.intp).max + 1, [])
+    assert Graph.from_edges(int(np.iinfo(np.intp).max), []).edge_count == 0
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # the reader checks syntax only; the rest is from_edges's, in its order
+        ("0 1\n1 0\n2 2\n", 3, "loop at vertex 2"),
+        ("# n=3\n0 1\n1 0\n0 5\n", 4, "edge (0,5) out of range for n=3"),
+        ("# n=2\n0 5\n", 2, "edge (0,5) out of range for n=2"),
+        ("0 1\n\n# note\n1 2\n2 1\n", 5, "duplicate edge"),
+        ("# n=-1\n", 1, "vertex count must be nonnegative"),
+        ("0 1\n# n=99999999999999999999\n", 2, "vertex count 99999999999999999999 past"),
+        # without a header n is the largest endpoint + 1, within the index range
+        ("0 1\n1 99999999999999999999\n2 3\n", 2,
+         f"edge (1,99999999999999999999) out of range for n={np.iinfo(np.intp).max}"),
+        ("0 1\n-1 2\n", 2, "edge (-1,2) out of range for n=3"),
+        ("-5 -3\n", 1, "edge (-5,-3) out of range for n=0"),
+    ],
+)
+def test_reader_reports_validation_errors_at_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        read_edge_list(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: {message}")

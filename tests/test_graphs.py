@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslab import (
-    FamilyRequest,
     Graph,
     SplitSpec,
     combine,
@@ -29,7 +28,7 @@ from sslab import (
     union,
     write_edge_list,
 )
-from sslab.graphs import CapExceededError, GraphError, ParseError
+from sslab.graphs import CapExceededError, GraphError, ParseError, _edge_unrank
 
 
 class TestGraphBasics:
@@ -146,19 +145,20 @@ class TestFamilies:
         assert complete_bipartite(3, 4).edge_count == 12
 
     def test_make_family_dispatch(self):
-        assert make_family(FamilyRequest("split", (2, 9))).edge_count == 9
-        assert make_family(FamilyRequest("cycle", (6,))).is_cycle_graph()
-        assert make_family(FamilyRequest("clique", (4,))).edge_count == 6
-        g = make_family(FamilyRequest("gnm", (8, 5), seed=3))
+        assert make_family("split", (2, 9)).edge_count == 9
+        assert make_family("cycle", (6,)).is_cycle_graph()
+        assert make_family("clique", (4,)).edge_count == 6
+        assert make_family("star", (3,)) == star(3)
+        g = make_family("gnm", (8, 5), seed=3)
         assert g.edge_count == 5
 
     def test_make_family_validation(self):
         with pytest.raises(GraphError):
-            make_family(FamilyRequest("cycle", (2,)))
+            make_family("cycle", (2,))
         with pytest.raises(GraphError):
-            make_family(FamilyRequest("gnm", (8, 5)))  # missing seed
+            make_family("gnm", (8, 5))  # missing seed
         with pytest.raises(GraphError):
-            make_family(FamilyRequest("nope", (1,)))
+            make_family("nope", (1,))
 
 
 class TestSampling:
@@ -187,6 +187,30 @@ class TestSampling:
         expect = samples * p
         for c in counts.values():
             assert abs(c - expect) <= 5 * sigma
+
+
+class TestEdgeUnrank:
+    @staticmethod
+    def loop_unrank(rank):
+        # the defining search: the largest v with C(v, 2) <= rank
+        v = 1
+        while (v + 1) * v // 2 <= rank:
+            v += 1
+        return rank - v * (v - 1) // 2, v
+
+    def test_matches_the_search_below_1e5(self):
+        assert all(_edge_unrank(r) == self.loop_unrank(r) for r in range(10**5))
+
+    def test_ranks_near_2_62(self):
+        # too far for the search: check C(v, 2) <= rank < C(v + 1, 2) instead,
+        # on both sides of the colex boundaries around 2^62
+        top = (1 + math.isqrt(8 * 2**62 + 1)) // 2
+        ranks = [2**62 + d for d in range(-50, 50)]
+        ranks += [math.comb(v, 2) + d for v in range(top - 3, top + 3) for d in (-1, 0, 1)]
+        for r in ranks:
+            u, v = _edge_unrank(r)
+            assert 0 <= u < v
+            assert math.comb(v, 2) + u == r
 
 
 class TestAlgebra:

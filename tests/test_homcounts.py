@@ -208,7 +208,7 @@ class TestClosedWalks:
     def test_bigint_rerun_has_a_work_budget(self, monkeypatch):
         # C_30 on K_6 reruns on Python ints (see above): 28 sum steps with
         # two-axis results at 6^3 operations each, one at 6^2, one at 6
-        monkeypatch.setattr("sslab.homcounts._OBJECT_WORK", 100)
+        monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 100)
         with pytest.raises(BudgetExceededError) as err:
             closed_walk_count(complete(6), 30)
         assert err.value.estimate == 28 * 6**3 + 6**2 + 6

@@ -18,9 +18,11 @@ from sslab import (
     row_cover_analyze,
     split_lambda,
     supersat_count,
+    top_singular,
     verify_T,
 )
 from sslab.graphs import (
+    GraphError,
     complete,
     complete_bipartite,
     cycle,
@@ -29,6 +31,7 @@ from sslab.graphs import (
     star,
     union,
 )
+from sslab.spectra import SpectraError
 from sslab.supersat import (
     NotHeavyError,
     SupersatError,
@@ -260,13 +263,34 @@ class TestAlignedRowsAndCover:
                 rc = row_cover_analyze(g, a_set, d_set, 2)
             except SupersatError:
                 continue  # no A-D edges
-            if not rc.degenerate:
-                assert rc.e_uncovered <= rc.theta * rc.e_ad + 1e-9
+            # some row reaches the weighted mean alignment, so R is never empty
+            assert rc.r_set and not rc.degenerate
+            assert rc.e_uncovered <= rc.theta * rc.e_ad + 1e-9
             if rc.variant == "cover" and rc.r_set and rc.b_set:
                 # bipartite graph between R and B is complete
                 for a in rc.r_set:
                     for b in rc.b_set:
                         assert g.has_edge(a, b)
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_vertex_ids_outside_the_graph_rejected(self, bad):
+        # numpy indexing would wrap -1 around to vertex 6
+        g = complete_bipartite(2, 5)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range for n=7"):
+            row_cover_analyze(g, [0, bad], [2, 3, 4, 5], 2)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            row_cover_analyze(g, [0, 1], [2, 3, 4, bad], 2)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            aligned_rows(g, [0, bad], [2, 3, 4, 5], 0.5)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            top_singular([0, 1], [2, 3, bad], g)
+
+    def test_sides_are_checked_by_top_singular(self):
+        g = complete_bipartite(2, 5)
+        with pytest.raises(SpectraError, match="disjoint"):
+            aligned_rows(g, [0, 1], [1, 2, 3], 0.5)
+        with pytest.raises(SpectraError, match="empty"):
+            aligned_rows(g, [], [2, 3], 0.5)
 
     def test_no_ad_edges_rejected(self):
         with pytest.raises(SupersatError):
