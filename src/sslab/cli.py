@@ -330,7 +330,7 @@ def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
 
 
 def _estimate_work(family: str, pattern: str, t: int, m: int) -> int:
-    return supersat.PATTERNS[pattern].work(_sweep_n(family, t, m), t)
+    return supersat.PATTERNS[pattern].work(_sweep_n(family, t, m), m, t)
 
 
 def _sweep_row(family: str, pattern: str, t: int, m: int, sample: int, seed: int):

@@ -19,6 +19,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 
+# the largest vertex count: the CSR's row pointer has n + 1 np.intp entries,
+# and numpy cannot address an array of more than the np.intp maximum in bytes
+MAX_VERTICES = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize - 1
+
+
 class GraphError(ValueError):
     def __init__(self, message: str, position: Optional[int] = None):
         super().__init__(message)
@@ -60,7 +65,7 @@ class Graph:
         the error's `position` is the offending edge's index in the input."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if n > np.iinfo(np.intp).max:
+        if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} past the index range")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
@@ -447,9 +452,9 @@ def read_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"non-integer endpoint in {line!r}", lineno)
         lines.append(lineno)
-    if n is None:  # the largest endpoint fixes n, within 0..the index range
+    if n is None:  # the largest endpoint fixes n, within 0..MAX_VERTICES
         top = max(map(max, pairs), default=-1)
-        n = min(max(top + 1, 0), int(np.iinfo(np.intp).max))
+        n = min(max(top + 1, 0), MAX_VERTICES)
     try:
         return Graph.from_edges(n, pairs)
     except GraphError as exc:

@@ -10,8 +10,10 @@ Three engines, every result an exact Python int:
   (t >= 3) all run on it.  The cycle counter uses the spasm identity
   inj(C_2t, G) = sum_q mu_q hom(q, G) over the loop-free quotients q of C_2t
   (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.
-- codegree (`count_ktt`): bitset common-neighbourhood counts, which need no
-  n x n matrix.  `count_c2t` at t=2 calls it too, since C_4 = K_{2,2}.
+- codegree (`count_ktt`): common-neighbourhood counts, which need no n x n
+  matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
+  Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
+  CSR adjacency; at t>=3 a bitset recursion over vertex subsets.
 - backtracking (`hom_count`, `inj_count`, `aut_order`): plain enumeration,
   kept as the independent oracle the other two are tested against.
 
@@ -340,27 +342,87 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
 # -- codegree counters -----------------------------------------------------
 
 
-def codegree_work(n: int, t: int) -> int:
-    """`count_ktt`'s up-front work estimate: the t-subsets of n vertices."""
+def codegree_work(n: int, m: int, t: int) -> int:
+    """Up-front bound on `count_ktt`'s work on a host with n vertices and m
+    edges.  t = 2: Chiba-Nishizeki's 2m * ceil(sqrt(2m + n) / 2), which
+    bounds the wedge steps, the sum over edges uv of min(d_u, d_v), since
+    that sum is at most 2m times the arboricity and the arboricity is at
+    most ceil(sqrt(2m + n) / 2).  t >= 3: the t-subsets of n vertices."""
+    if t == 2:
+        root = math.isqrt(2 * m + n)
+        root += root * root < 2 * m + n  # ceil(sqrt(2m + n))
+        return 2 * m * ((root + 1) // 2)
     return math.comb(n, t) if n >= t else 0
 
 
-def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
-    """Exact number of unlabeled K_{t,t} copies.
+def wedge_work(g: Graph) -> int:
+    """The C4 kernel's work, known from the degrees: the sum over edges uv
+    of min(d_u, d_v), one step per wedge v-u-w with u ranked below v."""
+    deg = np.diff(g.sparse_adjacency().indptr)
+    e = g.edge_array
+    return int(np.minimum(deg[e[:, 0]], deg[e[:, 1]]).sum())
 
-    Codegree formula (1/2) * sum over t-subsets S of C(codeg(S), t), with
-    codeg(S) the common-neighborhood size.  Each copy is counted once per
-    side; loops are impossible, so a subset is always disjoint from its
-    common neighborhood and the two sides of a copy are distinct subsets,
-    giving exactly the factor 2.  Subsets are enumerated in colex-style
-    recursive order with early termination once the running common
-    neighborhood drops below t; the last level is one pass over a table of
-    C(c, t).  `budget` bounds the vertices tried over all levels.
+
+def _pair_total(codegrees: np.ndarray) -> int:
+    """Exact sum of C(c, 2) over float64 codegrees.  The int64 arithmetic
+    runs only after a range guard: with k codegrees up to c, every term and
+    the sum are at most k * C(c, 2), kept below 2^62 (so every c is below
+    2^32 and held exactly), else `CountError`."""
+    if not codegrees.size:
+        return 0
+    top = float(codegrees.max())
+    if codegrees.size * top * (top - 1) / 2 >= 2.0**62:
+        raise CountError(
+            f"{codegrees.size} codegrees up to {top:.0f} may pass the int64 range"
+        )
+    c = codegrees.astype(np.int64)
+    return int((c * (c - 1) // 2).sum())
+
+
+def _count_c4(g: Graph) -> int:
+    """Chiba-Nishizeki's degree-ordered C4 count.  Rank the vertices by
+    (degree, id) and let L hold the edges from each vertex to its lower-ranked
+    neighbours.  (L @ A)[v, w] counts the u ranked below v adjacent to both,
+    so summing C((L @ A)[v, w], 2) over w ranked below v counts each C4 once,
+    at its top-ranked vertex v with w opposite it."""
+    a = g.sparse_adjacency()
+    deg = np.diff(a.indptr)
+    rank = np.empty(g.n, dtype=np.intp)
+    rank[np.lexsort((np.arange(g.n), deg))] = np.arange(g.n)
+    rows = np.repeat(rank, deg)  # the rank of each entry's row vertex
+    lower = a.copy()
+    lower.data = (rank[a.indices] < rows).astype(np.float64)
+    lower.eliminate_zeros()
+    w = (lower @ a).tocoo()
+    # entries are sums of 0/1 products, integers at most n, exact in float64
+    return _pair_total(w.data[rank[w.col] < rank[w.row]])
+
+
+def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
+    """Exact number of unlabeled K_{t,t} copies, by codegrees.
+
+    t = 2: `_count_c4`, which takes `wedge_work(g)` steps; the count is
+    refused up front when that exceeds `budget`.
+
+    t >= 3: (1/2) * sum over t-subsets S of C(codeg(S), t), with codeg(S)
+    the common-neighborhood size.  Each copy is counted once per side; loops
+    are impossible, so a subset is always disjoint from its common
+    neighborhood and the two sides of a copy are distinct subsets, giving
+    exactly the factor 2.  Subsets are enumerated over `adjacency_bits` in
+    colex-style recursive order with early termination once the running
+    common neighborhood drops below t; the last level is one pass over a
+    table of C(c, t).  `budget` bounds the vertices tried over all levels,
+    and the count is refused up front when `codegree_work` exceeds it.
     """
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
     t0 = time.perf_counter()
-    estimate = codegree_work(g.n, t)
+    if t == 2:
+        work = wedge_work(g)
+        if work > budget:
+            raise BudgetExceededError(f"count_ktt would take {work} wedge steps", work)
+        return CountResult(_count_c4(g), "codegree", time.perf_counter() - t0)
+    estimate = codegree_work(g.n, g.edge_count, t)
     if estimate > budget:
         raise BudgetExceededError(
             f"count_ktt would enumerate ~{estimate} subsets", estimate
@@ -472,10 +534,12 @@ def _cycle_quotients(t: int) -> tuple:
 def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
-    t=2: C_4 = K_{2,2}, so `count_ktt`'s codegree formula (1/2) sum over
-    vertex pairs of C(codeg, 2).  t>=3: inj(C_2t) from the hom counts of the
-    cycle's quotients, divided by |Aut(C_2t)| = 4t.  `budget` is passed to
-    `count_ktt` at t=2.
+    t=2: C_4 = K_{2,2}, so `count_ktt`'s degree-ordered codegree count:
+    the sum, over vertices v and lower-ranked w, of C(c, 2) with c the
+    common neighbours of v and w ranked below v.  t>=3: inj(C_2t) from the
+    hom counts of the cycle's quotients, divided by |Aut(C_2t)| = 4t.
+    `budget` is passed to `count_ktt` at t=2, which refuses hosts whose
+    wedge work exceeds it.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")

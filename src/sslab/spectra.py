@@ -40,7 +40,8 @@ class PerronData:
     """Spectral radius and Perron vector of a graph.
 
     `x` is supported on the component `component_id` that attains `lam`.
-    `iterations` counts the solver iterations spent producing this data.
+    `iterations` counts the solver iterations spent producing this data; it
+    is 0 when `_Block.resolve` answered from its memo, since no solver ran.
     `margin` is lam minus the largest spectral radius among the other
     components that have an edge (inf when there is none); deleting an edge
     outside this component can only lower the others, so it cannot shrink.
@@ -117,7 +118,15 @@ class _Block:
     """One component of a graph: its sorted vertex list `idx`, its block of
     the CSR adjacency, and the solver perron runs on it (dense power
     iteration up to 64 vertices, Lanczos above).  The block stays valid for
-    as long as no edge inside the component changes."""
+    as long as no edge inside the component changes.
+
+    The block remembers its last solve: the exact bytes of the start vector,
+    tol, max_iter and the result.  The solve is a pure function of those and
+    the block, so a call that builds the same start bytes gets a copy of the
+    stored result, with 0 iterations, and no solver runs.  Warm re-solves
+    from the previous x reach a bitwise fixed point on star-like blocks, so
+    `heavy_prune` deleting edges outside such a component hits this memo on
+    almost every step."""
 
     def __init__(self, a, comp: Sequence[int]):
         self.idx = list(comp)
@@ -126,6 +135,7 @@ class _Block:
             self._solve, self._adj = _lanczos_top, block
         else:
             self._solve, self._adj = _power_iterate, block.toarray()
+        self._last = None  # ((start bytes, tol, max_iter), solver result)
 
     def solve(self, x0, tol: float, max_iter: int):
         """(lam, xs, residual, iterations), warm-started from x0 restricted
@@ -136,7 +146,12 @@ class _Block:
             cand = np.asarray(x0, dtype=float)[self.idx]
             if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
                 start = cand / np.linalg.norm(cand)
-        return self._solve(self._adj, start, tol, max_iter)
+        key = (start.tobytes(), tol, max_iter)
+        hit = self._last is not None and self._last[0] == key
+        if not hit:
+            self._last = (key, self._solve(self._adj, start, tol, max_iter))
+        lam, xs, res, iters = self._last[1]
+        return lam, xs.copy(), res, 0 if hit else iters
 
     def unit_vector(self, n: int, xs: np.ndarray) -> np.ndarray:
         """xs clipped at 0 and normalized, on this component of an n-vector."""

@@ -76,8 +76,10 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     component, when that component leads every other by more than
     _TIE_MARGIN relative to lam, only its cached block is re-solved: the
     deletion cannot raise another component's lam, so `perron` would choose
-    the same component and compute the same lam and x on it.  A full solve
-    resumes at the first deletion inside the component.
+    the same component and compute the same lam and x on it; once those
+    warm re-solves reach a bitwise fixed point, the block's memo returns it
+    without running the solver.  A full solve resumes at the first deletion
+    inside the component.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -472,19 +474,20 @@ class Pattern(NamedTuple):
 
     graph: Callable[[int], Graph]  # t -> the pattern itself
     count: Callable[..., CountResult]  # (host, t, budget=...) -> exact copies
-    work: Callable[[int, int], int]  # (n, t) -> `count`'s up-front estimate
+    work: Callable[[int, int, int], int]  # (n, m, t) -> bound on `count`'s work
     sharp: Callable[[int], float]  # t -> the paper's sharp constant
     copy_lower: Callable[[int, float, int, int], float]  # (t, lam, m, n) -> bound
     gnm_expected: Optional[Callable[[int, int, int], float]]  # (n, m, t) -> mean
 
 
-# K_{t,t} with constant b_t, C_2t with c_t.  C_4 = K_{2,2} runs count_ktt;
-# for t >= 3 the c2t estimate n^2 understates the contraction's n^3 steps.
+# K_{t,t} with constant b_t, C_2t with c_t.  C_4 = K_{2,2} runs count_ktt,
+# whose t = 2 work codegree_work bounds from n and m; for t >= 3 the c2t
+# estimate n^2 understates the contraction's n^3 steps.
 PATTERNS = {
     "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt, codegree_work,
                    lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
     "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
-                   lambda n, t: codegree_work(n, 2) if t == 2 else n * n,
+                   lambda n, m, t: codegree_work(n, m, 2) if t == 2 else n * n,
                    lambda t: constants(t).c_t,
                    lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
 }

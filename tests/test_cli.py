@@ -276,7 +276,8 @@ class TestSweep:
         for m in (50, 101, 600):
             g, _ = _sweep_host(family, t, m, 0, 1)
             for pattern, rules in PATTERNS.items():
-                assert _estimate_work(family, pattern, t, m) == rules.work(g.n, t)
+                assert g.edge_count == m
+                assert _estimate_work(family, pattern, t, m) == rules.work(g.n, m, t)
         if (family, t) == ("split-t-minus-1-perturbed", 3):
             assert _sweep_host(family, t, 600, 0, 1)[0].n == 301
             assert _estimate_work(family, "ktt", t, 600) == math.comb(301, 3)
@@ -284,7 +285,14 @@ class TestSweep:
 
 class TestInputPastTheIndexRange:
     @pytest.mark.parametrize(
-        "text", ["# n=99999999999999999999\n0 1\n", "0 99999999999999999999\n"]
+        "text",
+        [
+            "# n=99999999999999999999\n0 1\n",
+            "0 99999999999999999999\n",
+            # within np.intp, but n + 1 row pointers are past numpy's array size
+            "# n=9223372036854775807\n0 1\n",
+            "# n=2305843009213693952\n0 1\n",
+        ],
     )
     def test_is_a_clean_parse_error(self, tmp_path, capsys, text):
         from sslab.cli import main

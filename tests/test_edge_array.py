@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sslab import Graph
 from sslab.graphs import (
+    MAX_VERTICES,
     GraphError,
     ParseError,
     complete,
@@ -261,9 +262,11 @@ def test_vertex_count_past_the_index_range_rejected():
     with pytest.raises(GraphError, match="past the index range") as exc:
         Graph.from_edges(10**20, [(0, 10**20 - 1)])
     assert exc.value.position is None
-    with pytest.raises(GraphError, match="past the index range"):
-        Graph.from_edges(np.iinfo(np.intp).max + 1, [])
-    assert Graph.from_edges(int(np.iinfo(np.intp).max), []).edge_count == 0
+    # n + 1 np.intp row pointers must fit in an addressable array
+    for n in (np.iinfo(np.intp).max + 1, int(np.iinfo(np.intp).max), 2**61, MAX_VERTICES + 1):
+        with pytest.raises(GraphError, match="past the index range"):
+            Graph.from_edges(n, [])
+    assert Graph.from_edges(MAX_VERTICES, []).edge_count == 0
 
 
 @pytest.mark.parametrize(
@@ -278,7 +281,7 @@ def test_vertex_count_past_the_index_range_rejected():
         ("0 1\n# n=99999999999999999999\n", 2, "vertex count 99999999999999999999 past"),
         # without a header n is the largest endpoint + 1, within the index range
         ("0 1\n1 99999999999999999999\n2 3\n", 2,
-         f"edge (1,99999999999999999999) out of range for n={np.iinfo(np.intp).max}"),
+         f"edge (1,99999999999999999999) out of range for n={MAX_VERTICES}"),
         ("0 1\n-1 2\n", 2, "edge (-1,2) out of range for n=3"),
         ("-5 -3\n", 1, "edge (-5,-3) out of range for n=0"),
     ],

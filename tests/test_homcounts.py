@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from sslab import (
 )
 from sslab.graphs import (
     Graph,
+    SplitSpec,
     complete,
     complete_bipartite,
     cycle,
@@ -38,7 +40,10 @@ from sslab.homcounts import (
     BudgetExceededError,
     CountError,
     PatternTooLargeError,
+    _pair_total,
     _plan,
+    codegree_work,
+    wedge_work,
 )
 from conftest import random_graph
 
@@ -271,13 +276,23 @@ class TestCompleteBipartite:
 
         return rec(0, 0, 0)
 
+    @staticmethod
+    def _wedge_work(g):
+        """The wedge steps of the t = 2 kernel: each edge is walked from its
+        higher-ranked end, one step per neighbour of the lower-ranked end."""
+        rank = {v: (g.degree(v), v) for v in range(g.n)}
+        return sum(g.degree(min(e, key=rank.get)) for e in g.edges)
+
     @pytest.mark.parametrize("t", [2, 3])
     def test_budget_is_the_total_work(self, t):
         for s in range(12):
             g = random_graph(8100 + s, 12)
-            work = self._subset_work(g, t)
-            if work < math.comb(g.n, t):
-                continue  # the up-front estimate would refuse first
+            if t == 2:
+                work = self._wedge_work(g)
+            else:
+                work = self._subset_work(g, t)
+                if work < math.comb(g.n, t):
+                    continue  # the up-front estimate would refuse first
             assert count_ktt(g, t, budget=work).value == count_ktt(g, t).value
             with pytest.raises(BudgetExceededError):
                 count_ktt(g, t, budget=work - 1)
@@ -328,6 +343,83 @@ class TestEvenCycles:
         assert count_c2t(cycle(6), 3).value == 1
         assert count_c2t(cycle(8), 4).value == 1
         assert count_c2t(cycle(8), 2).value == 0
+
+
+@st.composite
+def c4_hosts(draw, n_max=40):
+    """Hosts for the degree-ordered C4 kernel: edgeless, stars, split
+    graphs, split graphs with one edge between independent vertices, and
+    G(n,m) up to complete, each padded with a drawn number of isolated
+    vertices."""
+    kind = draw(st.sampled_from(["edgeless", "star", "split", "perturbed", "gnm"]))
+    if kind == "edgeless":
+        g = Graph.from_edges(0, [])
+    elif kind == "star":
+        g = star(draw(st.integers(1, n_max)))
+    elif kind in ("split", "perturbed"):
+        k = draw(st.integers(1, 4))
+        m = draw(st.integers(k * (k - 1) // 2 + 1, 6 * n_max))
+        g = split_graph(k, m)
+        spec = SplitSpec(k, m)
+        if kind == "perturbed" and g.n - spec.indep_start >= 2:
+            u, v = draw(st.lists(st.integers(spec.indep_start, g.n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            g = Graph.from_edges(g.n, list(g.edges) + [(u, v)])
+    else:
+        n = draw(st.integers(2, n_max))
+        m = draw(st.integers(0, n * (n - 1) // 2))
+        g = sample_gnm(n, m, draw(st.integers(0, 2**32)))
+    pad = draw(st.integers(0, 3))
+    return Graph.from_edges(g.n + pad, g.edges)
+
+
+def networkx_c4(g: Graph) -> int:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    return sum(len(c) == 4 for c in nx.simple_cycles(ref, length_bound=4))
+
+
+class TestC4Kernel:
+    """`count_ktt(g, 2)` and `count_c2t(g, 2)` run Chiba-Nishizeki's
+    degree-ordered wedge count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c4_hosts())
+    def test_matches_networkx(self, g):
+        value = networkx_c4(g)
+        assert count_c2t(g, 2).value == value
+        assert count_ktt(g, 2).value == value
+
+    @settings(max_examples=40, deadline=None)
+    @given(c4_hosts(n_max=9))
+    def test_matches_backtracking(self, g):
+        assert count_ktt(g, 2).value == inj_count(cycle(4), g).value // 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(c4_hosts())
+    def test_sweep_bound_covers_the_wedge_work(self, g):
+        assert wedge_work(g) <= codegree_work(g.n, g.edge_count, 2)
+
+    def test_pair_counts_do_not_bound_dense_work(self):
+        g = sample_gnm(61, 1000, 0)
+        assert math.comb(61, 2) < wedge_work(g) <= codegree_work(61, 1000, 2)
+
+    def test_split_host_past_the_old_pair_scan(self):
+        # S_{2,200001}: K_2 joined to 100000 independent vertices, about
+        # 5 * 10^9 vertex pairs, 500001 wedge steps
+        g = split_graph(2, 200001)
+        assert wedge_work(g) == 500001
+        assert count_c2t(g, 2).value == math.comb(100000, 2)
+
+    def test_pair_total_guards_the_int64_range(self):
+        assert _pair_total(np.array([])) == 0
+        assert _pair_total(np.array([0.0, 1.0, 2.0, 5.0])) == 11
+        assert _pair_total(np.array([2.0**31])) == math.comb(2**31, 2)
+        with pytest.raises(CountError, match="int64"):
+            _pair_total(np.array([2.0**32]))
+        with pytest.raises(CountError, match="int64"):
+            _pair_total(np.full(2**12, 2.0**26))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Incremental heavy-edge pruning: after a deletion outside the Perron
-component, `heavy_prune` re-solves only that component's block.  Checked
+component, `heavy_prune` re-solves only that component's block, and the
+block skips the solver when the start vector repeats bit for bit.  Checked
 against the plain loop that calls `perron` on the whole graph every step,
 which must give the same deletions, lambdas and Perron vectors bit for bit."""
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslab.graphs import Graph, cycle, path, sample_gnm, star, union
-from sslab.spectra import perron, split_lambda
+from sslab import spectra
+from sslab.graphs import Graph, complete, cycle, path, sample_gnm, star, union
+from sslab.spectra import _Block, perron, split_lambda
 from sslab.supersat import PruneStep, heavy_prune, heavy_violations
 
 
@@ -61,6 +63,20 @@ def counting_perron(monkeypatch):
 
     monkeypatch.setattr("sslab.supersat.perron", counted)
     return calls
+
+
+def counting_solvers(monkeypatch):
+    """Every run of a block solver (`_Block` picks one when it is built)."""
+    runs = []
+    for name in ("_lanczos_top", "_power_iterate"):
+        solver = getattr(spectra, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            runs.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, name, counted)
+    return runs
 
 
 @st.composite
@@ -129,9 +145,49 @@ def test_tied_components_take_the_full_solve(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_deletions_outside_the_perron_component_need_one_solve(monkeypatch, seed):
     calls = counting_perron(monkeypatch)
+    runs = counting_solvers(monkeypatch)
     trace = heavy_prune(union(star(200), sample_gnm(100, 220, seed)), 2)
     assert len(trace.steps) == 220
     assert len(calls) == 1
+    # the star's warm re-solves reach a bitwise fixed point within a few
+    # steps, and the memo answers the rest: without it, one run per
+    # component in `perron` and 220 on the star's block
+    assert len(runs) <= 10
+
+
+def _solve_bytes(g: Graph, start: np.ndarray) -> bytes:
+    comp = max(g.components, key=len)
+    lam, xs, res, iters = _Block(g.sparse_adjacency(), comp).solve(start, 1e-10, 100000)
+    return np.float64(lam).tobytes() + xs.tobytes() + np.float64(res).tobytes()
+
+
+@pytest.mark.parametrize("host", [star(200), union(star(40), complete(6))])
+def test_block_solve_is_a_pure_function_of_its_start(host):
+    # a memo keyed on the start is exact only if nothing else the process
+    # solved in between can move the result
+    start = np.linspace(1.0, 2.0, host.n)
+    before = _solve_bytes(host, start)
+    for other in (star(150), star(300), sample_gnm(120, 400, 5), union(star(40), cycle(9))):
+        perron(other)
+        _solve_bytes(other, np.linspace(1.0, 2.0, other.n))
+    assert _solve_bytes(host, start) == before
+
+
+def test_memo_hit_returns_a_copy_and_no_iterations():
+    g = star(30)  # dense power iteration, which reports its iterations
+    block = _Block(g.sparse_adjacency(), g.components[0])
+    runs = []
+    solver = block._solve
+    block._solve = lambda *args: runs.append(1) or solver(*args)
+    lam, xs, res, iters = block.solve(None, 1e-10, 100000)
+    assert iters > 0
+    xs[:] = -1.0  # the caller's copy, not the memo's
+    again = block.solve(None, 1e-10, 100000)
+    assert len(runs) == 1
+    assert again[0] == lam and again[2] == res and again[3] == 0
+    assert np.all(again[1] > 0)
+    block.solve(None, 1e-9, 100000)  # another tol is another solve
+    assert len(runs) == 2
 
 
 def test_margin():
