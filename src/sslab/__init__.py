@@ -8,7 +8,6 @@ certificates, tensor-power regular subgraphs, and exact subgraph counting.
 from .graphs import (
     Graph,
     SplitSpec,
-    combine,
     complete,
     complete_bipartite,
     cycle,

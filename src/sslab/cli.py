@@ -357,8 +357,12 @@ def cmd_sweep(args) -> int:
         start, stop, step = (int(x) for x in args.m_range.split(":"))
     except ValueError:
         raise UsageError("--m-range must be start:stop:step")
+    if start < 1:
+        raise UsageError("--m-range start must be >= 1")
     if step <= 0:
         raise UsageError("sweep step must be > 0")
+    if args.t < 2:
+        raise UsageError("sweep needs --t >= 2")
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
     # rows come out sorted by (family, m, sample)

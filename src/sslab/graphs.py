@@ -213,14 +213,6 @@ class Graph:
         side1 = tuple(v for v in range(self.n) if color[v] == 1)
         return side0, side1
 
-    def is_cycle_graph(self) -> bool:
-        """Cheap certificate: connected and 2-regular."""
-        if self.n < 3 or self.edge_count != self.n:
-            return False
-        if any(d != 2 for d in self.degrees):
-            return False
-        return len(self.components) == 1
-
 
 # -- split graphs ----------------------------------------------------------
 
@@ -405,14 +397,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     base = union(g1, g2)
     cross = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
     return Graph.from_edges(base.n, list(base.edges) + cross)
-
-
-def combine(op: str, g1: Graph, g2: Graph) -> Graph:
-    if op == "union":
-        return union(g1, g2)
-    if op == "join":
-        return join(g1, g2)
-    raise GraphError(f"unknown combine op {op!r}")
 
 
 # -- serialization ---------------------------------------------------------

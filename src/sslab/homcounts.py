@@ -27,7 +27,6 @@ fails, so no result depends on `assert`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -60,7 +59,6 @@ class BudgetExceededError(CountError):
 class CountResult:
     value: int
     method: str
-    elapsed: float
 
 
 # -- generic backtracking (the test oracle) --------------------------------
@@ -132,15 +130,11 @@ def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
 
 
 def hom_count(h: Graph, g: Graph, limit: int = 10) -> CountResult:
-    t0 = time.perf_counter()
-    value = _count_maps(h, g, injective=False, limit=limit)
-    return CountResult(value, "backtracking", time.perf_counter() - t0)
+    return CountResult(_count_maps(h, g, injective=False, limit=limit), "backtracking")
 
 
 def inj_count(h: Graph, g: Graph, limit: int = 10) -> CountResult:
-    t0 = time.perf_counter()
-    value = _count_maps(h, g, injective=True, limit=limit)
-    return CountResult(value, "backtracking", time.perf_counter() - t0)
+    return CountResult(_count_maps(h, g, injective=True, limit=limit), "backtracking")
 
 
 def aut_order(h: Graph, limit: int = 10) -> int:
@@ -312,12 +306,10 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     operations (about n^3 per step, n times that under each conditioning)
     raises `BudgetExceededError` before it starts.
     """
-    t0 = time.perf_counter()
     for u, v in edges:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
-    value = _contract(n_vars, edges, g.adjacency_matrix())
-    return CountResult(value, "contraction", time.perf_counter() - t0)
+    return CountResult(_contract(n_vars, edges, g.adjacency_matrix()), "contraction")
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
@@ -325,10 +317,8 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     C_1 a loop and C_2 a double edge."""
     if length < 1:
         raise CountError("walk length must be >= 1")
-    t0 = time.perf_counter()
     edges = [(i, (i + 1) % length) for i in range(length)]
-    value = _contract(length, edges, g.adjacency_matrix())
-    return CountResult(value, "trace-power", time.perf_counter() - t0)
+    return CountResult(_contract(length, edges, g.adjacency_matrix()), "trace-power")
 
 
 def hom_complete_bipartite(g: Graph, t: int) -> int:
@@ -416,12 +406,11 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     """
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
-    t0 = time.perf_counter()
     if t == 2:
         work = wedge_work(g)
         if work > budget:
             raise BudgetExceededError(f"count_ktt would take {work} wedge steps", work)
-        return CountResult(_count_c4(g), "codegree", time.perf_counter() - t0)
+        return CountResult(_count_c4(g), "codegree")
     estimate = codegree_work(g.n, g.edge_count, t)
     if estimate > budget:
         raise BudgetExceededError(
@@ -451,7 +440,7 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     rec(0, 0, 0)
     if doubled % 2:
         raise CountError(f"odd doubled K_{{t,t}} count {doubled}")
-    return CountResult(doubled // 2, "codegree", time.perf_counter() - t0)
+    return CountResult(doubled // 2, "codegree")
 
 
 # -- even cycles by partition-Moebius inversion ----------------------------
@@ -543,13 +532,12 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
-    t0 = time.perf_counter()
     if g.n < 2 * t or g.edge_count < 2 * t:
-        return CountResult(0, "codegree" if t == 2 else "walk-moebius", 0.0)
+        return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
         return count_ktt(g, 2, budget=budget)
     a = g.adjacency_matrix()
     inj = sum(mu * _contract(k, edges, a) for k, edges, mu in _cycle_quotients(t))
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
-    return CountResult(inj // (4 * t), "walk-moebius", time.perf_counter() - t0)
+    return CountResult(inj // (4 * t), "walk-moebius")

@@ -167,7 +167,7 @@ def ktt_copy_lower(t: int, lam: float, m: int, n: int) -> float:
     May be negative; the caller clamps."""
     if t < 2 or m < 1 or n < 0 or lam < 0:
         raise SidorenkoError("ktt_copy_lower: bad arguments")
-    b_t = 2.0 ** (-((t - 1) ** 2)) / math.factorial(t) ** 2
+    b_t = constants(t).b_t
     err = math.comb(2 * t, 2) / (2 * math.factorial(t) ** 2)
     return b_t * (lam * lam / m) ** (t * (t - 1)) * float(m) ** t - err * float(n) ** (
         2 * t - 1

@@ -345,19 +345,14 @@ def aligned_rows(
 
 def _aligned(h: Graph, a_sorted: list, d_sorted: list, theta: float, v_right) -> list:
     """The rows of A whose normalized D-incidence row has squared inner
-    product >= 1 - theta with the top right singular vector `v_right`."""
-    d_index = {v: j for j, v in enumerate(d_sorted)}
-    r_set = []
-    for a in a_sorted:
-        nbrs = [d_index[w] for w in h.adjacency[a] if w in d_index]
-        if not nbrs:
-            continue
-        row = np.zeros(len(d_sorted))
-        row[nbrs] = 1.0
-        row /= np.linalg.norm(row)
-        if float(row @ v_right) ** 2 >= 1 - theta - 1e-12:
-            r_set.append(a)
-    return r_set
+    product >= 1 - theta with the top right singular vector `v_right`: with
+    M the A x D incidence matrix, the a with deg_a > 0 and
+    (Mv)_a^2 / deg_a >= 1 - theta."""
+    m = h.sparse_adjacency()[a_sorted][:, d_sorted]
+    deg = m.getnnz(axis=1)
+    mv = m @ v_right
+    aligned = (deg > 0) & (mv * mv / np.maximum(deg, 1) >= 1 - theta - 1e-12)
+    return [a for a, keep in zip(a_sorted, aligned) if keep]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON/CSV output, determinism, exits."""
 
+import ast
 import json
 import math
 import os
@@ -261,6 +262,20 @@ class TestSweep:
                     "--m-range", "50:150:0", "--seed", "1")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("m_range", ["0:0:1", "-5:10:5"])
+    def test_range_start_below_1_is_usage_error(self, m_range):
+        r = run_cli("sweep", "--pattern", "c2t", "--t", "2",
+                    f"--m-range={m_range}", "--seed", "1")
+        assert r.returncode == 2
+        assert r.stderr == "error: --m-range start must be >= 1\n"
+
+    @pytest.mark.parametrize("pattern", ["ktt", "c2t"])
+    def test_t_below_2_is_usage_error(self, pattern):
+        r = run_cli("sweep", "--pattern", pattern, "--t", "1",
+                    "--m-range", "50:50:1", "--seed", "1")
+        assert r.returncode == 2
+        assert r.stderr == "error: sweep needs --t >= 2\n"
+
     def test_requires_seed(self):
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
         assert r.returncode == 2
@@ -340,6 +355,20 @@ class TestUnexpectedErrors:
         self._raise(monkeypatch, exc)
         assert main(self.ARGV) == 2
         assert capsys.readouterr().err == f"error: internal: {line}\n"
+
+    def test_no_assert_in_the_package(self):
+        # python -O drops asserts, so a check the package needs must raise
+        import sslab
+
+        sources = sorted(Path(sslab.__file__).parent.glob("*.py"))
+        assert len(sources) > 1
+        found = [
+            f"{p.name}:{node.lineno}"
+            for p in sources
+            for node in ast.walk(ast.parse(p.read_text(), str(p)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestParsing:

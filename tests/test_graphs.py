@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sslab import (
     Graph,
     SplitSpec,
-    combine,
     complete,
     complete_bipartite,
     cycle,
@@ -80,11 +79,6 @@ class TestGraphBasics:
         assert complete(3).bipartition() is None
         assert cycle(4).is_bipartite() and not cycle(5).is_bipartite()
 
-    def test_is_cycle_graph(self):
-        assert cycle(6).is_cycle_graph()
-        assert not path(6).is_cycle_graph()
-        assert not union(cycle(3), cycle(3)).is_cycle_graph()
-
 
 class TestSplitGraphs:
     def test_spec_arithmetic(self):
@@ -146,7 +140,7 @@ class TestFamilies:
 
     def test_make_family_dispatch(self):
         assert make_family("split", (2, 9)).edge_count == 9
-        assert make_family("cycle", (6,)).is_cycle_graph()
+        assert make_family("cycle", (6,)) == cycle(6)
         assert make_family("clique", (4,)).edge_count == 6
         assert make_family("star", (3,)) == star(3)
         g = make_family("gnm", (8, 5), seed=3)
@@ -236,9 +230,6 @@ class TestAlgebra:
         assert u.n == 5 and u.edge_count == 4
         j = join(path(2), path(2))
         assert j.edge_count == 2 + 4  # K4
-        assert combine("union", path(2), path(2)).edge_count == 2
-        with pytest.raises(GraphError):
-            combine("meet", path(2), path(2))
 
 
 class TestEdgeListIO:

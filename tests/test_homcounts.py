@@ -435,3 +435,24 @@ def test_counters_agree_property(seed):
     inj_c = inj_count(cycle(2 * t), g).value
     assert count_c2t(g, t).value == inj_c // (4 * t)
     assert closed_walk_count(g, 2 * t).value == hom_count(cycle(2 * t), g).value
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda g: hom_count(cycle(4), g),
+        lambda g: inj_count(cycle(4), g),
+        lambda g: hom_contract(3, [(0, 1), (1, 2), (2, 0)], g),
+        lambda g: closed_walk_count(g, 6),
+        lambda g: count_ktt(g, 2),
+        lambda g: count_ktt(g, 3),
+        lambda g: count_c2t(g, 2),
+        lambda g: count_c2t(g, 3),
+        lambda g: count_c2t(g, 8),  # too few vertices: 0 without counting
+    ],
+    ids=["hom", "inj", "contract", "walks", "ktt2", "ktt3", "c4", "c6", "c16"],
+)
+def test_counts_are_values(count):
+    g = sample_gnm(12, 30, 5)
+    first, second = count(g), count(g)
+    assert first == second and hash(first) == hash(second)

@@ -1,6 +1,6 @@
-"""The A/C/D partition, its T-checks and the row-cover edge counts, checked
-against plain set-based oracles: one Python loop over the host's edges per
-quantity, the way the definitions read."""
+"""The A/C/D partition, its T-checks, the row-cover edge counts and the
+aligned rows, checked against plain oracles: one Python loop over the
+host's edges (or the A rows) per quantity, the way the definitions read."""
 
 import math
 import random
@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslab import Graph, split_graph
-from sslab.spectra import PerronData
+from sslab import Graph, complete_bipartite, split_graph
+from sslab.spectra import PerronData, top_singular
 from sslab.supersat import (
     SupersatError,
     TooDelocalizedError,
     acd_partition,
+    aligned_rows,
     heavy_prune,
     partition_pruned,
     row_cover_analyze,
@@ -93,6 +94,23 @@ def oracle_row_cover(h, a_set, d_set, r_set):
     }
 
 
+def oracle_aligned(h, a_sorted, d_sorted, theta, v_right):
+    """The aligned rows R: one dense incidence row per A vertex, normalized
+    and dotted with the top right singular vector."""
+    d_index = {v: j for j, v in enumerate(d_sorted)}
+    r_set = []
+    for a in a_sorted:
+        nbrs = [d_index[w] for w in h.adjacency[a] if w in d_index]
+        if not nbrs:
+            continue
+        row = np.zeros(len(d_sorted))
+        row[nbrs] = 1.0
+        row /= np.linalg.norm(row)
+        if float(row @ v_right) ** 2 >= 1 - theta - 1e-12:
+            r_set.append(a)
+    return r_set
+
+
 # -- checks ----------------------------------------------------------------
 
 
@@ -137,6 +155,28 @@ def check_row_cover(h, a_set, d_set, t):
         assert (rc.e_ar_b, rc.e_r_dnb) == (want["e_ar_b"], want["e_r_dnb"])
         assert all(type(v) is int for v in (*rc.b_set, rc.e_ar_b, rc.e_r_dnb))
     return rc
+
+
+THETAS = (0.0, 1e-9, 0.01, 0.1, 0.3, 0.7, 1.0)
+
+
+def check_aligned(h, a_set, d_set):
+    """aligned_rows at every theta of THETAS, and row_cover_analyze's R at
+    its own theta, agree with the oracle; False when there are no A-D
+    edges."""
+    a_sorted, d_sorted = sorted(set(a_set)), sorted(set(d_set))
+    dset = set(d_sorted)
+    if not any(w in dset for a in a_sorted for w in h.adjacency[a]):
+        return False
+    _, v_right, _ = top_singular(a_sorted, d_sorted, h)
+    for theta in THETAS:
+        r_set, (_, v, _) = aligned_rows(h, a_set, d_set, theta)
+        assert np.array_equal(v, v_right)
+        assert r_set == oracle_aligned(h, a_sorted, d_sorted, theta, v_right)
+        assert all(type(a) is int for a in r_set)
+    rc = row_cover_analyze(h, a_set, d_set, 2)
+    assert rc.r_set == tuple(oracle_aligned(h, a_sorted, d_sorted, rc.theta, v_right))
+    return True
 
 
 # -- hosts -----------------------------------------------------------------
@@ -202,11 +242,35 @@ def test_row_cover_matches_the_oracle(h, data, t):
         check_row_cover(h, a, d, t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(connected_hosts(), st.data())
+def test_aligned_rows_match_the_oracle(h, data):
+    labels = data.draw(st.lists(st.sampled_from("AD-"), min_size=h.n, max_size=h.n))
+    a = [v for v in range(h.n) if labels[v] == "A"]
+    d = [v for v in range(h.n) if labels[v] == "D"]
+    if a and d:
+        check_aligned(h, a, d)
+
+
+@pytest.mark.parametrize("a_size", [1, 2, 3, 5])
+@pytest.mark.parametrize("b_size", [1, 2, 7, 40])
+def test_aligned_rows_of_complete_bipartite_hosts(a_size, b_size):
+    # every row is the all-ones row, so every theta, 0 included, keeps all
+    h = complete_bipartite(a_size, b_size)
+    a, d = list(range(a_size)), list(range(a_size, a_size + b_size))
+    assert check_aligned(h, a, d)
+    for theta in THETAS:
+        assert aligned_rows(h, a, d, theta)[0] == a
+    # a D side that misses part of the other side changes nothing
+    assert aligned_rows(h, a, d[: (b_size + 1) // 2], 0.0)[0] == a
+
+
 def test_golden_row_cover_hosts():
     d_cover = list(range(2, 12))
     for host, a, d in [("k25", [0, 1], [2, 3, 4, 5, 6]), ("cover", [0, 1], d_cover)]:
         for t in (2, 3):
             assert check_row_cover(HOSTS[host](), a, d, t) is not None
+        assert check_aligned(HOSTS[host](), a, d)
 
 
 @pytest.mark.parametrize(

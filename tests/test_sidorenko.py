@@ -162,6 +162,11 @@ class TestConstantsAndBounds:
         with pytest.raises(SidorenkoError):
             c2t_copy_lower(2, -1.0, 5)
 
+    @pytest.mark.parametrize("t", [2, 3, 19, 20, 22, 24])
+    def test_ktt_copy_lower_reads_b_t(self, t):
+        # lam^2 = m = 1 and n = 0 leave B_t alone, bit for bit
+        assert ktt_copy_lower(t, 1.0, 1, 0) == constants(t).b_t
+
     def test_c2t_copy_lower_value(self):
         t, lam, n = 2, 50.0, 20
         want = (lam**4 - 6 * n**3) / 8
