@@ -303,14 +303,21 @@ def cmd_pipeline(args) -> int:
 
 
 def _sweep_n(family: str, t: int, m: int) -> int:
-    """Vertex count of the `family` sweep host with m edges."""
+    """Vertex count of the `family` sweep host with m edges, after checking
+    that such a host exists."""
     if family == "gnm-balanced":
-        return math.floor(2 * math.sqrt(m)) - t
-    if family == "split-t":
-        return graphs.SplitSpec(t, m).n
-    if family == "split-t-minus-1-perturbed":
-        return graphs.SplitSpec(t - 1, m - 1).n
-    raise UsageError(f"unknown sweep family {family!r}")
+        n = math.floor(2 * math.sqrt(m)) - t
+        if 0 <= n and m <= n * (n - 1) // 2:
+            return n
+    elif family in ("split-t", "split-t-minus-1-perturbed"):
+        # the perturbed host is S_{t-1,m-1} plus an edge between two of its
+        # independent vertices
+        k, mk, q = (t, m, 0) if family == "split-t" else (t - 1, m - 1, 2)
+        if mk >= k * (k - 1) // 2 and graphs.SplitSpec(k, mk).q >= q:
+            return graphs.SplitSpec(k, mk).n
+    else:
+        raise UsageError(f"unknown sweep family {family!r}")
+    raise UsageError(f"--m-range: family {family} has no host with t={t} and m={m}")
 
 
 def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
@@ -323,10 +330,8 @@ def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
     # S_{t-1,m-1} plus one seeded edge between independent vertices
     base = graphs.split_graph(t - 1, m - 1)
     indep = range(graphs.SplitSpec(t - 1, m - 1).indep_start, n)
-    if len(indep) < 2:
-        raise UsageError("perturbed family needs >= 2 independent vertices")
     u, v = sorted(random.Random(row_seed).sample(indep, 2))
-    return graphs.Graph.from_edges(n, list(base.edges) + [(u, v)]), row_seed
+    return graphs.Graph.from_edges(n, np.vstack([base.edge_array, [(u, v)]])), row_seed
 
 
 def _estimate_work(family: str, pattern: str, t: int, m: int) -> int:

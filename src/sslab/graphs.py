@@ -2,9 +2,10 @@
 
 A graph is immutable: a vertex count n (dense 0-based labels) and one
 read-only, lexicographically sorted (m, 2) array of edges (u < v).  Every
-other view (the edge tuple, the CSR adjacency, neighbour lists, degrees,
-components) is derived from that array once per graph.  Construction
-validates no loops, no duplicate edges, and endpoint range.
+other view (the edge tuple, the CSR adjacency, degrees, components) is
+derived from that array once per graph, and every family is built as such an
+array.  Construction validates no loops, no duplicate edges, and endpoint
+range.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, kron
 
 
 # the largest vertex count: the CSR's row pointer has n + 1 np.intp entries,
@@ -118,24 +119,6 @@ class Graph:
         return self._csr.toarray()
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples: the rows of the CSR."""
-        idx, ptr = self._csr.indices.tolist(), self._csr.indptr.tolist()
-        return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.n))
-
-    @cached_property
-    def adjacency_bits(self) -> tuple[int, ...]:
-        """Neighborhoods as integer bitmasks (bit v set iff v is a neighbor)."""
-        bits = [0] * self.n
-        for u, v in self.edge_array.tolist():
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        return tuple(bits)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.diff(self._csr.indptr).tolist())
 
@@ -192,26 +175,12 @@ class Graph:
         return Graph(self.n, np.delete(self.edge_array, i, axis=0))
 
     def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
+        """No odd cycle: the bipartite double cover A (x) K_2 splits a
+        component in two exactly when that component has no odd cycle."""
+        from scipy.sparse.csgraph import connected_components
 
-    def bipartition(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.adjacency[v]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        side0 = tuple(v for v in range(self.n) if color[v] == 0)
-        side1 = tuple(v for v in range(self.n) if color[v] == 1)
-        return side0, side1
+        cover = kron(self._csr, [[0, 1], [1, 0]], format="csr")
+        return connected_components(cover, directed=False)[0] == 2 * len(self.components)
 
 
 # -- split graphs ----------------------------------------------------------
@@ -255,11 +224,12 @@ def split_graph(k: int, m: int) -> Graph:
     clique vertices, the extra vertex of degree r (omitted when r=0), then the
     q independent vertices."""
     spec = SplitSpec(k, m)
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges.extend((i, k) for i in range(spec.r))  # the extra vertex is k
-    for w in range(spec.indep_start, spec.n):
-        edges.extend((i, w) for i in range(k))
-    g = Graph.from_edges(spec.n, edges)
+    w = np.arange(spec.indep_start, spec.n)
+    g = Graph.from_edges(spec.n, np.concatenate([
+        complete(k).edge_array,
+        np.column_stack([np.arange(spec.r), np.full(spec.r, k)]),  # the extra vertex is k
+        np.column_stack([np.tile(np.arange(k), len(w)), np.repeat(w, k)]),
+    ]))
     if g.edge_count != m:
         raise GraphError(f"split: built {g.edge_count} edges, expected m={m}")
     return g
@@ -273,33 +243,35 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle length must be >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    v = np.arange(n)
+    return Graph.from_edges(n, np.column_stack([v, (v + 1) % n]))
 
 
 def path(n: int) -> Graph:
     """Path on n vertices (n-1 edges)."""
     if n < 1:
         raise GraphError("path must have >= 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph.from_edges(n, np.column_stack([v, v + 1]))
 
 
 def star(n: int) -> Graph:
     """K_{1,n}: center at index 0 and n leaves."""
     if n < 1:
         raise GraphError("star needs >= 1 leaf")
-    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+    return join(empty_graph(1), empty_graph(n))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphError("complete bipartite sides must be >= 1")
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return join(empty_graph(a), empty_graph(b))
 
 
 # -- random graphs ---------------------------------------------------------
@@ -394,9 +366,10 @@ def union(g1: Graph, g2: Graph) -> Graph:
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
-    base = union(g1, g2)
-    cross = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
-    return Graph.from_edges(base.n, list(base.edges) + cross)
+    """The union plus every edge from a vertex of g1 to a vertex of g2."""
+    u, v = np.repeat(np.arange(g1.n), g2.n), np.tile(np.arange(g2.n), g1.n)
+    cross = np.column_stack([u, g1.n + v])
+    return Graph.from_edges(g1.n + g2.n, np.concatenate([union(g1, g2).edge_array, cross]))
 
 
 # -- serialization ---------------------------------------------------------

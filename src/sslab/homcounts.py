@@ -61,28 +61,30 @@ class CountResult:
     method: str
 
 
+def _rows(g: Graph) -> list[list[int]]:
+    """Each vertex's sorted neighbours: the rows of the CSR."""
+    a = g.sparse_adjacency()
+    ptr, idx = a.indptr.tolist(), a.indices.tolist()
+    return [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
+
+
 # -- generic backtracking (the test oracle) --------------------------------
 
 
-def _connected_order(h: Graph) -> list[int]:
-    """Greedy order: start at a max-degree vertex, then repeatedly take the
-    vertex with the most already-placed neighbors (degree as tie-break)."""
-    if h.n == 0:
-        return []
+def _connected_order(rows: list[list[int]]) -> list[int]:
+    """Greedy order: repeatedly take the vertex with the most already-placed
+    neighbors (degree as tie-break), so the first is a max-degree vertex."""
     placed: list[int] = []
-    remaining = set(range(h.n))
+    remaining = set(range(len(rows)))
     while remaining:
-        if placed:
-            start = max(
-                remaining,
-                key=lambda v: (
-                    sum(1 for w in h.adjacency[v] if w not in remaining),
-                    h.degree(v),
-                    -v,
-                ),
-            )
-        else:
-            start = max(remaining, key=lambda v: (h.degree(v), -v))
+        start = max(
+            remaining,
+            key=lambda v: (
+                sum(1 for w in rows[v] if w not in remaining),
+                len(rows[v]),
+                -v,
+            ),
+        )
         placed.append(start)
         remaining.discard(start)
     return placed
@@ -93,11 +95,12 @@ def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
         raise PatternTooLargeError(f"pattern has {h.n} > {limit} vertices")
     if h.n == 0:
         return 1
-    order = _connected_order(h)
+    rows = _rows(h)
+    order = _connected_order(rows)
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
-    back = [[pos[w] for w in h.adjacency[v] if pos[w] < i] for i, v in enumerate(order)]
-    gsets = [set(a) for a in g.adjacency]
+    back = [[pos[w] for w in rows[v] if pos[w] < i] for i, v in enumerate(order)]
+    gsets = [set(r) for r in _rows(g)]
     n = g.n
     total = 0
     image = [0] * h.n
@@ -398,10 +401,11 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     the common-neighborhood size.  Each copy is counted once per side; loops
     are impossible, so a subset is always disjoint from its common
     neighborhood and the two sides of a copy are distinct subsets, giving
-    exactly the factor 2.  Subsets are enumerated over `adjacency_bits` in
-    colex-style recursive order with early termination once the running
-    common neighborhood drops below t; the last level is one pass over a
-    table of C(c, t).  `budget` bounds the vertices tried over all levels,
+    exactly the factor 2.  Subsets are enumerated over the neighbourhood
+    bitmasks (bit w of v's mask set iff vw is an edge), built from the CSR
+    rows, in colex-style recursive order with early termination once the
+    running common neighborhood drops below t; the last level is one pass
+    over a table of C(c, t).  `budget` bounds the vertices tried over all levels,
     and the count is refused up front when `codegree_work` exceeds it.
     """
     if t < 2:
@@ -416,7 +420,7 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
         raise BudgetExceededError(
             f"count_ktt would enumerate ~{estimate} subsets", estimate
         )
-    bits = g.adjacency_bits
+    bits = [sum(1 << w for w in row) for row in _rows(g)]
     choose = [math.comb(c, t) for c in range(max(g.degrees, default=0) + 1)]
     doubled = 0
     work = 0

@@ -12,6 +12,7 @@ d_k = prod_i n_i! / prod_j N_ij! and |T_k| = k! / prod_i n_i!.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -160,32 +161,20 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
             f"type class has {len(tuples)} tuples, bundle says {bundle.t_k_size}"
         )
     index = {t: i for i, t in enumerate(tuples)}
+    # per symbol i, every assignment of values j to its positions with
+    # multiplicities N_ij
+    opts = [list(_multiset_perms(bundle.n_mat[i].tolist())) for i in support]
     edges = set()
     for a in tuples:
-        positions = {i: [r for r in range(k) if a[r] == i] for i in support}
-        # choose, per symbol i, an assignment of values j to its positions
-        # with multiplicities N_ij
-        per_symbol = []
-        for i in support:
-            row = [int(bundle.n_mat[i, j]) for j in range(n0)]
-            opts = list(_multiset_perms(row)) if bundle.n_vec[i] else [()]
-            per_symbol.append((i, opts))
-        b_arr = [0] * k
-
-        def rec(si: int):
-            if si == len(per_symbol):
-                b = tuple(b_arr)
-                ia, ib = index[a], index[b]
-                if ia != ib:
-                    edges.add((min(ia, ib), max(ia, ib)))
-                return
-            i, opts = per_symbol[si]
-            for opt in opts:
-                for pos, j in zip(positions[i], opt):
-                    b_arr[pos] = j
-                rec(si + 1)
-
-        rec(0)
+        positions = [[r for r in range(k) if a[r] == i] for i in support]
+        for choice in itertools.product(*opts):
+            b = [0] * k
+            for pos, opt in zip(positions, choice):
+                for r, j in zip(pos, opt):
+                    b[r] = j
+            ia, ib = index[a], index[tuple(b)]
+            if ia != ib:
+                edges.add((min(ia, ib), max(ia, ib)))
     fk = Graph.from_edges(len(tuples), sorted(edges))
     # audits: exact regularity and containment in the tensor power
     if any(d != bundle.d_k for d in fk.degrees):

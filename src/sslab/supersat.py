@@ -103,10 +103,11 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         m_i = current.edge_count
         if lam0 is None:
             lam0 = pd.lam
-        bad = heavy_violations(current, pd, eta)
-        if not bad:
+        prods = _products(current, pd)
+        i = int(np.argmin(prods))  # the first minimum in edge order
+        if not prods[i] < eta / math.sqrt(m_i):
             break
-        u, v, prod = min(bad, key=lambda e: e[2])  # first minimum in edge order
+        (u, v), prod = current.edge_array[i].tolist(), float(prods[i])
         ref = (
             split_lambda(t - 1, m_i)
             if m_i >= max(1, (t - 1) * (t - 2) // 2)
@@ -150,9 +151,15 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     )
 
 
+def _products(g: Graph, pd: PerronData) -> np.ndarray:
+    """The Perron product x_u x_v of each edge, in edge order."""
+    e = g.edge_array
+    return pd.x[e[:, 0]] * pd.x[e[:, 1]]
+
+
 def heavy_violations(g: Graph, pd: PerronData, eta: float) -> list:
     e = g.edge_array
-    prod = pd.x[e[:, 0]] * pd.x[e[:, 1]]
+    prod = _products(g, pd)
     bad = np.flatnonzero(prod < eta / math.sqrt(g.edge_count))
     return [(u, v, p) for (u, v), p in zip(e[bad].tolist(), prod[bad].tolist())]
 
@@ -526,7 +533,7 @@ def supersat_count(
         pruned, fpd = trace.final_graph, trace.final_perron
         m_prime = pruned.edge_count
         g_loc = localization_g(fpd, m_prime)
-        nonisolated = [v for v in range(pruned.n) if pruned.degree(v) > 0]
+        nonisolated = np.flatnonzero(pruned.degrees).tolist()
         core, _ = pruned.induced_subgraph(nonisolated)
         cr = rules.count(core, t, budget=config.budget)
         count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t

@@ -29,6 +29,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"{name}: {verdict}")
 
 
+def csr_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours, read off the rows of the CSR adjacency."""
+    a = g.sparse_adjacency()
+    ptr, idx = a.indptr.tolist(), a.indices.tolist()
+    return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(g.n))
+
+
 def random_graph(seed: int, n_max: int, allow_empty: bool = False) -> Graph:
     """Seeded random graph with 2 <= n <= n_max and uniform edge count."""
     rng = random.Random(seed)

@@ -280,6 +280,44 @@ class TestSweep:
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
         assert r.returncode == 2
 
+    @staticmethod
+    def _host_exists(family, t, m):
+        """Whether the graph layer builds the family's host, tried directly."""
+        from sslab.graphs import GraphError, SplitSpec, sample_gnm
+
+        try:
+            if family == "gnm-balanced":
+                sample_gnm(math.floor(2 * math.sqrt(m)) - t, m, 1)
+            elif family == "split-t":
+                split_graph(t, m)
+            else:  # an extra edge between two independent vertices
+                split_graph(t - 1, m - 1)
+                return SplitSpec(t - 1, m - 1).q >= 2
+        except GraphError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("pattern", ["ktt", "c2t"])
+    @pytest.mark.parametrize(
+        "family", ["gnm-balanced", "split-t", "split-t-minus-1-perturbed"]
+    )
+    def test_small_m_gives_its_row_or_a_usage_error(self, family, pattern, t, capsys):
+        from sslab.cli import main
+
+        for m in range(1, 41):
+            rc = main(["sweep", "--pattern", pattern, "--t", str(t), "--m-range",
+                       f"{m}:{m}:1", "--seed", "1", "--families", family])
+            out, err = capsys.readouterr()
+            if self._host_exists(family, t, m):
+                assert rc == 0 and err.startswith("estimated work: ")
+                row = out.splitlines()[1].split(",")
+                assert row[1:5] == [family, pattern, str(t), str(m)]
+            else:
+                assert rc == 2 and out == ""
+                assert err == (f"error: --m-range: family {family} has no host "
+                               f"with t={t} and m={m}\n")
+
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize(
         "family", ["gnm-balanced", "split-t", "split-t-minus-1-perturbed"]

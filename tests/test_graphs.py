@@ -29,6 +29,9 @@ from sslab import (
 )
 from sslab.graphs import CapExceededError, GraphError, ParseError, _edge_unrank
 
+from conftest import csr_rows
+from test_edge_array import edge_lists
+
 
 class TestGraphBasics:
     def test_from_edges_normalizes_orientation(self):
@@ -50,13 +53,9 @@ class TestGraphBasics:
     def test_degrees_and_adjacency(self):
         g = star(3)
         assert g.degrees == (3, 1, 1, 1)
-        assert g.adjacency[0] == (1, 2, 3)
+        assert csr_rows(g)[0] == (1, 2, 3)
         assert g.has_edge(0, 2) and not g.has_edge(1, 2)
         assert g.big_m == 2 * g.edge_count
-
-    def test_adjacency_bits(self):
-        g = path(3)
-        assert g.adjacency_bits == (0b010, 0b101, 0b010)
 
     def test_components_ordering(self):
         g = Graph.from_edges(5, [(3, 4), (0, 1)])
@@ -75,8 +74,8 @@ class TestGraphBasics:
             g.delete_edge(0, 2)
 
     def test_bipartition(self):
-        assert complete_bipartite(2, 3).bipartition() == ((0, 1), (2, 3, 4))
-        assert complete(3).bipartition() is None
+        assert complete_bipartite(2, 3).is_bipartite()
+        assert not complete(3).is_bipartite()
         assert cycle(4).is_bipartite() and not cycle(5).is_bipartite()
 
 
@@ -112,10 +111,11 @@ class TestSplitGraphs:
             for j in range(i + 1, 3):
                 assert g.has_edge(i, j)
         # extra vertex 3 adjacent to exactly vertices 0..r-1
-        assert g.adjacency[3] == (0, 1)
+        rows = csr_rows(g)
+        assert rows[3] == (0, 1)
         # independent vertices adjacent to the whole clique and nothing else
         for w in range(4, g.n):
-            assert g.adjacency[w] == (0, 1, 2)
+            assert rows[w] == (0, 1, 2)
         # non-clique part is an independent set
         outside = range(spec.k, g.n)
         for u in outside:
@@ -281,3 +281,107 @@ def test_split_params_property(k, extra):
     assert g.n == spec.n
     # clique degrees dominate
     assert max(g.degrees) == g.degrees[0]
+
+
+# -- the list-built constructors and the DFS 2-colouring that the array forms
+# replaced, kept as oracles
+
+
+def list_split_graph(k, m):
+    spec = SplitSpec(k, m)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges.extend((i, k) for i in range(spec.r))  # the extra vertex is k
+    for w in range(spec.indep_start, spec.n):
+        edges.extend((i, w) for i in range(k))
+    return Graph.from_edges(spec.n, edges)
+
+
+# builder -> (list-built oracle, smallest n the builder takes)
+LIST_FAMILIES = {
+    complete: (
+        lambda n: Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)]), 0
+    ),
+    cycle: (lambda n: Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]), 3),
+    path: (lambda n: Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), 1),
+    star: (lambda n: Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)]), 1),
+}
+
+
+def list_complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def list_join(g1, g2):
+    base = union(g1, g2)
+    cross = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
+    return Graph.from_edges(base.n, list(base.edges) + cross)
+
+
+def dfs_is_bipartite(g):
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in nbrs[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+def assert_same(g, want):
+    assert g == want
+    assert g.n == want.n and g.edge_array.dtype == want.edge_array.dtype
+    assert g.edge_array.tobytes() == want.edge_array.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_split_graph_matches_the_list_constructor(k):
+    base = k * (k - 1) // 2
+    # q = 0 for m < base + k; r runs over 0..k-1 at every q
+    for m in range(max(base, 1), base + 4 * k):
+        assert_same(split_graph(k, m), list_split_graph(k, m))
+
+
+def test_families_match_the_list_constructors():
+    for build, (oracle, lo) in LIST_FAMILIES.items():
+        for n in range(lo, 10):
+            assert_same(build(n), oracle(n))
+    for a in range(1, 9):
+        for b in range(1, 10 - a):
+            assert_same(complete_bipartite(a, b), list_complete_bipartite(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(max_n=5), edge_lists(max_n=5))
+def test_join_matches_the_list_join(c1, c2):
+    g1, g2 = Graph.from_edges(*c1), Graph.from_edges(*c2)
+    assert_same(join(g1, g2), list_join(g1, g2))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [empty_graph(0), empty_graph(3), union(cycle(5), empty_graph(2)),
+     union(empty_graph(2), cycle(6)), union(cycle(4), cycle(7)), path(1)]
+    + [cycle(n) for n in range(3, 10)]
+    + [complete_bipartite(a, b) for a in (1, 2, 3) for b in (1, 3, 4)],
+)
+def test_is_bipartite_matches_the_dfs_on_named_graphs(g):
+    assert g.is_bipartite() == dfs_is_bipartite(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(max_n=11))
+def test_is_bipartite_matches_the_dfs(case):
+    g = Graph.from_edges(*case)
+    assert g.is_bipartite() == dfs_is_bipartite(g)

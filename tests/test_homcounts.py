@@ -263,7 +263,10 @@ class TestCompleteBipartite:
         """The vertices the codegree recursion tries, level by level: every
         vertex after the last one chosen, while the common neighbourhood of
         the chosen ones still has t or more vertices."""
-        bits = g.adjacency_bits
+        bits = [0] * g.n
+        for u, v in g.edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
 
         def rec(start, depth, common):
             total = 0
@@ -280,8 +283,9 @@ class TestCompleteBipartite:
     def _wedge_work(g):
         """The wedge steps of the t = 2 kernel: each edge is walked from its
         higher-ranked end, one step per neighbour of the lower-ranked end."""
-        rank = {v: (g.degree(v), v) for v in range(g.n)}
-        return sum(g.degree(min(e, key=rank.get)) for e in g.edges)
+        deg = g.degrees
+        rank = {v: (deg[v], v) for v in range(g.n)}
+        return sum(deg[min(e, key=rank.get)] for e in g.edges)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_budget_is_the_total_work(self, t):

@@ -27,6 +27,15 @@ from test_golden_reports import HOSTS
 # -- oracles ---------------------------------------------------------------
 
 
+def neighbours(h):
+    """Each vertex's neighbour set, from the edge list."""
+    nbrs = [set() for _ in range(h.n)]
+    for u, v in h.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def oracle_verify_T(h, a_set, c_set, d_set):
     a, c, d = set(a_set), set(c_set), set(d_set)
     t1 = t2 = t3 = True
@@ -78,19 +87,17 @@ def oracle_row_cover(h, a_set, d_set, r_set):
     """e(A, D), per-row D-degrees, e(A \\ R, D), B = the common D-neighbours
     of R, e(A \\ R, B) and e(R, D \\ B) for the aligned rows R."""
     a_sorted = sorted(set(a_set))
-    dset = set(d_set)
-    deg_d = {a: sum(1 for w in h.adjacency[a] if w in dset) for a in a_sorted}
+    dset, nbrs = set(d_set), neighbours(h)
+    deg_d = {a: sum(1 for w in nbrs[a] if w in dset) for a in a_sorted}
     not_r = [a for a in a_sorted if a not in set(r_set)]
-    b = set.intersection(*({w for w in h.adjacency[a] if w in dset} for a in r_set))
+    b = set.intersection(*({w for w in nbrs[a] if w in dset} for a in r_set))
     return {
         "e_ad": sum(deg_d.values()),
         "deg_d": deg_d,
         "e_uncovered": sum(deg_d[a] for a in not_r),
         "b_set": tuple(sorted(b)),
-        "e_ar_b": sum(1 for a in not_r for w in h.adjacency[a] if w in b),
-        "e_r_dnb": sum(
-            1 for a in r_set for w in h.adjacency[a] if w in dset and w not in b
-        ),
+        "e_ar_b": sum(1 for a in not_r for w in nbrs[a] if w in b),
+        "e_r_dnb": sum(1 for a in r_set for w in nbrs[a] if w in dset and w not in b),
     }
 
 
@@ -98,13 +105,14 @@ def oracle_aligned(h, a_sorted, d_sorted, theta, v_right):
     """The aligned rows R: one dense incidence row per A vertex, normalized
     and dotted with the top right singular vector."""
     d_index = {v: j for j, v in enumerate(d_sorted)}
+    nbrs = neighbours(h)
     r_set = []
     for a in a_sorted:
-        nbrs = [d_index[w] for w in h.adjacency[a] if w in d_index]
-        if not nbrs:
+        cols = [d_index[w] for w in nbrs[a] if w in d_index]
+        if not cols:
             continue
         row = np.zeros(len(d_sorted))
-        row[nbrs] = 1.0
+        row[cols] = 1.0
         row /= np.linalg.norm(row)
         if float(row @ v_right) ** 2 >= 1 - theta - 1e-12:
             r_set.append(a)
@@ -165,8 +173,8 @@ def check_aligned(h, a_set, d_set):
     its own theta, agree with the oracle; False when there are no A-D
     edges."""
     a_sorted, d_sorted = sorted(set(a_set)), sorted(set(d_set))
-    dset = set(d_sorted)
-    if not any(w in dset for a in a_sorted for w in h.adjacency[a]):
+    dset, nbrs = set(d_sorted), neighbours(h)
+    if not any(w in dset for a in a_sorted for w in nbrs[a]):
         return False
     _, v_right, _ = top_singular(a_sorted, d_sorted, h)
     for theta in THETAS:
