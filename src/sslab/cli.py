@@ -166,7 +166,7 @@ def cmd_spectral(args) -> int:
             "n": g.n,
             "m": g.edge_count,
             "lambda": pd.lam,
-            "component": pd.component_id,
+            "component": g.components.index(pd.component),
             "residual_below_tol": pd.residual <= args.tol,
             "sup_norm": max(pd.x),
             "g_loc": supersat.localization_g(pd, g.edge_count),

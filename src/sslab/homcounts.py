@@ -90,9 +90,13 @@ def _connected_order(rows: list[list[int]]) -> list[int]:
     return placed
 
 
-def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
-    if h.n > limit:
-        raise PatternTooLargeError(f"pattern has {h.n} > {limit} vertices")
+# most pattern vertices the backtracking counters take
+PATTERN_LIMIT = 10
+
+
+def _count_maps(h: Graph, g: Graph, injective: bool) -> int:
+    if h.n > PATTERN_LIMIT:
+        raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
     if h.n == 0:
         return 1
     rows = _rows(h)
@@ -132,16 +136,16 @@ def _count_maps(h: Graph, g: Graph, injective: bool, limit: int) -> int:
     return total
 
 
-def hom_count(h: Graph, g: Graph, limit: int = 10) -> CountResult:
-    return CountResult(_count_maps(h, g, injective=False, limit=limit), "backtracking")
+def hom_count(h: Graph, g: Graph) -> CountResult:
+    return CountResult(_count_maps(h, g, injective=False), "backtracking")
 
 
-def inj_count(h: Graph, g: Graph, limit: int = 10) -> CountResult:
-    return CountResult(_count_maps(h, g, injective=True, limit=limit), "backtracking")
+def inj_count(h: Graph, g: Graph) -> CountResult:
+    return CountResult(_count_maps(h, g, injective=True), "backtracking")
 
 
-def aut_order(h: Graph, limit: int = 10) -> int:
-    return inj_count(h, h, limit=limit).value
+def aut_order(h: Graph) -> int:
+    return inj_count(h, h).value
 
 
 # -- the contraction engine ------------------------------------------------
@@ -268,16 +272,16 @@ def _edge_factors(edges, a: np.ndarray) -> dict:
     return factors
 
 
-def _contract(n_vars: int, edges, a: np.ndarray) -> int:
+def _contract(n_vars: int, edges, a: np.ndarray, budget: int) -> int:
     """hom of the pattern (`n_vars` vertices, `edges`) into the host with
     0/1 adjacency matrix `a`: the float64 run when certified, else the same
-    plan on Python ints."""
+    plan on Python ints, refused when estimated past `budget` operations."""
     scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
     plan = _plan(frozenset(range(n_vars)), scopes)
     value = _execute(plan, _edge_factors(edges, a), a.shape[0])
     if value is None:  # some float factor passed 2^52
         work = _plan_work(plan, a.shape[0])
-        if work > WORK_BUDGET:
+        if work > budget:
             raise BudgetExceededError(
                 f"exact-integer contraction would take ~{work} Python-int operations", work
             )
@@ -312,7 +316,7 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     for u, v in edges:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
-    return CountResult(_contract(n_vars, edges, g.adjacency_matrix()), "contraction")
+    return CountResult(_contract(n_vars, edges, g.adjacency_matrix(), WORK_BUDGET), "contraction")
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
@@ -321,7 +325,7 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     if length < 1:
         raise CountError("walk length must be >= 1")
     edges = [(i, (i + 1) % length) for i in range(length)]
-    return CountResult(_contract(length, edges, g.adjacency_matrix()), "trace-power")
+    return CountResult(_contract(length, edges, g.adjacency_matrix(), WORK_BUDGET), "trace-power")
 
 
 def hom_complete_bipartite(g: Graph, t: int) -> int:
@@ -329,7 +333,7 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
     if t < 1:
         raise CountError("t must be >= 1")
     edges = [(i, t + j) for i in range(t) for j in range(t)]
-    return _contract(2 * t, edges, g.adjacency_matrix())
+    return _contract(2 * t, edges, g.adjacency_matrix(), WORK_BUDGET)
 
 
 # -- codegree counters -----------------------------------------------------
@@ -532,7 +536,8 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     common neighbours of v and w ranked below v.  t>=3: inj(C_2t) from the
     hom counts of the cycle's quotients, divided by |Aut(C_2t)| = 4t.
     `budget` is passed to `count_ktt` at t=2, which refuses hosts whose
-    wedge work exceeds it.
+    wedge work exceeds it; at t>=3 it caps each quotient's exact-integer
+    rerun.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
@@ -541,7 +546,7 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     if t == 2:
         return count_ktt(g, 2, budget=budget)
     a = g.adjacency_matrix()
-    inj = sum(mu * _contract(k, edges, a) for k, edges, mu in _cycle_quotients(t))
+    inj = sum(mu * _contract(k, edges, a, budget) for k, edges, mu in _cycle_quotients(t))
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

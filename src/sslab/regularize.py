@@ -35,9 +35,9 @@ class EdgeDistribution:
     lam: float
 
 
-def edge_distribution(g: Graph, tol: float = 1e-12) -> EdgeDistribution:
-    pd = perron(g, tol=tol)
-    comp = g.components[pd.component_id]
+def edge_distribution(g: Graph) -> EdgeDistribution:
+    pd = perron(g, tol=1e-12)
+    comp = pd.component
     idx = list(comp)
     x = pd.x[idx]
     x /= np.linalg.norm(x)
@@ -84,10 +84,10 @@ class RegularBundle:
     lambda_k: float
 
 
-def build_regular(g: Graph, k: int, tol: float = 1e-12) -> RegularBundle:
+def build_regular(g: Graph, k: int) -> RegularBundle:
     if k < 2 or k % 2:
         raise RegularizeError("k must be even and >= 2")
-    d = edge_distribution(g, tol=tol)
+    d = edge_distribution(g)
     comp = d.vertices
     i, j = g.induced_subgraph(comp)[0].edge_array.T  # the component's edges
     n0 = len(comp)
@@ -96,11 +96,10 @@ def build_regular(g: Graph, k: int, tol: float = 1e-12) -> RegularBundle:
     n_vec = tuple(int(x) for x in n_mat.sum(axis=1))
     if sum(n_vec) != k:
         raise RegularizeError(f"rounded pair counts sum to {sum(n_vec)}, not k={k}")
-    d_k = 1
-    for i in range(n0):
-        d_k *= math.factorial(n_vec[i])
-        for j in range(n0):
-            d_k //= math.factorial(int(n_mat[i, j]))
+    # d_k = prod_i n_i! / prod_ij N_ij!, and 0! = 1 for the zero N_ij
+    d_k = math.prod(math.factorial(ni) for ni in n_vec)
+    for nij in n_mat[n_mat > 0].tolist():
+        d_k //= math.factorial(nij)
     t_k = math.factorial(k)
     for ni in n_vec:
         t_k //= math.factorial(ni)

@@ -9,7 +9,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,27 +35,42 @@ class RegimeError(SpectraError):
     pass
 
 
+# perron's default relative residual, the iteration cap of every solver
+# here, and how many random starts opnorm adds to the all-ones and Perron ones
+_TOL = 1e-10
+_MAX_ITER = 100000
+_RESTARTS = 3
+
+# perron prefers a later component only when its lam is larger by more than
+# 1e-12, so `perron_after_deletion`'s fast path needs the winner ahead by
+# far more than that plus the solver's noise in lam
+_TIE_MARGIN = 1e-9
+
+
 @dataclass(frozen=True)
 class PerronData:
     """Spectral radius and Perron vector of a graph.
 
-    `x` is supported on the component `component_id` that attains `lam`.
-    `iterations` counts the solver iterations spent producing this data; it
-    is 0 when `_Block.resolve` answered from its memo, since no solver ran.
-    `margin` is lam minus the largest spectral radius among the other
-    components that have an edge (inf when there is none); deleting an edge
-    outside this component can only lower the others, so it cannot shrink.
+    `x` is supported on `component`, the sorted vertex tuple of the component
+    that attains `lam`.  `iterations` counts the solver iterations spent
+    producing this data; it is 0 when the block's memo answered, since no
+    solver ran.  `margin` is lam minus the largest spectral radius among the
+    other components that have an edge (inf when there is none); deleting an
+    edge outside this component can only lower the others, so it cannot
+    shrink.  `block` is the component's solver block, which
+    `perron_after_deletion` re-solves.
     """
 
     lam: float
     x: np.ndarray  # unit nonnegative, supported on one component
-    component_id: int
+    component: tuple[int, ...]
     residual: float  # relative: ||Ax - lam x|| / max(1, lam)
     iterations: int
     margin: float = math.inf
+    block: Optional[_Block] = field(default=None, compare=False, repr=False)
 
 
-def _power_iterate(adj, x, tol: float, max_iter: int):
+def _power_iterate(adj, x, tol: float):
     """Power iteration on A + I (the shift removes bipartite oscillation)
     from the unit nonnegative start x.
 
@@ -63,7 +78,7 @@ def _power_iterate(adj, x, tol: float, max_iter: int):
     """
     lam = 0.0
     residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         ax = adj @ x
         y = ax + x
         ny = np.linalg.norm(y)
@@ -78,12 +93,12 @@ def _power_iterate(adj, x, tol: float, max_iter: int):
         if residual <= tol:
             return lam, x, residual, it
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
+        f"power iteration did not reach tol={tol} in {_MAX_ITER} iterations",
         residual,
     )
 
 
-def _lanczos_top(adj, v0, tol: float, max_iter: int):
+def _lanczos_top(adj, v0, tol: float):
     """Top eigenpair of a large sparse component via Lanczos iteration from
     the unit nonnegative start v0.
 
@@ -96,7 +111,7 @@ def _lanczos_top(adj, v0, tol: float, max_iter: int):
     try:
         vals, vecs = eigsh(adj, k=1, which="LA", v0=v0, tol=0)
     except (ArpackError, ArpackNoConvergence):
-        return _power_iterate(adj, v0, tol, max_iter)
+        return _power_iterate(adj, v0, tol)
     lam = float(vals[0])
     x = vecs[:, 0]
     if x.sum() < 0:
@@ -104,13 +119,13 @@ def _lanczos_top(adj, v0, tol: float, max_iter: int):
     np.clip(x, 0.0, None, out=x)
     nx = np.linalg.norm(x)
     if nx == 0:
-        return _power_iterate(adj, v0, tol, max_iter)
+        return _power_iterate(adj, v0, tol)
     x /= nx
     ax = adj @ x
     lam = float(x @ ax)
     residual = float(np.linalg.norm(ax - lam * x)) / max(1.0, lam)
     if residual > tol:
-        return _power_iterate(adj, x / np.linalg.norm(x), tol, max_iter)
+        return _power_iterate(adj, x / np.linalg.norm(x), tol)
     return lam, x, residual, 0
 
 
@@ -121,8 +136,8 @@ class _Block:
     as long as no edge inside the component changes.
 
     The block remembers its last solve: the exact bytes of the start vector,
-    tol, max_iter and the result.  The solve is a pure function of those and
-    the block, so a call that builds the same start bytes gets a copy of the
+    tol and the result.  The solve is a pure function of those and the
+    block, so a call that builds the same start bytes gets a copy of the
     stored result, with 0 iterations, and no solver runs.  Warm re-solves
     from the previous x reach a bitwise fixed point on star-like blocks, so
     `heavy_prune` deleting edges outside such a component hits this memo on
@@ -135,9 +150,9 @@ class _Block:
             self._solve, self._adj = _lanczos_top, block
         else:
             self._solve, self._adj = _power_iterate, block.toarray()
-        self._last = None  # ((start bytes, tol, max_iter), solver result)
+        self._last = None  # ((start bytes, tol), solver result)
 
-    def solve(self, x0, tol: float, max_iter: int):
+    def solve(self, x0, tol: float):
         """(lam, xs, residual, iterations), warm-started from x0 restricted
         to the component when that slice is nonnegative and not ~0, else
         started from the uniform vector."""
@@ -146,10 +161,10 @@ class _Block:
             cand = np.asarray(x0, dtype=float)[self.idx]
             if np.all(cand >= 0) and np.linalg.norm(cand) > 1e-8:
                 start = cand / np.linalg.norm(cand)
-        key = (start.tobytes(), tol, max_iter)
+        key = (start.tobytes(), tol)
         hit = self._last is not None and self._last[0] == key
         if not hit:
-            self._last = (key, self._solve(self._adj, start, tol, max_iter))
+            self._last = (key, self._solve(self._adj, start, tol))
         lam, xs, res, iters = self._last[1]
         return lam, xs.copy(), res, 0 if hit else iters
 
@@ -160,19 +175,8 @@ class _Block:
         x[self.idx] = xs / np.linalg.norm(xs)
         return x
 
-    def resolve(self, pd: PerronData, tol: float = 1e-10, max_iter: int = 100000) -> PerronData:
-        """What `perron` returns for a graph in which `pd`'s component still
-        wins and still has this block: the component re-solved alone from
-        pd.x, with pd's component id and rival spectral radius kept."""
-        lam, xs, res, iters = self.solve(pd.x, tol, max_iter)
-        rival = pd.lam - pd.margin
-        x = self.unit_vector(len(pd.x), xs)
-        return PerronData(lam, x, pd.component_id, res, iters, lam - rival)
 
-
-def perron(
-    g: Graph, tol: float = 1e-10, max_iter: int = 100000, x0: Optional[np.ndarray] = None
-) -> PerronData:
+def perron(g: Graph, tol: float = _TOL, x0: Optional[np.ndarray] = None) -> PerronData:
     """Spectral radius and unit nonnegative Perron vector.
 
     On disconnected input the component attaining the maximum spectral radius
@@ -187,19 +191,37 @@ def perron(
     best = None
     lams = []
     total_iters = 0
-    for cid, comp in enumerate(g.components):
+    for comp in g.components:
         if len(comp) < 2:
             continue
         block = _Block(a, comp)
-        lam, xs, res, iters = block.solve(x0, tol, max_iter)
+        lam, xs, res, iters = block.solve(x0, tol)
         lams.append(lam)
         total_iters += iters
         if best is None or lam > best[0] + 1e-12:
-            best = (lam, block, xs, res, cid)
-    lam, block, xs, res, cid = best
+            best = (lam, block, xs, res, comp)
+    lam, block, xs, res, comp = best
     lams.remove(lam)
     margin = lam - max(lams, default=-math.inf)
-    return PerronData(lam, block.unit_vector(g.n, xs), cid, res, total_iters, margin)
+    return PerronData(lam, block.unit_vector(g.n, xs), comp, res, total_iters, margin, block)
+
+
+def perron_after_deletion(g: Graph, pd: PerronData, u: int) -> PerronData:
+    """What `perron(g, x0=pd.x)` returns, for g = pd's graph less one edge
+    at vertex u.
+
+    When u lies outside pd's component and that component leads every other
+    by more than _TIE_MARGIN relative to lam, only pd's cached block is
+    re-solved, from pd.x: the deletion cannot raise another component's lam,
+    so `perron` would choose the same component, compute the same lam and x
+    on it and see the same rival.  Otherwise this is `perron` itself.
+    """
+    if u in pd.component or pd.margin <= _TIE_MARGIN * max(1.0, pd.lam):
+        return perron(g, x0=pd.x)
+    lam, xs, res, iters = pd.block.solve(pd.x, _TOL)
+    rival = pd.lam - pd.margin
+    x = pd.block.unit_vector(g.n, xs)
+    return PerronData(lam, x, pd.component, res, iters, lam - rival, pd.block)
 
 
 # -- split graphs ----------------------------------------------------------
@@ -262,14 +284,7 @@ def _dual_power(y: np.ndarray, s: float) -> np.ndarray:
     return np.sign(y) * np.abs(y) ** (s - 1)
 
 
-def opnorm(
-    g: Graph,
-    p: float,
-    q: float,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    restarts: int = 3,
-) -> OpNormEstimate:
+def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
     """Certified lower bound on the p->q operator norm of the adjacency matrix.
 
     Regime 1 < p <= 2 <= q < infinity.  Nonlinear power iteration with
@@ -282,7 +297,7 @@ def opnorm(
     if g.edge_count == 0:
         raise NoEdgesError("opnorm requires at least one edge")
     if p == 2 and q == 2:
-        pd = perron(g, tol=tol, max_iter=max_iter)
+        pd = perron(g, tol=tol)
         return OpNormEstimate(p, q, pd.lam, pd.x.copy(), True, 0)
     a = g.adjacency_matrix()
     n = g.n
@@ -294,11 +309,11 @@ def opnorm(
     used = 0
     starts = [np.ones(n)]
     try:
-        pd = perron(g, tol=max(tol, 1e-8), max_iter=max_iter)
+        pd = perron(g, tol=max(tol, 1e-8))
         starts.append(pd.x + 1e-6)
     except SpectraError:
         pass
-    while len(starts) < max(restarts, 1) + 1:
+    while len(starts) < _RESTARTS + 1:
         starts.append(rng.uniform(0.5, 1.5, size=n))
     for x in starts:
         used += 1
@@ -306,7 +321,7 @@ def opnorm(
         x /= np.linalg.norm(x, ord=p)
         prev = -1.0
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             y = a @ x
             val = float(np.linalg.norm(y, ord=q))
             # monotone by construction; tiny negative drift is roundoff
@@ -387,16 +402,14 @@ class CutDiagnostics:
     slack_c: Optional[float]  # None when the denominator vanishes
 
 
-def _sub_lambda(g: Graph, vertices: Sequence[int], tol: float) -> float:
+def _sub_lambda(g: Graph, vertices: Sequence[int]) -> float:
     sub, _ = g.induced_subgraph(vertices)
     if sub.edge_count == 0:
         return 0.0
-    return perron(sub, tol=tol).lam
+    return perron(sub).lam
 
 
-def cut_diagnostics(
-    g: Graph, u_set: Sequence[int], pd: PerronData, tol: float = 1e-10
-) -> CutDiagnostics:
+def cut_diagnostics(g: Graph, u_set: Sequence[int], pd: PerronData) -> CutDiagnostics:
     """Diagnostics for the vertex cut (U, W): slacks of
     (a) lam <= max(lam_U, lam_W) + rho,
     (b) (lam - lam_U)(lam - lam_W) <= rho^2  (and rho^2 <= m_UW),
@@ -408,8 +421,8 @@ def cut_diagnostics(
     if not u or not w:
         raise SpectraError("cut_diagnostics: trivial partition")
     lam = pd.lam
-    lam_u = _sub_lambda(g, u, tol)
-    lam_w = _sub_lambda(g, w, tol)
+    lam_u = _sub_lambda(g, u)
+    lam_w = _sub_lambda(g, w)
     ends = g.ends_in(u)
     m_uw = int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
     if m_uw > 0:

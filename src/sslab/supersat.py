@@ -6,7 +6,7 @@ row-cover analysis, and the branch-dispatching counting driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .graphs import Graph, complete_bipartite, cycle
 from .homcounts import WORK_BUDGET, CountResult, codegree_work, count_c2t, count_ktt
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
-from .spectra import PerronData, _Block, perron, split_lambda, top_singular
+from .spectra import PerronData, perron, perron_after_deletion, split_lambda, top_singular
 
 
 class SupersatError(ValueError):
@@ -35,12 +35,6 @@ class TooDelocalizedError(SupersatError):
 
 
 # -- heavy-edge pruning ----------------------------------------------------
-
-# perron prefers a later component only when its lam is larger by more than
-# 1e-12, so the prune fast path needs the winner ahead by far more than that
-# plus the solver's noise in lam
-_TIE_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class PruneStep:
@@ -71,15 +65,10 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     Perron product x_u x_v >= eta / sqrt(m).
 
     Among violating edges the one with the smallest product is deleted, ties
-    broken by lexicographic edge.  Perron data is re-solved every step, warm
-    started from the previous x.  After a deletion outside the Perron
-    component, when that component leads every other by more than
-    _TIE_MARGIN relative to lam, only its cached block is re-solved: the
-    deletion cannot raise another component's lam, so `perron` would choose
-    the same component and compute the same lam and x on it; once those
-    warm re-solves reach a bitwise fixed point, the block's memo returns it
-    without running the solver.  A full solve resumes at the first deletion
-    inside the component.
+    broken by lexicographic edge.  Perron data is re-solved after every
+    deletion by `spectra.perron_after_deletion`, warm started from the
+    previous x: the same data as a full `perron`, from a re-solve of the
+    Perron component's block alone while the deletions stay outside it.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -92,17 +81,10 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     m0 = g.edge_count
     steps: list[PruneStep] = []
     current = g
-    pd = None
-    block = None  # pd's component while the deletions stay outside it
-    lam0 = None
-    while current.edge_count > 0:
-        if block is None:
-            pd = perron(current, x0=None if pd is None else pd.x)
-        else:
-            pd = block.resolve(pd)
+    pd = perron(g)
+    lam0 = pd.lam
+    while True:
         m_i = current.edge_count
-        if lam0 is None:
-            lam0 = pd.lam
         prods = _products(current, pd)
         i = int(np.argmin(prods))  # the first minimum in edge order
         if not prods[i] < eta / math.sqrt(m_i):
@@ -123,20 +105,13 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
                 product=prod,
             )
         )
-        comp = current.components[pd.component_id] if block is None else block.idx
-        if pd.margin <= _TIE_MARGIN * max(1.0, pd.lam) or u in comp:
-            block = None
-        elif block is None:
-            block = _Block(current.sparse_adjacency(), comp)
         current = current.delete_edge(u, v)
+        if current.edge_count == 0:
+            pd = None
+            break
+        pd = perron_after_deletion(current, pd, u)
     m_prime = current.edge_count
-    final_pd = pd if m_prime > 0 else None
-    if block is not None:
-        # deletions may have split a lower-id component and shifted the id;
-        # components are ordered by smallest vertex
-        firsts = [c[0] for c in current.components]
-        final_pd = replace(final_pd, component_id=firsts.index(block.idx[0]))
-    gap_ratio = final_pd.lam / math.sqrt(m_prime) if final_pd else None
+    gap_ratio = pd.lam / math.sqrt(m_prime) if pd else None
     return PruneTrace(
         eta=eta,
         t=t,
@@ -144,7 +119,7 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         initial_m=m0,
         initial_lambda=lam0,
         final_graph=current,
-        final_perron=final_pd,
+        final_perron=pd,
         alpha=m_prime / m0,
         gap_ratio=gap_ratio,
         emptied=m_prime == 0,

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sslab.graphs import complete_bipartite, split_graph, star, write_edge_list
+from sslab.graphs import complete_bipartite, path, split_graph, star, union, write_edge_list
+from sslab.regularize import edge_distribution
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +87,18 @@ class TestSpectral:
         assert obj["residual_below_tol"] is True
         assert list(obj) == sorted(obj)
         assert not any("time" in k for k in obj)
+
+    def test_perron_component_after_a_smaller_one(self, tmp_path):
+        # the star's component is the second one, by smallest vertex
+        g = union(path(3), star(10))
+        p = tmp_path / "g.txt"
+        p.write_text(write_edge_list(g))
+        r = run_cli("spectral", "--in", str(p))
+        assert r.returncode == 0
+        obj = json.loads(r.stdout)
+        assert obj["component"] == 1
+        assert obj["lambda"] == pytest.approx(math.sqrt(10))
+        assert edge_distribution(g).vertices == g.components[1] == tuple(range(3, 14))
 
     def test_missing_input(self):
         r = run_cli("spectral")
@@ -406,6 +419,36 @@ class TestUnexpectedErrors:
             for node in ast.walk(ast.parse(p.read_text(), str(p)))
             if isinstance(node, ast.Assert)
         ]
+        assert found == []
+
+    def test_no_private_name_crosses_package_modules(self):
+        # a module's _names are its own; what another module needs from it
+        # gets a public name
+        import sslab
+
+        sources = sorted(Path(sslab.__file__).parent.glob("*.py"))
+        modules = {p.stem for p in sources}
+        found = []
+        for p in sources:
+            nodes = list(ast.walk(ast.parse(p.read_text(), str(p))))
+            imports = [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1]
+            # the names `from . import x` binds to package modules
+            bound = {a.asname or a.name for n in imports if n.module is None for a in n.names}
+            found += [
+                f"{p.name}:{n.lineno} {n.module}.{a.name}"
+                for n in imports
+                if n.module in modules
+                for a in n.names
+                if a.name.startswith("_")
+            ]
+            found += [
+                f"{p.name}:{n.lineno} {n.value.id}.{n.attr}"
+                for n in nodes
+                if isinstance(n, ast.Attribute)
+                and n.attr.startswith("_")
+                and isinstance(n.value, ast.Name)
+                and n.value.id in bound
+            ]
         assert found == []
 
 

@@ -338,6 +338,14 @@ class TestEvenCycles:
         # the 8-cycle's quotients include K4, which the engine conditions on
         assert count_c2t(complete(9), 4).method == "walk-moebius"
 
+    def test_budget_caps_the_bigint_rerun(self):
+        # on K_410 the float run of C_6 itself (the 6-vertex quotient) passes
+        # 2^52, and its Python-int rerun is estimated at
+        # 4 * 410^3 + 410^2 + 410 operations, past the caller's 10^6
+        with pytest.raises(BudgetExceededError) as err:
+            count_c2t(complete(410), 3, budget=10**6)
+        assert err.value.estimate == 275852510
+
     def test_zero_small_hosts(self):
         assert count_c2t(path(3), 2).value == 0
         assert count_c2t(complete(5), 3).value == 0  # needs 6 distinct vertices

@@ -76,7 +76,7 @@ def test_perron_of_a_component_ignores_the_rest_of_the_host():
         big = _connected_host(k, seed)
         g = union(union(union(path(4), empty_graph(3)), big), star(2))
         pd = perron(g)
-        comp = g.components[pd.component_id]
+        comp = pd.component
         assert len(comp) == k
         sub, _ = g.induced_subgraph(comp)
         alone = perron(sub)

@@ -229,7 +229,7 @@ def test_acd_partition_of_spread_vectors_matches_the_oracle(h, data):
     e = h.edge_array
     shrink = data.draw(st.floats(min_value=0.01, max_value=0.99))
     eta = float((x[e[:, 0]] * x[e[:, 1]]).min()) * math.sqrt(h.edge_count) * shrink
-    check_acd(h, eta, PerronData(1.0, x, 0, 0.0, 0))
+    check_acd(h, eta, PerronData(1.0, x, tuple(range(h.n)), 0.0, 0))
 
 
 @settings(max_examples=80, deadline=None)

@@ -47,14 +47,16 @@ def assert_matches_oracle(g: Graph, t: int = 2):
         return trace
     assert fp.lam == pd.lam
     assert fp.x.tobytes() == pd.x.tobytes()
-    assert fp.component_id == pd.component_id
-    comp = final.components[fp.component_id]
+    assert fp.component == pd.component
+    assert fp.component in final.components
     support = set(np.flatnonzero(fp.x).tolist())
-    assert support and support <= set(comp)
+    assert support and support <= set(fp.component)
     return trace
 
 
 def counting_perron(monkeypatch):
+    """Every full `perron` solve: heavy_prune's first, and those
+    `perron_after_deletion` falls back to."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -62,6 +64,7 @@ def counting_perron(monkeypatch):
         return perron(*args, **kwargs)
 
     monkeypatch.setattr("sslab.supersat.perron", counted)
+    monkeypatch.setattr("sslab.spectra.perron", counted)
     return calls
 
 
@@ -118,14 +121,15 @@ def test_perron_component_first_or_last(size, perron_first):
     trace = assert_matches_oracle(g)
     # every G(n,m) edge has product 0 and goes; the star stays
     assert trace.final_graph.edge_count == leaves
-    assert len(trace.final_graph.components[trace.final_perron.component_id]) == leaves + 1
+    assert len(trace.final_perron.component) == leaves + 1
 
 
 def test_deletions_split_a_lower_id_component():
     # the path's edges go one by one, each split adding a component ahead
     # of the star's, which ends as component 10 (the 10 path vertices alone)
     trace = assert_matches_oracle(union(path(10), star(50)))
-    assert trace.final_perron.component_id == 10
+    assert trace.final_graph.components.index(trace.final_perron.component) == 10
+    assert trace.final_perron.component == tuple(range(10, 61))
 
 
 def test_tied_components_take_the_full_solve(monkeypatch):
@@ -157,7 +161,7 @@ def test_deletions_outside_the_perron_component_need_one_solve(monkeypatch, seed
 
 def _solve_bytes(g: Graph, start: np.ndarray) -> bytes:
     comp = max(g.components, key=len)
-    lam, xs, res, iters = _Block(g.sparse_adjacency(), comp).solve(start, 1e-10, 100000)
+    lam, xs, res, iters = _Block(g.sparse_adjacency(), comp).solve(start, 1e-10)
     return np.float64(lam).tobytes() + xs.tobytes() + np.float64(res).tobytes()
 
 
@@ -179,14 +183,14 @@ def test_memo_hit_returns_a_copy_and_no_iterations():
     runs = []
     solver = block._solve
     block._solve = lambda *args: runs.append(1) or solver(*args)
-    lam, xs, res, iters = block.solve(None, 1e-10, 100000)
+    lam, xs, res, iters = block.solve(None, 1e-10)
     assert iters > 0
     xs[:] = -1.0  # the caller's copy, not the memo's
-    again = block.solve(None, 1e-10, 100000)
+    again = block.solve(None, 1e-10)
     assert len(runs) == 1
     assert again[0] == lam and again[2] == res and again[3] == 0
     assert np.all(again[1] > 0)
-    block.solve(None, 1e-9, 100000)  # another tol is another solve
+    block.solve(None, 1e-9)  # another tol is another solve
     assert len(runs) == 2
 
 

@@ -64,19 +64,19 @@ class TestPerron:
         g = union(path(2), complete(4))
         pd = perron(g)
         assert abs(pd.lam - 3.0) < 1e-9
-        assert pd.component_id == 1
+        assert pd.component == (2, 3, 4, 5)
         assert all(pd.x[v] == 0 for v in (0, 1))
 
     def test_tie_breaks_to_smallest_component(self):
         g = union(complete(3), complete(3))
         pd = perron(g)
-        assert pd.component_id == 0
+        assert pd.component == (0, 1, 2)
         assert all(pd.x[v] == 0 for v in (3, 4, 5))
 
     def test_support_single_component(self):
         g = union(cycle(4), complete(3))
         pd = perron(g)
-        comp = g.components[pd.component_id]
+        comp = pd.component
         assert all((pd.x[v] > 0) == (v in comp) for v in range(g.n))
 
     def test_bipartite_no_oscillation(self):
