@@ -9,7 +9,13 @@ Three engines, every result an exact Python int:
   Closed walks, hom(K_{t,t}), the inequality suite and the 2t-cycle counter
   (t >= 3) all run on it.  The cycle counter uses the spasm identity
   inj(C_2t, G) = sum_q mu_q hom(q, G) over the loop-free quotients q of C_2t
-  (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.
+  (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.  Every
+  caller goes through one entry point for a signed sum of patterns over one
+  host (`_contract_sum`).  Within the sum, a step whose summed-out
+  sub-pattern is isomorphic to an earlier step's (boundary vertices in
+  scope order) takes that step's stored array instead of a new `np.einsum`,
+  and the store drops each array at its last use.  So C_6's ten quotients
+  make four n x n products (A^2 to A^5) instead of thirteen.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no n x n
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -27,6 +33,7 @@ fails, so no result depends on `assert`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -183,13 +190,116 @@ def _plan(variables: frozenset, scopes: frozenset) -> tuple:
     return tuple(steps)
 
 
+def _sub_patterns(plan: tuple, scopes: frozenset) -> list:
+    """One entry per step of `plan`, a plan for factors on `scopes`.  A sum
+    step before any conditioning whose result has axes gets the sub-pattern
+    it has summed out, as `(n, edges, colours)` on 0..n-1: the pattern edges
+    multiplied into its inputs, with the i-th vertex of the result scope
+    coloured 2(i+1) and a looped vertex's colour raised by 1.  Every other
+    step gets None.
+
+    On one 0/1 host, steps with isomorphic sub-patterns give equal arrays:
+    a factor is the sum, over its summed-out vertices, of the product of
+    its pattern edges, and a repeated edge changes nothing, since A∘A = A.
+    """
+    held = {s: frozenset([s]) for s in scopes}  # factor scope -> its pattern edges
+    subs: list = []
+    for step in plan:
+        if step[0] == "condition":
+            return subs + [None]
+        _, v, others = step
+        inc = [s for s in held if v in s]
+        edges = frozenset().union(*(held.pop(s) for s in inc))
+        if not others:
+            subs.append(None)
+            continue
+        held[others] = held.get(others, frozenset()) | edges
+        verts = sorted({u for s in edges for u in s})
+        label = {u: i for i, u in enumerate(verts)}
+        color = [2 * (others.index(u) + 1) if u in others else 0 for u in verts]
+        for s in edges:
+            if len(s) == 1:
+                color[label[s[0]]] += 1
+        pairs = frozenset((label[s[0]], label[s[1]]) for s in edges if len(s) == 2)
+        subs.append((len(verts), pairs, tuple(color)))
+    return subs
+
+
+def _invariant(sub: tuple) -> tuple:
+    """A cheap isomorphism invariant of a sub-pattern: its edge count and
+    the sorted (colour, degree) pairs of its vertices."""
+    _, pairs, color = sub
+    degree = Counter(u for pair in pairs for u in pair)
+    return len(pairs), tuple(sorted((c, degree[u]) for u, c in enumerate(color)))
+
+
+@lru_cache(maxsize=256)
+def _schedule(terms: tuple) -> tuple:
+    """The terms (n_vars, edges, mu) of a signed sum as (plan, keys, edges,
+    mu) in evaluation order, and the number of steps that take each key.
+
+    A step's key is the `_canonical` form of its sub-pattern
+    (`_sub_patterns`) when another step of the sum has a sub-pattern with
+    the same `_invariant`, and only when that form recurs; the other steps
+    get None.  Terms run in ascending order of the largest sub-pattern
+    behind a 2-axis step, so the n x n results that later terms reuse are
+    built as late as possible and few are held at once.
+    """
+    planned = []
+    for n_vars, edges, mu in terms:
+        scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
+        plan = _plan(frozenset(range(n_vars)), scopes)
+        planned.append((plan, _sub_patterns(plan, scopes), edges, mu))
+    seen = Counter(_invariant(sub) for _, subs, _, _ in planned for sub in subs if sub)
+    forms = {
+        sub: _canonical(*sub)
+        for _, subs, _, _ in planned
+        for sub in subs
+        if sub and seen[_invariant(sub)] > 1
+    }
+    uses = Counter(forms[sub] for _, subs, _, _ in planned for sub in subs if sub in forms)
+
+    def key(sub):
+        form = forms.get(sub)
+        return form if uses[form] > 1 else None
+
+    def widest(term):
+        plan, subs = term[0], term[1]
+        sizes = [sub[0] for step, sub in zip(plan, subs) if sub and len(step[2]) == 2]
+        return max(sizes, default=0)
+
+    order = tuple(
+        (plan, tuple(map(key, subs)), edges, mu)
+        for plan, subs, edges, mu in sorted(planned, key=widest)
+    )
+    return order, {k: c for k, c in uses.items() if c > 1}
+
+
+class _Shared:
+    """The keyed step results of one signed sum over one host, each
+    dropped at its last use."""
+
+    def __init__(self, uses: dict):
+        self.left = dict(uses)
+        self.arrays: dict = {}
+
+    def used(self, key, f=None):
+        """One step with `key` has run (holding its result `f`) or was
+        skipped (`f` None)."""
+        self.left[key] -= 1
+        if not self.left[key]:
+            self.arrays.pop(key, None)
+        elif f is not None:
+            self.arrays[key] = f
+
+
 def _put(factors: dict, scope: tuple, f: np.ndarray) -> bool:
     """Multiply `f` into the factor on `scope`; False if a float entry of the
-    product lies past 2^52."""
+    product lies past 2^52 (or is NaN)."""
     if scope in factors:
         f = factors[scope] * f
     factors[scope] = f
-    return f.dtype == object or bool(np.all(f <= _EXACT))
+    return f.dtype == object or not f.size or bool(f.max() <= _EXACT)
 
 
 def _to_int(x) -> Optional[int]:
@@ -205,13 +315,18 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
-def _execute(plan: tuple, factors: dict, n: int) -> Optional[int]:
+def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Optional[int]:
     """Run `plan` over `factors` (scope -> array on n host vertices per
     axis).  Returns the exact value, or None as soon as a float factor or
-    scalar leaves the certified range."""
+    scalar leaves the certified range.  `keys` yields one `_schedule` key
+    per step; a keyed step takes its result from `shared` when an earlier
+    step with that key computed it, and passes it through `_put` like a
+    fresh one."""
     factors = dict(factors)
+    keys = iter(keys)
     value = 1
     for step in plan:
+        key = next(keys, None)
         if step[0] == "condition":
             _, c, subplan = step
             total = 0
@@ -236,10 +351,17 @@ def _execute(plan: tuple, factors: dict, n: int) -> Optional[int]:
         if not inc:
             value *= n
             continue
-        letters = dict(zip((v, *others), "ijk"))
-        spec = ",".join("".join(letters[u] for u in s) for s in inc)
-        spec += "->" + "".join(letters[u] for u in others)
-        f = np.einsum(spec, *(factors.pop(s) for s in inc), optimize=True)
+        f = None if key is None else shared.arrays.get(key)
+        if f is None:
+            letters = dict(zip((v, *others), "ijk"))
+            spec = ",".join("".join(letters[u] for u in s) for s in inc)
+            spec += "->" + "".join(letters[u] for u in others)
+            f = np.einsum(spec, *(factors.pop(s) for s in inc), optimize=True)
+        else:
+            for s in inc:
+                del factors[s]
+        if key is not None:
+            shared.used(key, f)
         if others:
             if not _put(factors, others, f):
                 return None
@@ -268,26 +390,46 @@ def _edge_factors(edges, a: np.ndarray) -> dict:
     diagonal of `a` on a loop; repeated scopes are multiplied together."""
     factors: dict = {}
     for u, v in edges:
-        _put(factors, tuple(sorted({u, v})), np.diagonal(a) if u == v else a)
+        scope = tuple(sorted({u, v}))
+        f = np.diagonal(a) if u == v else a
+        factors[scope] = factors[scope] * f if scope in factors else f
     return factors
 
 
-def _contract(n_vars: int, edges, a: np.ndarray, budget: int) -> int:
-    """hom of the pattern (`n_vars` vertices, `edges`) into the host with
-    0/1 adjacency matrix `a`: the float64 run when certified, else the same
-    plan on Python ints, refused when estimated past `budget` operations."""
-    scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
-    plan = _plan(frozenset(range(n_vars)), scopes)
-    value = _execute(plan, _edge_factors(edges, a), a.shape[0])
-    if value is None:  # some float factor passed 2^52
-        work = _plan_work(plan, a.shape[0])
-        if work > budget:
-            raise BudgetExceededError(
-                f"exact-integer contraction would take ~{work} Python-int operations", work
-            )
-        exact = a.astype(np.int64).astype(object)
-        value = _execute(plan, _edge_factors(edges, exact), a.shape[0])
-    return value
+def _contract_sum(terms: tuple, a: np.ndarray, budget: int) -> int:
+    """Sum of mu * hom(pattern, host) over `terms`, each (n_vars, edges, mu)
+    for a pattern on vertices 0..n_vars-1, on the host with 0/1 adjacency
+    matrix `a`.
+
+    Each term is the float64 run when certified, else the same plan on
+    Python ints, refused when estimated past `budget` operations.  The
+    float runs share their keyed step results: the first step with a key
+    computes it, the later ones take the stored array, and the store drops
+    it at its last use, counted over the whole sum by `_schedule`.  A term
+    that falls back to Python ints reruns alone; the steps its float run
+    did not reach count as used, so later terms find the arrays or
+    recompute them.
+    """
+    order, uses = _schedule(terms)
+    shared = _Shared(uses)
+    n = a.shape[0]
+    total = 0
+    for plan, keys, edges, mu in order:
+        pending = iter(keys)
+        value = _execute(plan, _edge_factors(edges, a), n, shared, pending)
+        for key in pending:  # the keyed steps an early exit did not reach
+            if key is not None:
+                shared.used(key)
+        if value is None:  # some float factor passed 2^52
+            work = _plan_work(plan, n)
+            if work > budget:
+                raise BudgetExceededError(
+                    f"exact-integer contraction would take ~{work} Python-int operations", work
+                )
+            exact = a.astype(np.int64).astype(object)
+            value = _execute(plan, _edge_factors(edges, exact), n)
+        total += mu * value
+    return total
 
 
 def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
@@ -316,7 +458,8 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     for u, v in edges:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
-    return CountResult(_contract(n_vars, edges, g.adjacency_matrix(), WORK_BUDGET), "contraction")
+    term = (n_vars, tuple((u, v) for u, v in edges), 1)
+    return CountResult(_contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET), "contraction")
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
@@ -324,16 +467,16 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     C_1 a loop and C_2 a double edge."""
     if length < 1:
         raise CountError("walk length must be >= 1")
-    edges = [(i, (i + 1) % length) for i in range(length)]
-    return CountResult(_contract(length, edges, g.adjacency_matrix(), WORK_BUDGET), "trace-power")
+    term = (length, tuple((i, (i + 1) % length) for i in range(length)), 1)
+    return CountResult(_contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET), "trace-power")
 
 
 def hom_complete_bipartite(g: Graph, t: int) -> int:
     """Exact hom(K_{t,t}, g)."""
     if t < 1:
         raise CountError("t must be >= 1")
-    edges = [(i, t + j) for i in range(t) for j in range(t)]
-    return _contract(2 * t, edges, g.adjacency_matrix(), WORK_BUDGET)
+    term = (2 * t, tuple((i, t + j) for i in range(t) for j in range(t)), 1)
+    return _contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET)
 
 
 # -- codegree counters -----------------------------------------------------
@@ -467,28 +610,53 @@ def _refine(nbrs: list, color: list) -> list:
         color = refined
 
 
-def _canonical(n: int, edges: frozenset) -> tuple:
-    """Isomorphism-invariant form: the least sorted edge list over the
-    labelings reached by individualization-refinement, which branches on
-    every vertex of the first colour class that is not yet a single vertex."""
+def _canonical(n: int, edges: frozenset, color: Optional[tuple] = None) -> tuple:
+    """Isomorphism-invariant form of the graph on 0..n-1 with vertex colours
+    `color` (all 0 by default): the sorted colours, and the least sorted
+    edge list over the labelings reached by individualization-refinement,
+    which branches on every vertex of the first colour class that is not
+    yet a single vertex.  Refinement keeps the colour order, so label i
+    carries the i-th least colour.
+
+    A branch is skipped when its first labeling equals one under an
+    earlier branch of the same node, the individualized vertices included:
+    an automorphism then maps that earlier branch onto it, with the same
+    edge lists.  So twins cost a polynomial search, not a factorial one.
+    """
+    color = [0] * n if color is None else list(color)
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    forms = []
 
-    def search(color):
-        color = _refine(nbrs, color)
-        if len(set(color)) == n:
-            forms.append(tuple(sorted(tuple(sorted((color[u], color[v]))) for u, v in edges)))
-            return
+    def leaf(color, path):
+        form = tuple(sorted(tuple(sorted((color[u], color[v]))) for u, v in edges))
+        return form, tuple(color[v] for v in path)
+
+    def child(color, v):
+        return _refine(nbrs, [2 * c + (u == v) for u, c in enumerate(color)])
+
+    def cell(color):
         target = min(c for c in color if color.count(c) > 1)
-        for v in range(n):
-            if color[v] == target:
-                search([2 * c + (u == v) for u, c in enumerate(color)])
+        return [v for v in range(n) if color[v] == target]
 
-    search([0] * n)
-    return (n, min(forms))
+    def first_leaf(color, path):
+        while len(set(color)) < n:
+            v = cell(color)[0]
+            color, path = child(color, v), path + (v,)
+        return leaf(color, path)
+
+    def search(color, path) -> set:
+        if len(set(color)) == n:
+            return {leaf(color, path)}
+        found: set = set()
+        for v in cell(color):
+            below = child(color, v)
+            if not found or first_leaf(below, path + (v,)) not in found:
+                found |= search(below, path + (v,))
+        return found
+
+    return tuple(sorted(color)), min(search(_refine(nbrs, color), ()))[0]
 
 
 def _set_partitions(items: list[int]):
@@ -525,7 +693,7 @@ def _cycle_quotients(t: int) -> tuple:
         )
         sign = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
         mu[q] = mu.get(q, 0) + sign
-    return tuple((k, es, c) for (k, es), c in sorted(mu.items()) if c)
+    return tuple((len(colours), es, c) for (colours, es), c in sorted(mu.items()) if c)
 
 
 def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
@@ -538,6 +706,14 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     `budget` is passed to `count_ktt` at t=2, which refuses hosts whose
     wedge work exceeds it; at t>=3 it caps each quotient's exact-integer
     rerun.
+
+    The quotients are one `_contract_sum`: their plans share every n x n
+    (and n-vector) step result whose summed-out sub-pattern repeats, such
+    as the A^2 that six of C_6's quotients build eight times in all, and
+    each shared array is dropped at its last use.  The terms run in
+    ascending order of the largest sub-pattern behind a 2-axis step, so
+    few shared n x n arrays are alive at once.  A quotient whose float run
+    leaves the certified range reruns alone on Python ints.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
@@ -545,8 +721,7 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
         return count_ktt(g, 2, budget=budget)
-    a = g.adjacency_matrix()
-    inj = sum(mu * _contract(k, edges, a, budget) for k, edges, mu in _cycle_quotients(t))
+    inj = _contract_sum(_cycle_quotients(t), g.adjacency_matrix(), budget)
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

@@ -58,7 +58,8 @@ class PerronData:
     other components that have an edge (inf when there is none); deleting an
     edge outside this component can only lower the others, so it cannot
     shrink.  `block` is the component's solver block, which
-    `perron_after_deletion` re-solves.
+    `perron_after_deletion` re-solves.  Two solves are equal when every
+    field but `block` is, `x` compared by its bytes.
     """
 
     lam: float
@@ -68,6 +69,19 @@ class PerronData:
     iterations: int
     margin: float = math.inf
     block: Optional[_Block] = field(default=None, compare=False, repr=False)
+
+    def _identity(self) -> tuple:
+        x = self.x
+        return (self.lam, x.dtype.str, x.shape, x.tobytes(), self.component,
+                self.residual, self.iterations, self.margin)
+
+    def __eq__(self, other):
+        if not isinstance(other, PerronData):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
 
 
 def _power_iterate(adj, x, tol: float):

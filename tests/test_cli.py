@@ -254,6 +254,15 @@ class TestSweep:
         assert ktt.returncode == c4.returncode == 0
         assert ktt.stdout + c4.stdout == (DATA / "golden_sweep_t2.csv").read_text()
 
+    def test_t3_counter_matches_golden(self):
+        # golden_sweep_t3.csv: the C_6 sweep over all three families, which
+        # counts by the contraction engine's shared Moebius sum
+        r = run_cli("sweep", "--pattern", "c2t", "--t", "3", "--m-range", "60:120:30",
+                    "--samples", "2", "--seed", "7", "--families",
+                    "gnm-balanced,split-t,split-t-minus-1-perturbed")
+        assert r.returncode == 0
+        assert r.stdout == (DATA / "golden_sweep_t3.csv").read_text()
+
     def test_header_pinned(self):
         golden = (DATA / "golden_sweep.csv").read_text()
         assert golden.splitlines()[0] == (

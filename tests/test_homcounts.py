@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -40,8 +41,11 @@ from sslab.homcounts import (
     BudgetExceededError,
     CountError,
     PatternTooLargeError,
+    _canonical,
+    _cycle_quotients,
     _pair_total,
     _plan,
+    _put,
     codegree_work,
     wedge_work,
 )
@@ -355,6 +359,127 @@ class TestEvenCycles:
         assert count_c2t(cycle(6), 3).value == 1
         assert count_c2t(cycle(8), 4).value == 1
         assert count_c2t(cycle(8), 2).value == 0
+
+
+def _einsum_log(monkeypatch) -> list:
+    """Record every `np.einsum` call as (its result, the operands' dtype)."""
+    log, einsum = [], np.einsum
+
+    def logged(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        log.append((out, args[1].dtype))
+        return out
+
+    monkeypatch.setattr(np, "einsum", logged)
+    return log
+
+
+class TestSharedMoebiusSum:
+    """At t >= 3 `count_c2t` contracts all of the cycle's quotients as one
+    signed sum that shares each keyed step result across its terms."""
+
+    @staticmethod
+    def _per_quotient(g: Graph, t: int) -> int:
+        # every quotient through the engine on its own: nothing crosses terms
+        inj = sum(mu * hom_contract(k, es, g).value for k, es, mu in _cycle_quotients(t))
+        return inj // (4 * t)
+
+    def test_matches_enumeration_and_the_unshared_sum(self):
+        hosts = [sample_gnm(n, m, 7300 + n) for n, m in ((10, 22), (11, 30), (12, 40))]
+        hosts += [split_graph(2, 21), split_graph(3, 24), split_graph(4, 30)]
+        for g in hosts:
+            for t in (3, 4):
+                if t == 4 and g.n > 11:
+                    continue  # keep the backtracking oracle quick
+                want = inj_count(cycle(2 * t), g).value // (4 * t)
+                assert count_c2t(g, t).value == self._per_quotient(g, t) == want
+        for g in (sample_gnm(60, 400, 5), split_graph(3, 300)):
+            for t in (3, 4):
+                assert count_c2t(g, t).value == self._per_quotient(g, t)
+
+    def test_one_product_per_distinct_factor(self, monkeypatch):
+        # C6's quotients build A^2 eight times, A^3 three times and A^4, A^5
+        # once each; shared, each n x n result is computed once
+        g = sample_gnm(40, 160, 11)
+        a = g.adjacency_matrix()
+        want = count_c2t(g, 3).value
+        log = _einsum_log(monkeypatch)
+        assert count_c2t(g, 3).value == want
+        squares = [out for out, _ in log if np.ndim(out) == 2]
+        powers = [np.linalg.matrix_power(a, k) for k in (2, 3, 4, 5)]
+        assert len(squares) == len(powers)
+        for out, power in zip(squares, powers):
+            assert np.array_equal(out, power)
+
+    def test_only_the_c6_term_reruns_on_python_ints(self, monkeypatch):
+        # on K_410 only hom(C_6) itself passes 2^52 (tr A^6 ~ 410^6): its
+        # plan alone reruns on Python ints, six steps, while the other nine
+        # quotients keep their float run and their shared factors
+        log = _einsum_log(monkeypatch)
+        assert count_c2t(complete(410), 3).value == math.perm(410, 6) // 12
+        assert sum(dtype == object for _, dtype in log) == 6
+
+    def test_peak_memory_stays_at_four_matrices(self):
+        g = sample_gnm(600, 6000, 4)
+        count_c2t(g, 3)  # plans and schedule cached, adjacency built
+        tracemalloc.start()
+        try:
+            count_c2t(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * g.n**2 * 8
+
+    def test_twins_keep_plan_keys_cheap(self):
+        # K_{2,k} has k twins; each hom is the sum of codegree^k over pairs
+        g = sample_gnm(30, 120, 3)
+        a = g.adjacency_matrix().astype(np.int64)
+        codeg = a @ a
+        for k in (3, 12):
+            h = complete_bipartite(2, k)
+            assert hom_contract(h.n, h.edges, g).value == int((codeg.astype(object) ** k).sum())
+
+    def test_transposed_sub_patterns_stay_apart(self):
+        # vertices 0, 1 and 2, 3 sum out into the same sub-pattern, a
+        # triangle with a tail, once with its triangle at 4 and once at 5:
+        # two keys, since the (4, 5) arrays are each other's transposes
+        h = Graph.from_edges(6, [(0, 1), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (3, 4)])
+        for s in range(12):
+            g = random_graph(7700 + s, 9)
+            assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+
+    def test_range_check(self):
+        assert _put({}, (0,), np.array([0.0, 2.0**52]))
+        assert not _put({}, (0,), np.array([1.0, 2.0**52 + 2]))
+        assert not _put({}, (0,), np.array([1.0, np.nan]))
+        assert _put({}, (0, 1), np.zeros((0, 0)))
+        factors = {(0,): np.array([2.0**30, 1.0])}
+        assert not _put(factors, (0,), np.array([2.0**30, 1.0]))  # the product is checked
+        assert factors[(0,)][0] == 2.0**60
+
+    def test_coloured_canonical_form(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            es = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            color = tuple(rng.choice((0, 0, 2, 3)) for _ in range(n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in es)
+            recolored = [0] * n
+            for v in range(n):
+                recolored[perm[v]] = color[v]
+            form = _canonical(n, frozenset(es), color)
+            assert form == _canonical(n, moved, tuple(recolored))
+            ref = nx.Graph()
+            ref.add_nodes_from((v, {"c": c}) for v, c in enumerate(color))
+            ref.add_edges_from(es)
+            other = nx.Graph()
+            other.add_nodes_from((v, {"c": rng.choice((0, 2))}) for v in range(n))
+            other.add_edges_from(es)
+            same = nx.is_isomorphic(ref, other, node_match=lambda x, y: x["c"] == y["c"])
+            other_color = tuple(other.nodes[v]["c"] for v in range(n))
+            assert same == (form == _canonical(n, frozenset(es), other_color))
 
 
 @st.composite

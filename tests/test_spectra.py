@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sslab import (
     cut_diagnostics,
+    heavy_prune,
     opnorm,
     perron,
     split_increment_lb,
@@ -43,6 +45,19 @@ class TestPerron:
             g = random_graph(900 + s, 12)
             pd = perron(g)
             assert abs(pd.lam - eig_lambda(g)) < 1e-8
+
+    def test_solves_compare_and_hash(self):
+        # equality and hashing ignore the block and compare x by its bytes
+        first, second = perron(star(5)), perron(star(5))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != perron(star(6))
+        assert first != perron(path(5))
+        assert replace(first, x=np.nextafter(first.x, 1.0)) != first  # one ulp
+        assert first != "not a solve"
+        trace = heavy_prune(split_graph(2, 40), 2)
+        assert trace.final_perron is not None
+        assert trace == heavy_prune(split_graph(2, 40), 2)
 
     def test_unit_nonnegative_vector(self):
         for s in range(30):
