@@ -132,14 +132,26 @@ def _load_graph(path) -> graphs.Graph:
         return graphs.read_edge_list(fh.read())
 
 
-def _pattern_graph(name: str, t: int | None, pn: int | None) -> graphs.Graph:
-    if name in supersat.PATTERNS:
-        if t is None:
-            raise UsageError(f"--t required for pattern {name}")
-        return supersat.PATTERNS[name].graph(t)
+def _pattern_graph(args) -> graphs.Graph:
+    """The pattern --pattern names.  ktt and c2t read --t, path --pn (default
+    3), custom --pattern-file (where the subcommand has it); any other
+    pattern flag is a usage error."""
+    reads = {**dict.fromkeys(supersat.PATTERNS, "t"), "path": "pn", "custom": "pattern_file"}
+    name = args.pattern
+    if name not in reads or not hasattr(args, reads[name]):
+        raise UsageError(f"unknown pattern {name!r}")
+    for flag in ("t", "pn", "pattern_file"):
+        if flag != reads[name] and getattr(args, flag, None) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to pattern {name}")
+    if name == "custom":
+        if not args.pattern_file:
+            raise UsageError("--pattern-file required for custom pattern")
+        return _load_graph(args.pattern_file)
     if name == "path":
-        return graphs.path(pn if pn is not None else 3)
-    raise UsageError(f"unknown pattern {name!r}")
+        return graphs.path(args.pn if args.pn is not None else 3)
+    if args.t is None:
+        raise UsageError(f"--t required for pattern {name}")
+    return supersat.PATTERNS[name].graph(args.t)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -177,7 +189,7 @@ def cmd_spectral(args) -> int:
 
 def cmd_hom(args) -> int:
     g = _load_graph(args.infile)
-    h = _pattern_graph(args.pattern, args.t, args.pn)
+    h = _pattern_graph(args)
     res = homcounts.hom_count(h, g)
     inj = homcounts.inj_count(h, g)
     aut = homcounts.aut_order(h)
@@ -200,12 +212,7 @@ def cmd_hom(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.infile)
-    if args.pattern == "custom":
-        if not args.pattern_file:
-            raise UsageError("--pattern-file required for custom pattern")
-        h = _load_graph(args.pattern_file)
-    else:
-        h = _pattern_graph(args.pattern, args.t, args.pn)
+    h = _pattern_graph(args)
     rep = sidorenko.check_suite(h, g, tol=args.tol)
     _emit(args, "check", {"pattern": args.pattern}, rep)
     applicable = [rep.holds_i]

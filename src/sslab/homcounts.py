@@ -1,4 +1,4 @@
-"""Exact counting: homomorphisms, injective homomorphisms, automorphisms,
+"""Exact counting: homomorphisms, one-to-one homomorphisms, automorphisms,
 closed walks, and copies of complete-bipartite and even-cycle patterns.
 
 Three engines, every result an exact Python int:
@@ -6,10 +6,11 @@ Three engines, every result an exact Python int:
 - contraction (`hom_contract`): hom(H, G) is a sum over the pattern's
   vertices of a product of adjacency factors, one per pattern edge, and the
   engine sums the pattern vertices out one at a time with `np.einsum`.
-  Closed walks, hom(K_{t,t}), the inequality suite and the 2t-cycle counter
-  (t >= 3) all run on it.  The cycle counter uses the spasm identity
-  inj(C_2t, G) = sum_q mu_q hom(q, G) over the loop-free quotients q of C_2t
-  (Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.  Every
+  Closed walks, hom(K_{t,t}), the inequality suite and every inj count
+  run on it: `inj_count`, `aut_order` (inj(H, H)) and the 2t-cycle counter
+  (t >= 3) use the spasm identity inj(H, G) = sum_q mu_q hom(q, G) over
+  the loop-free quotients q of H (`_quotients`; Lovasz 2012, section 5.2;
+  Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.  Every
   caller goes through one entry point for a signed sum of patterns over one
   host (`_contract_sum`).  Within the sum, a step whose summed-out
   sub-pattern is isomorphic to an earlier step's (boundary vertices in
@@ -20,8 +21,8 @@ Three engines, every result an exact Python int:
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
   CSR adjacency; at t>=3 a bitset recursion over vertex subsets.
-- backtracking (`hom_count`, `inj_count`, `aut_order`): plain enumeration,
-  kept as the independent oracle the other two are tested against.
+- backtracking (`hom_count`): plain enumeration, which `sslab hom` reports;
+  the tests enumerate inj themselves as the oracle for the Moebius sums.
 
 Exactness rule: float arithmetic is trusted only where the data certify it
 (see `hom_contract`); otherwise the same contraction reruns on Python ints,
@@ -75,7 +76,7 @@ def _rows(g: Graph) -> list[list[int]]:
     return [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
 
 
-# -- generic backtracking (the test oracle) --------------------------------
+# -- backtracking hom counts -----------------------------------------------
 
 
 def _connected_order(rows: list[list[int]]) -> list[int]:
@@ -85,37 +86,30 @@ def _connected_order(rows: list[list[int]]) -> list[int]:
     remaining = set(range(len(rows)))
     while remaining:
         start = max(
-            remaining,
-            key=lambda v: (
-                sum(1 for w in rows[v] if w not in remaining),
-                len(rows[v]),
-                -v,
-            ),
+            remaining, key=lambda v: (sum(w not in remaining for w in rows[v]), len(rows[v]), -v)
         )
         placed.append(start)
         remaining.discard(start)
     return placed
 
 
-# most pattern vertices the backtracking counters take
+# most pattern vertices `hom_count` and `inj_count` take
 PATTERN_LIMIT = 10
 
 
-def _count_maps(h: Graph, g: Graph, injective: bool) -> int:
+def hom_count(h: Graph, g: Graph) -> CountResult:
+    """hom(h, g) by backtracking: each pattern vertex in `_connected_order`
+    goes to the common host neighbours of its placed pattern neighbours."""
     if h.n > PATTERN_LIMIT:
         raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
-    if h.n == 0:
-        return 1
     rows = _rows(h)
     order = _connected_order(rows)
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
     back = [[pos[w] for w in rows[v] if pos[w] < i] for i, v in enumerate(order)]
     gsets = [set(r) for r in _rows(g)]
-    n = g.n
     total = 0
     image = [0] * h.n
-    used = set()
 
     def extend(i: int):
         nonlocal total
@@ -128,31 +122,13 @@ def _count_maps(h: Graph, g: Graph, injective: bool) -> int:
             for a in anchors[1:]:
                 cands &= gsets[image[a]]
         else:
-            cands = range(n)
+            cands = range(g.n)
         for c in cands:
-            if injective and c in used:
-                continue
             image[i] = c
-            if injective:
-                used.add(c)
             extend(i + 1)
-            if injective:
-                used.discard(c)
 
     extend(0)
-    return total
-
-
-def hom_count(h: Graph, g: Graph) -> CountResult:
-    return CountResult(_count_maps(h, g, injective=False), "backtracking")
-
-
-def inj_count(h: Graph, g: Graph) -> CountResult:
-    return CountResult(_count_maps(h, g, injective=True), "backtracking")
-
-
-def aut_order(h: Graph) -> int:
-    return inj_count(h, h).value
+    return CountResult(total, "backtracking")
 
 
 # -- the contraction engine ------------------------------------------------
@@ -171,20 +147,20 @@ def _plan(variables: frozenset, scopes: frozenset) -> tuple:
     plan runs once per host vertex: ("condition", c, subplan).
     """
     variables, scopes = set(variables), set(scopes)
+    # each variable's neighbours: the others that share a factor with it
+    nbrs = {v: {u for s in scopes if v in s for u in s} - {v} for v in variables}
     steps = []
-
-    def joined(v):
-        return tuple(sorted({u for s in scopes if v in s for u in s} - {v}))
-
     while variables:
-        v = min(variables, key=lambda v: (len(joined(v)), v))
-        others = joined(v)
+        v = min(variables, key=lambda v: (len(nbrs[v]), v))
+        others = tuple(sorted(nbrs[v]))
         if len(others) > 2:
             c = max(others, key=lambda u: (sum(u in s for s in scopes), -u))
             rest = {tuple(u for u in s if u != c) for s in scopes} - {()}
             steps.append(("condition", c, _plan(frozenset(variables - {c}), frozenset(rest))))
             break
         variables.discard(v)
+        for u in others:  # v's factors become one on `others`
+            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
         scopes = {s for s in scopes if v not in s} | ({others} if others else set())
         steps.append(("sum", v, others))
     return tuple(steps)
@@ -455,6 +431,8 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     operations (about n^3 per step, n times that under each conditioning)
     raises `BudgetExceededError` before it starts.
     """
+    if n_vars < 0:
+        raise CountError(f"pattern vertex count {n_vars} < 0")
     for u, v in edges:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
@@ -594,7 +572,7 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     return CountResult(doubled // 2, "codegree")
 
 
-# -- even cycles by partition-Moebius inversion ----------------------------
+# -- inj counts by partition-Moebius inversion -----------------------------
 
 
 def _refine(nbrs: list, color: list) -> list:
@@ -659,41 +637,52 @@ def _canonical(n: int, edges: frozenset, color: Optional[tuple] = None) -> tuple
     return tuple(sorted(color)), min(search(_refine(nbrs, color), ()))[0]
 
 
-def _set_partitions(items: list[int]):
-    """All set partitions, as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-@lru_cache(maxsize=None)
-def _cycle_quotients(t: int) -> tuple:
-    """(vertices, edges, mu) for each loop-free quotient class q of C_2t with
-    mu != 0, so that inj(C_2t, G) = sum of mu * hom(q, G) for simple G.
+@lru_cache(maxsize=256)
+def _quotients(n_vars: int, edges: tuple) -> tuple:
+    """(vertices, edges, mu) for each loop-free quotient class q of the
+    pattern H on 0..n_vars-1 with mu != 0, so that inj(H, G) = sum of
+    mu * hom(q, G) for simple G.
 
     Moebius inversion over the partition lattice: a partition with blocks B
-    adds prod (-1)^(|B|-1) (|B|-1)! to the class of its quotient.  Quotients
-    with a loop have no homomorphism into a simple graph and are skipped.
+    adds prod (-1)^(|B|-1) (|B|-1)! to the class of its quotient.  Only
+    partitions into independent sets are built (a block holding an edge
+    gives a loop, which maps into no simple graph): vertex i joins each
+    earlier block that holds none of its neighbours, which multiplies the
+    coefficient by minus that block's size, or opens a new block.
     """
-    length = 2 * t
-    edges = [(i, (i + 1) % length) for i in range(length)]
-    mu: dict = {}
-    for part in _set_partitions(list(range(length))):
-        block_of = {v: i for i, block in enumerate(part) for v in block}
-        if any(block_of[u] == block_of[v] for u, v in edges):
-            continue
-        q = _canonical(
-            len(part),
-            frozenset(tuple(sorted((block_of[u], block_of[v]))) for u, v in edges),
-        )
-        sign = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
-        mu[q] = mu.get(q, 0) + sign
+    earlier = [{min(e) for e in edges if max(e) == v} for v in range(n_vars)]
+    labelled: Counter = Counter()  # summed per labelled quotient: one `_canonical` each
+
+    def extend(block_of: tuple, sizes: tuple, sign: int):
+        if len(block_of) == n_vars:
+            quotient = frozenset(tuple(sorted((block_of[u], block_of[v]))) for u, v in edges)
+            labelled[len(sizes), quotient] += sign
+            return
+        taken = {block_of[u] for u in earlier[len(block_of)]}
+        for b, size in enumerate(sizes):
+            if b not in taken:
+                extend(block_of + (b,), sizes[:b] + (size + 1,) + sizes[b + 1 :], -size * sign)
+        extend(block_of + (len(sizes),), sizes + (1,), sign)
+
+    extend((), (), 1)
+    mu: Counter = Counter()
+    for key, sign in labelled.items():
+        mu[_canonical(*key)] += sign
     return tuple((len(colours), es, c) for (colours, es), c in sorted(mu.items()) if c)
+
+
+def inj_count(h: Graph, g: Graph) -> CountResult:
+    """Exact inj(h, g), the one-to-one homomorphisms: the hom counts of the
+    `_quotients` of h as one `_contract_sum` on g's dense adjacency, with
+    `WORK_BUDGET` capping each exact-integer rerun."""
+    if h.n > PATTERN_LIMIT:
+        raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
+    terms = _quotients(h.n, h.edges)
+    return CountResult(_contract_sum(terms, g.adjacency_matrix(), WORK_BUDGET), "walk-moebius")
+
+
+def aut_order(h: Graph) -> int:
+    return inj_count(h, h).value
 
 
 def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
@@ -701,8 +690,9 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
 
     t=2: C_4 = K_{2,2}, so `count_ktt`'s degree-ordered codegree count:
     the sum, over vertices v and lower-ranked w, of C(c, 2) with c the
-    common neighbours of v and w ranked below v.  t>=3: inj(C_2t) from the
-    hom counts of the cycle's quotients, divided by |Aut(C_2t)| = 4t.
+    common neighbours of v and w ranked below v.  t>=3: inj(C_2t), as
+    `inj_count` computes it from the cycle's `_quotients`, divided by
+    |Aut(C_2t)| = 4t.
     `budget` is passed to `count_ktt` at t=2, which refuses hosts whose
     wedge work exceeds it; at t>=3 it caps each quotient's exact-integer
     rerun.
@@ -721,7 +711,8 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
         return count_ktt(g, 2, budget=budget)
-    inj = _contract_sum(_cycle_quotients(t), g.adjacency_matrix(), budget)
+    edges = tuple((i, (i + 1) % (2 * t)) for i in range(2 * t))
+    inj = _contract_sum(_quotients(2 * t, edges), g.adjacency_matrix(), budget)
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

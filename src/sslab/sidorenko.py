@@ -176,7 +176,8 @@ def ktt_copy_lower(t: int, lam: float, m: int, n: int) -> float:
 
 def c2t_copy_lower(t: int, lam: float, n: int) -> float:
     """Lower bound on the number of 2t-cycles: lam^{2t}/(4t) minus an explicit
-    non-injective-walk error term C(2t,2) n^{2t-1} / (4t)."""
+    error term C(2t,2) n^{2t-1} / (4t) for the closed walks that repeat a
+    vertex."""
     if t < 2 or n < 0 or lam < 0:
         raise SidorenkoError("c2t_copy_lower: bad arguments")
     return (lam ** (2 * t) - math.comb(2 * t, 2) * float(n) ** (2 * t - 1)) / (4 * t)

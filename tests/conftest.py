@@ -54,3 +54,45 @@ def random_connected_graph(seed: int, n_max: int) -> Graph:
         if g.edge_count >= g.n - 1 and len(g.components) == 1:
             return g
         s += 10_000_019
+
+
+def inj_backtrack(h: Graph, g: Graph) -> int:
+    """inj(h, g) by plain enumeration, sharing no code with the package's
+    counters: the pattern vertices are placed greedily (most placed
+    neighbours, then highest degree, then lowest id), each onto an unused
+    common host neighbour of its placed pattern neighbours."""
+    hn = [set() for _ in range(h.n)]
+    for u, v in h.edges:
+        hn[u].add(v)
+        hn[v].add(u)
+    gn = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        gn[u].add(v)
+        gn[v].add(u)
+    order, remaining = [], set(range(h.n))
+    while remaining:
+        v = max(remaining, key=lambda v: (len(hn[v] - remaining), len(hn[v]), -v))
+        order.append(v)
+        remaining.discard(v)
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[pos[w] for w in hn[v] if pos[w] < i] for i, v in enumerate(order)]
+    image = [0] * h.n
+    used = set()
+
+    def extend(i):
+        if i == h.n:
+            return 1
+        if back[i]:
+            cands = set.intersection(*(gn[image[a]] for a in back[i]))
+        else:
+            cands = range(g.n)
+        total = 0
+        for c in cands:
+            if c not in used:
+                image[i] = c
+                used.add(c)
+                total += extend(i + 1)
+                used.discard(c)
+        return total
+
+    return extend(0)

@@ -107,6 +107,24 @@ class TestSpectral:
         assert r.returncode == 2
 
 
+# the flag each pattern reads, and every pattern flag that a pattern does
+# not read, on each subcommand that takes that pattern and that flag
+OWN_PATTERN_FLAG = {"ktt": "--t", "c2t": "--t", "path": "--pn", "custom": "--pattern-file"}
+STRAY_PATTERN_FLAGS = [
+    ("hom", "ktt", "--pn"),
+    ("hom", "c2t", "--pn"),
+    ("hom", "path", "--t"),
+    ("check", "ktt", "--pn"),
+    ("check", "ktt", "--pattern-file"),
+    ("check", "c2t", "--pn"),
+    ("check", "c2t", "--pattern-file"),
+    ("check", "path", "--t"),
+    ("check", "path", "--pattern-file"),
+    ("check", "custom", "--t"),
+    ("check", "custom", "--pn"),
+]
+
+
 class TestHomAndCheck:
     def test_hom_consistency(self, split_file):
         r = run_cli("hom", "--in", split_file, "--pattern", "c2t", "--t", "2")
@@ -142,6 +160,29 @@ class TestHomAndCheck:
         r = run_cli("check", "--in", split_file, "--pattern", "custom",
                     "--pattern-file", str(pf))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("command, pattern, flag", STRAY_PATTERN_FLAGS)
+    def test_stray_pattern_flag_is_usage_error(self, command, pattern, flag, tmp_path, capsys):
+        from sslab.cli import main
+
+        host = tmp_path / "g.txt"
+        host.write_text(write_edge_list(split_graph(2, 30)))
+        pf = tmp_path / "pat.txt"
+        pf.write_text(write_edge_list(complete_bipartite(2, 2)))
+        value = {"--t": "2", "--pn": "3", "--pattern-file": str(pf)}
+        own = OWN_PATTERN_FLAG[pattern]
+        argv = [command, "--in", str(host), "--pattern", pattern, own, value[own]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value[flag]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {flag} does not apply to pattern {pattern}\n"
+
+    def test_hom_has_no_custom_pattern(self, split_file):
+        r = run_cli("hom", "--in", split_file, "--pattern", "custom")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: unknown pattern 'custom'\n"
 
     def test_bigint_rerun_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
         from sslab.cli import main

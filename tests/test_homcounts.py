@@ -1,5 +1,5 @@
-"""Exact counting: backtracking oracles, the contraction engine, closed
-walks, fast counters."""
+"""Exact counting: backtracking hom counts, the contraction engine and its
+Moebius sums for inj, closed walks, fast counters."""
 
 import math
 import os
@@ -42,14 +42,14 @@ from sslab.homcounts import (
     CountError,
     PatternTooLargeError,
     _canonical,
-    _cycle_quotients,
     _pair_total,
     _plan,
     _put,
+    _quotients,
     codegree_work,
     wedge_work,
 )
-from conftest import random_graph
+from conftest import inj_backtrack, random_graph
 
 
 class TestBacktracking:
@@ -121,6 +121,151 @@ def _random_pattern(seed: int) -> Graph:
     return Graph.from_edges(n, [e for e in pairs if rng.random() < 0.45])
 
 
+# -- references for `_quotients` and `_plan` --------------------------------
+
+
+def _set_partitions(items: list[int]):
+    """All set partitions, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def reference_quotients(n_vars: int, edges) -> tuple:
+    """What `_quotients` returns, from every set partition of 0..n_vars-1:
+    a partition with a block holding an edge is dropped, any other adds
+    prod (-1)^(|B|-1) (|B|-1)! over its blocks B to its quotient's class."""
+    mu: dict = {}
+    for part in _set_partitions(list(range(n_vars))):
+        block_of = {v: i for i, block in enumerate(part) for v in block}
+        if any(block_of[u] == block_of[v] for u, v in edges):
+            continue
+        q = _canonical(
+            len(part),
+            frozenset(tuple(sorted((block_of[u], block_of[v]))) for u, v in edges),
+        )
+        sign = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        mu[q] = mu.get(q, 0) + sign
+    return tuple((len(colours), es, c) for (colours, es), c in sorted(mu.items()) if c)
+
+
+def cycle_quotients(t: int) -> tuple:
+    """The Moebius terms of inj(C_2t), from every set partition of C_2t."""
+    length = 2 * t
+    return reference_quotients(length, [(i, (i + 1) % length) for i in range(length)])
+
+
+def reference_plan(variables: frozenset, scopes: frozenset) -> tuple:
+    """The plan `_plan` makes, with every variable's neighbours recomputed
+    from the scopes at every step."""
+    variables, scopes = set(variables), set(scopes)
+    steps = []
+
+    def joined(v):
+        return tuple(sorted({u for s in scopes if v in s for u in s} - {v}))
+
+    while variables:
+        v = min(variables, key=lambda v: (len(joined(v)), v))
+        others = joined(v)
+        if len(others) > 2:
+            c = max(others, key=lambda u: (sum(u in s for s in scopes), -u))
+            rest = {tuple(u for u in s if u != c) for s in scopes} - {()}
+            sub = reference_plan(frozenset(variables - {c}), frozenset(rest))
+            steps.append(("condition", c, sub))
+            break
+        variables.discard(v)
+        scopes = {s for s in scopes if v not in s} | ({others} if others else set())
+        steps.append(("sum", v, others))
+    return tuple(steps)
+
+
+def _random_scopes(rng: random.Random) -> tuple:
+    """Variables 0..n-1 (n up to 9) and scopes of one to three of them."""
+    n = rng.randint(1, 9)
+    sizes = [k for k in (1, 2, 2, 2, 3) if k <= n]
+    scopes = frozenset(
+        tuple(sorted(rng.sample(range(n), rng.choice(sizes)))) for _ in range(rng.randint(0, 2 * n))
+    )
+    return frozenset(range(n)), scopes
+
+
+class TestPlan:
+    def test_matches_the_reference_on_random_scopes(self):
+        rng = random.Random(14)
+        conditioned = 0
+        for _ in range(3000):
+            variables, scopes = _random_scopes(rng)
+            plan = _plan(variables, scopes)
+            assert plan == reference_plan(variables, scopes)
+            conditioned += any(step[0] == "condition" for step in plan)
+        assert conditioned > 100  # both branches are exercised
+
+    def test_matches_the_reference_on_a_long_cycle(self):
+        # `closed_walk_count(g, 200)` plans this chain
+        scopes = frozenset(tuple(sorted((i, (i + 1) % 200))) for i in range(200))
+        assert _plan(frozenset(range(200)), scopes) == reference_plan(frozenset(range(200)), scopes)
+
+
+class TestInjMoebius:
+    """`inj_count` and `aut_order` are Moebius sums over `_quotients` on the
+    contraction engine; these oracles share no counting code with it."""
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_cycle_quotients_are_unchanged(self, t):
+        assert _quotients(2 * t, cycle(2 * t).edges) == cycle_quotients(t)
+
+    def test_quotients_match_the_reference(self):
+        for seed in range(60):
+            h = _random_pattern(seed)
+            assert _quotients(h.n, h.edges) == reference_quotients(h.n, h.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(FIXED_PATTERNS), st.integers(0, 2**31).map(_random_pattern)),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_backtracking(self, h, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        g = sample_gnm(n, rng.randint(0, n * (n - 1) // 2), seed)
+        res = inj_count(h, g)
+        assert res.method == "walk-moebius"
+        assert res.value == inj_backtrack(h, g)
+
+    def test_complete_hosts(self):
+        # inj(H, K_n) = n! / (n - |H|)!, which is 0 when |H| > n; the
+        # 10-vertex patterns have 115975 and 21147 independent partitions
+        # but only 10 and 9 quotients
+        patterns = [Graph.from_edges(0, []), Graph.from_edges(5, [(0, 1)]), path(7)]
+        patterns += [Graph.from_edges(10, []), star(9)]
+        patterns += [_random_pattern(seed) for seed in range(40)]
+        for h in patterns:
+            for n in range(12):
+                assert inj_count(h, complete(n)).value == math.perm(n, h.n)
+
+    def test_aut_order_matches_networkx(self):
+        patterns = FIXED_PATTERNS + [_random_pattern(seed) for seed in range(300, 340)]
+        for h in patterns:
+            ref = nx.Graph()
+            ref.add_nodes_from(range(h.n))
+            ref.add_edges_from(h.edges)
+            want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(ref, ref)
+                       .isomorphisms_iter())
+            assert aut_order(h) == want
+
+    def test_pattern_limit(self):
+        h = path(11)
+        with pytest.raises(PatternTooLargeError, match="11 > 10"):
+            inj_count(h, complete(3))
+        with pytest.raises(PatternTooLargeError, match="11 > 10"):
+            aut_order(h)
+
+
 class TestContraction:
     def test_conditioning_plans(self):
         for h in FIXED_PATTERNS[:3]:
@@ -153,6 +298,10 @@ class TestContraction:
     def test_edge_outside_pattern(self):
         with pytest.raises(CountError):
             hom_contract(2, [(0, 2)], path(3))
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(CountError, match="-1 < 0"):
+            hom_contract(-1, [], path(3))
 
     def test_checks_survive_optimize_flag(self):
         # a non-integer adjacency makes the float-to-int step fail; under -O
@@ -245,7 +394,7 @@ class TestCompleteBipartite:
         for s in range(40):
             g = random_graph(5000 + s, 8, allow_empty=True)
             for t in (2, 3):
-                inj = inj_count(complete_bipartite(t, t), g).value
+                inj = inj_backtrack(complete_bipartite(t, t), g)
                 denom = 2 * math.factorial(t) ** 2
                 assert inj % denom == 0
                 assert count_ktt(g, t).value == inj // denom
@@ -319,7 +468,7 @@ class TestEvenCycles:
         for s in range(40):
             g = random_graph(6000 + s, 8, allow_empty=True)
             for t in (2, 3):
-                inj = inj_count(cycle(2 * t), g).value
+                inj = inj_backtrack(cycle(2 * t), g)
                 assert inj % (4 * t) == 0
                 assert count_c2t(g, t).value == inj // (4 * t)
 
@@ -327,14 +476,14 @@ class TestEvenCycles:
         for s in range(12):
             g = random_graph(8000 + s, 9)
             for t in (3, 4):
-                inj = inj_count(cycle(2 * t), g).value
+                inj = inj_backtrack(cycle(2 * t), g)
                 assert count_c2t(g, t).value == inj // (4 * t)
 
     def test_c4_in_split_closed_form(self):
         # 4-cycles of S_{2,m} with r=0: pairs of independent vertices, C(q,2)
         g = split_graph(2, 21)  # q=10
         assert count_c2t(g, 2).value == math.comb(10, 2)
-        assert count_c2t(g, 2).value == inj_count(cycle(4), g).value // 8
+        assert count_c2t(g, 2).value == inj_backtrack(cycle(4), g) // 8
 
     def test_methods(self):
         assert count_c2t(complete(6), 2).method == "codegree"
@@ -381,7 +530,7 @@ class TestSharedMoebiusSum:
     @staticmethod
     def _per_quotient(g: Graph, t: int) -> int:
         # every quotient through the engine on its own: nothing crosses terms
-        inj = sum(mu * hom_contract(k, es, g).value for k, es, mu in _cycle_quotients(t))
+        inj = sum(mu * hom_contract(k, es, g).value for k, es, mu in cycle_quotients(t))
         return inj // (4 * t)
 
     def test_matches_enumeration_and_the_unshared_sum(self):
@@ -391,7 +540,7 @@ class TestSharedMoebiusSum:
             for t in (3, 4):
                 if t == 4 and g.n > 11:
                     continue  # keep the backtracking oracle quick
-                want = inj_count(cycle(2 * t), g).value // (4 * t)
+                want = inj_backtrack(cycle(2 * t), g) // (4 * t)
                 assert count_c2t(g, t).value == self._per_quotient(g, t) == want
         for g in (sample_gnm(60, 400, 5), split_graph(3, 300)):
             for t in (3, 4):
@@ -531,7 +680,7 @@ class TestC4Kernel:
     @settings(max_examples=40, deadline=None)
     @given(c4_hosts(n_max=9))
     def test_matches_backtracking(self, g):
-        assert count_ktt(g, 2).value == inj_count(cycle(4), g).value // 8
+        assert count_ktt(g, 2).value == inj_backtrack(cycle(4), g) // 8
 
     @settings(max_examples=60, deadline=None)
     @given(c4_hosts())
@@ -567,9 +716,9 @@ def test_counters_agree_property(seed):
     m = rng.randint(3, n * (n - 1) // 2)
     g = sample_gnm(n, m, seed)
     t = rng.choice([2, 3])
-    inj_k = inj_count(complete_bipartite(t, t), g).value
+    inj_k = inj_backtrack(complete_bipartite(t, t), g)
     assert count_ktt(g, t).value == inj_k // (2 * math.factorial(t) ** 2)
-    inj_c = inj_count(cycle(2 * t), g).value
+    inj_c = inj_backtrack(cycle(2 * t), g)
     assert count_c2t(g, t).value == inj_c // (4 * t)
     assert closed_walk_count(g, 2 * t).value == hom_count(cycle(2 * t), g).value
 
