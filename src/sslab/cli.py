@@ -157,8 +157,16 @@ def _pattern_graph(args) -> graphs.Graph:
 # -- subcommands -----------------------------------------------------------
 
 
+# the size flags of `gen`, each read by its families, and --seed, read by gnm
+_GEN_FLAGS = [*dict.fromkeys(n for _, ns in graphs.FAMILIES.values() for n in ns), "seed"]
+
+
 def cmd_gen(args) -> int:
     _, names = graphs.FAMILIES[args.family]
+    reads = (*names, "seed") if args.family == "gnm" else names
+    for flag in _GEN_FLAGS:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to family {args.family}")
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise UsageError(f"family {args.family} requires {', '.join(missing)}")
@@ -285,6 +293,8 @@ def cmd_rowcover(args) -> int:
 
 
 def cmd_regularize(args) -> int:
+    if args.cap is not None and not args.materialize:
+        raise UsageError("--cap applies only with --materialize")
     g = _load_graph(args.infile)
     bundle = regularize.build_regular(g, args.k)
     dist = regularize.edge_distribution(g)
@@ -293,7 +303,8 @@ def cmd_regularize(args) -> int:
         "log_lambda": math.log(dist.lam),
     }
     if args.materialize:
-        fk = regularize.materialize_fk(bundle, g, cap=args.cap)
+        cap = {} if args.cap is None else {"cap": args.cap}
+        fk = regularize.materialize_fk(bundle, g, **cap)
         derived.update(fk_vertices=fk.n, fk_edges=fk.edge_count)
     _emit(args, "regularize", bundle, derived)
     return 0
@@ -400,6 +411,14 @@ def cmd_sweep(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def positive_float(text: str) -> float:
+    """The value of --tol: a positive finite float."""
+    tol = float(text)
+    if not 0 < tol < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sslab")
     sub = p.add_subparsers(dest="command", required=True)
@@ -419,19 +438,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("gen", cmd_gen, infile=False)
     sp.add_argument("--family", required=True, choices=list(graphs.FAMILIES))
-    names = dict.fromkeys(name for _, ns in graphs.FAMILIES.values() for name in ns)
-    for name in [*names, "seed"]:
+    for name in _GEN_FLAGS:
         sp.add_argument(f"--{name}", type=int)
 
     sp = command("spectral", cmd_spectral)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=positive_float, default=1e-10)
 
     sp = command("hom", cmd_hom, t=False)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
 
     sp = command("check", cmd_check, t=False)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=positive_float, default=1e-10)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
     sp.add_argument("--pattern-file")
@@ -450,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("regularize", cmd_regularize)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
-    sp.add_argument("--cap", type=int, default=5000)
+    sp.add_argument("--cap", type=int)
 
     sp = command("pipeline", cmd_pipeline, t=True)
     sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))

@@ -320,7 +320,6 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
     best_val = -1.0
     best_x = None
     converged = False
-    used = 0
     starts = [np.ones(n)]
     try:
         pd = perron(g, tol=max(tol, 1e-8))
@@ -330,7 +329,6 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
     while len(starts) < _RESTARTS + 1:
         starts.append(rng.uniform(0.5, 1.5, size=n))
     for x in starts:
-        used += 1
         x = np.abs(x)
         x /= np.linalg.norm(x, ord=p)
         prev = -1.0
@@ -357,47 +355,45 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
             best_val = val
             best_x = x.copy()
             converged = ok
-    return OpNormEstimate(p, q, best_val, best_x, converged, used)
+    return OpNormEstimate(p, q, best_val, best_x, converged, len(starts))
 
 
 # -- bipartite incidence singular data -------------------------------------
 
 
-def incidence_matrix(rows: Sequence[int], cols: Sequence[int], g: Graph) -> np.ndarray:
-    return g.sparse_adjacency()[g.vertex_list(rows)][:, g.vertex_list(cols)].toarray()
-
-
-def top_singular(rows: Sequence[int], cols: Sequence[int], g: Graph):
-    """Top singular triple (sigma1, v_right, u_left) of the rows x cols 0/1
-    incidence matrix.  Power iteration on M^T M from the all-ones start picks
-    a nonnegative vector deterministically even with a tied top value."""
-    rows, cols = sorted(set(rows)), sorted(set(cols))
-    if not rows or not cols:
-        raise SpectraError("top_singular: empty rows or cols")
+def incidence_matrix(rows: Sequence[int], cols: Sequence[int], g: Graph):
+    """The rows x cols 0/1 incidence matrix of g: a slice of its CSR on the
+    sorted, distinct, range-checked sides, which must be disjoint."""
+    rows, cols = g.vertex_list(set(rows)), g.vertex_list(set(cols))
     if set(rows) & set(cols):
         raise SpectraError("top_singular: rows and cols must be disjoint")
-    m = incidence_matrix(rows, cols, g)
-    mt_m = m.T @ m
-    v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
-    if not m.any():
-        return 0.0, v, np.full(len(rows), 1.0 / math.sqrt(len(rows)))
+    return g.sparse_adjacency()[rows][:, cols]
+
+
+def top_singular(m):
+    """Top singular triple (sigma1, v_right, u_left) of the incidence matrix
+    m: power iteration on the exact integer Gram M^T M from the all-ones
+    start, which picks a nonnegative vector even with a tied top value."""
+    n_rows, n_cols = m.shape
+    if not n_rows or not n_cols:
+        raise SpectraError("top_singular: empty rows or cols")
+    v = np.full(n_cols, 1.0 / math.sqrt(n_cols))
+    if m.nnz == 0:
+        return 0.0, v, np.full(n_rows, 1.0 / math.sqrt(n_rows))
+    dense = m.toarray()
+    mt_m = dense.T @ dense
     sig2 = 0.0
     for _ in range(100000):
-        w = mt_m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v_new = w / nw
+        w = mt_m @ v  # not 0: v >= 0 is positive on a column of M with an entry
+        v_new = w / np.linalg.norm(w)
         sig2_new = float(v_new @ (mt_m @ v_new))
         done = abs(sig2_new - sig2) <= 1e-14 * max(1.0, sig2_new)
         v, sig2 = v_new, sig2_new
         if done:
             break
     sigma1 = math.sqrt(max(sig2, 0.0))
-    mv = m @ v
-    nu = np.linalg.norm(mv)
-    u = mv / nu if nu > 0 else np.full(len(rows), 1.0 / math.sqrt(len(rows)))
-    return sigma1, v, u
+    mv = dense @ v  # not 0 either, for the same reason
+    return sigma1, v, mv / np.linalg.norm(mv)
 
 
 # -- vertex-cut diagnostics ------------------------------------------------
@@ -429,20 +425,16 @@ def cut_diagnostics(g: Graph, u_set: Sequence[int], pd: PerronData) -> CutDiagno
     (b) (lam - lam_U)(lam - lam_W) <= rho^2  (and rho^2 <= m_UW),
     (c) mu(U) <= rho^2 / ((lam - lam_U)^2 + rho^2) when the denominator > 0.
     """
-    in_u = set(u_set)
-    u = sorted(in_u)
-    w = [v for v in range(g.n) if v not in in_u]
+    u = sorted(set(u_set))
+    w = sorted(set(range(g.n)).difference(u))
     if not u or not w:
         raise SpectraError("cut_diagnostics: trivial partition")
     lam = pd.lam
     lam_u = _sub_lambda(g, u)
     lam_w = _sub_lambda(g, w)
-    ends = g.ends_in(u)
-    m_uw = int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
-    if m_uw > 0:
-        rho, _, _ = top_singular(u, w, g)
-    else:
-        rho = 0.0
+    m = incidence_matrix(u, w, g)
+    m_uw = m.nnz
+    rho = top_singular(m)[0]
     mu_u = float(sum(pd.x[v] ** 2 for v in u))
     slack_a = max(lam_u, lam_w) + rho - lam
     slack_b = rho * rho - (lam - lam_u) * (lam - lam_w)

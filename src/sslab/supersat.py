@@ -14,7 +14,8 @@ import numpy as np
 from .graphs import Graph, complete_bipartite, cycle
 from .homcounts import WORK_BUDGET, CountResult, codegree_work, count_c2t, count_ktt
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
-from .spectra import PerronData, perron, perron_after_deletion, split_lambda, top_singular
+from .spectra import (PerronData, incidence_matrix, perron, perron_after_deletion,
+                      split_lambda, top_singular)
 
 
 class SupersatError(ValueError):
@@ -143,15 +144,6 @@ def _between(p: np.ndarray, q: np.ndarray) -> int:
     """Number of edges with one end in P and the other in Q, from the
     endpoint indicators `h.ends_in(P)` and `h.ends_in(Q)`."""
     return int(np.count_nonzero(p[:, 0] & q[:, 1] | q[:, 0] & p[:, 1]))
-
-
-def _nbrs_in(h: Graph, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """For each vertex of P its number of neighbours in Q, 0 off P, from
-    the endpoint indicators of P and Q."""
-    e = h.edge_array
-    return np.bincount(e[p[:, 0] & q[:, 1], 0], minlength=h.n) + np.bincount(
-        e[p[:, 1] & q[:, 0], 1], minlength=h.n
-    )
 
 
 # -- localization diagnostics ----------------------------------------------
@@ -317,24 +309,20 @@ def aligned_rows(
     if not (0 <= theta <= 1):
         raise SupersatError("theta must lie in [0, 1]")
     a_sorted = sorted(set(a_set))
-    d_sorted = sorted(set(d_set))
-    # top_singular rejects empty, overlapping and out-of-range sides
-    sigma1, v_right, u_left = top_singular(a_sorted, d_sorted, h)
+    m = incidence_matrix(a_sorted, d_set, h)  # rejects overlap and bad ids
+    sigma1, v_right, u_left = top_singular(m)  # rejects an empty side
     if sigma1 == 0:
         raise SupersatError("empty incidence matrix")
-    return _aligned(h, a_sorted, d_sorted, theta, v_right), (sigma1, v_right, u_left)
+    return [a_sorted[i] for i in _aligned(m, theta, v_right)], (sigma1, v_right, u_left)
 
 
-def _aligned(h: Graph, a_sorted: list, d_sorted: list, theta: float, v_right) -> list:
-    """The rows of A whose normalized D-incidence row has squared inner
-    product >= 1 - theta with the top right singular vector `v_right`: with
-    M the A x D incidence matrix, the a with deg_a > 0 and
-    (Mv)_a^2 / deg_a >= 1 - theta."""
-    m = h.sparse_adjacency()[a_sorted][:, d_sorted]
+def _aligned(m, theta: float, v_right) -> np.ndarray:
+    """Indices of the rows a of the incidence matrix M aligned with v =
+    `v_right`: deg_a > 0 and (Mv)_a^2 / deg_a >= 1 - theta."""
     deg = m.getnnz(axis=1)
     mv = m @ v_right
     aligned = (deg > 0) & (mv * mv / np.maximum(deg, 1) >= 1 - theta - 1e-12)
-    return [a for a, keep in zip(a_sorted, aligned) if keep]
+    return np.flatnonzero(aligned)
 
 
 @dataclass(frozen=True)
@@ -371,45 +359,46 @@ def row_cover_analyze(
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
-    a_sorted = sorted(set(a_set))
-    d_sorted = sorted(set(d_set))
-    ae, de = h.ends_in(a_sorted), h.ends_in(d_sorted)
-    deg_d = _nbrs_in(h, ae, de)  # 0 off A
-    e_ad = int(deg_d.sum())
+    a_sorted, d_sorted = sorted(set(a_set)), sorted(set(d_set))
+    m = incidence_matrix(a_sorted, d_sorted, h)
+    deg = m.getnnz(axis=1)  # each row's D-degree
+    e_ad = m.nnz
     if e_ad < 1:
         raise SupersatError("no A-D edges")
-    sigma1, v_right, _ = top_singular(a_sorted, d_sorted, h)
+    sigma1, v_right, _ = top_singular(m)
     eps = max(0.0, 1.0 - sigma1 * sigma1 / e_ad)
     theta = math.sqrt(eps)
-    r_set = tuple(_aligned(h, a_sorted, d_sorted, theta, v_right))
+    rows = _aligned(m, theta, v_right)
     # With M the A x D incidence matrix, v = v_right and r_a row a of M
     # normalized, sum_a deg_a (r_a . v)^2 = |Mv|^2 = sigma1^2, and
     # sum_a deg_a = e_ad.  So some row has (r_a . v)^2 at least the weighted
     # mean sigma1^2 / e_ad = 1 - theta^2 >= 1 - theta, and R is not empty.
-    if not r_set:
+    if rows.size == 0:
         raise SupersatError("no aligned row: the top singular vector is wrong")
-    e_uncovered = e_ad - int(deg_d[list(r_set)].sum())
+    r_set = tuple(a_sorted[i] for i in rows)
+    e_uncovered = e_ad - int(deg[rows].sum())
     # the aligned rows carry almost all A-D edges
     if e_uncovered > theta * e_ad + 1e-9:
         raise SupersatError(f"aligned rows miss {e_uncovered} of {e_ad} A-D edges")
     found = dict(r_set=r_set, theta=theta, epsilon=eps, sigma1=sigma1,
                  e_ad=e_ad, e_uncovered=e_uncovered)
     if len(r_set) >= t:
-        d_star = int(deg_d[list(r_set)].min())
+        d_star = int(deg[rows].min())
         floor_l = max(0, math.floor((1 - 2 * (t - 1) * theta) * d_star))
         bound = math.comb(len(r_set), t) * math.comb(floor_l, t)
         return RowCoverOutcome(
             "many-copies", **found, d_star=d_star, floor_l=floor_l, copy_bound=bound
         )
-    r_ends = h.ends_in(r_set)
     # B: the vertices of D adjacent to every row of R
-    b_mask = _nbrs_in(h, de, r_ends) == len(r_set)
+    m_r = m[rows]
+    in_b = m_r.getnnz(axis=0) == rows.size
+    others = np.delete(np.arange(len(a_sorted)), rows)
     return RowCoverOutcome(
         "cover",
         **found,
-        b_set=tuple(np.flatnonzero(b_mask).tolist()),
-        e_ar_b=_between(ae & ~r_ends, b_mask[h.edge_array]),
-        e_r_dnb=_between(r_ends, de & ~b_mask[h.edge_array]),
+        b_set=tuple(np.asarray(d_sorted)[in_b].tolist()),
+        e_ar_b=m[others][:, in_b].nnz,
+        e_r_dnb=m_r[:, ~in_b].nnz,
     )
 
 

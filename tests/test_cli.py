@@ -74,6 +74,28 @@ class TestGen:
         assert missing in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("--family", "cycle", "--n", "5", "--m", "7", "--k", "3", "--seed", "4"),
+             "--k"),
+            (("--family", "cycle", "--n", "5", "--m", "7"), "--m"),
+            (("--family", "star", "--n", "3", "--seed", "4"), "--seed"),
+            (("--family", "split", "--k", "2", "--m", "10", "--n", "5"), "--n"),
+            (("--family", "gnm", "--n", "5", "--m", "3", "--seed", "1", "--a", "2"), "--a"),
+            (("--family", "complete-bipartite", "--a", "2", "--b", "3", "--n", "4"), "--n"),
+            (("--family", "empty", "--n", "3", "--b", "1"), "--b"),
+        ],
+    )
+    def test_flag_the_family_does_not_read_is_usage_error(self, args, flag, capsys):
+        from sslab.cli import main
+
+        assert main(["gen", *args]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {flag} does not apply to family {args[1]}\n"
+
+
 class TestSpectral:
     def test_fields_and_determinism(self, split_file):
         r1 = run_cli("spectral", "--in", split_file)
@@ -262,6 +284,20 @@ class TestPipelineCommands:
         assert obj["d_k"] == 2 and obj["t_k_size"] == 12
         assert obj["fk_vertices"] == 12
         assert abs(obj["entropy_gap"] - obj["log_lambda"]) < 1e-9
+
+    def test_regularize_cap(self, tmp_path, capsys):
+        from sslab.cli import main
+
+        p = tmp_path / "p3.txt"
+        p.write_text(write_edge_list(star(2)))
+        argv = ["regularize", "--in", str(p), "--k", "4", "--cap"]
+        # the type class has 12 tuples
+        assert main([*argv, "11"]) == 2
+        assert capsys.readouterr().err == "error: --cap applies only with --materialize\n"
+        assert main([*argv, "11", "--materialize"]) == 2
+        assert "> cap 11" in capsys.readouterr().err
+        assert main([*argv, "12", "--materialize"]) == 0
+        assert json.loads(capsys.readouterr().out)["fk_vertices"] == 12
 
     def test_pipeline(self, split_file):
         r1 = run_cli("pipeline", "--in", split_file, "--t", "2", "--pattern", "ktt")
@@ -526,6 +562,20 @@ class TestParsing:
 
         assert main(list(argv)) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectral", "check"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "1e400"])
+    def test_tol_must_be_positive_and_finite(self, command, tol, capsys):
+        from sslab.cli import main
+
+        # the host file does not exist: the value is refused before it is read
+        argv = [command, "--in", "missing.txt", f"--tol={tol}"]
+        if command == "check":
+            argv += ["--pattern", "path"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --tol: must be positive and finite, got '{tol}'" in out.err
 
     def test_console_script_installed(self, tmp_path):
         # Builds the wrapper an installer generates from the declared entry

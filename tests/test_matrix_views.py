@@ -9,13 +9,14 @@ from pathlib import Path
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sslab
 from sslab import Graph, perron
 from sslab.graphs import cycle, empty_graph, path, sample_gnm, star, union
-from sslab.spectra import incidence_matrix
+from sslab.spectra import SpectraError, incidence_matrix
 
 
 @st.composite
@@ -88,17 +89,26 @@ def test_perron_of_a_component_ignores_the_rest_of_the_host():
 @settings(max_examples=80, deadline=None)
 @given(hosts(), st.data())
 def test_incidence_matrix_matches_has_edge(g, data):
+    # the sides may repeat and come in any order; half the time the column
+    # side keeps only the ids that are not rows, so most draws are disjoint
     rows = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
     cols = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
     if g.n == 0:
         rows = cols = []
-    rs, cs = sorted(rows), sorted(cols)
+    if data.draw(st.booleans()):
+        cols = [c for c in cols if c not in rows]
+    rs, cs = sorted(set(rows)), sorted(set(cols))
+    if set(rs) & set(cs):
+        with pytest.raises(SpectraError, match="disjoint"):
+            incidence_matrix(rows, cols, g)
+        return
     expected = np.array(
         [[1.0 if g.has_edge(u, v) else 0.0 for v in cs] for u in rs]
     ).reshape(len(rs), len(cs))
     got = incidence_matrix(rows, cols, g)
     assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
+    assert got.nnz == np.count_nonzero(expected)
+    assert np.array_equal(got.toarray(), expected)
 
 
 def test_internal_checks_survive_python_O():

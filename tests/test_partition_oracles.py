@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslab import Graph, complete_bipartite, split_graph
-from sslab.spectra import PerronData, top_singular
+from sslab.spectra import PerronData, incidence_matrix, top_singular
 from sslab.supersat import (
     SupersatError,
     TooDelocalizedError,
@@ -176,7 +176,7 @@ def check_aligned(h, a_set, d_set):
     dset, nbrs = set(d_sorted), neighbours(h)
     if not any(w in dset for a in a_sorted for w in nbrs[a]):
         return False
-    _, v_right, _ = top_singular(a_sorted, d_sorted, h)
+    _, v_right, _ = top_singular(incidence_matrix(a_sorted, d_sorted, h))
     for theta in THETAS:
         r_set, (_, v, _) = aligned_rows(h, a_set, d_set, theta)
         assert np.array_equal(v, v_right)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslab import (
     cut_diagnostics,
@@ -203,6 +205,68 @@ class TestOpNorm:
             opnorm(Graph.from_edges(2, []), 1.5, 3)
 
 
+def dense_incidence(rows, cols, g):
+    """The rows x cols incidence matrix as a dense array, the way it was
+    built before the sparse slice became the only incidence."""
+    return g.sparse_adjacency()[g.vertex_list(rows)][:, g.vertex_list(cols)].toarray()
+
+
+def reference_top_singular(rows, cols, g):
+    """The dense top singular triple that `top_singular` must reproduce
+    bit for bit: power iteration on M^T M of the dense M."""
+    rows, cols = sorted(set(rows)), sorted(set(cols))
+    m = dense_incidence(rows, cols, g)
+    mt_m = m.T @ m
+    v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
+    if not m.any():
+        return 0.0, v, np.full(len(rows), 1.0 / math.sqrt(len(rows)))
+    sig2 = 0.0
+    for _ in range(100000):
+        w = mt_m @ v
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            break
+        v_new = w / nw
+        sig2_new = float(v_new @ (mt_m @ v_new))
+        done = abs(sig2_new - sig2) <= 1e-14 * max(1.0, sig2_new)
+        v, sig2 = v_new, sig2_new
+        if done:
+            break
+    sigma1 = math.sqrt(max(sig2, 0.0))
+    mv = m @ v
+    nu = np.linalg.norm(mv)
+    u = mv / nu if nu > 0 else np.full(len(rows), 1.0 / math.sqrt(len(rows)))
+    return sigma1, v, u
+
+
+def assert_same_bits(got, want):
+    assert got[0].hex() == want[0].hex()
+    for x, y in zip(got[1:], want[1:]):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@st.composite
+def sides_on_hosts(draw):
+    """A host on 2..24 vertices with disjoint sides (rows, cols), each given
+    unsorted and with repeats.  Half the time every row has the same
+    neighbours among the columns (K_{2,q}-style identical rows)."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    labels = draw(st.lists(st.sampled_from("RC-"), min_size=n, max_size=n))
+    rows = [v for v in range(n) if labels[v] == "R"]
+    cols = [v for v in range(n) if labels[v] == "C"]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=60))
+    if draw(st.booleans()):
+        common = draw(st.sets(st.sampled_from(cols))) if cols else set()
+        crossing = {(min(r, c), max(r, c)) for r in rows for c in cols}
+        edges = (edges - crossing) | {(min(r, c), max(r, c)) for r in rows for c in common}
+    rnd = draw(st.randoms(use_true_random=False))
+    rows, cols = rows + rows[: len(rows) // 2], cols + cols[: len(cols) // 2]
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    return Graph.from_edges(n, edges), rows, cols
+
+
 class TestTopSingular:
     def test_matches_numpy_svd(self):
         for s in range(25):
@@ -210,22 +274,43 @@ class TestTopSingular:
             verts = list(range(g.n))
             rng = random.Random(s)
             cut = rng.randint(1, g.n - 1)
-            rows, cols = verts[:cut], verts[cut:]
-            m = incidence_matrix(rows, cols, g)
-            sigma, v, u = top_singular(rows, cols, g)
-            ref = np.linalg.svd(m, compute_uv=False)
+            m = incidence_matrix(verts[:cut], verts[cut:], g)
+            sigma, v, u = top_singular(m)
+            ref = np.linalg.svd(m.toarray(), compute_uv=False)
             ref_top = ref[0] if len(ref) else 0.0
             assert abs(sigma - ref_top) < 1e-9
 
     def test_star_value(self):
         g = star(6)
-        sigma, v, u = top_singular([0], list(range(1, 7)), g)
+        sigma, v, u = top_singular(incidence_matrix([0], list(range(1, 7)), g))
         assert abs(sigma - math.sqrt(6)) < 1e-12
         assert np.all(v >= 0)
 
     def test_overlap_rejected(self):
-        with pytest.raises(SpectraError):
-            top_singular([0, 1], [1, 2], star(3))
+        with pytest.raises(SpectraError, match="disjoint"):
+            incidence_matrix([0, 1], [1, 2], star(3))
+
+    def test_empty_side_rejected(self):
+        for rows, cols in (([], [1, 2]), ([0], [])):
+            with pytest.raises(SpectraError, match="empty"):
+                top_singular(incidence_matrix(rows, cols, star(3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sides_on_hosts())
+    def test_matches_the_dense_reference_bit_for_bit(self, case):
+        g, rows, cols = case
+        if rows and cols:
+            got = top_singular(incidence_matrix(rows, cols, g))
+            assert_same_bits(got, reference_top_singular(rows, cols, g))
+
+    @pytest.mark.parametrize("q", [1, 5, 20, 100])
+    def test_identical_rows_match_the_reference_with_zero_epsilon(self, q):
+        g = complete_bipartite(2, q)
+        rows, cols = [0, 1], list(range(2, q + 2))
+        got = top_singular(incidence_matrix(rows, cols, g))
+        assert_same_bits(got, reference_top_singular(rows, cols, g))
+        # the row cover's epsilon = max(0, 1 - sigma1^2 / e(A, D)) is exactly 0
+        assert got[0] ** 2 >= 2 * q
 
 
 class TestCutDiagnostics:
@@ -251,6 +336,24 @@ class TestCutDiagnostics:
         # lambda_U = lambda_W = 0, rho = lambda = sqrt(8): equality in (b), (c)
         assert abs(diag.slack_b) < 1e-9
         assert diag.slack_c is not None and abs(diag.slack_c) < 1e-9
+
+    def test_one_incidence_and_no_edge_masks(self, monkeypatch):
+        import sslab.spectra as spectra
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return incidence_matrix(*args)
+
+        def ends_in(self, vertices):
+            raise AssertionError("ends_in called")
+
+        monkeypatch.setattr(spectra, "incidence_matrix", counted)
+        monkeypatch.setattr(Graph, "ends_in", ends_in)
+        g = star(8)
+        diag = cut_diagnostics(g, [0], perron(g))
+        assert len(built) == 1 and diag.m_uw == 8
 
     def test_trivial_partition_rejected(self):
         g = star(3)

@@ -18,7 +18,6 @@ from sslab import (
     row_cover_analyze,
     split_lambda,
     supersat_count,
-    top_singular,
     verify_T,
 )
 from sslab.graphs import (
@@ -31,7 +30,7 @@ from sslab.graphs import (
     star,
     union,
 )
-from sslab.spectra import SpectraError
+from sslab.spectra import SpectraError, incidence_matrix
 from sslab.supersat import (
     NotHeavyError,
     SupersatError,
@@ -283,7 +282,7 @@ class TestAlignedRowsAndCover:
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
             aligned_rows(g, [0, bad], [2, 3, 4, 5], 0.5)
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
-            top_singular([0, 1], [2, 3, bad], g)
+            incidence_matrix([0, 1], [2, 3, bad], g)
 
     def test_sides_are_checked_by_top_singular(self):
         g = complete_bipartite(2, 5)
@@ -295,6 +294,32 @@ class TestAlignedRowsAndCover:
     def test_no_ad_edges_rejected(self):
         with pytest.raises(SupersatError):
             row_cover_analyze(star(3), [1], [2, 3], 2)
+
+    def test_one_incidence_and_no_edge_masks(self, monkeypatch):
+        import sslab.supersat as supersat
+        from sslab.graphs import Graph
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return incidence_matrix(*args)
+
+        def ends_in(self, vertices):
+            raise AssertionError("ends_in called")
+
+        monkeypatch.setattr(supersat, "incidence_matrix", counted)
+        monkeypatch.setattr(Graph, "ends_in", ends_in)
+        g = complete_bipartite(2, 5)
+        for t in (2, 3):  # many-copies, then cover
+            row_cover_analyze(g, [0, 1], list(range(2, 7)), t)
+        aligned_rows(g, [0, 1], list(range(2, 7)), 0.5)
+        assert len(built) == 3
+
+    def test_overlap_is_reported_before_missing_edges(self):
+        # the sides share vertex 2 and no edge joins them
+        with pytest.raises(SpectraError, match="disjoint"):
+            row_cover_analyze(star(3), [1, 2], [2, 3], 2)
 
 
 class TestSupersatCount:
