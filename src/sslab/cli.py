@@ -312,7 +312,7 @@ def cmd_regularize(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g = _load_graph(args.infile)
-    cfg = supersat.SupersatConfig(eta=args.eta, budget=args.budget)
+    cfg = supersat.SupersatConfig(eta=args.eta)
     _emit(args, "pipeline", supersat.supersat_count(g, args.t, args.pattern, cfg))
     return 0
 
@@ -473,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("pipeline", cmd_pipeline, t=True)
     sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))
     sp.add_argument("--eta", type=float)
-    sp.add_argument("--budget", type=int, default=homcounts.WORK_BUDGET)
 
     sp = command("sweep", cmd_sweep, infile=False, t=True)
     sp.add_argument("--seed", type=int, required=True)

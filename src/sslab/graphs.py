@@ -142,12 +142,6 @@ class Graph:
             raise GraphError(f"vertex {bad} out of range for n={self.n}")
         return vs
 
-    def ends_in(self, vertices: Iterable[int]) -> np.ndarray:
-        """(m, 2) booleans: which ends of each edge lie in `vertices`."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.vertex_list(vertices)] = True
-        return mask[self.edge_array]
-
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""

@@ -214,8 +214,7 @@ def gnm_expected_ktt(n: int, m: int, t: int) -> float:
         raise SidorenkoError(f"need t^2 <= m <= {big_n}")
     if 2 * t > n:
         raise SidorenkoError("need n >= 2t")
-    val = (
-        Fraction(math.comb(n, t) * math.comb(n - t, t), 2)
-        * Fraction(math.comb(big_n - t * t, m - t * t), math.comb(big_n, m))
-    )
+    # C(N-t^2, m-t^2) / C(N, m) = prod_{i < t^2} (m-i) / (N-i)
+    val = Fraction(math.comb(n, t) * math.comb(n - t, t) * math.perm(m, t * t),
+                   2 * math.perm(big_n, t * t))
     return float(val)

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, complete_bipartite, cycle
-from .homcounts import WORK_BUDGET, CountResult, codegree_work, count_c2t, count_ktt
+from .homcounts import CountResult, codegree_work, count_c2t, count_ktt
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
 from .spectra import (PerronData, incidence_matrix, perron, perron_after_deletion,
                       split_lambda, top_singular)
@@ -140,12 +140,6 @@ def heavy_violations(g: Graph, pd: PerronData, eta: float) -> list:
     return [(u, v, p) for (u, v), p in zip(e[bad].tolist(), prod[bad].tolist())]
 
 
-def _between(p: np.ndarray, q: np.ndarray) -> int:
-    """Number of edges with one end in P and the other in Q, from the
-    endpoint indicators `h.ends_in(P)` and `h.ends_in(Q)`."""
-    return int(np.count_nonzero(p[:, 0] & q[:, 1] | q[:, 0] & p[:, 1]))
-
-
 # -- localization diagnostics ----------------------------------------------
 
 
@@ -190,17 +184,35 @@ class AcdPartition:
     t3_ok: bool
 
 
+def _pair_table(h: Graph, label: np.ndarray, k: int) -> np.ndarray:
+    """Entry [i, j], i <= j, of this (k, k) table counts the edges of h whose
+    ends carry the labels i and j (`label`: one of 0..k-1 per vertex)."""
+    u, v = label[h.edge_array].T
+    return np.bincount(np.minimum(u, v) * k + np.maximum(u, v),
+                       minlength=k * k).reshape(k, k)
+
+
+def _t_checks(table: np.ndarray) -> tuple[bool, bool, bool]:
+    """(T1, T2, T3) from the pair table of the labels A, C, D = 0, 1, 2.  The
+    edges neither inside C nor incident to A are the C-D and D-D edges."""
+    t1, t2 = bool(table[2, 2] == 0), bool(table[1, 2] == 0)
+    return t1, t2, t1 and t2
+
+
 def verify_T(
     h: Graph, a_set: Sequence[int], c_set: Sequence[int], d_set: Sequence[int]
 ) -> tuple[bool, bool, bool]:
     """(T1) D independent; (T2) no C-D edges; (T3) every edge lies inside C
-    or is incident to A.  Exhaustive edge scan."""
-    a, c, d = set(a_set), set(c_set), set(d_set)
-    if a & c or a & d or c & d or (a | c | d) != set(range(h.n)):
+    or is incident to A.  One pair table over the edges."""
+    label = np.full(h.n, 3, dtype=np.intp)  # 3: on no side yet
+    for cls, part in enumerate((a_set, c_set, d_set)):
+        vs = np.fromiter(part, dtype=np.intp)
+        if vs.size and not (0 <= vs.min() and vs.max() < h.n and (label[vs] == 3).all()):
+            raise SupersatError("A, C, D must partition the vertex set")
+        label[vs] = cls
+    if (label == 3).any():
         raise SupersatError("A, C, D must partition the vertex set")
-    ae, ce, de = (h.ends_in(s) for s in (a, c, d))
-    t3 = (ce.all(axis=1) | ae.any(axis=1)).all()
-    return not de.all(axis=1).any(), _between(ce, de) == 0, bool(t3)
+    return _t_checks(_pair_table(h, label, 3))
 
 
 def acd_partition(
@@ -214,6 +226,10 @@ def acd_partition(
     middle band C_i and the boundary shell B_i.  Requires the input to satisfy
     the eta-heavy condition and the index window to clear ell (otherwise a
     too-delocalized error).
+
+    With level(v) = #{h <= K : x_v <= theta_h}, B_i is level i, C_i is levels
+    i+1..K-i and A is levels <= i*; every edge count comes from one table of
+    edges by level pair.
     """
     if h.edge_count < 1:
         raise SupersatError("input graph has no edges")
@@ -238,33 +254,25 @@ def acd_partition(
             k_levels,
             index_set,
         )
-
-    def theta(hh: int) -> float:
-        return 2.0**-hh * sup
-
-    xe = x[h.edge_array]  # the Perron entries at each edge's two ends
-
-    def f_size(i: int) -> int:
-        """Edges between the band C_i and the shell B_i."""
-        c_band = (theta(k_levels - i) < xe) & (xe <= theta(i))
-        b_shell = (theta(i) < xe) & (xe <= theta(i - 1))
-        return _between(c_band, b_shell)
-
+    theta = np.ldexp(sup, -np.arange(k_levels + 1))  # theta_h, exactly
+    # #{h : theta_h >= x_v} = K + 1 - #{h : theta_h < x_v}, on ascending theta
+    level = k_levels + 1 - np.searchsorted(theta[::-1], x)
+    table = _pair_table(h, level, k_levels + 2)
     needed = range(min(index_set) - ell + 1, max(index_set) + 1)
-    f_sizes = {i: f_size(i) for i in needed}
+    f_sizes = {i: int(table[i, i + 1:k_levels - i + 1].sum()) for i in needed}
     s_sums = {i: sum(f_sizes[i - j] for j in range(ell)) for i in index_set}
     i_star = min(index_set, key=lambda i: (s_sums[i], i))
-    s_thr = theta(i_star)
-    r_thr = theta(k_levels - i_star)
-    a_set = tuple(np.flatnonzero(x > s_thr).tolist())
-    c_set = tuple(np.flatnonzero((r_thr < x) & (x <= s_thr)).tolist())
-    d_set = tuple(np.flatnonzero(x <= r_thr).tolist())
+    s_thr = float(theta[i_star])
+    r_thr = float(theta[k_levels - i_star])
     if s_thr * r_thr >= eta / math.sqrt(m) + 1e-15:
         raise SupersatError("threshold product theta_i* theta_(K-i*) too large")
-    t1, t2, t3 = verify_T(h, a_set, c_set, d_set)
-    ae, ce = h.ends_in(a_set), h.ends_in(c_set)
-    e_ac = _between(ae, ce)
-    e_core = int(np.count_nonzero(ce.all(axis=1)))
+    # A, C, D = 0, 1, 2 for each level; fold the level table into theirs
+    cls = np.searchsorted([i_star, k_levels - i_star], np.arange(k_levels + 2))
+    fold = np.eye(3, dtype=table.dtype)[cls]
+    acd = fold.T @ table @ fold
+    vclass = cls[level]
+    a_set, c_set, d_set = (tuple(np.flatnonzero(vclass == c).tolist()) for c in range(3))
+    t1, t2, t3 = _t_checks(acd)
     return AcdPartition(
         a_set=a_set,
         c_set=c_set,
@@ -279,8 +287,8 @@ def acd_partition(
         i_star=i_star,
         s_threshold=s_thr,
         r_threshold=r_thr,
-        e_ac=e_ac,
-        e_core=e_core,
+        e_ac=int(acd[0, 1]),
+        e_core=int(acd[1, 1]),
         t1_ok=t1,
         t2_ok=t2,
         t3_ok=t3,
@@ -410,7 +418,6 @@ class SupersatConfig:
     eta: Optional[float] = None
     g_cut: float = 10.0  # heuristic finite-m proxy for "g = O(1)"
     frac_cut: float = 0.1  # heuristic dense-core threshold e_core >= frac_cut*m'
-    budget: int = WORK_BUDGET
 
 
 @dataclass(frozen=True)
@@ -439,7 +446,7 @@ class Pattern(NamedTuple):
     """What the CLI, the pipeline and the sweep know about one pattern."""
 
     graph: Callable[[int], Graph]  # t -> the pattern itself
-    count: Callable[..., CountResult]  # (host, t, budget=...) -> exact copies
+    count: Callable[[Graph, int], CountResult]  # (host, t) -> exact copies
     work: Callable[[int, int, int], int]  # (n, m, t) -> bound on `count`'s work
     sharp: Callable[[int], float]  # t -> the paper's sharp constant
     copy_lower: Callable[[int, float, int, int], float]  # (t, lam, m, n) -> bound
@@ -499,7 +506,7 @@ def supersat_count(
         g_loc = localization_g(fpd, m_prime)
         nonisolated = np.flatnonzero(pruned.degrees).tolist()
         core, _ = pruned.induced_subgraph(nonisolated)
-        cr = rules.count(core, t, budget=config.budget)
+        cr = rules.count(core, t)
         count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t
         if g_loc <= config.g_cut:
             branch = "delocalized"

@@ -308,6 +308,15 @@ class TestPipelineCommands:
         assert obj["count"] > 0
         assert "elapsed" not in r1.stdout
 
+    def test_pipeline_has_no_budget_flag(self, split_file, capsys):
+        from sslab.cli import main
+
+        argv = ["pipeline", "--in", split_file, "--t", "2", "--pattern", "ktt"]
+        assert main(argv + ["--budget", "10"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --budget 10" in out.err
+
 
 class TestSweep:
     ARGS = (

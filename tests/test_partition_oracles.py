@@ -232,6 +232,35 @@ def test_acd_partition_of_spread_vectors_matches_the_oracle(h, data):
     check_acd(h, eta, PerronData(1.0, x, tuple(range(h.n)), 0.0, 0))
 
 
+@pytest.mark.parametrize("depth", [12, 14, 20, 31, 45, 60])
+def test_entries_on_the_cuts_match_the_oracle(depth):
+    # x_v = 2^-d L for every depth d in 0..depth, so an entry lies on every
+    # cut theta_h that a vertex can reach, theta_i* and theta_(K-i*)
+    # included.  Hubs at depths 0 and 1 carry one leaf per depth, and
+    # chords join hub-0 leaves two depths apart or less with d1 + d2 <=
+    # depth, so no edge product falls below the deepest leaf's.
+    depths, edges, leaf = [0, 1], [(0, 1)], {}
+    for d in range(1, depth + 1):
+        for hub in (0, 1):
+            if hub + d <= depth:
+                depths.append(d)
+                edges.append((hub, len(depths) - 1))
+        leaf[d] = len(depths) - 2 if d < depth else len(depths) - 1
+    for d1 in range(1, depth // 2 + 1):
+        edges += [(leaf[d1], leaf[d2]) for d2 in (d1 + 1, d1 + 2) if d1 + d2 <= depth]
+    h = Graph.from_edges(len(depths), edges)
+    x = np.ldexp(1.0, -np.array(depths))
+    x /= np.linalg.norm(x)
+    e = h.edge_array
+    eta = float((x[e[:, 0]] * x[e[:, 1]]).min()) * math.sqrt(h.edge_count) * 0.9
+    acd = check_acd(h, eta, PerronData(1.0, x, tuple(range(h.n)), 0.0, 0))
+    on_s = np.flatnonzero(x == acd.s_threshold).tolist()
+    on_r = np.flatnonzero(x == acd.r_threshold).tolist()
+    assert on_s and set(on_s) <= set(acd.c_set)  # x <= theta_i*: not in A
+    assert on_r and set(on_r) <= set(acd.d_set)  # x <= theta_(K-i*): in D
+    assert acd.e_core > 0 and any(acd.s_sums.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(connected_hosts(), st.data())
 def test_verify_T_matches_the_oracle(h, data):

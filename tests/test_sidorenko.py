@@ -192,6 +192,17 @@ class TestConstantsAndBounds:
             gnm_expected_ktt(5, 5, 2)
         ).limit_denominator(10**6)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_gnm_expected_matches_the_binomial_ratio(self, t):
+        # the closed form (1/2) C(n,t) C(n-t,t) C(N-t^2, m-t^2) / C(N,m)
+        for n in range(2 * t, 16):
+            big_n = n * (n - 1) // 2
+            for m in range(t * t, big_n + 1):
+                want = Fraction(math.comb(n, t) * math.comb(n - t, t), 2) * Fraction(
+                    math.comb(big_n - t * t, m - t * t), math.comb(big_n, m)
+                )
+                assert gnm_expected_ktt(n, m, t) == float(want), (n, m)
+
     def test_gnm_expected_validation(self):
         with pytest.raises(SidorenkoError):
             gnm_expected_ktt(3, 3, 2)  # n < 2t

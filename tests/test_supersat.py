@@ -154,8 +154,23 @@ class TestVerifyT:
         assert not t3
 
     def test_partition_validated(self):
-        with pytest.raises(SupersatError):
+        with pytest.raises(SupersatError, match="must partition the vertex set"):
             verify_T(star(3), [0], [0], [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            ([0], [1], [2]),  # vertex 3 missing
+            ([0], [1, 2], [3, 4]),  # id past n - 1
+            ([-1, 0], [1, 2], [3]),  # negative id
+        ],
+    )
+    def test_non_partitions_rejected(self, sides):
+        with pytest.raises(SupersatError, match="must partition the vertex set"):
+            verify_T(star(3), *sides)
+
+    def test_repeated_id_within_one_side_is_accepted(self):
+        assert verify_T(star(3), [0, 0], [], [1, 2, 3, 3]) == (True, True, True)
 
 
 class TestAcdPartition:
@@ -297,7 +312,6 @@ class TestAlignedRowsAndCover:
 
     def test_one_incidence_and_no_edge_masks(self, monkeypatch):
         import sslab.supersat as supersat
-        from sslab.graphs import Graph
 
         built = []
 
@@ -305,11 +319,7 @@ class TestAlignedRowsAndCover:
             built.append(args)
             return incidence_matrix(*args)
 
-        def ends_in(self, vertices):
-            raise AssertionError("ends_in called")
-
         monkeypatch.setattr(supersat, "incidence_matrix", counted)
-        monkeypatch.setattr(Graph, "ends_in", ends_in)
         g = complete_bipartite(2, 5)
         for t in (2, 3):  # many-copies, then cover
             row_cover_analyze(g, [0, 1], list(range(2, 7)), t)
