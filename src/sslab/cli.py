@@ -10,6 +10,7 @@ flags it reads; any other flag is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -419,16 +420,18 @@ def positive_float(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no handler: `main`
+    runs `cmd_<subcommand>` as the module names it at that call."""
     p = argparse.ArgumentParser(prog="sslab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, *, infile=True, t=None):
+    def command(name, *, infile=True, t=None):
         """A subcommand with --out, plus --in (required) unless `infile` is
         false, plus --t when `t` is not None (required when `t` is true).
         No abbreviations, so a stray --t cannot turn into --tol."""
         sp = sub.add_parser(name, allow_abbrev=False)
-        sp.set_defaults(func=func)
         sp.add_argument("--out")
         if infile:
             sp.add_argument("--in", dest="infile", required=True)
@@ -436,45 +439,45 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--t", type=int, required=t)
         return sp
 
-    sp = command("gen", cmd_gen, infile=False)
+    sp = command("gen", infile=False)
     sp.add_argument("--family", required=True, choices=list(graphs.FAMILIES))
     for name in _GEN_FLAGS:
         sp.add_argument(f"--{name}", type=int)
 
-    sp = command("spectral", cmd_spectral)
+    sp = command("spectral")
     sp.add_argument("--tol", type=positive_float, default=1e-10)
 
-    sp = command("hom", cmd_hom, t=False)
+    sp = command("hom", t=False)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
 
-    sp = command("check", cmd_check, t=False)
+    sp = command("check", t=False)
     sp.add_argument("--tol", type=positive_float, default=1e-10)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
     sp.add_argument("--pattern-file")
 
-    sp = command("prune", cmd_prune, t=True)
+    sp = command("prune", t=True)
     sp.add_argument("--eta", type=float)
 
-    sp = command("partition", cmd_partition, t=True)
+    sp = command("partition", t=True)
     sp.add_argument("--eta", type=float)
 
-    sp = command("rowcover", cmd_rowcover, t=True)
+    sp = command("rowcover", t=True)
     sp.add_argument("--eta", type=float)
     sp.add_argument("--a-side")
     sp.add_argument("--d-side")
 
-    sp = command("regularize", cmd_regularize)
+    sp = command("regularize")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
     sp.add_argument("--cap", type=int)
 
-    sp = command("pipeline", cmd_pipeline, t=True)
+    sp = command("pipeline", t=True)
     sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))
     sp.add_argument("--eta", type=float)
 
-    sp = command("sweep", cmd_sweep, infile=False, t=True)
+    sp = command("sweep", infile=False, t=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))
     sp.add_argument("--m-range", required=True)
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (
         UsageError,
         OSError,

@@ -71,7 +71,7 @@ class Graph:
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-            ok = bool(np.all((e[:, 0] != e[:, 1]) & (e >= 0).all(1) & (e < n).all(1)))
+            ok = bool(np.all(e[:, 0] != e[:, 1]) and np.all((e >= 0) & (e < n)))
         except OverflowError:  # an endpoint past the index range, so past n
             ok = False
         if not ok:
@@ -83,7 +83,7 @@ class Graph:
         e = np.sort(e, axis=1)
         order = np.lexsort((e[:, 1], e[:, 0]))  # stable: a repeat sorts after its first
         e = e[order]
-        repeats = np.flatnonzero((e[1:] == e[:-1]).all(axis=1)) + 1
+        repeats = np.flatnonzero((e[1:, 0] == e[:-1, 0]) & (e[1:, 1] == e[:-1, 1])) + 1
         if len(repeats):
             raise GraphError("duplicate edge", int(order[repeats].min()))
         return Graph(n, e)
@@ -159,7 +159,7 @@ class Graph:
         pos = np.full(self.n, -1, dtype=np.intp)
         pos[vs] = np.arange(len(vs))
         sub = pos[self.edge_array]  # relabeling keeps the rows sorted
-        keep = (sub >= 0).all(axis=1)
+        keep = (sub[:, 0] >= 0) & (sub[:, 1] >= 0)
         return Graph(len(vs), sub[keep]), {v: i for i, v in enumerate(vs)}
 
     def delete_edge(self, u: int, v: int) -> "Graph":

@@ -9,10 +9,11 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .graphs import Graph, GraphError, SplitSpec
 
@@ -42,7 +43,7 @@ _MAX_ITER = 100000
 _RESTARTS = 3
 
 # perron prefers a later component only when its lam is larger by more than
-# 1e-12, so `perron_after_deletion`'s fast path needs the winner ahead by
+# 1e-12, so `PerronBlocks.delete_edge`'s fast path needs the winner ahead by
 # far more than that plus the solver's noise in lam
 _TIE_MARGIN = 1e-9
 
@@ -53,13 +54,12 @@ class PerronData:
 
     `x` is supported on `component`, the sorted vertex tuple of the component
     that attains `lam`.  `iterations` counts the solver iterations spent
-    producing this data; it is 0 when the block's memo answered, since no
+    producing this data; a block whose memo answered adds 0, since no
     solver ran.  `margin` is lam minus the largest spectral radius among the
     other components that have an edge (inf when there is none); deleting an
     edge outside this component can only lower the others, so it cannot
-    shrink.  `block` is the component's solver block, which
-    `perron_after_deletion` re-solves.  Two solves are equal when every
-    field but `block` is, `x` compared by its bytes.
+    shrink.  Two solves are equal when every field is, `x` compared by its
+    bytes.
     """
 
     lam: float
@@ -68,7 +68,6 @@ class PerronData:
     residual: float  # relative: ||Ax - lam x|| / max(1, lam)
     iterations: int
     margin: float = math.inf
-    block: Optional[_Block] = field(default=None, compare=False, repr=False)
 
     def _identity(self) -> tuple:
         x = self.x
@@ -114,16 +113,25 @@ def _power_iterate(adj, x, tol: float):
 
 def _lanczos_top(adj, v0, tol: float):
     """Top eigenpair of a large sparse component via Lanczos iteration from
-    the unit nonnegative start v0.
+    the unit nonnegative start v0; the iteration count is the solver's
+    matvecs.
 
     Power iteration stagnates at a rounding floor amplified by 1/gap on big
     hosts; the Lanczos solve reaches machine-precision residuals.  Falls back
     to plain power iteration if the solver does not converge.
     """
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return adj.dot(v)
 
     try:
-        vals, vecs = eigsh(adj, k=1, which="LA", v0=v0, tol=0)
+        op = LinearOperator(adj.shape, matvec=matvec, dtype=float)
+        vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=0)
     except (ArpackError, ArpackNoConvergence):
         return _power_iterate(adj, v0, tol)
     lam = float(vals[0])
@@ -140,14 +148,14 @@ def _lanczos_top(adj, v0, tol: float):
     residual = float(np.linalg.norm(ax - lam * x)) / max(1.0, lam)
     if residual > tol:
         return _power_iterate(adj, x / np.linalg.norm(x), tol)
-    return lam, x, residual, 0
+    return lam, x, residual, matvecs
 
 
 class _Block:
-    """One component of a graph: its sorted vertex list `idx`, its block of
-    the CSR adjacency, and the solver perron runs on it (dense power
-    iteration up to 64 vertices, Lanczos above).  The block stays valid for
-    as long as no edge inside the component changes.
+    """One component of a graph: its sorted vertex array `idx` and its block
+    `a` of the CSR adjacency, `sparse_adjacency()[idx][:, idx]`.  Each solve
+    picks its solver by the block's current size: dense power iteration up
+    to 64 vertices, Lanczos above.
 
     The block remembers its last solve: the exact bytes of the start vector,
     tol and the result.  The solve is a pure function of those and the
@@ -155,16 +163,21 @@ class _Block:
     stored result, with 0 iterations, and no solver runs.  Warm re-solves
     from the previous x reach a bitwise fixed point on star-like blocks, so
     `heavy_prune` deleting edges outside such a component hits this memo on
-    almost every step."""
+    almost every step.  `delete` forgets it."""
 
     def __init__(self, a, comp: Sequence[int]):
-        self.idx = list(comp)
-        block = a[self.idx][:, self.idx]
-        if len(self.idx) > 64:
-            self._solve, self._adj = _lanczos_top, block
-        else:
-            self._solve, self._adj = _power_iterate, block.toarray()
+        self.idx = np.asarray(comp, dtype=np.intp)
+        self.a = a[self.idx][:, self.idx]
         self._last = None  # ((start bytes, tol), solver result)
+
+    @property
+    def component(self) -> tuple[int, ...]:
+        return tuple(self.idx.tolist())
+
+    def _solve(self, start, tol: float):
+        if len(self.idx) > 64:
+            return _lanczos_top(self.a, start, tol)
+        return _power_iterate(self.a.toarray(), start, tol)
 
     def solve(self, x0, tol: float):
         """(lam, xs, residual, iterations), warm-started from x0 restricted
@@ -178,7 +191,7 @@ class _Block:
         key = (start.tobytes(), tol)
         hit = self._last is not None and self._last[0] == key
         if not hit:
-            self._last = (key, self._solve(self._adj, start, tol))
+            self._last = (key, self._solve(start, tol))
         lam, xs, res, iters = self._last[1]
         return lam, xs.copy(), res, 0 if hit else iters
 
@@ -189,53 +202,150 @@ class _Block:
         x[self.idx] = xs / np.linalg.norm(xs)
         return x
 
+    def delete(self, u: int, v: int) -> list[_Block]:
+        """The blocks of this component less the edge uv: this block, with
+        the edge's two CSR entries masked out and a vertex the deletion
+        isolates dropped, or else the pieces it splits into, each sliced
+        from it.  Each is `sparse_adjacency()[idx][:, idx]` of the graph
+        without uv, bit for bit."""
+        idx, ptr, ind = self.idx, self.a.indptr, self.a.indices
+        i, j = np.searchsorted(idx, (u, v)).clip(max=len(idx) - 1).tolist()
+        at = []  # the positions of the entries (i, j) and (j, i)
+        for row, col in ((i, j), (j, i)):
+            lo, hi = ptr[row], ptr[row + 1]
+            at.append(lo + int(np.searchsorted(ind[lo:hi], col)))
+            if at[-1] == hi or ind[at[-1]] != col:
+                at.pop()
+        if len(at) < 2 or idx[i] != u or idx[j] != v:
+            raise SpectraError(f"no edge {(u, v)} in this component")
+        keep = np.ones(len(ind), dtype=bool)
+        keep[at] = False
+        ind, data, ptr = ind[keep], self.a.data[keep], ptr.copy()
+        ptr[i + 1:] -= 1
+        ptr[j + 1:] -= 1
+        lone = [k for k in (i, j) if ptr[k] == ptr[k + 1]]
+        if len(lone) == 2:  # the component was the edge alone
+            return []
+        if lone:  # a pendant: drop its empty row and column
+            k = lone[0]
+            idx = np.delete(idx, k)
+            ind[ind > k] -= 1
+            ptr = np.delete(ptr, k + 1)
+        self.idx, self._last = idx, None
+        self.a = csr_matrix((data, ind, ptr), shape=(len(idx), len(idx)))
+        if lone:  # a graph less a pendant vertex stays connected
+            return [self]
+        from scipy.sparse.csgraph import connected_components
+
+        count, labels = connected_components(self.a, directed=False)
+        if count == 1:
+            return [self]
+        # labels follow each piece's smallest vertex; isolated ones cannot
+        # occur, since neither endpoint was left without an edge
+        order = np.argsort(labels, kind="stable")
+        pieces = []
+        for local in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+            piece = _Block(self.a, local)
+            piece.idx = idx[local]
+            pieces.append(piece)
+        return pieces
+
+
+class PerronBlocks:
+    """The Perron data `pd` of a graph that loses one edge at a time.  Each
+    component with an edge is one `_Block`, kept across deletions, so a
+    component that no deletion touched answers a repeated start from its
+    memo.
+
+    `PerronBlocks(g, tol, x0).pd` is `perron(g, tol, x0)`.  After
+    `delete_edge(u, v)`, `pd` is what `perron` of the graph less uv returns
+    from x0 = the previous pd.x.  When the edge lies outside pd's component
+    and that component leads every other by more than _TIE_MARGIN relative
+    to lam, the deletion is only recorded and pd's block alone is re-solved
+    from pd.x: the deletion cannot raise another component's lam, so
+    `perron` would choose the same component, compute the same lam and x on
+    it and see the same rival.  Recorded deletions are applied when a full
+    solve next needs the blocks.
+    """
+
+    def __init__(self, g: Graph, tol: float = _TOL, x0: Optional[np.ndarray] = None):
+        a = g.sparse_adjacency()
+        self.n, self.tol = g.n, tol
+        self._blocks = [_Block(a, comp) for comp in g.components if len(comp) > 1]
+        # the block of each vertex with an edge, as its position in _blocks;
+        # a block that is replaced stays in the list as None
+        self._owner = np.full(g.n, -1, dtype=np.intp)
+        for k, block in enumerate(self._blocks):
+            self._owner[block.idx] = k
+        self._pending: list[tuple[int, int]] = []
+        self._solve(x0)
+
+    def blocks(self) -> list[_Block]:
+        """The live blocks, every recorded deletion applied, in the order
+        of their smallest vertex (the order of `Graph.components`)."""
+        for u, v in self._pending:
+            k = self._owner[u]
+            block = self._blocks[k]
+            if block is None:  # u was left isolated before its block split
+                raise SpectraError(f"no edge {(u, v)} in the graph")
+            pieces = block.delete(u, v)
+            if pieces == [block]:
+                continue
+            self._blocks[k] = None
+            for piece in pieces:
+                self._owner[piece.idx] = len(self._blocks)
+                self._blocks.append(piece)
+        self._pending.clear()
+        return sorted(filter(None, self._blocks), key=lambda b: b.idx[0])
+
+    def _solve(self, x0) -> PerronData:
+        """Every block solved from x0, and the largest lam chosen, ties to
+        the first block."""
+        best, lams, total_iters = None, [], 0
+        for block in self.blocks():
+            lam, xs, res, iters = block.solve(x0, self.tol)
+            lams.append(lam)
+            total_iters += iters
+            if best is None or lam > best[0] + 1e-12:
+                best = (lam, block, xs, res)
+        if best is None:  # no component has an edge
+            raise NoEdgesError("perron requires at least one edge")
+        lam, block, xs, res = best
+        lams.remove(lam)
+        margin = lam - max(lams, default=-math.inf)
+        self._best = block
+        self.pd = PerronData(lam, block.unit_vector(self.n, xs), block.component,
+                             res, total_iters, margin)
+        return self.pd
+
+    def delete_edge(self, u: int, v: int) -> PerronData:
+        """Delete the edge uv and return the new `pd`."""
+        k = self._owner[[u, v]].tolist() if 0 <= min(u, v) <= max(u, v) < self.n else [-1]
+        if k[0] < 0 or k[0] != k[-1]:
+            raise SpectraError(f"no edge {(u, v)} in the graph")
+        self._pending.append((u, v))
+        pd = self.pd
+        if self._blocks[k[0]] is self._best or pd.margin <= _TIE_MARGIN * max(1.0, pd.lam):
+            return self._solve(pd.x)
+        lam, xs, res, iters = self._best.solve(pd.x, self.tol)
+        rival = pd.lam - pd.margin
+        self.pd = PerronData(lam, self._best.unit_vector(self.n, xs), pd.component,
+                             res, iters, lam - rival)
+        return self.pd
+
 
 def perron(g: Graph, tol: float = _TOL, x0: Optional[np.ndarray] = None) -> PerronData:
     """Spectral radius and unit nonnegative Perron vector.
 
     On disconnected input the component attaining the maximum spectral radius
     is chosen (ties broken by smallest component id) and x is zero elsewhere.
-    Each component is solved on its block of the CSR adjacency and x is
-    normalized on the chosen component, so lam and x there are the same as
-    for that component alone.
+    Each component is solved on its block of the CSR adjacency, warm-started
+    from x0 restricted to it when that slice is usable, and x is normalized
+    on the chosen component, so lam and x there are the same as for that
+    component alone.  This is the first solve of `PerronBlocks`, which
+    `heavy_prune` keeps for the deletions that follow.
     """
-    if g.edge_count == 0:
-        raise NoEdgesError("perron requires at least one edge")
-    a = g.sparse_adjacency()
-    best = None
-    lams = []
-    total_iters = 0
-    for comp in g.components:
-        if len(comp) < 2:
-            continue
-        block = _Block(a, comp)
-        lam, xs, res, iters = block.solve(x0, tol)
-        lams.append(lam)
-        total_iters += iters
-        if best is None or lam > best[0] + 1e-12:
-            best = (lam, block, xs, res, comp)
-    lam, block, xs, res, comp = best
-    lams.remove(lam)
-    margin = lam - max(lams, default=-math.inf)
-    return PerronData(lam, block.unit_vector(g.n, xs), comp, res, total_iters, margin, block)
-
-
-def perron_after_deletion(g: Graph, pd: PerronData, u: int) -> PerronData:
-    """What `perron(g, x0=pd.x)` returns, for g = pd's graph less one edge
-    at vertex u.
-
-    When u lies outside pd's component and that component leads every other
-    by more than _TIE_MARGIN relative to lam, only pd's cached block is
-    re-solved, from pd.x: the deletion cannot raise another component's lam,
-    so `perron` would choose the same component, compute the same lam and x
-    on it and see the same rival.  Otherwise this is `perron` itself.
-    """
-    if u in pd.component or pd.margin <= _TIE_MARGIN * max(1.0, pd.lam):
-        return perron(g, x0=pd.x)
-    lam, xs, res, iters = pd.block.solve(pd.x, _TOL)
-    rival = pd.lam - pd.margin
-    x = pd.block.unit_vector(g.n, xs)
-    return PerronData(lam, x, pd.component, res, iters, lam - rival, pd.block)
+    return PerronBlocks(g, tol, x0).pd
 
 
 # -- split graphs ----------------------------------------------------------

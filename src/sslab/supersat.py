@@ -14,8 +14,8 @@ import numpy as np
 from .graphs import Graph, complete_bipartite, cycle
 from .homcounts import CountResult, codegree_work, count_c2t, count_ktt
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
-from .spectra import (PerronData, incidence_matrix, perron, perron_after_deletion,
-                      split_lambda, top_singular)
+from .spectra import (PerronBlocks, PerronData, incidence_matrix, perron, split_lambda,
+                      top_singular)
 
 
 class SupersatError(ValueError):
@@ -66,10 +66,13 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     Perron product x_u x_v >= eta / sqrt(m).
 
     Among violating edges the one with the smallest product is deleted, ties
-    broken by lexicographic edge.  Perron data is re-solved after every
-    deletion by `spectra.perron_after_deletion`, warm started from the
-    previous x: the same data as a full `perron`, from a re-solve of the
-    Perron component's block alone while the deletions stay outside it.
+    broken by lexicographic edge.  The loop runs on g's edge array with an
+    alive mask, and builds the final graph once.  After every deletion
+    `spectra.PerronBlocks` gives the same Perron data as a full `perron`
+    warm started from the previous x: it keeps each component's block
+    across deletions, changes only the block that lost the edge, and
+    re-solves the Perron component's block alone while the deletions stay
+    outside it.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -80,17 +83,20 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     if g.edge_count < 1:
         raise SupersatError("input graph has no edges")
     m0 = g.edge_count
+    e = g.edge_array
+    alive = np.ones(m0, dtype=bool)
     steps: list[PruneStep] = []
-    current = g
-    pd = perron(g)
+    blocks = PerronBlocks(g)
+    pd = blocks.pd
     lam0 = pd.lam
     while True:
-        m_i = current.edge_count
-        prods = _products(current, pd)
+        m_i = m0 - len(steps)
+        prods = _products(e, pd.x)
+        prods[~alive] = np.inf
         i = int(np.argmin(prods))  # the first minimum in edge order
         if not prods[i] < eta / math.sqrt(m_i):
             break
-        (u, v), prod = current.edge_array[i].tolist(), float(prods[i])
+        (u, v), prod = e[i].tolist(), float(prods[i])
         ref = (
             split_lambda(t - 1, m_i)
             if m_i >= max(1, (t - 1) * (t - 2) // 2)
@@ -106,12 +112,12 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
                 product=prod,
             )
         )
-        current = current.delete_edge(u, v)
-        if current.edge_count == 0:
+        alive[i] = False
+        if m_i == 1:
             pd = None
             break
-        pd = perron_after_deletion(current, pd, u)
-    m_prime = current.edge_count
+        pd = blocks.delete_edge(u, v)
+    m_prime = m0 - len(steps)
     gap_ratio = pd.lam / math.sqrt(m_prime) if pd else None
     return PruneTrace(
         eta=eta,
@@ -119,7 +125,7 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
         steps=tuple(steps),
         initial_m=m0,
         initial_lambda=lam0,
-        final_graph=current,
+        final_graph=Graph(g.n, e[alive]) if steps else g,
         final_perron=pd,
         alpha=m_prime / m0,
         gap_ratio=gap_ratio,
@@ -127,15 +133,14 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     )
 
 
-def _products(g: Graph, pd: PerronData) -> np.ndarray:
-    """The Perron product x_u x_v of each edge, in edge order."""
-    e = g.edge_array
-    return pd.x[e[:, 0]] * pd.x[e[:, 1]]
+def _products(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Perron product x_u x_v of each edge of the edge array e."""
+    return x[e[:, 0]] * x[e[:, 1]]
 
 
 def heavy_violations(g: Graph, pd: PerronData, eta: float) -> list:
     e = g.edge_array
-    prod = _products(g, pd)
+    prod = _products(e, pd.x)
     bad = np.flatnonzero(prod < eta / math.sqrt(g.edge_count))
     return [(u, v, p) for (u, v), p in zip(e[bad].tolist(), prod[bad].tolist())]
 

@@ -586,6 +586,46 @@ class TestParsing:
         assert out.out == ""
         assert f"argument --tol: must be positive and finite, got '{tol}'" in out.err
 
+    def test_one_parser_and_no_value_carries_over(self, monkeypatch, capsys):
+        # main parses with one parser per process; each call must still see
+        # only its own flags and the defaults
+        from sslab import cli
+
+        seen = []
+        for name in ("spectral", "check", "prune", "gen", "sweep"):
+            monkeypatch.setattr(f"sslab.cli.cmd_{name}", lambda args: seen.append(args) or 0)
+        runs = [
+            (["spectral", "--in", "a.txt", "--tol", "1e-3", "--out", "o.json"],
+             dict(command="spectral", infile="a.txt", tol=1e-3, out="o.json")),
+            (["spectral", "--in", "b.txt"],
+             dict(command="spectral", infile="b.txt", tol=1e-10, out=None)),
+            (["prune", "--in", "a.txt", "--t", "3", "--eta", "0.1", "--out", "p.json"],
+             dict(command="prune", infile="a.txt", t=3, eta=0.1, out="p.json")),
+            (["prune", "--in", "a.txt", "--t", "2"],
+             dict(command="prune", t=2, eta=None, out=None)),
+            (["check", "--in", "a.txt", "--pattern", "path", "--tol", "1e-4", "--pn", "5"],
+             dict(command="check", tol=1e-4, pn=5, pattern_file=None)),
+            (["check", "--in", "a.txt", "--pattern", "c2t", "--t", "2"],
+             dict(command="check", tol=1e-10, pn=None, t=2)),
+            (["gen", "--family", "star", "--n", "3", "--out", "g.txt"],
+             dict(command="gen", n=3, out="g.txt", seed=None)),
+            (["sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1", "--seed", "4",
+              "--force"], dict(command="sweep", force=True, samples=1)),
+            (["sweep", "--pattern", "ktt", "--t", "2", "--m-range", "50:50:1", "--seed", "5"],
+             dict(command="sweep", pattern="ktt", force=False, samples=1, out=None)),
+        ]
+        for argv, want in runs:
+            assert cli.main(argv) == 0
+            got = vars(seen[-1])
+            assert {k: got[k] for k in want} == want, argv
+        assert len(seen) == len(runs)
+        assert cli._build_parser() is cli._build_parser()
+        # a call that fails to parse leaves nothing behind for the next one
+        assert cli.main(["prune", "--in", "a.txt", "--t", "x"]) == 2
+        assert cli.main(["prune", "--in", "a.txt", "--t", "2"]) == 0
+        assert vars(seen[-1])["t"] == 2 and vars(seen[-1])["eta"] is None
+        capsys.readouterr()
+
     def test_console_script_installed(self, tmp_path):
         # Builds the wrapper an installer generates from the declared entry
         # point, so the test checks this tree rather than whatever `sslab`

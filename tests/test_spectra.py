@@ -24,6 +24,7 @@ from sslab.graphs import (
     complete_bipartite,
     cycle,
     path,
+    sample_gnm,
     split_graph,
     star,
     union,
@@ -105,7 +106,8 @@ class TestPerron:
         pd = perron(g)
         warm = perron(g, x0=pd.x)
         assert abs(warm.lam - pd.lam) < 1e-10
-        assert warm.iterations <= pd.iterations
+        # Lanczos matvecs, the same count from the Perron vector here
+        assert 0 < warm.iterations <= pd.iterations
 
     def test_star_large_converges_at_default_tol(self):
         # absolute residual floors above 1e-10 here; the relative test passes
@@ -115,6 +117,63 @@ class TestPerron:
     def test_no_edges_rejected(self):
         with pytest.raises(NoEdgesError):
             perron(Graph.from_edges(3, []))
+
+
+def reference_lanczos(adj, v0, tol):
+    """The Lanczos solve as it was before it counted matvecs: `eigsh` on
+    the CSR itself (the fallbacks, which never ran here, left out)."""
+    from scipy.sparse.linalg import eigsh
+
+    vals, vecs = eigsh(adj, k=1, which="LA", v0=v0, tol=0)
+    x = vecs[:, 0]
+    if x.sum() < 0:
+        x = -x
+    np.clip(x, 0.0, None, out=x)
+    x /= np.linalg.norm(x)
+    ax = adj @ x
+    lam = float(x @ ax)
+    return lam, x, float(np.linalg.norm(ax - lam * x)) / max(1.0, lam)
+
+
+@st.composite
+def lanczos_blocks(draw):
+    """A connected block of 65 vertices or more (the Lanczos side of the
+    switch) and a unit nonnegative start on it."""
+    kind = draw(st.sampled_from(["star", "split", "cycle", "gnm"]))
+    if kind == "star":
+        g = star(draw(st.integers(min_value=64, max_value=300)))
+    elif kind == "split":
+        g = split_graph(draw(st.integers(2, 4)), draw(st.integers(min_value=200, max_value=900)))
+    elif kind == "cycle":
+        g = cycle(draw(st.integers(min_value=65, max_value=200)))
+    else:
+        n = draw(st.integers(min_value=65, max_value=150))
+        g = sample_gnm(n, 4 * n, draw(st.integers(0, 2**32)))
+    comp = max(g.components, key=len)
+    if len(comp) <= 64:
+        g = union(g, star(64))
+        comp = g.components[-1]
+    adj = g.sparse_adjacency()[list(comp)][:, list(comp)]
+    if draw(st.booleans()):
+        v0 = np.full(len(comp), 1.0 / math.sqrt(len(comp)))
+    else:
+        v0 = np.random.default_rng(draw(st.integers(0, 2**32))).uniform(0.5, 1.5, len(comp))
+        v0 /= np.linalg.norm(v0)
+    return adj, v0
+
+
+@settings(max_examples=40, deadline=None)
+@given(lanczos_blocks())
+def test_lanczos_counts_matvecs_and_keeps_the_csr_solve_bits(case):
+    from sslab.spectra import _lanczos_top
+
+    adj, v0 = case
+    assert adj.shape[0] > 64
+    lam, x, res, matvecs = _lanczos_top(adj, v0, 1e-10)
+    want = reference_lanczos(adj, v0, 1e-10)
+    assert (np.float64(lam).tobytes(), x.tobytes(), res) == (
+        np.float64(want[0]).tobytes(), want[1].tobytes(), want[2])
+    assert matvecs > 0
 
 
 class TestSplitLambda:
