@@ -115,9 +115,6 @@ class Graph:
         once: every matrix view slices it, and no caller may modify it."""
         return self._csr
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self._csr.toarray()
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.diff(self._csr.indptr).tolist())
@@ -153,14 +150,14 @@ class Graph:
         ends = np.cumsum(np.bincount(labels))
         return tuple(tuple(c.tolist()) for c in np.split(order, ends)[:-1])
 
-    def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict]:
-        """Induced subgraph on `vertices` (relabeled 0..len-1) plus old->new map."""
+    def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
+        """Induced subgraph on `vertices`, relabeled 0..len-1 in sorted order."""
         vs = self.vertex_list(set(vertices))
         pos = np.full(self.n, -1, dtype=np.intp)
         pos[vs] = np.arange(len(vs))
         sub = pos[self.edge_array]  # relabeling keeps the rows sorted
         keep = (sub[:, 0] >= 0) & (sub[:, 1] >= 0)
-        return Graph(len(vs), sub[keep]), {v: i for i, v in enumerate(vs)}
+        return Graph(len(vs), sub[keep])
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         i = self._find(u, v)

@@ -372,10 +372,10 @@ def _edge_factors(edges, a: np.ndarray) -> dict:
     return factors
 
 
-def _contract_sum(terms: tuple, a: np.ndarray, budget: int) -> int:
-    """Sum of mu * hom(pattern, host) over `terms`, each (n_vars, edges, mu)
-    for a pattern on vertices 0..n_vars-1, on the host with 0/1 adjacency
-    matrix `a`.
+def _contract_sum(terms: tuple, g: Graph, budget: int) -> int:
+    """Sum of mu * hom(pattern, g) over `terms`, each (n_vars, edges, mu)
+    for a pattern on vertices 0..n_vars-1, on g's 0/1 adjacency densified
+    once: the one dense host matrix in the package.
 
     Each term is the float64 run when certified, else the same plan on
     Python ints, refused when estimated past `budget` operations.  The
@@ -388,6 +388,7 @@ def _contract_sum(terms: tuple, a: np.ndarray, budget: int) -> int:
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
+    a = g.sparse_adjacency().toarray()
     n = a.shape[0]
     total = 0
     for plan, keys, edges, mu in order:
@@ -437,7 +438,7 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
     term = (n_vars, tuple((u, v) for u, v in edges), 1)
-    return CountResult(_contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET), "contraction")
+    return CountResult(_contract_sum((term,), g, WORK_BUDGET), "contraction")
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
@@ -446,7 +447,7 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     if length < 1:
         raise CountError("walk length must be >= 1")
     term = (length, tuple((i, (i + 1) % length) for i in range(length)), 1)
-    return CountResult(_contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET), "trace-power")
+    return CountResult(_contract_sum((term,), g, WORK_BUDGET), "trace-power")
 
 
 def hom_complete_bipartite(g: Graph, t: int) -> int:
@@ -454,7 +455,7 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
     if t < 1:
         raise CountError("t must be >= 1")
     term = (2 * t, tuple((i, t + j) for i in range(t) for j in range(t)), 1)
-    return _contract_sum((term,), g.adjacency_matrix(), WORK_BUDGET)
+    return _contract_sum((term,), g, WORK_BUDGET)
 
 
 # -- codegree counters -----------------------------------------------------
@@ -673,12 +674,12 @@ def _quotients(n_vars: int, edges: tuple) -> tuple:
 
 def inj_count(h: Graph, g: Graph) -> CountResult:
     """Exact inj(h, g), the one-to-one homomorphisms: the hom counts of the
-    `_quotients` of h as one `_contract_sum` on g's dense adjacency, with
+    `_quotients` of h as one `_contract_sum` on g, with
     `WORK_BUDGET` capping each exact-integer rerun."""
     if h.n > PATTERN_LIMIT:
         raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
     terms = _quotients(h.n, h.edges)
-    return CountResult(_contract_sum(terms, g.adjacency_matrix(), WORK_BUDGET), "walk-moebius")
+    return CountResult(_contract_sum(terms, g, WORK_BUDGET), "walk-moebius")
 
 
 def aut_order(h: Graph) -> int:
@@ -712,7 +713,7 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     if t == 2:
         return count_ktt(g, 2, budget=budget)
     edges = tuple((i, (i + 1) % (2 * t)) for i in range(2 * t))
-    inj = _contract_sum(_quotients(2 * t, edges), g.adjacency_matrix(), budget)
+    inj = _contract_sum(_quotients(2 * t, edges), g, budget)
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .graphs import CapExceededError, Graph
 from .spectra import perron
@@ -30,7 +31,7 @@ class RegularizeError(ValueError):
 @dataclass(frozen=True)
 class EdgeDistribution:
     vertices: tuple[int, ...]  # component vertex labels in g, sorted
-    p: np.ndarray  # symmetric ordered-pair probabilities on the component
+    p: csr_matrix  # the component's CSR slice, x_i x_j / lambda on each edge ij
     pi: np.ndarray  # marginals, pi_i = x_i^2
     lam: float
 
@@ -41,8 +42,9 @@ def edge_distribution(g: Graph) -> EdgeDistribution:
     idx = list(comp)
     x = pd.x[idx]
     x /= np.linalg.norm(x)
-    block = g.sparse_adjacency()[idx][:, idx].toarray()
-    p = block * np.outer(x, x) / pd.lam
+    p = g.sparse_adjacency()[idx][:, idx]
+    rows = np.repeat(np.arange(len(idx)), np.diff(p.indptr))
+    p.data = x[rows] * x[p.indices] / pd.lam
     return EdgeDistribution(vertices=tuple(comp), p=p, pi=x * x, lam=pd.lam)
 
 
@@ -53,7 +55,7 @@ def entropy_gap(d: EdgeDistribution) -> float:
         vals = a[a > 0]
         return float(-(vals * np.log(vals)).sum())
 
-    return ent(d.p) - ent(d.pi)
+    return ent(d.p.data) - ent(d.pi)
 
 
 def round_counts(q: Sequence[float], s: int) -> list[int]:
@@ -89,10 +91,12 @@ def build_regular(g: Graph, k: int) -> RegularBundle:
         raise RegularizeError("k must be even and >= 2")
     d = edge_distribution(g)
     comp = d.vertices
-    i, j = g.induced_subgraph(comp)[0].edge_array.T  # the component's edges
     n0 = len(comp)
+    p = d.p.tocoo()
+    upper = p.row < p.col  # the component's edges, in edge-array order
+    i, j = p.row[upper], p.col[upper]
     n_mat = np.zeros((n0, n0), dtype=np.int64)
-    n_mat[i, j] = n_mat[j, i] = round_counts(2.0 * d.p[i, j], k // 2)
+    n_mat[i, j] = n_mat[j, i] = round_counts(2.0 * p.data[upper], k // 2)
     n_vec = tuple(int(x) for x in n_mat.sum(axis=1))
     if sum(n_vec) != k:
         raise RegularizeError(f"rounded pair counts sum to {sum(n_vec)}, not k={k}")
@@ -107,15 +111,7 @@ def build_regular(g: Graph, k: int) -> RegularBundle:
     # degree can never exceed the tensor-power spectral radius
     if d_k > lam_k * (1 + 1e-9):
         raise RegularizeError(f"degree d_k={d_k} exceeds lambda^k={lam_k}")
-    return RegularBundle(
-        k=k,
-        vertices=comp,
-        n_mat=n_mat,
-        n_vec=n_vec,
-        d_k=d_k,
-        t_k_size=t_k,
-        lambda_k=lam_k,
-    )
+    return RegularBundle(k, comp, n_mat, n_vec, d_k, t_k, lam_k)
 
 
 def _multiset_perms(counts: list[int]):

@@ -134,7 +134,6 @@ def _lanczos_top(adj, v0, tol: float):
         vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=0)
     except (ArpackError, ArpackNoConvergence):
         return _power_iterate(adj, v0, tol)
-    lam = float(vals[0])
     x = vecs[:, 0]
     if x.sum() < 0:
         x = -x
@@ -202,22 +201,30 @@ class _Block:
         x[self.idx] = xs / np.linalg.norm(xs)
         return x
 
+    def find(self, u: int, v: int) -> tuple[int, int, list[int]]:
+        """(i, j, positions of the CSR entries (i, j) and (j, i)) for the
+        edge uv of this block, else `SpectraError`."""
+        idx, ptr, ind = self.idx, self.a.indptr, self.a.indices
+        # Python ints and array methods: every deletion pays this lookup
+        i, j = (min(k, len(idx) - 1) for k in idx.searchsorted((u, v)).tolist())
+        at = []
+        for row, col in ((i, j), (j, i)):
+            lo, hi = ptr[row : row + 2].tolist()
+            at.append(lo + int(ind[lo:hi].searchsorted(col)))
+            if at[-1] == hi or ind[at[-1]] != col:
+                at.pop()
+        if len(at) < 2 or idx[i] != u or idx[j] != v:
+            raise SpectraError(f"no edge {(u, v)} in this component")
+        return i, j, at
+
     def delete(self, u: int, v: int) -> list[_Block]:
         """The blocks of this component less the edge uv: this block, with
         the edge's two CSR entries masked out and a vertex the deletion
         isolates dropped, or else the pieces it splits into, each sliced
         from it.  Each is `sparse_adjacency()[idx][:, idx]` of the graph
         without uv, bit for bit."""
+        i, j, at = self.find(u, v)
         idx, ptr, ind = self.idx, self.a.indptr, self.a.indices
-        i, j = np.searchsorted(idx, (u, v)).clip(max=len(idx) - 1).tolist()
-        at = []  # the positions of the entries (i, j) and (j, i)
-        for row, col in ((i, j), (j, i)):
-            lo, hi = ptr[row], ptr[row + 1]
-            at.append(lo + int(np.searchsorted(ind[lo:hi], col)))
-            if at[-1] == hi or ind[at[-1]] != col:
-                at.pop()
-        if len(at) < 2 or idx[i] != u or idx[j] != v:
-            raise SpectraError(f"no edge {(u, v)} in this component")
         keep = np.ones(len(ind), dtype=bool)
         keep[at] = False
         ind, data, ptr = ind[keep], self.a.data[keep], ptr.copy()
@@ -277,7 +284,7 @@ class PerronBlocks:
         self._owner = np.full(g.n, -1, dtype=np.intp)
         for k, block in enumerate(self._blocks):
             self._owner[block.idx] = k
-        self._pending: list[tuple[int, int]] = []
+        self._pending: dict[tuple[int, int], None] = {}  # recorded, in order
         self._solve(x0)
 
     def blocks(self) -> list[_Block]:
@@ -286,8 +293,6 @@ class PerronBlocks:
         for u, v in self._pending:
             k = self._owner[u]
             block = self._blocks[k]
-            if block is None:  # u was left isolated before its block split
-                raise SpectraError(f"no edge {(u, v)} in the graph")
             pieces = block.delete(u, v)
             if pieces == [block]:
                 continue
@@ -319,13 +324,18 @@ class PerronBlocks:
         return self.pd
 
     def delete_edge(self, u: int, v: int) -> PerronData:
-        """Delete the edge uv and return the new `pd`."""
-        k = self._owner[[u, v]].tolist() if 0 <= min(u, v) <= max(u, v) < self.n else [-1]
-        if k[0] < 0 or k[0] != k[-1]:
+        """Delete the edge uv and return the new `pd`.  uv must be an edge
+        now: in its block's CSR and not already recorded, else
+        `SpectraError` and nothing changes."""
+        u, v = min(u, v), max(u, v)
+        k = self._owner[u] if 0 <= u and v < self.n else -1
+        block = self._blocks[k] if k >= 0 else None
+        if block is None or (u, v) in self._pending:
             raise SpectraError(f"no edge {(u, v)} in the graph")
-        self._pending.append((u, v))
+        block.find(u, v)  # raises unless v is u's neighbour in the block
+        self._pending[u, v] = None
         pd = self.pd
-        if self._blocks[k[0]] is self._best or pd.margin <= _TIE_MARGIN * max(1.0, pd.lam):
+        if block is self._best or pd.margin <= _TIE_MARGIN * max(1.0, pd.lam):
             return self._solve(pd.x)
         lam, xs, res, iters = self._best.solve(pd.x, self.tol)
         rival = pd.lam - pd.margin
@@ -423,13 +433,9 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
     if p == 2 and q == 2:
         pd = perron(g, tol=tol)
         return OpNormEstimate(p, q, pd.lam, pd.x.copy(), True, 0)
-    a = g.adjacency_matrix()
-    n = g.n
-    p_conj = p / (p - 1)
+    a, n, p_conj = g.sparse_adjacency(), g.n, p / (p - 1)
     rng = np.random.default_rng(12345)
-    best_val = -1.0
-    best_x = None
-    converged = False
+    best_val, best_x, converged = -1.0, None, False
     starts = [np.ones(n)]
     try:
         pd = perron(g, tol=max(tol, 1e-8))
@@ -459,12 +465,9 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
             if nx == 0:
                 break
             x /= nx
-        y = a @ x
-        val = float(np.linalg.norm(y, ord=q))
+        val = float(np.linalg.norm(a @ x, ord=q))
         if val > best_val:
-            best_val = val
-            best_x = x.copy()
-            converged = ok
+            best_val, best_x, converged = val, x.copy(), ok
     return OpNormEstimate(p, q, best_val, best_x, converged, len(starts))
 
 
@@ -523,7 +526,7 @@ class CutDiagnostics:
 
 
 def _sub_lambda(g: Graph, vertices: Sequence[int]) -> float:
-    sub, _ = g.induced_subgraph(vertices)
+    sub = g.induced_subgraph(vertices)
     if sub.edge_count == 0:
         return 0.0
     return perron(sub).lam

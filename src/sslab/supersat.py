@@ -510,7 +510,7 @@ def supersat_count(
         m_prime = pruned.edge_count
         g_loc = localization_g(fpd, m_prime)
         nonisolated = np.flatnonzero(pruned.degrees).tolist()
-        core, _ = pruned.induced_subgraph(nonisolated)
+        core = pruned.induced_subgraph(nonisolated)
         cr = rules.count(core, t)
         count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t
         if g_loc <= config.g_cut:

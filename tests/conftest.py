@@ -3,6 +3,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from sslab import Graph, sample_gnm
@@ -34,6 +35,11 @@ def csr_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
     a = g.sparse_adjacency()
     ptr, idx = a.indptr.tolist(), a.indices.tolist()
     return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(g.n))
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The n x n 0/1 float64 adjacency, for references that index it."""
+    return g.sparse_adjacency().toarray()
 
 
 def random_graph(seed: int, n_max: int, allow_empty: bool = False) -> Graph:

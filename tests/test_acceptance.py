@@ -326,3 +326,66 @@ def test_criterion_14_cli_determinism(tmp_path):
     r = _cli(*sweep_args)
     assert r.returncode == 0
     assert r.stdout == (DATA / "golden_sweep.csv").read_text()
+
+
+def _divided_differences(xs, ys):
+    """[f[x0], f[x0, x1], ..., f[x0, ..., xk]] in exact Fractions."""
+    col, out = [Fraction(y) for y in ys], []
+    for k in range(len(xs)):
+        out.append(col[0])
+        col = [(col[i + 1] - col[i]) / (xs[i + k + 1] - xs[i]) for i in range(len(col) - 1)]
+    return out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_at(a, s):
+    return sum(c * s**i for i, c in enumerate(a))
+
+
+def test_criterion_15_sharp_constants_exactly():
+    t0 = time.perf_counter()
+    for t in (3, 4, 5):
+        # c_t: #C_2t(S_{t, C(t,2) + tq}) is a polynomial in q of degree at
+        # most 2t (inj is a signed sum of homs, and hom into a blow-up is
+        # polynomial in the class sizes), so 2t + 3 values of q leave two
+        # surplus divided differences, which must vanish.  The degree is t
+        # and the leading coefficient (t-1)!/2, so with q = (m - C(t,2))/t
+        # the count is c_t m^t + O(m^(t-1)).
+        qs = list(range(1, 2 * t + 4))
+        counts = [count_c2t(split_graph(t, math.comb(t, 2) + t * q), t).value for q in qs]
+        diffs = _divided_differences(qs, counts)
+        assert diffs[2 * t + 1 :] == [0, 0]
+        assert diffs[t + 1 :] == [0] * (t + 2)
+        assert diffs[t] == Fraction(math.factorial(t - 1), 2)
+        c_t = diffs[t] / t**t
+        assert c_t == Fraction(math.factorial(t - 1), 2 * t**t)
+        assert c_t == {3: Fraction(1, 27), 4: Fraction(3, 256), 5: Fraction(12, 3125)}[t]
+        # the threshold host S_{t-1,m} has no 2t-cycle: one needs t clique vertices
+        for m in (math.comb(t - 1, 2) + 1, 60, 101, 203):
+            assert count_c2t(split_graph(t - 1, m), t).value == 0
+    for t in (2, 3, 4, 5):
+        # b_t: on m = s^2 the sweep's balanced n = floor(2 sqrt(m)) - t is
+        # 2s - t, and gnm_expected_ktt is (1/2) C(n,t) C(n-t,t) times the t^2
+        # factors (m - i)/(N - i), N = C(n, 2): a ratio P(s)/Q(s) of
+        # polynomials whose leading term is b_t m^t = b_t s^(2t)
+        big_n = [Fraction(c, 2) for c in _poly_mul([-t, 2], [-t - 1, 2])]
+        num, den = [1], [2 * math.factorial(t) ** 2]
+        for i in range(2 * t):  # n - i for i < 2t: C(n,t) C(n-t,t) t!^2
+            num = _poly_mul(num, [-t - i, 2])
+        for i in range(t * t):
+            num = _poly_mul(num, [-i, 0, 1])
+            den = _poly_mul(den, [big_n[0] - i, *big_n[1:]])
+        for s in (3 * t, 31, 100, 1001):
+            n, m = 2 * s - t, s * s
+            assert math.floor(2 * math.sqrt(m)) - t == n
+            assert gnm_expected_ktt(n, m, t) == float(Fraction(_poly_at(num, s), _poly_at(den, s)))
+        assert len(num) - len(den) == 2 * t
+        assert Fraction(num[-1], den[-1]) == Fraction(1, 2 ** ((t - 1) ** 2) * math.factorial(t) ** 2)
+    assert time.perf_counter() - t0 < 10

@@ -546,6 +546,33 @@ class TestUnexpectedErrors:
             ]
         assert found == []
 
+    def test_dense_matrices_only_where_named(self):
+        # the host adjacency is densified once, for the contraction engine;
+        # the other two dense steps are small Perron blocks and the row
+        # cover's Gram matrix.  Everything else reads the CSR.
+        import sslab
+
+        found = []
+
+        def visit(node, scope, path):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                if isinstance(child, ast.Attribute) and child.attr in ("toarray", "todense"):
+                    found.append(f"{path.stem}{scope}.{child.attr}")
+                visit(child, inner, path)
+
+        for p in sorted(Path(sslab.__file__).parent.glob("*.py")):
+            text = p.read_text()
+            assert "adjacency_matrix" not in text, p.name
+            visit(ast.parse(text, str(p)), "", p)
+        assert sorted(found) == [
+            "homcounts._contract_sum.toarray",
+            "spectra._Block._solve.toarray",
+            "spectra.top_singular.toarray",
+        ]
+
 
 class TestParsing:
     def test_unknown_subcommand(self):

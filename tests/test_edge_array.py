@@ -134,11 +134,11 @@ def test_induced_subgraph_matches_the_reference(case, data):
     n, edges = case
     g = Graph.from_edges(n, edges)
     vs = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
-    sub, remap = g.induced_subgraph(vs)
+    sub = g.induced_subgraph(vs)
     keep = sorted(set(vs))
     want = {v: i for i, v in enumerate(keep)}
     check_stored_form(sub)
-    assert remap == want and sub.n == len(keep)
+    assert sub.n == len(keep)
     assert sub.edges == tuple(
         sorted((want[u], want[v]) for u, v in ref_edges(n, edges) if u in want and v in want)
     )
@@ -170,7 +170,7 @@ def test_equality_and_hash_across_construction_routes():
         Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)]),
         Graph.from_edges(4, np.array([[2, 3], [0, 1], [1, 2]])),
         complete(4).delete_edge(0, 2).delete_edge(0, 3).delete_edge(1, 3),
-        complete(5).induced_subgraph([0, 1, 2, 3])[0].delete_edge(0, 2)
+        complete(5).induced_subgraph([0, 1, 2, 3]).delete_edge(0, 2)
         .delete_edge(0, 3).delete_edge(3, 1),
         read_edge_list("# n=4\n0 1\n2 1\n3 2\n"),
     ]

@@ -63,9 +63,10 @@ class TestGraphBasics:
 
     def test_induced_subgraph(self):
         g = cycle(5)
-        sub, remap = g.induced_subgraph([1, 2, 3])
+        # vertices 1, 2, 3 become 0, 1, 2; (1, 2) and (2, 3) are the edges kept
+        sub = g.induced_subgraph([3, 1, 2])
         assert sub.n == 3 and sub.edges == ((0, 1), (1, 2))
-        assert remap == {1: 0, 2: 1, 3: 2}
+        assert g.induced_subgraph([0, 2, 4]).edges == ((0, 2),)
 
     def test_delete_edge(self):
         g = complete(3).delete_edge(2, 0)

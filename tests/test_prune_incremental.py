@@ -347,6 +347,24 @@ def test_deleting_a_non_edge_is_a_typed_error(edge):
         pb.delete_edge(*edge)
 
 
+@pytest.mark.parametrize("edges", [[(21, 25)], [(21, 22), (22, 21)], [(0, 1), (1, 0)]])
+def test_a_non_edge_is_refused_when_its_deletion_is_recorded(edges):
+    # on star(20) + C_8 the star leads by a safe margin, so a deletion in
+    # the cycle is only recorded: (21, 25) is a chord the cycle lacks, and
+    # a cycle edge or a star edge may go once
+    g = union(star(20), cycle(8))
+    pb = PerronBlocks(g)
+    *first, last = edges
+    for u, v in first:
+        pb.delete_edge(u, v)
+        g = g.delete_edge(u, v)
+    pd = pb.pd
+    with pytest.raises(SpectraError, match="no edge"):
+        pb.delete_edge(*last)
+    assert pb.pd is pd
+    assert_blocks_match(pb, g)
+
+
 def _solve_bytes(g: Graph, start: np.ndarray) -> bytes:
     comp = max(g.components, key=len)
     lam, xs, res, iters = _Block(g.sparse_adjacency(), comp).solve(start, 1e-10)

@@ -18,7 +18,51 @@ from sslab import (
 )
 from sslab.graphs import CapExceededError, complete, cycle, path, star, union
 from sslab.regularize import RegularizeError, fk_tuples
-from conftest import random_connected_graph
+from conftest import dense_adjacency, random_connected_graph, random_graph
+
+
+def reference_edge_distribution(g):
+    """(vertices, p, pi, lam) as `edge_distribution` built them before p
+    became the component's CSR slice: the dense n0 x n0 block times the
+    outer product of x, over lambda."""
+    pd = perron(g, tol=1e-12)
+    idx = list(pd.component)
+    x = pd.x[idx]
+    x /= np.linalg.norm(x)
+    p = dense_adjacency(g)[np.ix_(idx, idx)] * np.outer(x, x) / pd.lam
+    return pd.component, p, x * x, pd.lam
+
+
+def reference_entropy_gap(p, pi):
+    ent = [float(-(v * np.log(v)).sum()) for v in (p[p > 0], pi[pi > 0])]
+    return ent[0] - ent[1]
+
+
+def reference_n_mat(g, k):
+    """`build_regular`'s rounded pair counts read from the dense p at the
+    component's edges."""
+    comp, p, _, _ = reference_edge_distribution(g)
+    i, j = g.induced_subgraph(comp).edge_array.T
+    n_mat = np.zeros(p.shape, dtype=np.int64)
+    n_mat[i, j] = n_mat[j, i] = round_counts(2.0 * p[i, j], k // 2)
+    return n_mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]))
+def test_sparse_p_matches_the_dense_reference(seed, k):
+    # the CSR stores p row by row in column order, the order of p[p > 0]
+    g = random_graph(seed, 16)
+    d = edge_distribution(g)
+    comp, p, pi, lam = reference_edge_distribution(g)
+    assert d.vertices == comp and d.lam == lam and d.pi.tobytes() == pi.tobytes()
+    assert d.p.has_sorted_indices and d.p.nnz == 2 * g.induced_subgraph(comp).edge_count
+    assert d.p.data.tobytes() == p[p > 0].tobytes()
+    assert d.p.toarray().tobytes() == p.tobytes()
+    assert entropy_gap(d) == reference_entropy_gap(p, pi)
+    b = build_regular(g, k)
+    assert b.vertices == comp and b.lambda_k == lam**k
+    assert b.n_mat.tobytes() == reference_n_mat(g, k).tobytes()
 
 
 class TestEdgeDistribution:
@@ -29,7 +73,7 @@ class TestEdgeDistribution:
             assert d.p.sum() == pytest.approx(1.0, abs=1e-10)
             assert d.pi.sum() == pytest.approx(1.0, abs=1e-10)
             # marginals of p equal pi
-            assert np.allclose(d.p.sum(axis=1), d.pi, atol=1e-10)
+            assert np.allclose(d.p @ np.ones(d.p.shape[1]), d.pi, atol=1e-10)
 
     def test_disconnected_uses_max_component(self):
         g = union(path(2), complete(4))
