@@ -96,6 +96,8 @@ def _plain(x):
     if is_dataclass(x):
         x = _shape(x)
     if isinstance(x, np.ndarray):
+        if x.dtype.kind in "biu":  # no floats inside: nothing to round
+            return x.tolist()
         x = x.tolist()
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
@@ -297,8 +299,8 @@ def cmd_regularize(args) -> int:
     if args.cap is not None and not args.materialize:
         raise UsageError("--cap applies only with --materialize")
     g = _load_graph(args.infile)
-    bundle = regularize.build_regular(g, args.k)
     dist = regularize.edge_distribution(g)
+    bundle = regularize.build_regular(g, args.k, dist)
     derived = {
         "entropy_gap": regularize.entropy_gap(dist),
         "log_lambda": math.log(dist.lam),
@@ -321,19 +323,20 @@ def cmd_pipeline(args) -> int:
 # -- sweep -----------------------------------------------------------------
 
 
-def _sweep_n(family: str, t: int, m: int) -> int:
-    """Vertex count of the `family` sweep host with m edges, after checking
-    that such a host exists."""
+def _sweep_size(family: str, t: int, m: int) -> tuple[int, int]:
+    """Vertex count and a bound on the false-twin classes of the `family`
+    sweep host with m edges, after checking that such a host exists."""
     if family == "gnm-balanced":
         n = math.floor(2 * math.sqrt(m)) - t
         if 0 <= n and m <= n * (n - 1) // 2:
-            return n
+            return n, n
     elif family in ("split-t", "split-t-minus-1-perturbed"):
         # the perturbed host is S_{t-1,m-1} plus an edge between two of its
-        # independent vertices
+        # independent vertices, which leave their class
         k, mk, q = (t, m, 0) if family == "split-t" else (t - 1, m - 1, 2)
         if mk >= k * (k - 1) // 2 and graphs.SplitSpec(k, mk).q >= q:
-            return graphs.SplitSpec(k, mk).n
+            spec = graphs.SplitSpec(k, mk)
+            return spec.n, spec.classes + q
     else:
         raise UsageError(f"unknown sweep family {family!r}")
     raise UsageError(f"--m-range: family {family} has no host with t={t} and m={m}")
@@ -341,7 +344,7 @@ def _sweep_n(family: str, t: int, m: int) -> int:
 
 def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
     row_seed = (seed * 1_000_003 + m * 101 + sample * 7919) & (2**63 - 1)
-    n = _sweep_n(family, t, m)
+    n, _ = _sweep_size(family, t, m)
     if family == "gnm-balanced":
         return graphs.sample_gnm(n, m, row_seed), row_seed
     if family == "split-t":
@@ -354,7 +357,8 @@ def _sweep_host(family: str, t: int, m: int, sample: int, seed: int):
 
 
 def _estimate_work(family: str, pattern: str, t: int, m: int) -> int:
-    return supersat.PATTERNS[pattern].work(_sweep_n(family, t, m), m, t)
+    n, classes = _sweep_size(family, t, m)
+    return supersat.PATTERNS[pattern].work(n, m, t, classes)
 
 
 def _sweep_row(family: str, pattern: str, t: int, m: int, sample: int, seed: int):

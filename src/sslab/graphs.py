@@ -209,6 +209,12 @@ class SplitSpec:
     def n(self) -> int:
         return self.indep_start + self.q
 
+    @property
+    def classes(self) -> int:
+        """The false-twin classes: each clique vertex and the extra vertex
+        alone, and the independent vertices together."""
+        return self.indep_start + (self.q > 0)
+
 
 def split_graph(k: int, m: int) -> Graph:
     """S_{k,m} with vertex order: r-attached clique vertices first, remaining

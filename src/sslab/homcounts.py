@@ -16,17 +16,26 @@ Three engines, every result an exact Python int:
   sub-pattern is isomorphic to an earlier step's (boundary vertices in
   scope order) takes that step's stored array instead of a new `np.einsum`,
   and the store drops each array at its last use.  So C_6's ten quotients
-  make four n x n products (A^2 to A^5) instead of thirteen.
-- codegree (`count_ktt`): common-neighbourhood counts, which need no n x n
+  make four k x k products (A^2 to A^5) instead of thirteen.
+- codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
-  CSR adjacency; at t>=3 a bitset recursion over vertex subsets.
+  CSR adjacency; at t>=3 a bitset recursion over twin classes.
 - backtracking (`hom_count`): plain enumeration, which `sslab hom` reports;
   the tests enumerate inj themselves as the oracle for the Moebius sums.
 
+The first two count on the host's false-twin quotient (`_twins`):
+non-adjacent vertices with one neighbourhood form a class, the host is the
+blow-up of the quotient W by the class sizes w, and hom(H, G) is the
+vertex-weighted hom(H, (W, w)) (Lovasz 2012, ch. 5).  So k above is the
+class count: the engine contracts W's k x k adjacency with w on every
+pattern vertex, and the recursion weighs each choice of classes by the
+subsets it stands for.  A twin-free host (k = n) runs on its own adjacency
+with no weights.
+
 Exactness rule: float arithmetic is trusted only where the data certify it
-(see `hom_contract`); otherwise the same contraction reruns on Python ints,
-within a work budget.
+(see `hom_contract`); otherwise the same contraction reruns on int64 where
+a range bound allows it, else on Python ints, within a work budget.
 Every parity, divisibility and float-to-int step raises `CountError` when it
 fails, so no result depends on `assert`.
 """
@@ -69,11 +78,58 @@ class CountResult:
     method: str
 
 
-def _rows(g: Graph) -> list[list[int]]:
-    """Each vertex's sorted neighbours: the rows of the CSR."""
-    a = g.sparse_adjacency()
+def _rows(a) -> list[list[int]]:
+    """The column indices of each row of the CSR matrix `a`."""
     ptr, idx = a.indptr.tolist(), a.indices.tolist()
-    return [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
+    return [idx[ptr[v] : ptr[v + 1]] for v in range(a.shape[0])]
+
+
+# -- false twins -------------------------------------------------------------
+
+# odd multiplier of the vertex keys that `_twins` sums over each row
+_TWIN_SEED = 0x9E3779B97F4A7C15
+
+
+def _twins(a) -> tuple[np.ndarray, np.ndarray]:
+    """The false-twin classes of the symmetric CSR matrix `a`, the sets of
+    vertices with equal rows, as (reps, w): the least vertex of each class,
+    ascending, and the class sizes.  On a simple graph twins have the same
+    neighbours and are never adjacent.
+
+    Each row is keyed by its length and the sum, modulo 2^64, of mixed
+    uint64 keys of its columns.  Rows that share a key are then compared
+    entry by entry with their group's least vertex, and a group where one
+    differs is regrouped by its exact rows.  So a key collision costs time
+    but never merges two classes.
+    """
+    n = a.shape[0]
+    ptr, idx, data = a.indptr, a.indices, a.data
+    deg = np.diff(ptr)
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_TWIN_SEED)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(29)
+    run = np.zeros(len(idx) + 1, dtype=np.uint64)
+    np.cumsum(x[idx], out=run[1:])
+    key = run[ptr[1:]] - run[ptr[:-1]]  # each row's sum, wrapping like the run
+    order = np.lexsort((key, deg))  # stable, so each group starts at its least vertex
+    first = np.ones(n, dtype=bool)
+    first[1:] = (deg[order[1:]] != deg[order[:-1]]) | (key[order[1:]] != key[order[:-1]])
+    lead = np.empty(n, dtype=np.intp)
+    lead[order] = order[first][np.cumsum(first) - 1]
+    v = np.flatnonzero(lead != np.arange(n))
+    if v.size:
+        d = deg[v]
+        offset = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        pv, pu = np.repeat(ptr[v], d) + offset, np.repeat(ptr[lead[v]], d) + offset
+        differs = (idx[pv] != idx[pu]) | (data[pv] != data[pu])
+        for group in sorted(set(lead[np.repeat(v, d)[differs]].tolist())):
+            seen: dict = {}
+            for y in np.flatnonzero(lead == group).tolist():
+                row = idx[ptr[y] : ptr[y + 1]].tobytes(), data[ptr[y] : ptr[y + 1]].tobytes()
+                lead[y] = seen.setdefault(row, y)
+    reps = np.flatnonzero(lead == np.arange(n))
+    return reps, np.bincount(np.searchsorted(reps, lead), minlength=len(reps))
 
 
 # -- backtracking hom counts -----------------------------------------------
@@ -102,12 +158,12 @@ def hom_count(h: Graph, g: Graph) -> CountResult:
     goes to the common host neighbours of its placed pattern neighbours."""
     if h.n > PATTERN_LIMIT:
         raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
-    rows = _rows(h)
+    rows = _rows(h.sparse_adjacency())
     order = _connected_order(rows)
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
     back = [[pos[w] for w in rows[v] if pos[w] < i] for i, v in enumerate(order)]
-    gsets = [set(r) for r in _rows(g)]
+    gsets = [set(r) for r in _rows(g.sparse_adjacency())]
     total = 0
     image = [0] * h.n
 
@@ -177,6 +233,10 @@ def _sub_patterns(plan: tuple, scopes: frozenset) -> list:
     On one 0/1 host, steps with isomorphic sub-patterns give equal arrays:
     a factor is the sum, over its summed-out vertices, of the product of
     its pattern edges, and a repeated edge changes nothing, since A∘A = A.
+    On a twin quotient the sum also weighs each summed-out vertex by its
+    class size.  Every pattern vertex carries exactly one such weight
+    factor, so the weights are left out of the sub-pattern: they are no
+    loops, and isomorphic sub-patterns still give equal arrays.
     """
     held = {s: frozenset([s]) for s in scopes}  # factor scope -> its pattern edges
     subs: list = []
@@ -211,42 +271,39 @@ def _invariant(sub: tuple) -> tuple:
 
 @lru_cache(maxsize=256)
 def _schedule(terms: tuple) -> tuple:
-    """The terms (n_vars, edges, mu) of a signed sum as (plan, keys, edges,
-    mu) in evaluation order, and the number of steps that take each key.
+    """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan, keys,
+    edges, mu) in evaluation order, and the number of steps that take each
+    key.
 
     A step's key is the `_canonical` form of its sub-pattern
     (`_sub_patterns`) when another step of the sum has a sub-pattern with
     the same `_invariant`, and only when that form recurs; the other steps
     get None.  Terms run in ascending order of the largest sub-pattern
-    behind a 2-axis step, so the n x n results that later terms reuse are
+    behind a 2-axis step, so the k x k results that later terms reuse are
     built as late as possible and few are held at once.
     """
     planned = []
     for n_vars, edges, mu in terms:
         scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
         plan = _plan(frozenset(range(n_vars)), scopes)
-        planned.append((plan, _sub_patterns(plan, scopes), edges, mu))
-    seen = Counter(_invariant(sub) for _, subs, _, _ in planned for sub in subs if sub)
-    forms = {
-        sub: _canonical(*sub)
-        for _, subs, _, _ in planned
-        for sub in subs
-        if sub and seen[_invariant(sub)] > 1
-    }
-    uses = Counter(forms[sub] for _, subs, _, _ in planned for sub in subs if sub in forms)
+        planned.append((n_vars, plan, _sub_patterns(plan, scopes), edges, mu))
+    subs = [sub for term in planned for sub in term[2] if sub]
+    seen = Counter(map(_invariant, subs))
+    forms = {sub: _canonical(*sub) for sub in subs if seen[_invariant(sub)] > 1}
+    uses = Counter(forms[sub] for sub in subs if sub in forms)
 
     def key(sub):
         form = forms.get(sub)
         return form if uses[form] > 1 else None
 
     def widest(term):
-        plan, subs = term[0], term[1]
+        plan, subs = term[1], term[2]
         sizes = [sub[0] for step, sub in zip(plan, subs) if sub and len(step[2]) == 2]
         return max(sizes, default=0)
 
     order = tuple(
-        (plan, tuple(map(key, subs)), edges, mu)
-        for plan, subs, edges, mu in sorted(planned, key=widest)
+        (n_vars, plan, tuple(map(key, subs)), edges, mu)
+        for n_vars, plan, subs, edges, mu in sorted(planned, key=widest)
     )
     return order, {k: c for k, c in uses.items() if c > 1}
 
@@ -271,11 +328,11 @@ class _Shared:
 
 def _put(factors: dict, scope: tuple, f: np.ndarray) -> bool:
     """Multiply `f` into the factor on `scope`; False if a float entry of the
-    product lies past 2^52 (or is NaN)."""
+    product lies past 2^52 (or is NaN).  Integer factors always pass."""
     if scope in factors:
         f = factors[scope] * f
     factors[scope] = f
-    return f.dtype == object or not f.size or bool(f.max() <= _EXACT)
+    return f.dtype.kind != "f" or not f.size or bool(f.max() <= _EXACT)
 
 
 def _to_int(x) -> Optional[int]:
@@ -292,12 +349,13 @@ def _to_int(x) -> Optional[int]:
 
 
 def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Optional[int]:
-    """Run `plan` over `factors` (scope -> array on n host vertices per
-    axis).  Returns the exact value, or None as soon as a float factor or
-    scalar leaves the certified range.  `keys` yields one `_schedule` key
-    per step; a keyed step takes its result from `shared` when an earlier
-    step with that key computed it, and passes it through `_put` like a
-    fresh one."""
+    """Run `plan` over `factors` (scope -> array on n host vertices or
+    twin classes per axis; a vertex with no factor, which only an
+    unweighted run has, contributes a factor n).  Returns the exact value,
+    or None as soon as a float factor or scalar leaves the certified range.
+    `keys` yields one `_schedule` key per step; a keyed step takes its
+    result from `shared` when an earlier step with that key computed it,
+    and passes it through `_put` like a fresh one."""
     factors = dict(factors)
     keys = iter(keys)
     value = 1
@@ -350,9 +408,9 @@ def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Option
 
 
 def _plan_work(plan: tuple, n: int) -> int:
-    """Operations `_execute` spends on `plan` over n host vertices: n^(k+1)
-    for a sum step whose result has k axes, and the rest of the plan n times
-    over for a conditioning."""
+    """Operations `_execute` spends on `plan` over n host vertices (twin
+    classes, on a quotient): n^(j+1) for a sum step whose result has j
+    axes, and the rest of the plan n times over for a conditioning."""
     work = 0
     for step in plan:
         if step[0] == "condition":
@@ -361,10 +419,12 @@ def _plan_work(plan: tuple, n: int) -> int:
     return work
 
 
-def _edge_factors(edges, a: np.ndarray) -> dict:
+def _edge_factors(n_vars: int, edges, a: np.ndarray, w: Optional[np.ndarray]) -> dict:
     """One factor per pattern edge: `a` on the edge's two vertices, or the
-    diagonal of `a` on a loop; repeated scopes are multiplied together."""
-    factors: dict = {}
+    diagonal of `a` on a loop; and, unless `w` is None, the class sizes `w`
+    on each of the n_vars pattern vertices.  Repeated scopes are multiplied
+    together."""
+    factors: dict = {} if w is None else {(v,): w for v in range(n_vars)}
     for u, v in edges:
         scope = tuple(sorted({u, v}))
         f = np.diagonal(a) if u == v else a
@@ -374,37 +434,53 @@ def _edge_factors(edges, a: np.ndarray) -> dict:
 
 def _contract_sum(terms: tuple, g: Graph, budget: int) -> int:
     """Sum of mu * hom(pattern, g) over `terms`, each (n_vars, edges, mu)
-    for a pattern on vertices 0..n_vars-1, on g's 0/1 adjacency densified
-    once: the one dense host matrix in the package.
+    for a pattern on vertices 0..n_vars-1, on the false-twin quotient of g
+    (`_twins`): its k x k 0/1 adjacency, densified once (the one dense host
+    matrix in the package), with the class sizes w as a factor on every
+    pattern vertex.  g is the blow-up of the quotient, so this is hom(H, g)
+    (Lovasz 2012, ch. 5).  A twin-free host is its own quotient: it runs on
+    its adjacency with no weight factors.
 
-    Each term is the float64 run when certified, else the same plan on
-    Python ints, refused when estimated past `budget` operations.  The
-    float runs share their keyed step results: the first step with a key
-    computes it, the later ones take the stored array, and the store drops
-    it at its last use, counted over the whole sum by `_schedule`.  A term
-    that falls back to Python ints reruns alone; the steps its float run
-    did not reach count as used, so later terms find the arrays or
-    recompute them.
+    Each term is the float64 run when certified.  Otherwise the same plan
+    reruns on exact integers, refused when estimated past `budget`
+    operations: on int64 when n^n_vars < 2^63, since the weights sum to n
+    and every factor entry, product and partial sum counts weighted maps
+    of at most n_vars pattern vertices into the k classes; else on Python
+    ints.  The float runs share their keyed step results: the first step
+    with a key computes it, the later ones take the stored array, and the
+    store drops it at its last use, counted over the whole sum by
+    `_schedule`.  A term that falls back to integers reruns alone; the
+    steps its float run did not reach count as used, so later terms find
+    the arrays or recompute them.
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
-    a = g.sparse_adjacency().toarray()
+    a = g.sparse_adjacency()
     n = a.shape[0]
+    reps, w = _twins(a)
+    if len(reps) == n:
+        w = None
+    else:
+        a, w = a[reps][:, reps], w.astype(np.float64)
+    a = a.toarray()
+    k = a.shape[0]
     total = 0
-    for plan, keys, edges, mu in order:
+    for n_vars, plan, keys, edges, mu in order:
         pending = iter(keys)
-        value = _execute(plan, _edge_factors(edges, a), n, shared, pending)
+        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared, pending)
         for key in pending:  # the keyed steps an early exit did not reach
             if key is not None:
                 shared.used(key)
         if value is None:  # some float factor passed 2^52
-            work = _plan_work(plan, n)
+            work = _plan_work(plan, k)
             if work > budget:
                 raise BudgetExceededError(
-                    f"exact-integer contraction would take ~{work} Python-int operations", work
+                    f"exact-integer contraction would take ~{work} operations", work
                 )
-            exact = a.astype(np.int64).astype(object)
-            value = _execute(plan, _edge_factors(edges, exact), n)
+            exact = a.astype(np.int64), None if w is None else w.astype(np.int64)
+            if n**n_vars >= 2**63:
+                exact = tuple(None if f is None else f.astype(object) for f in exact)
+            value = _execute(plan, _edge_factors(n_vars, edges, *exact), k)
         total += mu * value
     return total
 
@@ -414,23 +490,26 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     given edge list ((u, u) is a loop; repeated edges are allowed).
 
     Pattern vertices are summed out one at a time, lowest resulting width
-    first, with `np.einsum` over float64 adjacency factors.  No factor ever
-    has more than two host-vertex axes: where every elimination would need
-    three, the engine conditions on one pattern vertex instead, loops over
-    its n images and adds up the exact integer results.
+    first, with `np.einsum` over float64 factors: the adjacency of g's twin
+    quotient on each pattern edge and the class sizes on each pattern
+    vertex (`_contract_sum`).  No factor ever has more than two class axes:
+    where every elimination would need three, the engine conditions on one
+    pattern vertex instead, loops over its k classes and adds up the exact
+    integer results, each times the class size.
 
-    Exactness is certified by the data, not by an a-priori bound.  Inputs
-    are nonnegative integers, so every partial sum or product that reaches
-    an output entry is at most that entry.  Float64 computes each partial
-    exactly while it stays at most 2^52; rounding is monotone and 2^52 + 1 is
-    a float, so the first partial past 2^52 leaves its output entry past
-    2^52 as well.  Hence if every factor the engine keeps, and every scalar,
+    Exactness is certified by the data, not by an a-priori bound.  Inputs,
+    class sizes included, are nonnegative integers, so every partial sum
+    or product that reaches an output entry is at most that entry.  Float64
+    computes each partial exactly while it stays at most 2^52; rounding is
+    monotone and 2^52 + 1 is a float, so the first partial past 2^52 leaves
+    its output entry past 2^52 as well.  Hence if every factor the engine keeps, and every scalar,
     is at most 2^52, every float step was exact.  (A partial that reaches no
     output was multiplied by 0, and is finite because each step's inputs are
-    at most 2^52.)  Otherwise the same plan is rerun once on object arrays
-    of Python ints; a rerun estimated past `WORK_BUDGET` Python-int
-    operations (about n^3 per step, n times that under each conditioning)
-    raises `BudgetExceededError` before it starts.
+    at most 2^52.)  Otherwise the same plan is rerun once on int64 when
+    n^n_vars < 2^63, else on object arrays of Python ints; a rerun
+    estimated past `WORK_BUDGET` operations (about k^3 per step, k times
+    that under each conditioning) raises `BudgetExceededError` before it
+    starts.
     """
     if n_vars < 0:
         raise CountError(f"pattern vertex count {n_vars} < 0")
@@ -461,17 +540,20 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
 # -- codegree counters -----------------------------------------------------
 
 
-def codegree_work(n: int, m: int, t: int) -> int:
-    """Up-front bound on `count_ktt`'s work on a host with n vertices and m
-    edges.  t = 2: Chiba-Nishizeki's 2m * ceil(sqrt(2m + n) / 2), which
-    bounds the wedge steps, the sum over edges uv of min(d_u, d_v), since
-    that sum is at most 2m times the arboricity and the arboricity is at
-    most ceil(sqrt(2m + n) / 2).  t >= 3: the t-subsets of n vertices."""
+def codegree_work(n: int, m: int, t: int, classes: Optional[int] = None) -> int:
+    """Up-front bound on `count_ktt`'s work on a host with n vertices, m
+    edges and `classes` false-twin classes (n by default).  t = 2:
+    Chiba-Nishizeki's 2m * ceil(sqrt(2m + n) / 2), which bounds the wedge
+    steps, the sum over edges uv of min(d_u, d_v), since that sum is at most
+    2m times the arboricity and the arboricity is at most
+    ceil(sqrt(2m + n) / 2).  t >= 3: the t-multisets of the classes, and at
+    most the t-subsets of the vertices, C(min(classes + t - 1, n), t)."""
     if t == 2:
         root = math.isqrt(2 * m + n)
         root += root * root < 2 * m + n  # ceil(sqrt(2m + n))
         return 2 * m * ((root + 1) // 2)
-    return math.comb(n, t) if n >= t else 0
+    top = min(n if classes is None else classes + t - 1, n)
+    return math.comb(top, t) if top >= t else 0
 
 
 def wedge_work(g: Graph) -> int:
@@ -527,12 +609,18 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     the common-neighborhood size.  Each copy is counted once per side; loops
     are impossible, so a subset is always disjoint from its common
     neighborhood and the two sides of a copy are distinct subsets, giving
-    exactly the factor 2.  Subsets are enumerated over the neighbourhood
-    bitmasks (bit w of v's mask set iff vw is an edge), built from the CSR
-    rows, in colex-style recursive order with early termination once the
-    running common neighborhood drops below t; the last level is one pass
-    over a table of C(c, t).  `budget` bounds the vertices tried over all levels,
-    and the count is refused up front when `codegree_work` exceeds it.
+    exactly the factor 2.  Twins have one neighbourhood, and a common
+    neighbourhood is a union of twin classes (`_twins`), so the sum runs
+    over the classes: a choice of k_i >= 1 vertices from classes i stands
+    for prod C(w_i, k_i) subsets, and codeg is the total size w of the
+    classes adjacent to every chosen one.  The choices are enumerated over
+    the quotient's neighbourhood bitmasks (bit j of class i's mask set iff
+    the classes are adjacent) in colex-style recursive order, with early
+    termination once the running common neighborhood drops below t; the
+    last vertex is one pass over a table of C(c, t).  On a twin-free host
+    every w_i is 1 and this is the subset recursion over vertices.
+    `budget` bounds the classes tried over all levels, and the count is
+    refused up front when `codegree_work` exceeds it.
     """
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
@@ -541,33 +629,56 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
         if work > budget:
             raise BudgetExceededError(f"count_ktt would take {work} wedge steps", work)
         return CountResult(_count_c4(g), "codegree")
-    estimate = codegree_work(g.n, g.edge_count, t)
+    a = g.sparse_adjacency()
+    reps, w = _twins(a)
+    k = len(reps)
+    estimate = codegree_work(g.n, g.edge_count, t, k)
     if estimate > budget:
         raise BudgetExceededError(
             f"count_ktt would enumerate ~{estimate} subsets", estimate
         )
-    bits = [sum(1 << w for w in row) for row in _rows(g)]
+    bits = [sum(1 << j for j in row) for row in _rows(a[reps][:, reps] if k < g.n else a)]
+    w = w.tolist()
+    # the size of a set of classes, summed over the bit planes of w
+    planes = [
+        sum(1 << i for i in range(k) if w[i] >> b & 1)
+        for b in range(max(w, default=1).bit_length())
+    ]
+    size = int.bit_count if len(planes) == 1 else (
+        lambda mask: sum((mask & p).bit_count() << b for b, p in enumerate(planes))
+    )
     choose = [math.comb(c, t) for c in range(max(g.degrees, default=0) + 1)]
+    last = list(zip(w, bits))
+    # the ways to take j >= 1 of the t vertices from class i
+    takes = [[(j, math.comb(wi, j)) for j in range(1, min(wi, t) + 1)] for wi in w]
     doubled = 0
     work = 0
 
-    def rec(start: int, depth: int, common: int):
+    def rec(start: int, need: int, common: int, ways: int):
+        # `need` more vertices to choose from classes start.., after choices
+        # that stand for `ways` subsets with common neighbourhood `common`
         nonlocal doubled, work
-        if depth == t - 1:
-            work += g.n - start
+        if need == 1:
+            work += k - start
             if work > budget:
                 raise BudgetExceededError("count_ktt budget exceeded", work)
-            doubled += sum(choose[(common & b).bit_count()] for b in bits[start:])
+            doubled += ways * sum(wi * choose[size(common & b)] for wi, b in last[start:])
             return
-        for v in range(start, g.n):
+        for i in range(start, k):
             work += 1
             if work > budget:
                 raise BudgetExceededError("count_ktt budget exceeded", work)
-            c = common & bits[v] if depth else bits[v]
-            if c.bit_count() >= t:
-                rec(v + 1, depth + 1, c)
+            c = common & bits[i] if need < t else bits[i]
+            s = size(c)
+            if s < t:
+                continue
+            for j, subsets in takes[i]:
+                if j == need:
+                    doubled += ways * subsets * choose[s]
+                    break
+                rec(i + 1, need - j, c, ways * subsets)
 
-    rec(0, 0, 0)
+    rec(0, t, 0, 1)
     if doubled % 2:
         raise CountError(f"odd doubled K_{{t,t}} count {doubled}")
     return CountResult(doubled // 2, "codegree")
@@ -698,13 +809,14 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     wedge work exceeds it; at t>=3 it caps each quotient's exact-integer
     rerun.
 
-    The quotients are one `_contract_sum`: their plans share every n x n
-    (and n-vector) step result whose summed-out sub-pattern repeats, such
+    The quotients are one `_contract_sum` on g's twin quotient, k classes:
+    their plans share every k x k (and k-vector) step result whose
+    summed-out sub-pattern repeats, such
     as the A^2 that six of C_6's quotients build eight times in all, and
     each shared array is dropped at its last use.  The terms run in
     ascending order of the largest sub-pattern behind a 2-axis step, so
-    few shared n x n arrays are alive at once.  A quotient whose float run
-    leaves the certified range reruns alone on Python ints.
+    few shared k x k arrays are alive at once.  A quotient whose float run
+    leaves the certified range reruns alone on exact integers.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")

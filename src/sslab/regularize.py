@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -86,10 +86,13 @@ class RegularBundle:
     lambda_k: float
 
 
-def build_regular(g: Graph, k: int) -> RegularBundle:
+def build_regular(g: Graph, k: int, d: Optional[EdgeDistribution] = None) -> RegularBundle:
+    """The type-class regular subgraph bundle of g's k-th tensor power, from
+    `d`, g's `edge_distribution`, solved here when not given."""
     if k < 2 or k % 2:
         raise RegularizeError("k must be even and >= 2")
-    d = edge_distribution(g)
+    if d is None:
+        d = edge_distribution(g)
     comp = d.vertices
     n0 = len(comp)
     p = d.p.tocoo()

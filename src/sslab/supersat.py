@@ -452,20 +452,22 @@ class Pattern(NamedTuple):
 
     graph: Callable[[int], Graph]  # t -> the pattern itself
     count: Callable[[Graph, int], CountResult]  # (host, t) -> exact copies
-    work: Callable[[int, int, int], int]  # (n, m, t) -> bound on `count`'s work
+    # (n, m, t, twin classes) -> bound on `count`'s work
+    work: Callable[[int, int, int, int], int]
     sharp: Callable[[int], float]  # t -> the paper's sharp constant
     copy_lower: Callable[[int, float, int, int], float]  # (t, lam, m, n) -> bound
     gnm_expected: Optional[Callable[[int, int, int], float]]  # (n, m, t) -> mean
 
 
 # K_{t,t} with constant b_t, C_2t with c_t.  C_4 = K_{2,2} runs count_ktt,
-# whose t = 2 work codegree_work bounds from n and m; for t >= 3 the c2t
-# estimate n^2 understates the contraction's n^3 steps.
+# whose t = 2 work codegree_work bounds from n and m; at t >= 3 both count
+# on the k twin classes, and the c2t estimate k^2 understates the
+# contraction's k^3 steps.
 PATTERNS = {
     "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt, codegree_work,
                    lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
     "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
-                   lambda n, m, t: codegree_work(n, m, 2) if t == 2 else n * n,
+                   lambda n, m, t, k: codegree_work(n, m, 2) if t == 2 else k * k,
                    lambda t: constants(t).c_t,
                    lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
 }

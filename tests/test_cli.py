@@ -12,6 +12,7 @@ import pytest
 
 from sslab.graphs import complete_bipartite, path, split_graph, star, union, write_edge_list
 from sslab.regularize import edge_distribution
+from conftest import csr_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -285,6 +286,35 @@ class TestPipelineCommands:
         assert obj["fk_vertices"] == 12
         assert abs(obj["entropy_gap"] - obj["log_lambda"]) < 1e-9
 
+    def test_regularize_solves_perron_once(self, tmp_path, monkeypatch, capsys):
+        import sslab.regularize
+        from sslab.cli import main
+
+        solves = []
+        perron = sslab.regularize.perron
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return perron(*args, **kwargs)
+
+        monkeypatch.setattr(sslab.regularize, "perron", counted)
+        p = tmp_path / "p3.txt"
+        p.write_text(write_edge_list(star(2)))
+        assert main(["regularize", "--in", str(p), "--k", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["d_k"] == 2
+        assert len(solves) == 1
+
+    def test_integer_arrays_serialize_whole(self):
+        # the regularize report's n_mat: int and bool arrays go out as
+        # their lists, float arrays still round each entry
+        import numpy as np
+        from sslab.cli import _plain
+
+        ints = _plain(np.arange(6, dtype=np.int64).reshape(2, 3))
+        assert ints == [[0, 1, 2], [3, 4, 5]] and type(ints[1][2]) is int
+        assert _plain(np.array([True, False])) == [True, False]
+        assert _plain(np.array([[1 / 3]])) == [[0.333333333333]]
+
     def test_regularize_cap(self, tmp_path, capsys):
         from sslab.cli import main
 
@@ -431,17 +461,39 @@ class TestSweep:
         "family", ["gnm-balanced", "split-t", "split-t-minus-1-perturbed"]
     )
     def test_work_estimate_sizes_the_host_it_builds(self, family, t):
+        # the estimate reads the host's vertex count and its false-twin
+        # classes (vertices with equal neighbourhoods), counted here on the
+        # host the sweep builds; a G(n,m) host's classes are known only
+        # once it is drawn, so its estimate takes the n vertices instead
         from sslab.cli import _estimate_work, _sweep_host
         from sslab.supersat import PATTERNS
 
         for m in (50, 101, 600):
             g, _ = _sweep_host(family, t, m, 0, 1)
+            classes = len(set(csr_rows(g)))
+            bound = g.n if family == "gnm-balanced" else classes
             for pattern, rules in PATTERNS.items():
                 assert g.edge_count == m
-                assert _estimate_work(family, pattern, t, m) == rules.work(g.n, m, t)
+                assert _estimate_work(family, pattern, t, m) == rules.work(g.n, m, t, bound)
         if (family, t) == ("split-t-minus-1-perturbed", 3):
-            assert _sweep_host(family, t, 600, 0, 1)[0].n == 301
-            assert _estimate_work(family, "ktt", t, 600) == math.comb(301, 3)
+            # S_{2,599} plus one edge: the 2 clique vertices, the 2 ends of
+            # the edge and the other 297 independent vertices
+            g = _sweep_host(family, t, 600, 0, 1)[0]
+            assert (g.n, len(set(csr_rows(g)))) == (301, 5)
+            assert _estimate_work(family, "ktt", t, 600) == math.comb(5 + 2, 3)
+
+    def test_split_k33_sweep_runs_within_the_budget(self):
+        # S_{3,30000} has 10 002 vertices but 4 twin classes: the class
+        # recursion's C(6, 3) multisets, where C(10002, 3) > 10^9 subsets
+        # once needed --force
+        r = run_cli("sweep", "--pattern", "ktt", "--t", "3", "--families", "split-t",
+                    "--m-range", "30000:30000:1", "--seed", "1")
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == "estimated work: 20 elementary steps\n"
+        row = r.stdout.splitlines()[1].split(",")
+        assert row[1:5] + row[7:8] + row[11:12] == [
+            "split-t", "ktt", "3", "30000", "10002", str(math.comb(9999, 3))
+        ]
 
 
 class TestInputPastTheIndexRange:

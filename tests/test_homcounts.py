@@ -32,6 +32,8 @@ from sslab.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    empty_graph,
+    join,
     path,
     sample_gnm,
     split_graph,
@@ -49,7 +51,7 @@ from sslab.homcounts import (
     codegree_work,
     wedge_work,
 )
-from conftest import dense_adjacency, inj_backtrack, random_graph
+from conftest import csr_rows, dense_adjacency, inj_backtrack, random_graph
 
 
 class TestBacktracking:
@@ -414,24 +416,34 @@ class TestCompleteBipartite:
 
     @staticmethod
     def _subset_work(g, t):
-        """The vertices the codegree recursion tries, level by level: every
-        vertex after the last one chosen, while the common neighbourhood of
-        the chosen ones still has t or more vertices."""
-        bits = [0] * g.n
-        for u, v in g.edges:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+        """The false-twin classes (equal neighbourhoods, in order of least
+        vertex) and the classes the codegree recursion tries, level by
+        level: every class after the last one chosen, while the common
+        neighbourhood of the chosen vertices still has t or more vertices;
+        a class may give several of the chosen vertices, and the last
+        vertex is one pass over the classes left."""
+        rows = csr_rows(g)
+        classes = list(dict.fromkeys(rows))
+        w = [rows.count(r) for r in classes]
+        index = {r: i for i, r in enumerate(classes)}
+        bits = [sum(1 << i for i in {index[rows[u]] for u in r}) for r in classes]
 
-        def rec(start, depth, common):
+        def size(mask):
+            return sum(wi for i, wi in enumerate(w) if mask >> i & 1)
+
+        def rec(start, need, common):
+            if need == 1:
+                return len(classes) - start
             total = 0
-            for v in range(start, g.n):
+            for i in range(start, len(classes)):
                 total += 1
-                c = common & bits[v] if depth else bits[v]
-                if depth + 1 < t and c.bit_count() >= t:
-                    total += rec(v + 1, depth + 1, c)
+                c = common & bits[i] if need < t else bits[i]
+                if size(c) >= t:
+                    for j in range(1, min(w[i], need - 1) + 1):
+                        total += rec(i + 1, need - j, c)
             return total
 
-        return rec(0, 0, 0)
+        return len(classes), rec(0, t, 0)
 
     @staticmethod
     def _wedge_work(g):
@@ -441,16 +453,21 @@ class TestCompleteBipartite:
         rank = {v: (deg[v], v) for v in range(g.n)}
         return sum(deg[min(e, key=rank.get)] for e in g.edges)
 
-    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("t", [2, 3, 4])
     def test_budget_is_the_total_work(self, t):
-        for s in range(12):
-            g = random_graph(8100 + s, 12)
+        # random hosts, and twin-rich ones whose classes give several of
+        # the t chosen vertices; at t >= 3 a budget below the up-front
+        # estimate is refused before the recursion starts
+        hosts = [random_graph(8100 + s, 12) for s in range(12)]
+        hosts += [split_graph(3, 40), split_graph(4, 30), complete_bipartite(3, 6)]
+        hosts += [join(complete_bipartite(2, 5), complete_bipartite(4, 3))]
+        hosts += [join(empty_graph(5), join(empty_graph(3), complete(4)))]
+        for g in hosts:
             if t == 2:
                 work = self._wedge_work(g)
             else:
-                work = self._subset_work(g, t)
-                if work < math.comb(g.n, t):
-                    continue  # the up-front estimate would refuse first
+                k, work = self._subset_work(g, t)
+                work = max(work, math.comb(min(k + t - 1, g.n), t))
             assert count_ktt(g, t, budget=work).value == count_ktt(g, t).value
             with pytest.raises(BudgetExceededError):
                 count_ktt(g, t, budget=work - 1)
@@ -561,13 +578,16 @@ class TestSharedMoebiusSum:
         for out, power in zip(squares, powers):
             assert np.array_equal(out, power)
 
-    def test_only_the_c6_term_reruns_on_python_ints(self, monkeypatch):
+    def test_only_the_c6_term_reruns_on_int64(self, monkeypatch):
         # on K_410 only hom(C_6) itself passes 2^52 (tr A^6 ~ 410^6): its
-        # plan alone reruns on Python ints, six steps, while the other nine
-        # quotients keep their float run and their shared factors
+        # plan alone reruns, six steps, while the other nine quotients keep
+        # their float run and their shared factors.  410^6 < 2^63 bounds
+        # every entry of the rerun, so it runs on int64, not Python ints.
+        # #C_6(K_n) = n! / ((n - 6)! * 12)
         log = _einsum_log(monkeypatch)
         assert count_c2t(complete(410), 3).value == math.perm(410, 6) // 12
-        assert sum(dtype == object for _, dtype in log) == 6
+        assert sum(dtype == np.int64 for _, dtype in log) == 6
+        assert not any(dtype == object for _, dtype in log)
 
     def test_peak_memory_stays_at_four_matrices(self):
         g = sample_gnm(600, 6000, 4)
