@@ -53,8 +53,8 @@ import numpy as np
 from .graphs import Graph
 
 
-# elementary steps a count may take: count_ktt's and count_c2t's default
-# budget, the exact contraction rerun's cap, a sweep's limit without --force
+# elementary steps a count may take: count_ktt's, the exact contraction
+# rerun's and a sweep's limit, read by every guard when it runs
 WORK_BUDGET = 10**9
 
 
@@ -432,7 +432,7 @@ def _edge_factors(n_vars: int, edges, a: np.ndarray, w: Optional[np.ndarray]) ->
     return factors
 
 
-def _contract_sum(terms: tuple, g: Graph, budget: int) -> int:
+def _contract_sum(terms: tuple, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms`, each (n_vars, edges, mu)
     for a pattern on vertices 0..n_vars-1, on the false-twin quotient of g
     (`_twins`): its k x k 0/1 adjacency, densified once (the one dense host
@@ -442,7 +442,7 @@ def _contract_sum(terms: tuple, g: Graph, budget: int) -> int:
     its adjacency with no weight factors.
 
     Each term is the float64 run when certified.  Otherwise the same plan
-    reruns on exact integers, refused when estimated past `budget`
+    reruns on exact integers, refused when estimated past `WORK_BUDGET`
     operations: on int64 when n^n_vars < 2^63, since the weights sum to n
     and every factor entry, product and partial sum counts weighted maps
     of at most n_vars pattern vertices into the k classes; else on Python
@@ -473,7 +473,7 @@ def _contract_sum(terms: tuple, g: Graph, budget: int) -> int:
                 shared.used(key)
         if value is None:  # some float factor passed 2^52
             work = _plan_work(plan, k)
-            if work > budget:
+            if work > WORK_BUDGET:
                 raise BudgetExceededError(
                     f"exact-integer contraction would take ~{work} operations", work
                 )
@@ -517,7 +517,7 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
     term = (n_vars, tuple((u, v) for u, v in edges), 1)
-    return CountResult(_contract_sum((term,), g, WORK_BUDGET), "contraction")
+    return CountResult(_contract_sum((term,), g), "contraction")
 
 
 def closed_walk_count(g: Graph, length: int) -> CountResult:
@@ -526,7 +526,7 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     if length < 1:
         raise CountError("walk length must be >= 1")
     term = (length, tuple((i, (i + 1) % length) for i in range(length)), 1)
-    return CountResult(_contract_sum((term,), g, WORK_BUDGET), "trace-power")
+    return CountResult(_contract_sum((term,), g), "trace-power")
 
 
 def hom_complete_bipartite(g: Graph, t: int) -> int:
@@ -534,26 +534,29 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
     if t < 1:
         raise CountError("t must be >= 1")
     term = (2 * t, tuple((i, t + j) for i in range(t) for j in range(t)), 1)
-    return _contract_sum((term,), g, WORK_BUDGET)
+    return _contract_sum((term,), g)
 
 
 # -- codegree counters -----------------------------------------------------
 
 
-def codegree_work(n: int, m: int, t: int, classes: Optional[int] = None) -> int:
+def codegree_work(n: int, m: int, t: int, classes: int) -> int:
     """Up-front bound on `count_ktt`'s work on a host with n vertices, m
-    edges and `classes` false-twin classes (n by default).  t = 2:
-    Chiba-Nishizeki's 2m * ceil(sqrt(2m + n) / 2), which bounds the wedge
-    steps, the sum over edges uv of min(d_u, d_v), since that sum is at most
-    2m times the arboricity and the arboricity is at most
-    ceil(sqrt(2m + n) / 2).  t >= 3: the t-multisets of the classes, and at
-    most the t-subsets of the vertices, C(min(classes + t - 1, n), t)."""
+    edges and `classes` false-twin classes.  t = 2: Chiba-Nishizeki's
+    2m * ceil(sqrt(2m + n) / 2), which bounds the wedge steps, the sum over
+    edges uv of min(d_u, d_v), since that sum is at most 2m times the
+    arboricity and the arboricity is at most ceil(sqrt(2m + n) / 2).
+    t >= 3: the classes the recursion tries, at most the sum over d = 1..t
+    of C(min(classes + d - 1, n), d).  A try adds one class past every class
+    chosen so far, so distinct tries are distinct multisets of 1..t classes,
+    C(classes + d - 1, d) of size d; a class occurs in one at most as often
+    as it has vertices, so those of size d are at most the d-subsets of the
+    vertices."""
     if t == 2:
         root = math.isqrt(2 * m + n)
         root += root * root < 2 * m + n  # ceil(sqrt(2m + n))
         return 2 * m * ((root + 1) // 2)
-    top = min(n if classes is None else classes + t - 1, n)
-    return math.comb(top, t) if top >= t else 0
+    return sum(math.comb(min(classes + d - 1, n), d) for d in range(1, t + 1))
 
 
 def wedge_work(g: Graph) -> int:
@@ -599,11 +602,11 @@ def _count_c4(g: Graph) -> int:
     return _pair_total(w.data[rank[w.col] < rank[w.row]])
 
 
-def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
+def count_ktt(g: Graph, t: int) -> CountResult:
     """Exact number of unlabeled K_{t,t} copies, by codegrees.
 
     t = 2: `_count_c4`, which takes `wedge_work(g)` steps; the count is
-    refused up front when that exceeds `budget`.
+    refused up front when that exceeds `WORK_BUDGET`.
 
     t >= 3: (1/2) * sum over t-subsets S of C(codeg(S), t), with codeg(S)
     the common-neighborhood size.  Each copy is counted once per side; loops
@@ -618,25 +621,22 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     the classes are adjacent) in colex-style recursive order, with early
     termination once the running common neighborhood drops below t; the
     last vertex is one pass over a table of C(c, t).  On a twin-free host
-    every w_i is 1 and this is the subset recursion over vertices.
-    `budget` bounds the classes tried over all levels, and the count is
-    refused up front when `codegree_work` exceeds it.
+    every w_i is 1 and this is the subset recursion over vertices.  It is
+    refused up front when `codegree_work`, its tries, exceeds `WORK_BUDGET`.
     """
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
     if t == 2:
         work = wedge_work(g)
-        if work > budget:
+        if work > WORK_BUDGET:
             raise BudgetExceededError(f"count_ktt would take {work} wedge steps", work)
         return CountResult(_count_c4(g), "codegree")
     a = g.sparse_adjacency()
     reps, w = _twins(a)
     k = len(reps)
     estimate = codegree_work(g.n, g.edge_count, t, k)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"count_ktt would enumerate ~{estimate} subsets", estimate
-        )
+    if estimate > WORK_BUDGET:
+        raise BudgetExceededError(f"count_ktt would try ~{estimate} classes", estimate)
     bits = [sum(1 << j for j in row) for row in _rows(a[reps][:, reps] if k < g.n else a)]
     w = w.tolist()
     # the size of a set of classes, summed over the bit planes of w
@@ -652,22 +652,15 @@ def count_ktt(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     # the ways to take j >= 1 of the t vertices from class i
     takes = [[(j, math.comb(wi, j)) for j in range(1, min(wi, t) + 1)] for wi in w]
     doubled = 0
-    work = 0
 
     def rec(start: int, need: int, common: int, ways: int):
         # `need` more vertices to choose from classes start.., after choices
         # that stand for `ways` subsets with common neighbourhood `common`
-        nonlocal doubled, work
+        nonlocal doubled
         if need == 1:
-            work += k - start
-            if work > budget:
-                raise BudgetExceededError("count_ktt budget exceeded", work)
             doubled += ways * sum(wi * choose[size(common & b)] for wi, b in last[start:])
             return
         for i in range(start, k):
-            work += 1
-            if work > budget:
-                raise BudgetExceededError("count_ktt budget exceeded", work)
             c = common & bits[i] if need < t else bits[i]
             s = size(c)
             if s < t:
@@ -790,14 +783,14 @@ def inj_count(h: Graph, g: Graph) -> CountResult:
     if h.n > PATTERN_LIMIT:
         raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
     terms = _quotients(h.n, h.edges)
-    return CountResult(_contract_sum(terms, g, WORK_BUDGET), "walk-moebius")
+    return CountResult(_contract_sum(terms, g), "walk-moebius")
 
 
 def aut_order(h: Graph) -> int:
     return inj_count(h, h).value
 
 
-def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
+def count_c2t(g: Graph, t: int) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
     t=2: C_4 = K_{2,2}, so `count_ktt`'s degree-ordered codegree count:
@@ -805,9 +798,8 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     common neighbours of v and w ranked below v.  t>=3: inj(C_2t), as
     `inj_count` computes it from the cycle's `_quotients`, divided by
     |Aut(C_2t)| = 4t.
-    `budget` is passed to `count_ktt` at t=2, which refuses hosts whose
-    wedge work exceeds it; at t>=3 it caps each quotient's exact-integer
-    rerun.
+    `WORK_BUDGET` caps `count_ktt`'s wedge work at t=2 and each
+    quotient's exact-integer rerun at t>=3.
 
     The quotients are one `_contract_sum` on g's twin quotient, k classes:
     their plans share every k x k (and k-vector) step result whose
@@ -823,9 +815,9 @@ def count_c2t(g: Graph, t: int, budget: int = WORK_BUDGET) -> CountResult:
     if g.n < 2 * t or g.edge_count < 2 * t:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
-        return count_ktt(g, 2, budget=budget)
+        return count_ktt(g, 2)
     edges = tuple((i, (i + 1) % (2 * t)) for i in range(2 * t))
-    inj = _contract_sum(_quotients(2 * t, edges), g, budget)
+    inj = _contract_sum(_quotients(2 * t, edges), g)
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

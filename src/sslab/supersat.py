@@ -74,6 +74,11 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     re-solves the Perron component's block alone while the deletions stay
     outside it.
     """
+    return _prune(g, t, eta, None)
+
+
+def _prune(g: Graph, t: int, eta: Optional[float], blocks: Optional[PerronBlocks]) -> PruneTrace:
+    """`heavy_prune` from g's `PerronBlocks` `blocks`, or new ones when None."""
     if t < 2:
         raise SupersatError("t must be >= 2")
     if eta is None:
@@ -86,7 +91,8 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     e = g.edge_array
     alive = np.ones(m0, dtype=bool)
     steps: list[PruneStep] = []
-    blocks = PerronBlocks(g)
+    if blocks is None:
+        blocks = PerronBlocks(g)
     pd = blocks.pd
     lam0 = pd.lam
     while True:
@@ -467,7 +473,7 @@ PATTERNS = {
     "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt, codegree_work,
                    lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
     "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
-                   lambda n, m, t, k: codegree_work(n, m, 2) if t == 2 else k * k,
+                   lambda n, m, t, k: codegree_work(n, m, 2, k) if t == 2 else k * k,
                    lambda t: constants(t).c_t,
                    lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
 }
@@ -496,9 +502,10 @@ def supersat_count(
         raise SupersatError("input graph has no edges")
     rules = PATTERNS[pattern]
     m = g.edge_count
-    pd = perron(g)
+    blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning
+    pd = blocks.pd
     thr, above = split_threshold(g, pd, t)
-    trace = heavy_prune(g, t, eta=config.eta) if above else None
+    trace = _prune(g, t, config.eta, blocks) if above else None
     g_loc = acd = rowcover = count = method = lower = ratio = None
     notes: list[str] = []
     if not above:

@@ -37,6 +37,19 @@ def csr_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(g.n))
 
 
+def blow_up(base: Graph, w) -> Graph:
+    """Each vertex i of `base` replaced by w[i] pairwise non-adjacent copies,
+    copies of adjacent vertices adjacent."""
+    start = np.concatenate([[0], np.cumsum(w)]).tolist()
+    edges = [
+        (x, y)
+        for i, j in base.edges
+        for x in range(start[i], start[i + 1])
+        for y in range(start[j], start[j + 1])
+    ]
+    return Graph.from_edges(start[-1], edges)
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The n x n 0/1 float64 adjacency, for references that index it."""
     return g.sparse_adjacency().toarray()

@@ -480,16 +480,16 @@ class TestSweep:
             # the edge and the other 297 independent vertices
             g = _sweep_host(family, t, 600, 0, 1)[0]
             assert (g.n, len(set(csr_rows(g)))) == (301, 5)
-            assert _estimate_work(family, "ktt", t, 600) == math.comb(5 + 2, 3)
+            assert _estimate_work(family, "ktt", t, 600) == 5 + math.comb(6, 2) + math.comb(7, 3)
 
     def test_split_k33_sweep_runs_within_the_budget(self):
         # S_{3,30000} has 10 002 vertices but 4 twin classes: the class
-        # recursion's C(6, 3) multisets, where C(10002, 3) > 10^9 subsets
-        # once needed --force
+        # recursion's 4 + C(5, 2) + C(6, 3) tries at most, where
+        # C(10002, 3) > 10^9 subsets once needed --force
         r = run_cli("sweep", "--pattern", "ktt", "--t", "3", "--families", "split-t",
                     "--m-range", "30000:30000:1", "--seed", "1")
         assert r.returncode == 0, r.stderr
-        assert r.stderr == "estimated work: 20 elementary steps\n"
+        assert r.stderr == "estimated work: 34 elementary steps\n"
         row = r.stdout.splitlines()[1].split(",")
         assert row[1:5] + row[7:8] + row[11:12] == [
             "split-t", "ktt", "3", "30000", "10002", str(math.comb(9999, 3))

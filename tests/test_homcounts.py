@@ -51,7 +51,7 @@ from sslab.homcounts import (
     codegree_work,
     wedge_work,
 )
-from conftest import csr_rows, dense_adjacency, inj_backtrack, random_graph
+from conftest import blow_up, csr_rows, dense_adjacency, inj_backtrack, random_graph
 
 
 class TestBacktracking:
@@ -359,12 +359,34 @@ class TestClosedWalks:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 20, 21, 22, 23, 24, 30])
     def test_complete_graph_closed_form(self, length):
-        # 5^L crosses 2^52 at L=23, so L >= 23 runs on Python ints; at even
-        # L >= 24 the count is not even a float64 value
+        # 5^L crosses 2^52 at L=23, so L >= 23 reruns on exact integers
+        # (int64 up to L=24, Python ints from L=25, where 6^L passes 2^63);
+        # at even L >= 24 the count is not even a float64 value
         n = 6
         want = (n - 1) ** length + (n - 1) * (-1) ** length
         assert closed_walk_count(complete(n), length).value == want
         assert (int(float(want)) != want) == (length in (24, 30))
+
+    @pytest.mark.parametrize(
+        "length, arithmetic",
+        [(22, ["float64"]), (23, ["float64", "int64"]), (24, ["float64", "int64"]),
+         (25, ["float64", "object"])],
+    )
+    def test_arithmetic_switch_points(self, length, arithmetic, monkeypatch):
+        # on K_6 the trace 5^L + 5(-1)^L passes 2^52 at L = 23, where the
+        # float64 run hands over to the exact rerun, and the range bound
+        # 6^L passes 2^63 at L = 25, where int64 hands over to Python ints
+        ran, execute = [], sslab.homcounts._execute
+
+        def logged(plan, factors, *args, **kwargs):
+            ran.append(str(next(iter(factors.values())).dtype))
+            return execute(plan, factors, *args, **kwargs)
+
+        monkeypatch.setattr(sslab.homcounts, "_execute", logged)
+        n = 6
+        want = (n - 1) ** length + (n - 1) * (-1) ** length
+        assert closed_walk_count(complete(n), length).value == want
+        assert ran == arithmetic
 
     def test_bigint_rerun_has_a_work_budget(self, monkeypatch):
         # C_30 on K_6 reruns on Python ints (see above): 28 sum steps with
@@ -407,9 +429,10 @@ class TestCompleteBipartite:
         for n in (4, 5, 6, 8):
             assert count_ktt(complete(n), 2).value == 3 * math.comb(n, 4)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            count_ktt(complete(30), 5, budget=10)
+            count_ktt(complete(30), 5)
 
     def test_method_tag(self):
         assert count_ktt(complete(5), 2).method == "codegree"
@@ -453,24 +476,52 @@ class TestCompleteBipartite:
         rank = {v: (deg[v], v) for v in range(g.n)}
         return sum(deg[min(e, key=rank.get)] for e in g.edges)
 
-    @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_budget_is_the_total_work(self, t):
-        # random hosts, and twin-rich ones whose classes give several of
-        # the t chosen vertices; at t >= 3 a budget below the up-front
-        # estimate is refused before the recursion starts
+    @staticmethod
+    def _hosts():
+        """Random hosts, and twin-rich ones whose classes give several of
+        the t chosen vertices."""
         hosts = [random_graph(8100 + s, 12) for s in range(12)]
         hosts += [split_graph(3, 40), split_graph(4, 30), complete_bipartite(3, 6)]
         hosts += [join(complete_bipartite(2, 5), complete_bipartite(4, 3))]
         hosts += [join(empty_graph(5), join(empty_graph(3), complete(4)))]
-        for g in hosts:
+        return hosts
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_budget_is_the_total_work(self, t, monkeypatch):
+        # t = 2: the wedge steps, known exactly up front; t >= 3: the
+        # estimate bounds the classes the recursion tries, and a budget
+        # below it is refused before any class is tried
+        for g in self._hosts():
+            want = count_ktt(g, t).value
             if t == 2:
-                work = self._wedge_work(g)
+                estimate = self._wedge_work(g)
+                assert wedge_work(g) == estimate
             else:
                 k, work = self._subset_work(g, t)
-                work = max(work, math.comb(min(k + t - 1, g.n), t))
-            assert count_ktt(g, t, budget=work).value == count_ktt(g, t).value
-            with pytest.raises(BudgetExceededError):
-                count_ktt(g, t, budget=work - 1)
+                estimate = codegree_work(g.n, g.edge_count, t, k)
+                assert work <= estimate
+            with monkeypatch.context() as patch:
+                patch.setattr(sslab.homcounts, "WORK_BUDGET", estimate)
+                assert count_ktt(g, t).value == want
+                patch.setattr(sslab.homcounts, "WORK_BUDGET", estimate - 1)
+                # the class bitmasks are built only after the guard
+                patch.setattr(sslab.homcounts, "_rows", None)
+                with pytest.raises(BudgetExceededError) as err:
+                    count_ktt(g, t)
+                assert err.value.estimate == estimate
+
+    def test_work_bound_holds_on_blow_ups(self):
+        # random graphs on up to 7 vertices, each vertex blown up into a
+        # class of 1 to 5 twins: the recursion's tries stay within
+        # codegree_work at t = 3, 4 and 5
+        rng = random.Random(57)
+        for _ in range(70):
+            n = rng.randint(2, 7)
+            base = sample_gnm(n, rng.randint(1, n * (n - 1) // 2), rng.randrange(2**32))
+            g = blow_up(base, [rng.randint(1, 5) for _ in range(n)])
+            for t in (3, 4, 5):
+                k, work = self._subset_work(g, t)
+                assert work <= codegree_work(g.n, g.edge_count, t, k)
 
     def test_c4_is_k22(self):
         for s in range(30):
@@ -509,12 +560,13 @@ class TestEvenCycles:
         # the 8-cycle's quotients include K4, which the engine conditions on
         assert count_c2t(complete(9), 4).method == "walk-moebius"
 
-    def test_budget_caps_the_bigint_rerun(self):
+    def test_budget_caps_the_bigint_rerun(self, monkeypatch):
         # on K_410 the float run of C_6 itself (the 6-vertex quotient) passes
         # 2^52, and its Python-int rerun is estimated at
-        # 4 * 410^3 + 410^2 + 410 operations, past the caller's 10^6
+        # 4 * 410^3 + 410^2 + 410 operations, past a budget of 10^6
+        monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 10**6)
         with pytest.raises(BudgetExceededError) as err:
-            count_c2t(complete(410), 3, budget=10**6)
+            count_c2t(complete(410), 3)
         assert err.value.estimate == 275852510
 
     def test_zero_small_hosts(self):
@@ -706,11 +758,11 @@ class TestC4Kernel:
     @settings(max_examples=60, deadline=None)
     @given(c4_hosts())
     def test_sweep_bound_covers_the_wedge_work(self, g):
-        assert wedge_work(g) <= codegree_work(g.n, g.edge_count, 2)
+        assert wedge_work(g) <= codegree_work(g.n, g.edge_count, 2, g.n)
 
     def test_pair_counts_do_not_bound_dense_work(self):
         g = sample_gnm(61, 1000, 0)
-        assert math.comb(61, 2) < wedge_work(g) <= codegree_work(61, 1000, 2)
+        assert math.comb(61, 2) < wedge_work(g) <= codegree_work(61, 1000, 2, 61)
 
     def test_split_host_past_the_old_pair_scan(self):
         # S_{2,200001}: K_2 joined to 100000 independent vertices, about

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,7 @@ from sslab.spectra import (
     SpectraError,
     incidence_matrix,
 )
-from conftest import dense_adjacency, random_graph
+from conftest import csr_rows, dense_adjacency, random_graph
 
 
 def eig_lambda(g) -> float:
@@ -193,6 +194,31 @@ class TestSplitLambda:
             for m in range(base, base + 40):
                 g = split_graph(k, m)
                 assert abs(split_lambda(k, m) - eig_lambda(g)) < 1e-10
+
+    def test_matches_the_exact_characteristic_polynomial(self):
+        # the equitable partition of S_{k,m}, by colour refinement of its
+        # own adjacency; the largest real root of the quotient matrix's
+        # characteristic polynomial, exact in sympy, is its spectral radius
+        for k in range(1, 7):
+            base = k * (k - 1) // 2
+            for m in range(base + 1, base + 3 * k + 1):
+                rows = csr_rows(split_graph(k, m))
+                color = [0] * len(rows)
+                while True:
+                    sig = [(c, tuple(sorted(color[u] for u in r))) for c, r in zip(color, rows)]
+                    rank = {x: i for i, x in enumerate(sorted(set(sig)))}
+                    refined = [rank[x] for x in sig]
+                    if len(rank) == len(set(color)):
+                        break
+                    color = refined
+                cells = sorted(set(color))
+                rep = [color.index(c) for c in cells]
+                b = sympy.Matrix([[sum(color[u] == c for u in rows[v]) for c in cells]
+                                  for v in rep])
+                x = sympy.Symbol("x")
+                top = max(sympy.real_roots(b.charpoly(x).as_expr(), x))
+                want = float(top.evalf(30))
+                assert abs(split_lambda(k, m) - want) <= 1e-12 * want
 
     def test_discrete_increment_bound(self):
         rng = random.Random(4)

@@ -30,7 +30,7 @@ from sslab.graphs import (
     star,
     union,
 )
-from sslab.spectra import SpectraError, incidence_matrix
+from sslab.spectra import PerronBlocks, SpectraError, incidence_matrix
 from sslab.supersat import (
     NotHeavyError,
     SupersatError,
@@ -364,6 +364,23 @@ class TestSupersatCount:
         assert rep.trace is not None and not rep.trace.emptied
         assert rep.count is not None and rep.count > 0
         assert rep.ratio == pytest.approx(rep.count / rep.m**2)
+
+    def test_one_perron_solve_for_the_threshold_and_the_pruning(self, monkeypatch):
+        # K_5 beside a triangle: above the threshold, and pruning deletes
+        # the triangle's edges from the blocks the threshold was read off
+        g = union(complete(5), cycle(3))
+        want = heavy_prune(g, 2)
+        built, init = [], PerronBlocks.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerronBlocks, "__init__", counted)
+        rep = supersat_count(g, 2, "ktt")
+        assert rep.above_threshold and len(rep.trace.steps) == 3
+        assert rep.trace == want
+        assert len(built) == 1
 
     def test_validation(self):
         with pytest.raises(SupersatError):

@@ -35,8 +35,8 @@ from sslab.graphs import (
     split_graph,
     star,
 )
-from sslab.homcounts import _execute, _plan, _put, _quotients, _twins
-from conftest import csr_rows, dense_adjacency, random_graph
+from sslab.homcounts import _execute, _plan, _put, _quotients, _twins, codegree_work
+from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 
 # -- oracles -------------------------------------------------------------------
@@ -95,19 +95,6 @@ def exact_classes(g: Graph) -> tuple[list, list]:
         first.setdefault(row, v)
         sizes[row] = sizes.get(row, 0) + 1
     return list(first.values()), [sizes[row] for row in first]
-
-
-def blow_up(base: Graph, w) -> Graph:
-    """Each vertex i of `base` replaced by w[i] pairwise non-adjacent copies,
-    copies of adjacent vertices adjacent."""
-    start = np.concatenate([[0], np.cumsum(w)]).tolist()
-    edges = [
-        (x, y)
-        for i, j in base.edges
-        for x in range(start[i], start[i + 1])
-        for y in range(start[j], start[j + 1])
-    ]
-    return Graph.from_edges(start[-1], edges)
 
 
 def cycle_term(length):
@@ -301,9 +288,9 @@ class TestClassRecursion:
     def test_split_graph_k33(self):
         # S_{3,3000}: 1002 vertices in 4 classes.  Its K_{3,3} copies are the
         # clique against 3 of the 999 independent vertices.  The vertex
-        # recursion takes about 10 s here (one core), the class one ~1 ms
+        # recursion would take about 10 s here (one core), the class one ~1 ms
         g = split_graph(3, 3000)
-        assert count_ktt(g, 3).value == 165_668_499 == math.comb(999, 3) == vertex_ktt(g, 3)
+        assert count_ktt(g, 3).value == 165_668_499 == math.comb(999, 3)
         for k, m in ((3, 300), (3, 301), (4, 400), (2, 200), (5, 120)):
             g = split_graph(k, m)
             for t in (3, 4):
@@ -314,10 +301,12 @@ class TestClassRecursion:
     def test_matches_the_vertex_recursion(self, g, t):
         assert count_ktt(g, t).value == vertex_ktt(g, t)
 
-    def test_budget_counts_classes(self):
-        # S_{3,30000} has 10 002 vertices and 4 classes: C(6, 3) = 20 class
-        # multisets, where the vertex recursion would face C(10002, 3).  Its
-        # K_{3,3} copies are the clique against 3 of the q = 9999
-        # independent vertices
+    def test_budget_counts_classes(self, monkeypatch):
+        # S_{3,30000} has 10 002 vertices and 4 classes: at most
+        # 4 + C(5, 2) + C(6, 3) = 34 class tries, where the vertex recursion
+        # would face C(10002, 3) subsets.  Its K_{3,3} copies are the clique
+        # against 3 of the q = 9999 independent vertices
         g = split_graph(3, 30000)
-        assert count_ktt(g, 3, budget=100).value == math.comb(9999, 3)
+        assert codegree_work(g.n, g.edge_count, 3, 4) == 34
+        monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 34)
+        assert count_ktt(g, 3).value == math.comb(9999, 3)
