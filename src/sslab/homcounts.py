@@ -540,22 +540,24 @@ def hom_complete_bipartite(g: Graph, t: int) -> int:
 # -- codegree counters -----------------------------------------------------
 
 
-def codegree_work(n: int, m: int, t: int, classes: int) -> int:
-    """Up-front bound on `count_ktt`'s work on a host with n vertices, m
-    edges and `classes` false-twin classes.  t = 2: Chiba-Nishizeki's
-    2m * ceil(sqrt(2m + n) / 2), which bounds the wedge steps, the sum over
-    edges uv of min(d_u, d_v), since that sum is at most 2m times the
-    arboricity and the arboricity is at most ceil(sqrt(2m + n) / 2).
-    t >= 3: the classes the recursion tries, at most the sum over d = 1..t
+def wedge_bound(n: int, m: int) -> int:
+    """Chiba-Nishizeki's 2m * ceil(sqrt(2m + n) / 2) on a host with n
+    vertices and m edges, which bounds `wedge_work`, the sum over edges uv
+    of min(d_u, d_v), since that sum is at most 2m times the arboricity and
+    the arboricity is at most ceil(sqrt(2m + n) / 2)."""
+    root = math.isqrt(2 * m + n)
+    root += root * root < 2 * m + n  # ceil(sqrt(2m + n))
+    return 2 * m * ((root + 1) // 2)
+
+
+def codegree_work(n: int, t: int, classes: int) -> int:
+    """Up-front bound on the classes `count_ktt` tries at t >= 3 on a host
+    with n vertices and `classes` false-twin classes: the sum over d = 1..t
     of C(min(classes + d - 1, n), d).  A try adds one class past every class
     chosen so far, so distinct tries are distinct multisets of 1..t classes,
     C(classes + d - 1, d) of size d; a class occurs in one at most as often
     as it has vertices, so those of size d are at most the d-subsets of the
     vertices."""
-    if t == 2:
-        root = math.isqrt(2 * m + n)
-        root += root * root < 2 * m + n  # ceil(sqrt(2m + n))
-        return 2 * m * ((root + 1) // 2)
     return sum(math.comb(min(classes + d - 1, n), d) for d in range(1, t + 1))
 
 
@@ -634,7 +636,7 @@ def count_ktt(g: Graph, t: int) -> CountResult:
     a = g.sparse_adjacency()
     reps, w = _twins(a)
     k = len(reps)
-    estimate = codegree_work(g.n, g.edge_count, t, k)
+    estimate = codegree_work(g.n, t, k)
     if estimate > WORK_BUDGET:
         raise BudgetExceededError(f"count_ktt would try ~{estimate} classes", estimate)
     bits = [sum(1 << j for j in row) for row in _rows(a[reps][:, reps] if k < g.n else a)]

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, complete_bipartite, cycle
-from .homcounts import CountResult, codegree_work, count_c2t, count_ktt
+from .homcounts import CountResult, codegree_work, count_c2t, count_ktt, wedge_bound
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
 from .spectra import (PerronBlocks, PerronData, incidence_matrix, perron, split_lambda,
                       top_singular)
@@ -61,7 +61,9 @@ class PruneTrace:
     emptied: bool
 
 
-def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
+def heavy_prune(
+    g: Graph, t: int, eta: Optional[float] = None, *, _blocks: Optional[PerronBlocks] = None
+) -> PruneTrace:
     """Delete light edges one at a time until every surviving edge uv has
     Perron product x_u x_v >= eta / sqrt(m).
 
@@ -72,13 +74,9 @@ def heavy_prune(g: Graph, t: int, eta: Optional[float] = None) -> PruneTrace:
     warm started from the previous x: it keeps each component's block
     across deletions, changes only the block that lost the edge, and
     re-solves the Perron component's block alone while the deletions stay
-    outside it.
+    outside it.  `supersat_count` passes the fresh `PerronBlocks(g)` it read
+    the split threshold off as `_blocks`, so a pipeline solves g once.
     """
-    return _prune(g, t, eta, None)
-
-
-def _prune(g: Graph, t: int, eta: Optional[float], blocks: Optional[PerronBlocks]) -> PruneTrace:
-    """`heavy_prune` from g's `PerronBlocks` `blocks`, or new ones when None."""
     if t < 2:
         raise SupersatError("t must be >= 2")
     if eta is None:
@@ -91,8 +89,7 @@ def _prune(g: Graph, t: int, eta: Optional[float], blocks: Optional[PerronBlocks
     e = g.edge_array
     alive = np.ones(m0, dtype=bool)
     steps: list[PruneStep] = []
-    if blocks is None:
-        blocks = PerronBlocks(g)
+    blocks = PerronBlocks(g) if _blocks is None else _blocks
     pd = blocks.pd
     lam0 = pd.lam
     while True:
@@ -466,14 +463,15 @@ class Pattern(NamedTuple):
 
 
 # K_{t,t} with constant b_t, C_2t with c_t.  C_4 = K_{2,2} runs count_ktt,
-# whose t = 2 work codegree_work bounds from n and m; at t >= 3 both count
+# whose t = 2 work wedge_bound bounds from n and m; at t >= 3 both count
 # on the k twin classes, and the c2t estimate k^2 understates the
 # contraction's k^3 steps.
 PATTERNS = {
-    "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt, codegree_work,
+    "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt,
+                   lambda n, m, t, k: wedge_bound(n, m) if t == 2 else codegree_work(n, t, k),
                    lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
     "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
-                   lambda n, m, t, k: codegree_work(n, m, 2, k) if t == 2 else k * k,
+                   lambda n, m, t, k: wedge_bound(n, m) if t == 2 else k * k,
                    lambda t: constants(t).c_t,
                    lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
 }
@@ -505,7 +503,7 @@ def supersat_count(
     blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning
     pd = blocks.pd
     thr, above = split_threshold(g, pd, t)
-    trace = _prune(g, t, config.eta, blocks) if above else None
+    trace = heavy_prune(g, t, config.eta, _blocks=blocks) if above else None
     g_loc = acd = rowcover = count = method = lower = ratio = None
     notes: list[str] = []
     if not above:

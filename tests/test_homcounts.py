@@ -49,6 +49,7 @@ from sslab.homcounts import (
     _put,
     _quotients,
     codegree_work,
+    wedge_bound,
     wedge_work,
 )
 from conftest import blow_up, csr_rows, dense_adjacency, inj_backtrack, random_graph
@@ -498,7 +499,7 @@ class TestCompleteBipartite:
                 assert wedge_work(g) == estimate
             else:
                 k, work = self._subset_work(g, t)
-                estimate = codegree_work(g.n, g.edge_count, t, k)
+                estimate = codegree_work(g.n, t, k)
                 assert work <= estimate
             with monkeypatch.context() as patch:
                 patch.setattr(sslab.homcounts, "WORK_BUDGET", estimate)
@@ -515,13 +516,13 @@ class TestCompleteBipartite:
         # class of 1 to 5 twins: the recursion's tries stay within
         # codegree_work at t = 3, 4 and 5
         rng = random.Random(57)
-        for _ in range(70):
+        for _ in range(200):
             n = rng.randint(2, 7)
             base = sample_gnm(n, rng.randint(1, n * (n - 1) // 2), rng.randrange(2**32))
             g = blow_up(base, [rng.randint(1, 5) for _ in range(n)])
             for t in (3, 4, 5):
                 k, work = self._subset_work(g, t)
-                assert work <= codegree_work(g.n, g.edge_count, t, k)
+                assert work <= codegree_work(g.n, t, k)
 
     def test_c4_is_k22(self):
         for s in range(30):
@@ -758,11 +759,11 @@ class TestC4Kernel:
     @settings(max_examples=60, deadline=None)
     @given(c4_hosts())
     def test_sweep_bound_covers_the_wedge_work(self, g):
-        assert wedge_work(g) <= codegree_work(g.n, g.edge_count, 2, g.n)
+        assert wedge_work(g) <= wedge_bound(g.n, g.edge_count)
 
     def test_pair_counts_do_not_bound_dense_work(self):
         g = sample_gnm(61, 1000, 0)
-        assert math.comb(61, 2) < wedge_work(g) <= codegree_work(61, 1000, 2, 61)
+        assert math.comb(61, 2) < wedge_work(g) <= wedge_bound(61, 1000)
 
     def test_split_host_past_the_old_pair_scan(self):
         # S_{2,200001}: K_2 joined to 100000 independent vertices, about

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from sslab.graphs import (
     star,
     union,
 )
+from sslab.homcounts import _refine
 from sslab.spectra import (
     NoEdgesError,
     RegimeError,
@@ -199,18 +199,12 @@ class TestSplitLambda:
         # the equitable partition of S_{k,m}, by colour refinement of its
         # own adjacency; the largest real root of the quotient matrix's
         # characteristic polynomial, exact in sympy, is its spectral radius
+        sympy = pytest.importorskip("sympy")
         for k in range(1, 7):
             base = k * (k - 1) // 2
             for m in range(base + 1, base + 3 * k + 1):
                 rows = csr_rows(split_graph(k, m))
-                color = [0] * len(rows)
-                while True:
-                    sig = [(c, tuple(sorted(color[u] for u in r))) for c, r in zip(color, rows)]
-                    rank = {x: i for i, x in enumerate(sorted(set(sig)))}
-                    refined = [rank[x] for x in sig]
-                    if len(rank) == len(set(color)):
-                        break
-                    color = refined
+                color = _refine(rows, [0] * len(rows))
                 cells = sorted(set(color))
                 rep = [color.index(c) for c in cells]
                 b = sympy.Matrix([[sum(color[u] == c for u in rows[v]) for c in cells]

@@ -367,19 +367,27 @@ class TestSupersatCount:
 
     def test_one_perron_solve_for_the_threshold_and_the_pruning(self, monkeypatch):
         # K_5 beside a triangle: above the threshold, and pruning deletes
-        # the triangle's edges from the blocks the threshold was read off
+        # the triangle's edges from the blocks the threshold was read off.
+        # The pruning runs under the public name heavy_prune, so a caller
+        # that wraps it sees the pipeline's deletions too
         g = union(complete(5), cycle(3))
         want = heavy_prune(g, 2)
         built, init = [], PerronBlocks.__init__
+        pruned = []
 
         def counted(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
+        def wrapped(*args, **kwargs):
+            pruned.append(heavy_prune(*args, **kwargs))
+            return pruned[-1]
+
         monkeypatch.setattr(PerronBlocks, "__init__", counted)
+        monkeypatch.setattr("sslab.supersat.heavy_prune", wrapped)
         rep = supersat_count(g, 2, "ktt")
         assert rep.above_threshold and len(rep.trace.steps) == 3
-        assert rep.trace == want
+        assert rep.trace == want and pruned == [want]
         assert len(built) == 1
 
     def test_validation(self):

@@ -307,6 +307,6 @@ class TestClassRecursion:
         # would face C(10002, 3) subsets.  Its K_{3,3} copies are the clique
         # against 3 of the q = 9999 independent vertices
         g = split_graph(3, 30000)
-        assert codegree_work(g.n, g.edge_count, 3, 4) == 34
+        assert codegree_work(g.n, 3, 4) == 34
         monkeypatch.setattr("sslab.homcounts.WORK_BUDGET", 34)
         assert count_ktt(g, 3).value == math.comb(9999, 3)
