@@ -72,7 +72,6 @@ from .supersat import (
     PipelineReport,
     PruneTrace,
     RowCoverOutcome,
-    SupersatConfig,
     acd_partition,
     aligned_rows,
     delocalization_check,

@@ -315,8 +315,7 @@ def cmd_regularize(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g = _load_graph(args.infile)
-    cfg = supersat.SupersatConfig(eta=args.eta)
-    _emit(args, "pipeline", supersat.supersat_count(g, args.t, args.pattern, cfg))
+    _emit(args, "pipeline", supersat.supersat_count(g, args.t, args.pattern, args.eta))
     return 0
 
 

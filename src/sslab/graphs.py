@@ -330,7 +330,11 @@ def make_family(family: str, params: Sequence[int], seed: Optional[int] = None) 
 # -- graph algebra ---------------------------------------------------------
 
 
-def tensor_power(g: Graph, k: int, cap: int = 10**6) -> Graph:
+# most vertices `tensor_power` builds
+TENSOR_CAP = 10**6
+
+
+def tensor_power(g: Graph, k: int) -> Graph:
     """Tensor (categorical) power: k-tuples adjacent iff coordinatewise adjacent.
 
     Vertex i encodes the tuple as base-|V(g)| digits, most significant first.
@@ -338,12 +342,12 @@ def tensor_power(g: Graph, k: int, cap: int = 10**6) -> Graph:
     if k < 1:
         raise GraphError("tensor power needs k >= 1")
     size = g.n**k
-    if size > cap:
+    if size > TENSOR_CAP:
         raise CapExceededError(f"tensor power would have {size} vertices", size)
     if k == 1:
         return g
     # extend each (k-1)-tuple edge (a, b) by each edge (u, v) of g, both ways
-    ab = tensor_power(g, k - 1, cap=cap).edge_array[:, None, :] * g.n
+    ab = tensor_power(g, k - 1).edge_array[:, None, :] * g.n
     uv = g.edge_array[None, :, :]
     both = np.concatenate([ab + uv, ab + uv[..., ::-1]])
     return Graph.from_edges(size, both.reshape(-1, 2))
@@ -373,8 +377,9 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
+    """The edge-list text of g, from `edge_array`: `edges` stays unbuilt."""
     lines = [f"# n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
 

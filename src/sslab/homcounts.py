@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, cycle
 
 
 # elementary steps a count may take: count_ktt's, the exact contraction
@@ -149,7 +149,8 @@ def _connected_order(rows: list[list[int]]) -> list[int]:
     return placed
 
 
-# most pattern vertices `hom_count` and `inj_count` take
+# most pattern vertices `hom_count` and `inj_count` take, so C_2t stops at
+# t = 5: `_quotients` builds C_10's table in about 0.5 s and C_12's in 13-15 s
 PATTERN_LIMIT = 10
 
 
@@ -795,19 +796,20 @@ def aut_order(h: Graph) -> int:
 def count_c2t(g: Graph, t: int) -> CountResult:
     """Exact number of unlabeled 2t-cycles.
 
+    A host with fewer than 2t vertices or edges has none, at any t.
     t=2: C_4 = K_{2,2}, so `count_ktt`'s degree-ordered codegree count:
     the sum, over vertices v and lower-ranked w, of C(c, 2) with c the
-    common neighbours of v and w ranked below v.  t>=3: inj(C_2t), as
-    `inj_count` computes it from the cycle's `_quotients`, divided by
-    |Aut(C_2t)| = 4t.
+    common neighbours of v and w ranked below v.  t>=3: `inj_count` of
+    C_2t divided by |Aut(C_2t)| = 4t, so `PATTERN_LIMIT` refuses t >= 6
+    before the quotient table is built.
     `WORK_BUDGET` caps `count_ktt`'s wedge work at t=2 and each
     quotient's exact-integer rerun at t>=3.
 
-    The quotients are one `_contract_sum` on g's twin quotient, k classes:
-    their plans share every k x k (and k-vector) step result whose
-    summed-out sub-pattern repeats, such
-    as the A^2 that six of C_6's quotients build eight times in all, and
-    each shared array is dropped at its last use.  The terms run in
+    The cycle's quotients are one `_contract_sum` on g's twin quotient, k
+    classes: their plans share every k x k (and k-vector) step result whose
+    summed-out sub-pattern repeats, such as the A^2 that six of C_6's
+    quotients build eight times in all, and each shared array is dropped at
+    its last use.  The terms run in
     ascending order of the largest sub-pattern behind a 2-axis step, so
     few shared k x k arrays are alive at once.  A quotient whose float run
     leaves the certified range reruns alone on exact integers.
@@ -818,8 +820,7 @@ def count_c2t(g: Graph, t: int) -> CountResult:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
         return count_ktt(g, 2)
-    edges = tuple((i, (i + 1) % (2 * t)) for i in range(2 * t))
-    inj = _contract_sum(_quotients(2 * t, edges), g)
+    inj = inj_count(cycle(2 * t), g).value
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Graph, complete_bipartite, path, star, union
+from .graphs import Graph, complete_bipartite, star, union
 from .homcounts import hom_contract
 from .spectra import PerronData, opnorm, perron
 
@@ -136,9 +136,7 @@ def p3_counterexample(t: int) -> tuple[Graph, P3Report]:
     both spectral forms on this host."""
     if t < 2:
         raise SidorenkoError("t must be >= 2")
-    g = star(t)
-    for _ in range(t * t):
-        g = union(g, path(2))
+    g = union(star(t), Graph.from_edges(2 * t * t, [(2 * i, 2 * i + 1) for i in range(t * t)]))
     hom = sum(d * d for d in g.degrees)
     if hom != 3 * t * t + t:
         raise SidorenkoError(f"hom(P3) = {hom} on the host, expected {3 * t * t + t}")
@@ -164,7 +162,7 @@ def p3_counterexample(t: int) -> tuple[Graph, P3Report]:
 def ktt_copy_lower(t: int, lam: float, m: int, n: int) -> float:
     """Lower bound on the number of K_{t,t} copies:
     B_t (lam^2/m)^{t(t-1)} m^t - (C(2t,2)/(2 t!^2)) n^{2t-1}.
-    May be negative; the caller clamps."""
+    May be negative; reported unclamped until ROADMAP item 15."""
     if t < 2 or m < 1 or n < 0 or lam < 0:
         raise SidorenkoError("ktt_copy_lower: bad arguments")
     b_t = constants(t).b_t

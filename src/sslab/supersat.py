@@ -14,8 +14,7 @@ import numpy as np
 from .graphs import Graph, complete_bipartite, cycle
 from .homcounts import CountResult, codegree_work, count_c2t, count_ktt, wedge_bound
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
-from .spectra import (PerronBlocks, PerronData, incidence_matrix, perron, split_lambda,
-                      top_singular)
+from .spectra import PerronBlocks, PerronData, incidence_matrix, split_lambda, top_singular
 
 
 class SupersatError(ValueError):
@@ -223,10 +222,8 @@ def verify_T(
     return _t_checks(_pair_table(h, label, 3))
 
 
-def acd_partition(
-    h: Graph, eta: float, pd: Optional[PerronData] = None
-) -> AcdPartition:
-    """Dyadic level-set partition of the Perron vector into A / C / D.
+def acd_partition(h: Graph, eta: float, pd: PerronData) -> AcdPartition:
+    """Dyadic level-set partition of h's Perron vector (pd.x) into A / C / D.
 
     Thresholds theta_h = 2^{-h} L for 0 <= h <= K; the window index i* is
     chosen from I = {floor(K/2)-floor(sqrt(K)), ..., floor(K/2)-ceil(sqrt(K)/2)}
@@ -241,8 +238,6 @@ def acd_partition(
     """
     if h.edge_count < 1:
         raise SupersatError("input graph has no edges")
-    if pd is None:
-        pd = perron(h)
     m = h.edge_count
     bad = heavy_violations(h, pd, eta)
     if bad:
@@ -421,11 +416,10 @@ def row_cover_analyze(
 # -- the counting driver ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupersatConfig:
-    eta: Optional[float] = None
-    g_cut: float = 10.0  # heuristic finite-m proxy for "g = O(1)"
-    frac_cut: float = 0.1  # heuristic dense-core threshold e_core >= frac_cut*m'
+# the driver's branch cut-offs, read when it runs: g_loc <= G_CUT is the
+# finite-m proxy for "g = O(1)", and e_core >= FRAC_CUT * m' a dense core
+G_CUT = 10.0
+FRAC_CUT = 0.1
 
 
 @dataclass(frozen=True)
@@ -485,12 +479,14 @@ def split_threshold(g: Graph, pd: PerronData, t: int) -> tuple[float, bool]:
 
 
 def supersat_count(
-    g: Graph, t: int, pattern: str, config: SupersatConfig = SupersatConfig()
+    g: Graph, t: int, pattern: str, eta: Optional[float] = None
 ) -> PipelineReport:
-    """Prune, branch on localization, and count.
+    """Prune at `eta` (heavy_prune's default when None), branch on
+    localization, and count.
 
-    Reports every intermediate quantity; the branch thresholds are explicit
-    finite-size heuristics and the driver never claims an asymptotic verdict.
+    Reports every intermediate quantity; the branch thresholds `G_CUT` and
+    `FRAC_CUT` are explicit finite-size heuristics and the driver never
+    claims an asymptotic verdict.
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
@@ -503,7 +499,7 @@ def supersat_count(
     blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning
     pd = blocks.pd
     thr, above = split_threshold(g, pd, t)
-    trace = heavy_prune(g, t, config.eta, _blocks=blocks) if above else None
+    trace = heavy_prune(g, t, eta, _blocks=blocks) if above else None
     g_loc = acd = rowcover = count = method = lower = ratio = None
     notes: list[str] = []
     if not above:
@@ -520,7 +516,7 @@ def supersat_count(
         core = pruned.induced_subgraph(nonisolated)
         cr = rules.count(core, t)
         count, method, ratio = cr.value, cr.method, cr.value / float(m) ** t
-        if g_loc <= config.g_cut:
+        if g_loc <= G_CUT:
             branch = "delocalized"
             notes.append("g_loc within g_cut: delocalized counting branch")
         else:
@@ -530,7 +526,7 @@ def supersat_count(
                 branch = "delocalized-fallback"
                 notes.append("level-set window too small; fell back to direct count")
             else:
-                if acd.e_core >= config.frac_cut * m_prime:
+                if acd.e_core >= FRAC_CUT * m_prime:
                     branch = "dense-core"
                     notes.append("core carries a dense fraction of the pruned edges")
                 else:

@@ -414,6 +414,15 @@ class TestSweep:
         assert r.returncode == 2
         assert r.stderr == "error: sweep needs --t >= 2\n"
 
+    def test_c2t_past_the_pattern_limit_exits_2(self, capsys):
+        from sslab.cli import main
+
+        argv = ["sweep", "--pattern", "c2t", "--t", "6", "--m-range", "200:200:1", "--seed", "1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == "error: pattern has 12 > 10 vertices"
+
     def test_requires_seed(self):
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
         assert r.returncode == 2

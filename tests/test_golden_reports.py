@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from sslab import cli, graphs
-from sslab.supersat import SupersatConfig, row_cover_analyze, supersat_count
+from sslab import cli, graphs, supersat
+from sslab.supersat import row_cover_analyze, supersat_count
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports"
 
@@ -87,21 +87,19 @@ def golden_name(case: str) -> str:
 
 
 def pipeline_reports() -> dict:
-    """In-process reports for the branches the CLI's default `g_cut` does
-    not reach from small hosts, plus two assembled ones: a sparse core with
-    a row cover, and a trace that pruned every edge."""
+    """In-process reports for the branches the driver's `G_CUT` does not
+    reach from small hosts (so it is set to 0 here, and `FRAC_CUT` too for
+    the dense core), plus two assembled ones: a sparse core with a row
+    cover, and a trace that pruned every edge."""
     host = HOSTS["split300p"]()
-    reps = {
-        "delocalized-fallback": supersat_count(
-            host, 2, "ktt", SupersatConfig(g_cut=0.0)
-        ),
-        "dense-core": supersat_count(
-            host, 2, "ktt", SupersatConfig(g_cut=0.0, frac_cut=0.0, eta=1e-3)
-        ),
-        "sparse-core": supersat_count(
-            host, 2, "c2t", SupersatConfig(g_cut=0.0, eta=1e-3)
-        ),
-    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supersat, "G_CUT", 0.0)
+        reps = {
+            "delocalized-fallback": supersat_count(host, 2, "ktt"),
+            "sparse-core": supersat_count(host, 2, "c2t", eta=1e-3),
+        }
+        mp.setattr(supersat, "FRAC_CUT", 0.0)
+        reps["dense-core"] = supersat_count(host, 2, "ktt", eta=1e-3)
     rc = row_cover_analyze(HOSTS["k25"](), [0, 1], [2, 3, 4, 5, 6], 2)
     reps["sparse-core-rowcover"] = dataclasses.replace(
         reps["sparse-core"], rowcover=rc, notes=()

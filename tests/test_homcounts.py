@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import sslab
 from sslab import (
+    CountResult,
     aut_order,
     closed_walk_count,
     count_c2t,
@@ -569,6 +571,17 @@ class TestEvenCycles:
         with pytest.raises(BudgetExceededError) as err:
             count_c2t(complete(410), 3)
         assert err.value.estimate == 275852510
+
+    def test_past_the_pattern_limit_is_refused_up_front(self):
+        # C_12 has 12 > PATTERN_LIMIT vertices: `inj_count` refuses it before
+        # building its quotient table, which takes 13-15 s
+        g = complete(12)
+        start = time.perf_counter()
+        with pytest.raises(PatternTooLargeError, match="pattern has 12 > 10 vertices"):
+            count_c2t(g, 6)
+        assert time.perf_counter() - start < 0.1
+        # a host with fewer than 2t vertices still has none, at any t
+        assert count_c2t(sample_gnm(12, 30, 5), 8) == CountResult(0, "walk-moebius")
 
     def test_zero_small_hosts(self):
         assert count_c2t(path(3), 2).value == 0

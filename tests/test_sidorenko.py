@@ -24,6 +24,7 @@ from sslab.graphs import (
     path,
     split_graph,
     star,
+    union,
 )
 from sslab.sidorenko import (
     DegenerateExponentError,
@@ -137,6 +138,14 @@ class TestP3Counterexample:
     def test_small_t_rejected(self):
         with pytest.raises(SidorenkoError):
             p3_counterexample(1)
+
+    def test_host_is_the_star_then_t_squared_disjoint_edges(self):
+        for t in (2, 3, 5):
+            g, _ = p3_counterexample(t)
+            chained = star(t)
+            for _ in range(t * t):
+                chained = union(chained, path(2))
+            assert g == chained
 
 
 class TestConstantsAndBounds:

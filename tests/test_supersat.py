@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sslab import (
-    SupersatConfig,
     acd_partition,
     aligned_rows,
     count_ktt,
