@@ -809,10 +809,10 @@ def count_c2t(g: Graph, t: int) -> CountResult:
     classes: their plans share every k x k (and k-vector) step result whose
     summed-out sub-pattern repeats, such as the A^2 that six of C_6's
     quotients build eight times in all, and each shared array is dropped at
-    its last use.  The terms run in
-    ascending order of the largest sub-pattern behind a 2-axis step, so
-    few shared k x k arrays are alive at once.  A quotient whose float run
-    leaves the certified range reruns alone on exact integers.
+    its last use.  The terms run in ascending order of the largest
+    sub-pattern behind a 2-axis step, so few shared k x k arrays are alive
+    at once.  A quotient whose float run leaves the certified range reruns
+    alone on exact integers.
     """
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
