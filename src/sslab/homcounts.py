@@ -16,13 +16,19 @@ Three engines, every result an exact Python int:
   sub-pattern is isomorphic to an earlier step's (boundary vertices in
   scope order) takes that step's stored array instead of a new `np.einsum`,
   and the store drops each array at its last use.  So C_6's ten quotients
-  make four k x k products (A^2 to A^5) instead of thirteen.
+  make four k x k products (A^2 to A^5) instead of thirteen.  A plan that
+  conditions on a pattern vertex shares in the same way inside the loop
+  over that vertex's classes, with a store of its own for each class and
+  the conditioned vertices held in place: K_{3,3} makes A diag(A[x]) A
+  once per class x, not three times.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
   CSR adjacency; at t>=3 a bitset recursion over twin classes.
 - backtracking (`hom_count`): plain enumeration, which `sslab hom` reports;
-  the tests enumerate inj themselves as the oracle for the Moebius sums.
+  the last pattern vertex is counted by the size of its candidate set, not
+  placed.  The tests enumerate inj themselves as the oracle for the
+  Moebius sums.
 
 The first two count on the host's false-twin quotient (`_twins`):
 non-adjacent vertices with one neighbourhood form a class, the host is the
@@ -154,32 +160,42 @@ def _connected_order(rows: list[list[int]]) -> list[int]:
 PATTERN_LIMIT = 10
 
 
+def check_pattern_size(n: int) -> None:
+    """Refuse a pattern on more than `PATTERN_LIMIT` vertices."""
+    if n > PATTERN_LIMIT:
+        raise PatternTooLargeError(f"pattern has {n} > {PATTERN_LIMIT} vertices")
+
+
 def hom_count(h: Graph, g: Graph) -> CountResult:
     """hom(h, g) by backtracking: each pattern vertex in `_connected_order`
-    goes to the common host neighbours of its placed pattern neighbours."""
-    if h.n > PATTERN_LIMIT:
-        raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
+    goes to the common host neighbours of its placed pattern neighbours,
+    every host vertex if it has none.  The last vertex is not placed: its
+    candidates are counted by the size of that set."""
+    check_pattern_size(h.n)
+    if not h.n:
+        return CountResult(1, "backtracking")  # the one empty map
     rows = _rows(h.sparse_adjacency())
     order = _connected_order(rows)
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
     back = [[pos[w] for w in rows[v] if pos[w] < i] for i, v in enumerate(order)]
     gsets = [set(r) for r in _rows(g.sparse_adjacency())]
+    last = h.n - 1
     total = 0
     image = [0] * h.n
 
     def extend(i: int):
         nonlocal total
-        if i == h.n:
-            total += 1
-            return
         anchors = back[i]
         if anchors:
-            cands = gsets[image[anchors[0]]].copy()
+            cands = gsets[image[anchors[0]]]
             for a in anchors[1:]:
-                cands &= gsets[image[a]]
+                cands = cands & gsets[image[a]]
         else:
             cands = range(g.n)
+        if i == last:
+            total += len(cands)
+            return
         for c in cands:
             image[i] = c
             extend(i + 1)
@@ -223,27 +239,41 @@ def _plan(variables: frozenset, scopes: frozenset) -> tuple:
     return tuple(steps)
 
 
-def _sub_patterns(plan: tuple, scopes: frozenset) -> list:
-    """One entry per step of `plan`, a plan for factors on `scopes`.  A sum
-    step before any conditioning whose result has axes gets the sub-pattern
-    it has summed out, as `(n, edges, colours)` on 0..n-1: the pattern edges
-    multiplied into its inputs, with the i-th vertex of the result scope
-    coloured 2(i+1) and a looped vertex's colour raised by 1.  Every other
-    step gets None.
+def _sub_patterns(plan: tuple, held: dict, fixed: tuple = ()) -> tuple:
+    """(subs, inner) for `plan`, a plan for factors on the scopes that
+    `held` maps to the pattern edges multiplied into each.  `subs` has one
+    entry per step.  A sum step whose result has axes gets the sub-pattern
+    it has summed out, as `(n, edges, colours)` on 0..n-1: the pattern
+    edges multiplied into its inputs, with the i-th vertex of the result
+    scope coloured 2(i+1), the j-th vertex of `fixed` (the vertices
+    conditioned on so far, each held at one host vertex or class)
+    coloured 2(j+3), and a looped vertex's colour raised by 1.  Every other
+    step gets None.  `inner` is the same pair for the sub-plan of a
+    condition step, whose factors hold the edges of the factors they are
+    sliced from, or None when the plan has no condition step.
 
-    On one 0/1 host, steps with isomorphic sub-patterns give equal arrays:
-    a factor is the sum, over its summed-out vertices, of the product of
-    its pattern edges, and a repeated edge changes nothing, since A∘A = A.
-    On a twin quotient the sum also weighs each summed-out vertex by its
-    class size.  Every pattern vertex carries exactly one such weight
-    factor, so the weights are left out of the sub-pattern: they are no
-    loops, and isomorphic sub-patterns still give equal arrays.
+    On one 0/1 host, with the fixed vertices held at the same places,
+    steps with isomorphic sub-patterns give equal arrays: a factor is the
+    sum, over its summed-out vertices, of the product of its pattern edges,
+    and a repeated edge changes nothing, since A∘A = A.  On a twin quotient
+    the sum also weighs each summed-out vertex by its class size.  Every
+    pattern vertex carries exactly one such weight factor, so the weights
+    are left out of the sub-pattern: they are no loops, and isomorphic
+    sub-patterns still give equal arrays.  The edges come from the pattern,
+    not from the factors' scopes: two factors on one scope may hold
+    different summed-out sub-patterns.
     """
-    held = {s: frozenset([s]) for s in scopes}  # factor scope -> its pattern edges
+    held = dict(held)
     subs: list = []
     for step in plan:
         if step[0] == "condition":
-            return subs + [None]
+            _, c, subplan = step
+            sliced: dict = {}
+            for s, edges in held.items():
+                rest = tuple(u for u in s if u != c)
+                if rest:  # the factor on (c,) is the class's scalar weight
+                    sliced[rest] = sliced.get(rest, frozenset()) | edges
+            return subs + [None], _sub_patterns(subplan, sliced, fixed + (c,))
         _, v, others = step
         inc = [s for s in held if v in s]
         edges = frozenset().union(*(held.pop(s) for s in inc))
@@ -253,13 +283,18 @@ def _sub_patterns(plan: tuple, scopes: frozenset) -> list:
         held[others] = held.get(others, frozenset()) | edges
         verts = sorted({u for s in edges for u in s})
         label = {u: i for i, u in enumerate(verts)}
-        color = [2 * (others.index(u) + 1) if u in others else 0 for u in verts]
+        color = [
+            2 * (others.index(u) + 1) if u in others
+            else 2 * (fixed.index(u) + 3) if u in fixed
+            else 0
+            for u in verts
+        ]
         for s in edges:
             if len(s) == 1:
                 color[label[s[0]]] += 1
         pairs = frozenset((label[s[0]], label[s[1]]) for s in edges if len(s) == 2)
         subs.append((len(verts), pairs, tuple(color)))
-    return subs
+    return subs, None
 
 
 def _invariant(sub: tuple) -> tuple:
@@ -270,32 +305,54 @@ def _invariant(sub: tuple) -> tuple:
     return len(pairs), tuple(sorted((c, degree[u]) for u, c in enumerate(color)))
 
 
+def _keyed(subs) -> tuple:
+    """(keys, uses) for the sub-patterns `subs` (None entries skipped):
+    the `_canonical` form of each sub-pattern whose form recurs, and the
+    number of entries with each such form.  Forms are computed only for
+    the sub-patterns whose `_invariant` recurs."""
+    found = [sub for sub in subs if sub]
+    seen = Counter(map(_invariant, found))
+    forms = {sub: _canonical(*sub) for sub in found if seen[_invariant(sub)] > 1}
+    uses = Counter(forms[sub] for sub in found if sub in forms)
+    uses = {form: c for form, c in uses.items() if c > 1}
+    return {sub: form for sub, form in forms.items() if form in uses}, uses
+
+
+def _inner(nested) -> Optional[tuple]:
+    """(keys, uses, inner) for a condition step's sub-plan from its
+    `_sub_patterns` pair: one key per step, keyed among the sub-plan's own
+    steps since each class it runs for has a store of its own, the steps
+    that take each key, and the same for the sub-plan's own condition
+    step."""
+    if nested is None:
+        return None
+    subs, deeper = nested
+    keys, uses = _keyed(subs)
+    return tuple(map(keys.get, subs)), uses, _inner(deeper)
+
+
 @lru_cache(maxsize=256)
 def _schedule(terms: tuple) -> tuple:
     """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan, keys,
-    edges, mu) in evaluation order, and the number of steps that take each
-    key.
+    inner, edges, mu) in evaluation order, and the number of steps that
+    take each key.
 
     A step's key is the `_canonical` form of its sub-pattern
     (`_sub_patterns`) when another step of the sum has a sub-pattern with
     the same `_invariant`, and only when that form recurs; the other steps
-    get None.  Terms run in ascending order of the largest sub-pattern
-    behind a 2-axis step, so the k x k results that later terms reuse are
-    built as late as possible and few are held at once.
+    get None.  `inner` keys the steps of a condition step's sub-plan in
+    the same way, among themselves (`_inner`).  Terms run in ascending
+    order of the largest sub-pattern behind a 2-axis step, so the k x k
+    results that later terms reuse are built as late as possible and few
+    are held at once.
     """
     planned = []
     for n_vars, edges, mu in terms:
         scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
         plan = _plan(frozenset(range(n_vars)), scopes)
-        planned.append((n_vars, plan, _sub_patterns(plan, scopes), edges, mu))
-    subs = [sub for term in planned for sub in term[2] if sub]
-    seen = Counter(map(_invariant, subs))
-    forms = {sub: _canonical(*sub) for sub in subs if seen[_invariant(sub)] > 1}
-    uses = Counter(forms[sub] for sub in subs if sub in forms)
-
-    def key(sub):
-        form = forms.get(sub)
-        return form if uses[form] > 1 else None
+        subs, nested = _sub_patterns(plan, {s: frozenset([s]) for s in scopes})
+        planned.append((n_vars, plan, subs, _inner(nested), edges, mu))
+    keys, uses = _keyed([sub for term in planned for sub in term[2]])
 
     def widest(term):
         plan, subs = term[1], term[2]
@@ -303,10 +360,10 @@ def _schedule(terms: tuple) -> tuple:
         return max(sizes, default=0)
 
     order = tuple(
-        (n_vars, plan, tuple(map(key, subs)), edges, mu)
-        for n_vars, plan, subs, edges, mu in sorted(planned, key=widest)
+        (n_vars, plan, tuple(map(keys.get, subs)), inner, edges, mu)
+        for n_vars, plan, subs, inner, edges, mu in sorted(planned, key=widest)
     )
-    return order, {k: c for k, c in uses.items() if c > 1}
+    return order, uses
 
 
 class _Shared:
@@ -349,14 +406,18 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
-def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Optional[int]:
+def _execute(
+    plan: tuple, factors: dict, n: int, shared=None, keys=(), inner=None
+) -> Optional[int]:
     """Run `plan` over `factors` (scope -> array on n host vertices or
     twin classes per axis; a vertex with no factor, which only an
     unweighted run has, contributes a factor n).  Returns the exact value,
     or None as soon as a float factor or scalar leaves the certified range.
     `keys` yields one `_schedule` key per step; a keyed step takes its
     result from `shared` when an earlier step with that key computed it,
-    and passes it through `_put` like a fresh one."""
+    and passes it through `_put` like a fresh one.  `inner` keys the
+    sub-plan of a condition step (`_inner`), which runs for each class
+    with a fresh store."""
     factors = dict(factors)
     keys = iter(keys)
     value = 1
@@ -364,6 +425,7 @@ def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Option
         key = next(keys, None)
         if step[0] == "condition":
             _, c, subplan = step
+            sub_keys, sub_uses, deeper = inner or ((), {}, None)
             total = 0
             for x in range(n):
                 weight, sliced = 1, {s: f for s, f in factors.items() if c not in s}
@@ -376,7 +438,7 @@ def _execute(plan: tuple, factors: dict, n: int, shared=None, keys=()) -> Option
                             return None
                 if weight == 0:
                     continue
-                sub = _execute(subplan, sliced, n)
+                sub = _execute(subplan, sliced, n, _Shared(sub_uses), sub_keys, deeper)
                 if sub is None:
                     return None
                 total += weight * sub
@@ -452,7 +514,8 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     store drops it at its last use, counted over the whole sum by
     `_schedule`.  A term that falls back to integers reruns alone; the
     steps its float run did not reach count as used, so later terms find
-    the arrays or recompute them.
+    the arrays or recompute them.  Inside a conditioning, both runs share
+    the sub-plan's keyed steps among themselves, class by class.
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
@@ -466,9 +529,9 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     a = a.toarray()
     k = a.shape[0]
     total = 0
-    for n_vars, plan, keys, edges, mu in order:
+    for n_vars, plan, keys, inner, edges, mu in order:
         pending = iter(keys)
-        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared, pending)
+        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared, pending, inner)
         for key in pending:  # the keyed steps an early exit did not reach
             if key is not None:
                 shared.used(key)
@@ -481,7 +544,7 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
             exact = a.astype(np.int64), None if w is None else w.astype(np.int64)
             if n**n_vars >= 2**63:
                 exact = tuple(None if f is None else f.astype(object) for f in exact)
-            value = _execute(plan, _edge_factors(n_vars, edges, *exact), k)
+            value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, inner=inner)
         total += mu * value
     return total
 
@@ -496,7 +559,8 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     vertex (`_contract_sum`).  No factor ever has more than two class axes:
     where every elimination would need three, the engine conditions on one
     pattern vertex instead, loops over its k classes and adds up the exact
-    integer results, each times the class size.
+    integer results, each times the class size.  Within one class, steps
+    that sum out isomorphic sub-patterns compute one array (`_schedule`).
 
     Exactness is certified by the data, not by an a-priori bound.  Inputs,
     class sizes included, are nonnegative integers, so every partial sum
@@ -783,14 +847,17 @@ def inj_count(h: Graph, g: Graph) -> CountResult:
     """Exact inj(h, g), the one-to-one homomorphisms: the hom counts of the
     `_quotients` of h as one `_contract_sum` on g, with
     `WORK_BUDGET` capping each exact-integer rerun."""
-    if h.n > PATTERN_LIMIT:
-        raise PatternTooLargeError(f"pattern has {h.n} > {PATTERN_LIMIT} vertices")
+    check_pattern_size(h.n)
     terms = _quotients(h.n, h.edges)
     return CountResult(_contract_sum(terms, g), "walk-moebius")
 
 
 def aut_order(h: Graph) -> int:
     return inj_count(h, h).value
+
+
+# the C_2t patterns, built once each; a `Graph` is read-only
+_cycle = lru_cache(maxsize=8)(cycle)
 
 
 def count_c2t(g: Graph, t: int) -> CountResult:
@@ -820,7 +887,7 @@ def count_c2t(g: Graph, t: int) -> CountResult:
         return CountResult(0, "codegree" if t == 2 else "walk-moebius")
     if t == 2:
         return count_ktt(g, 2)
-    inj = inj_count(cycle(2 * t), g).value
+    inj = inj_count(_cycle(2 * t), g).value
     if inj % (4 * t):
         raise CountError(f"inj(C_{2 * t}) = {inj} is not divisible by {4 * t}")
     return CountResult(inj // (4 * t), "walk-moebius")

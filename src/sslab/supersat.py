@@ -12,7 +12,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, complete_bipartite, cycle
-from .homcounts import CountResult, codegree_work, count_c2t, count_ktt, wedge_bound
+from .homcounts import (
+    CountResult,
+    check_pattern_size,
+    codegree_work,
+    count_c2t,
+    count_ktt,
+    wedge_bound,
+)
 from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_lower
 from .spectra import PerronBlocks, PerronData, incidence_matrix, split_lambda, top_singular
 
@@ -494,6 +501,8 @@ def supersat_count(
         raise SupersatError(f"unknown pattern {pattern!r}")
     if g.edge_count < 1:
         raise SupersatError("input graph has no edges")
+    if pattern == "c2t":  # count_c2t's limit, on every host, before any solve
+        check_pattern_size(2 * t)
     rules = PATTERNS[pattern]
     m = g.edge_count
     blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning

@@ -245,6 +245,24 @@ class TestPipelineCommands:
         obj = json.loads(r.stdout)
         assert obj["error"] == "too-delocalized"
 
+    @pytest.mark.parametrize("host", ["cycle", "complete"])
+    def test_c2t_past_the_pattern_limit_is_refused_on_every_host(
+        self, host, tmp_path, capsys, monkeypatch
+    ):
+        # C_40 lies below the split threshold and K_30 above it: C_12 is
+        # refused on both, before the Perron solve
+        from sslab import graphs, supersat
+        from sslab.cli import main
+
+        g = graphs.cycle(40) if host == "cycle" else graphs.complete(30)
+        p = tmp_path / "g.txt"
+        p.write_text(write_edge_list(g))
+        monkeypatch.setattr(supersat, "PerronBlocks", None)
+        assert main(["pipeline", "--in", str(p), "--t", "6", "--pattern", "c2t"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == "error: pattern has 12 > 10 vertices"
+
     def test_rowcover_explicit_sides(self, tmp_path):
         p = tmp_path / "k25.txt"
         p.write_text(write_edge_list(complete_bipartite(2, 5)))

@@ -1,6 +1,7 @@
 """Exact counting: backtracking hom counts, the contraction engine and its
 Moebius sums for inj, closed walks, fast counters."""
 
+import itertools
 import math
 import os
 import random
@@ -46,10 +47,13 @@ from sslab.homcounts import (
     CountError,
     PatternTooLargeError,
     _canonical,
+    _connected_order,
     _pair_total,
     _plan,
     _put,
     _quotients,
+    _schedule,
+    _twins,
     codegree_work,
     wedge_bound,
     wedge_work,
@@ -84,6 +88,32 @@ class TestBacktracking:
     def test_pattern_limit(self):
         with pytest.raises(PatternTooLargeError):
             hom_count(path(11), path(3))
+
+    @staticmethod
+    def _every_map(h: Graph, g: Graph) -> int:
+        """hom(h, g) over every map of h's vertices into g's."""
+        adjacent = set(g.edges) | {(v, u) for u, v in g.edges}
+        return sum(
+            all((f[u], f[v]) in adjacent for u, v in h.edges)
+            for f in itertools.product(range(g.n), repeat=h.n)
+        )
+
+    # patterns with no vertex, with one, and whose last vertex in
+    # `_connected_order` has 0 (an isolated vertex), 1, 2 and 3 placed
+    # neighbours: `hom_count` counts that vertex by the size of its set
+    @pytest.mark.parametrize(
+        "h, anchors",
+        [(Graph.from_edges(0, []), None), (Graph.from_edges(1, []), 0),
+         (Graph.from_edges(3, [(0, 1)]), 0), (path(3), 1), (cycle(4), 2), (complete(4), 3)],
+    )
+    def test_matches_every_map(self, h, anchors):
+        if anchors is not None:
+            rows = [list(r) for r in csr_rows(h)]
+            assert len(rows[_connected_order(rows)[-1]]) == anchors
+        hosts = [Graph.from_edges(0, []), Graph.from_edges(1, []), path(2), star(3), cycle(5)]
+        hosts += [random_graph(7400 + s, 6, allow_empty=True) for s in range(8)]
+        for g in hosts:
+            assert hom_count(h, g).value == self._every_map(h, g)
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(8)
@@ -583,6 +613,15 @@ class TestEvenCycles:
         # a host with fewer than 2t vertices still has none, at any t
         assert count_c2t(sample_gnm(12, 30, 5), 8) == CountResult(0, "walk-moebius")
 
+    def test_the_cycle_pattern_is_built_once(self, monkeypatch):
+        # count_c2t still goes through inj_count, and its pattern limit,
+        # with the one cached C_2t
+        seen, inj = [], sslab.homcounts.inj_count
+        monkeypatch.setattr(sslab.homcounts, "inj_count", lambda h, g: seen.append(h) or inj(h, g))
+        g = sample_gnm(30, 120, 3)
+        assert count_c2t(g, 3) == count_c2t(g, 3)
+        assert seen[0] is seen[1] and seen[0] == cycle(6)
+
     def test_zero_small_hosts(self):
         assert count_c2t(path(3), 2).value == 0
         assert count_c2t(complete(5), 3).value == 0  # needs 6 distinct vertices
@@ -595,12 +634,13 @@ class TestEvenCycles:
 
 
 def _einsum_log(monkeypatch) -> list:
-    """Record every `np.einsum` call as (its result, the operands' dtype)."""
+    """Record every `np.einsum` call as (its result, the operands' dtype,
+    the number of operands)."""
     log, einsum = [], np.einsum
 
     def logged(*args, **kwargs):
         out = einsum(*args, **kwargs)
-        log.append((out, args[1].dtype))
+        log.append((out, args[1].dtype, len(args) - 1))
         return out
 
     monkeypatch.setattr(np, "einsum", logged)
@@ -638,7 +678,7 @@ class TestSharedMoebiusSum:
         want = count_c2t(g, 3).value
         log = _einsum_log(monkeypatch)
         assert count_c2t(g, 3).value == want
-        squares = [out for out, _ in log if np.ndim(out) == 2]
+        squares = [out for out, *_ in log if np.ndim(out) == 2]
         powers = [np.linalg.matrix_power(a, k) for k in (2, 3, 4, 5)]
         assert len(squares) == len(powers)
         for out, power in zip(squares, powers):
@@ -652,8 +692,8 @@ class TestSharedMoebiusSum:
         # #C_6(K_n) = n! / ((n - 6)! * 12)
         log = _einsum_log(monkeypatch)
         assert count_c2t(complete(410), 3).value == math.perm(410, 6) // 12
-        assert sum(dtype == np.int64 for _, dtype in log) == 6
-        assert not any(dtype == object for _, dtype in log)
+        assert sum(dtype == np.int64 for _, dtype, _ in log) == 6
+        assert not any(dtype == object for _, dtype, _ in log)
 
     def test_peak_memory_stays_at_four_matrices(self):
         g = sample_gnm(600, 6000, 4)
@@ -716,6 +756,90 @@ class TestSharedMoebiusSum:
             same = nx.is_isomorphic(ref, other, node_match=lambda x, y: x["c"] == y["c"])
             other_color = tuple(other.nodes[v]["c"] for v in range(n))
             assert same == (form == _canonical(n, frozenset(es), other_color))
+
+
+class TestConditionedSharing:
+    """A plan that conditions runs its sub-plan once per class of the
+    conditioned vertex, with a store of its own for each class: steps of
+    the sub-plan whose sub-patterns are isomorphic, with the conditioned
+    vertices held in place, compute one array between them."""
+
+    def test_one_three_operand_step_per_class(self, monkeypatch):
+        # K_{3,3} conditions on one side's first vertex; its sub-plan then
+        # sums out the other side's three vertices, each joined to that
+        # vertex and to the two left, so A diag(A[x]) A is computed once
+        # per class x, not three times
+        g = sample_gnm(40, 160, 11)
+        k = len(_twins(g.sparse_adjacency())[0])
+        a = dense_adjacency(g).astype(np.int64)
+        codeg = np.einsum("ai,bi,ci->abc", a, a, a)
+        want = int((codeg**3).sum())
+        log = _einsum_log(monkeypatch)
+        assert hom_complete_bipartite(g, 3) == want
+        assert [ops for *_, ops in log].count(3) == k
+
+    def test_complete_bipartite_on_twin_free_hosts_and_blow_ups(self):
+        rng = random.Random(31)
+        hosts = []
+        for s in range(5):
+            n = rng.randint(5, 7)
+            hosts.append(sample_gnm(n, rng.randint(n, n * (n - 1) // 2), 3100 + s))
+        hosts += [blow_up(sample_gnm(4, 4, 3), [2, 1, 3, 2]), blow_up(complete(3), [1, 2, 2])]
+        hosts += [blow_up(cycle(5), [1, 2, 1, 2, 1])]
+        twin_free = 0
+        for g in hosts:
+            twin_free += len(_twins(g.sparse_adjacency())[0]) == g.n
+            for t in (3, 4):
+                h = complete_bipartite(t, t)
+                assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+        assert 3 <= twin_free <= 5
+
+    def test_exact_rerun_shares_on_python_ints(self, monkeypatch):
+        # K_{1500,1500} is the blow-up of an edge into two classes: the
+        # count 2 * 1500^6 passes 2^52, so the plan reruns, and on Python
+        # ints, since 3000^6 >= 2^63; it shares as the float run does
+        g = complete_bipartite(1500, 1500)
+        log = _einsum_log(monkeypatch)
+        assert hom_complete_bipartite(g, 3) == 2 * 1500**6
+        assert [ops for _, dtype, ops in log if dtype == object].count(3) == 2
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 3), (0, 4), (0, 7), (1, 5), (1, 6), (1, 7), (2, 4), (2, 6), (3, 5), (4, 7),
+             (5, 6)],
+            [(0, 1), (0, 3), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6),
+             (2, 7), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7)],
+        ],
+    )
+    def test_conditioned_vertices_keep_colours_of_their_own(self, edges):
+        # sub-patterns that are isomorphic only when a conditioned vertex
+        # may pass for a result axis (the first pattern) or for the other
+        # conditioned vertex (the second, which conditions twice) give
+        # different arrays
+        h = Graph.from_edges(8, edges)
+        for s in range(3):
+            g = sample_gnm(8, 17, s)
+            assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+
+    def test_random_patterns_that_condition_after_sum_steps(self):
+        # a plan that sums vertices out before it conditions hands those
+        # sums to its sub-plan inside factors, so the sub-plan's keys must
+        # come from the pattern edges the factors hold: two factors on one
+        # scope may hold different sums, and keying by scope gives wrong
+        # counts on these patterns
+        hosts = [sample_gnm(n, m, 4400 + n) for n, m in ((6, 11), (7, 15), (8, 19))]
+        hosts.append(blow_up(sample_gnm(4, 5, 9), [2, 1, 2, 1]))
+        checked = 0
+        for seed in range(300):
+            h = _random_pattern(seed)
+            order, _ = _schedule(_quotients(h.n, h.edges))
+            if not any(plan[0][0] == "sum" and inner and inner[1] for _, plan, _, inner, *_ in order):
+                continue
+            checked += 1
+            for g in hosts:
+                assert inj_count(h, g).value == inj_backtrack(h, g)
+        assert checked >= 10
 
 
 @st.composite
