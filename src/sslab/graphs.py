@@ -2,10 +2,10 @@
 
 A graph is immutable: a vertex count n (dense 0-based labels) and one
 read-only, lexicographically sorted (m, 2) array of edges (u < v).  Every
-other view (the edge tuple, the CSR adjacency, degrees, components) is
-derived from that array once per graph, and every family is built as such an
-array.  Construction validates no loops, no duplicate edges, and endpoint
-range.
+other view (the edge tuple, the CSR adjacency, the false-twin quotient,
+degrees, components) is derived from that array once per graph, and every
+family is built as such an array.  Construction validates no loops, no
+duplicate edges, and endpoint range.
 """
 
 from __future__ import annotations
@@ -116,6 +116,18 @@ class Graph:
         return self._csr
 
     @cached_property
+    def twin_quotient(self) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
+        """The false-twin quotient W, built once: (reps, w, adjacency), the
+        least vertex of each class (ascending) and the class sizes, both
+        read-only (`_twins`), and W's k x k 0/1 CSR adjacency on the
+        classes.  The graph is the blow-up of W by w.  When no class holds
+        two vertices the adjacency is `sparse_adjacency()` itself."""
+        reps, w = _twins(self._csr)
+        reps.flags.writeable = w.flags.writeable = False
+        a = self._csr if len(reps) == self.n else self._csr[reps][:, reps]
+        return reps, w, a
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.diff(self._csr.indptr).tolist())
 
@@ -172,6 +184,54 @@ class Graph:
 
         cover = kron(self._csr, [[0, 1], [1, 0]], format="csr")
         return connected_components(cover, directed=False)[0] == 2 * len(self.components)
+
+
+# -- false twins -----------------------------------------------------------
+
+# odd multiplier of the vertex keys that `_twins` sums over each row
+_TWIN_SEED = 0x9E3779B97F4A7C15
+
+
+def _twins(a) -> tuple[np.ndarray, np.ndarray]:
+    """The false-twin classes of the symmetric CSR matrix `a`, the sets of
+    vertices with equal rows, as (reps, w): the least vertex of each class,
+    ascending, and the class sizes.  On a simple graph twins have the same
+    neighbours and are never adjacent.
+
+    Each row is keyed by its length and the sum, modulo 2^64, of mixed
+    uint64 keys of its columns.  Rows that share a key are then compared
+    entry by entry with their group's least vertex, and a group where one
+    differs is regrouped by its exact rows.  So a key collision costs time
+    but never merges two classes.
+    """
+    n = a.shape[0]
+    ptr, idx, data = a.indptr, a.indices, a.data
+    deg = np.diff(ptr)
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_TWIN_SEED)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(29)
+    run = np.zeros(len(idx) + 1, dtype=np.uint64)
+    np.cumsum(x[idx], out=run[1:])
+    key = run[ptr[1:]] - run[ptr[:-1]]  # each row's sum, wrapping like the run
+    order = np.lexsort((key, deg))  # stable, so each group starts at its least vertex
+    first = np.ones(n, dtype=bool)
+    first[1:] = (deg[order[1:]] != deg[order[:-1]]) | (key[order[1:]] != key[order[:-1]])
+    lead = np.empty(n, dtype=np.intp)
+    lead[order] = order[first][np.cumsum(first) - 1]
+    v = np.flatnonzero(lead != np.arange(n))
+    if v.size:
+        d = deg[v]
+        offset = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        pv, pu = np.repeat(ptr[v], d) + offset, np.repeat(ptr[lead[v]], d) + offset
+        differs = (idx[pv] != idx[pu]) | (data[pv] != data[pu])
+        for group in sorted(set(lead[np.repeat(v, d)[differs]].tolist())):
+            seen: dict = {}
+            for y in np.flatnonzero(lead == group).tolist():
+                row = idx[ptr[y] : ptr[y + 1]].tobytes(), data[ptr[y] : ptr[y + 1]].tobytes()
+                lead[y] = seen.setdefault(row, y)
+    reps = np.flatnonzero(lead == np.arange(n))
+    return reps, np.bincount(np.searchsorted(reps, lead), minlength=len(reps))
 
 
 # -- split graphs ----------------------------------------------------------

@@ -30,14 +30,15 @@ Three engines, every result an exact Python int:
   placed.  The tests enumerate inj themselves as the oracle for the
   Moebius sums.
 
-The first two count on the host's false-twin quotient (`_twins`):
-non-adjacent vertices with one neighbourhood form a class, the host is the
-blow-up of the quotient W by the class sizes w, and hom(H, G) is the
-vertex-weighted hom(H, (W, w)) (Lovasz 2012, ch. 5).  So k above is the
-class count: the engine contracts W's k x k adjacency with w on every
-pattern vertex, and the recursion weighs each choice of classes by the
-subsets it stands for.  A twin-free host (k = n) runs on its own adjacency
-with no weights.
+The first two count on the host's false-twin quotient, which they read
+from `Graph.twin_quotient`, built once per host: non-adjacent vertices
+with one neighbourhood form a class, the host is the blow-up of the
+quotient W by the class sizes w, and hom(H, G) is the vertex-weighted
+hom(H, (W, w)) (Lovasz 2012, ch. 5).  So k above is the class count: the
+engine contracts W's k x k adjacency with w on every pattern vertex, and
+the recursion weighs each choice of classes by the subsets it stands for.
+A twin-free host (k = n) is its own quotient, and the engine runs on its
+adjacency with no weights.
 
 Exactness rule: float arithmetic is trusted only where the data certify it
 (see `hom_contract`); otherwise the same contraction reruns on int64 where
@@ -88,54 +89,6 @@ def _rows(a) -> list[list[int]]:
     """The column indices of each row of the CSR matrix `a`."""
     ptr, idx = a.indptr.tolist(), a.indices.tolist()
     return [idx[ptr[v] : ptr[v + 1]] for v in range(a.shape[0])]
-
-
-# -- false twins -------------------------------------------------------------
-
-# odd multiplier of the vertex keys that `_twins` sums over each row
-_TWIN_SEED = 0x9E3779B97F4A7C15
-
-
-def _twins(a) -> tuple[np.ndarray, np.ndarray]:
-    """The false-twin classes of the symmetric CSR matrix `a`, the sets of
-    vertices with equal rows, as (reps, w): the least vertex of each class,
-    ascending, and the class sizes.  On a simple graph twins have the same
-    neighbours and are never adjacent.
-
-    Each row is keyed by its length and the sum, modulo 2^64, of mixed
-    uint64 keys of its columns.  Rows that share a key are then compared
-    entry by entry with their group's least vertex, and a group where one
-    differs is regrouped by its exact rows.  So a key collision costs time
-    but never merges two classes.
-    """
-    n = a.shape[0]
-    ptr, idx, data = a.indptr, a.indices, a.data
-    deg = np.diff(ptr)
-    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_TWIN_SEED)
-    x ^= x >> np.uint64(31)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(29)
-    run = np.zeros(len(idx) + 1, dtype=np.uint64)
-    np.cumsum(x[idx], out=run[1:])
-    key = run[ptr[1:]] - run[ptr[:-1]]  # each row's sum, wrapping like the run
-    order = np.lexsort((key, deg))  # stable, so each group starts at its least vertex
-    first = np.ones(n, dtype=bool)
-    first[1:] = (deg[order[1:]] != deg[order[:-1]]) | (key[order[1:]] != key[order[:-1]])
-    lead = np.empty(n, dtype=np.intp)
-    lead[order] = order[first][np.cumsum(first) - 1]
-    v = np.flatnonzero(lead != np.arange(n))
-    if v.size:
-        d = deg[v]
-        offset = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
-        pv, pu = np.repeat(ptr[v], d) + offset, np.repeat(ptr[lead[v]], d) + offset
-        differs = (idx[pv] != idx[pu]) | (data[pv] != data[pu])
-        for group in sorted(set(lead[np.repeat(v, d)[differs]].tolist())):
-            seen: dict = {}
-            for y in np.flatnonzero(lead == group).tolist():
-                row = idx[ptr[y] : ptr[y + 1]].tobytes(), data[ptr[y] : ptr[y + 1]].tobytes()
-                lead[y] = seen.setdefault(row, y)
-    reps = np.flatnonzero(lead == np.arange(n))
-    return reps, np.bincount(np.searchsorted(reps, lead), minlength=len(reps))
 
 
 # -- backtracking hom counts -----------------------------------------------
@@ -470,15 +423,23 @@ def _execute(
     return value
 
 
-def _plan_work(plan: tuple, n: int) -> int:
-    """Operations `_execute` spends on `plan` over n host vertices (twin
-    classes, on a quotient): n^(j+1) for a sum step whose result has j
-    axes, and the rest of the plan n times over for a conditioning."""
-    work = 0
+def _plan_work(plan: tuple, n: int, keys=(), inner=None) -> int:
+    """Operations `_execute` spends on `plan` run alone over n host
+    vertices (twin classes, on a quotient): n^(j+1) for a sum step whose
+    result has j axes, and the rest of the plan n times over for a
+    conditioning.  Steps with one key (`keys`, one per step) count once,
+    since one store serves them; `inner` keys a condition step's sub-plan
+    (`_inner`), which has a fresh store for each class."""
+    work, seen = 0, set()
+    keys = iter(keys)
     for step in plan:
+        key = next(keys, None)
         if step[0] == "condition":
-            return work + n * _plan_work(step[2], n)
-        work += n ** (len(step[2]) + 1)
+            sub_keys, _, deeper = inner or ((), {}, None)
+            return work + n * _plan_work(step[2], n, sub_keys, deeper)
+        if key is None or key not in seen:
+            work += n ** (len(step[2]) + 1)
+        seen.add(key)
     return work
 
 
@@ -498,36 +459,33 @@ def _edge_factors(n_vars: int, edges, a: np.ndarray, w: Optional[np.ndarray]) ->
 def _contract_sum(terms: tuple, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms`, each (n_vars, edges, mu)
     for a pattern on vertices 0..n_vars-1, on the false-twin quotient of g
-    (`_twins`): its k x k 0/1 adjacency, densified once (the one dense host
-    matrix in the package), with the class sizes w as a factor on every
-    pattern vertex.  g is the blow-up of the quotient, so this is hom(H, g)
-    (Lovasz 2012, ch. 5).  A twin-free host is its own quotient: it runs on
-    its adjacency with no weight factors.
+    (`g.twin_quotient`): its k x k 0/1 adjacency, densified once per call
+    (the one dense host matrix in the package), with the class sizes w as
+    a factor on every pattern vertex.  g is the blow-up of the quotient, so
+    this is hom(H, g) (Lovasz 2012, ch. 5).  A twin-free host is its own
+    quotient: it runs on its adjacency with no weight factors.
 
     Each term is the float64 run when certified.  Otherwise the same plan
     reruns on exact integers, refused when estimated past `WORK_BUDGET`
     operations: on int64 when n^n_vars < 2^63, since the weights sum to n
     and every factor entry, product and partial sum counts weighted maps
     of at most n_vars pattern vertices into the k classes; else on Python
-    ints.  The float runs share their keyed step results: the first step
-    with a key computes it, the later ones take the stored array, and the
-    store drops it at its last use, counted over the whole sum by
-    `_schedule`.  A term that falls back to integers reruns alone; the
-    steps its float run did not reach count as used, so later terms find
-    the arrays or recompute them.  Inside a conditioning, both runs share
-    the sub-plan's keyed steps among themselves, class by class.
+    ints.  The estimate (`_plan_work`) counts each keyed step of a
+    conditioned sub-plan once per class, as the rerun makes it.  The float
+    runs share their keyed step results: the first step with a key
+    computes it, the later ones take the stored array, and the store drops
+    it at its last use, counted over the whole sum by `_schedule`.  A term
+    that falls back to integers reruns alone; the steps its float run did
+    not reach count as used, so later terms find the arrays or recompute
+    them.  Inside a conditioning, both runs share the sub-plan's keyed
+    steps among themselves, class by class.
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
-    a = g.sparse_adjacency()
-    n = a.shape[0]
-    reps, w = _twins(a)
-    if len(reps) == n:
-        w = None
-    else:
-        a, w = a[reps][:, reps], w.astype(np.float64)
+    _, w, a = g.twin_quotient
     a = a.toarray()
     k = a.shape[0]
+    w = w.astype(np.float64) if k < g.n else None  # a twin-free host runs unweighted
     total = 0
     for n_vars, plan, keys, inner, edges, mu in order:
         pending = iter(keys)
@@ -536,13 +494,13 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
             if key is not None:
                 shared.used(key)
         if value is None:  # some float factor passed 2^52
-            work = _plan_work(plan, k)
+            work = _plan_work(plan, k, inner=inner)
             if work > WORK_BUDGET:
                 raise BudgetExceededError(
                     f"exact-integer contraction would take ~{work} operations", work
                 )
             exact = a.astype(np.int64), None if w is None else w.astype(np.int64)
-            if n**n_vars >= 2**63:
+            if g.n**n_vars >= 2**63:
                 exact = tuple(None if f is None else f.astype(object) for f in exact)
             value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, inner=inner)
         total += mu * value
@@ -680,14 +638,14 @@ def count_ktt(g: Graph, t: int) -> CountResult:
     are impossible, so a subset is always disjoint from its common
     neighborhood and the two sides of a copy are distinct subsets, giving
     exactly the factor 2.  Twins have one neighbourhood, and a common
-    neighbourhood is a union of twin classes (`_twins`), so the sum runs
-    over the classes: a choice of k_i >= 1 vertices from classes i stands
-    for prod C(w_i, k_i) subsets, and codeg is the total size w of the
-    classes adjacent to every chosen one.  The choices are enumerated over
-    the quotient's neighbourhood bitmasks (bit j of class i's mask set iff
-    the classes are adjacent) in colex-style recursive order, with early
-    termination once the running common neighborhood drops below t; the
-    last vertex is one pass over a table of C(c, t).  On a twin-free host
+    neighbourhood is a union of twin classes (`g.twin_quotient`), so the
+    sum runs over the classes: a choice of k_i >= 1 vertices from classes
+    i stands for prod C(w_i, k_i) subsets, and codeg is the total size w
+    of the classes adjacent to every chosen one.  The choices are
+    enumerated over the quotient's neighbourhood bitmasks (bit j of class
+    i's mask set iff the classes are adjacent) in colex-style recursive
+    order, with early termination once the running common neighborhood
+    drops below t; the last vertex is one pass over a table of C(c, t).  On a twin-free host
     every w_i is 1 and this is the subset recursion over vertices.  It is
     refused up front when `codegree_work`, its tries, exceeds `WORK_BUDGET`.
     """
@@ -698,13 +656,12 @@ def count_ktt(g: Graph, t: int) -> CountResult:
         if work > WORK_BUDGET:
             raise BudgetExceededError(f"count_ktt would take {work} wedge steps", work)
         return CountResult(_count_c4(g), "codegree")
-    a = g.sparse_adjacency()
-    reps, w = _twins(a)
-    k = len(reps)
+    _, w, a = g.twin_quotient
+    k = len(w)
     estimate = codegree_work(g.n, t, k)
     if estimate > WORK_BUDGET:
         raise BudgetExceededError(f"count_ktt would try ~{estimate} classes", estimate)
-    bits = [sum(1 << j for j in row) for row in _rows(a[reps][:, reps] if k < g.n else a)]
+    bits = [sum(1 << j for j in row) for row in _rows(a)]
     w = w.tolist()
     # the size of a set of classes, summed over the bit planes of w
     planes = [

@@ -452,8 +452,9 @@ def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
         for _ in range(_MAX_ITER):
             y = a @ x
             val = float(np.linalg.norm(y, ord=q))
-            # monotone by construction; tiny negative drift is roundoff
-            if val < prev - 1e-12:
+            # monotone by construction; a drift below that by a relative
+            # 1e-12 is roundoff, which grows with the value
+            if val < prev - 1e-12 * max(1.0, prev):
                 raise SpectraError("opnorm iterate value decreased")
             if prev >= 0 and val - prev < tol:
                 ok = True

@@ -25,6 +25,27 @@ def run_cli(*args):
     )
 
 
+def package_sources() -> list[Path]:
+    import sslab
+
+    return sorted(Path(sslab.__file__).parent.glob("*.py"))
+
+
+def scoped_nodes(path: Path) -> list:
+    """(scope, node) for every AST node of the module at `path`, its scope
+    the module and the classes and functions around the node, dotted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            found.append((scope, child))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
 @pytest.fixture()
 def split_file(tmp_path):
     p = tmp_path / "split.txt"
@@ -161,6 +182,14 @@ class TestHomAndCheck:
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert obj["holds_i"] and obj["holds_ii"] and obj["holds_cert"]
+
+    def test_check_ktt3_on_a_large_split_host(self, tmp_path):
+        # opnorm's roundoff on S_{3,2*10^4} is no "iterate value decreased"
+        p = tmp_path / "split.txt"
+        p.write_text(write_edge_list(split_graph(3, 20000)))
+        r = run_cli("check", "--in", str(p), "--pattern", "ktt", "--t", "3")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["holds_cert"] is True
 
     def test_check_tree_pattern(self, split_file):
         r = run_cli("check", "--in", split_file, "--pattern", "path", "--pn", "3")
@@ -629,28 +658,43 @@ class TestUnexpectedErrors:
         # the host adjacency is densified once, for the contraction engine;
         # the other two dense steps are small Perron blocks and the row
         # cover's Gram matrix.  Everything else reads the CSR.
-        import sslab
-
         found = []
-
-        def visit(node, scope, path):
-            for child in ast.iter_child_nodes(node):
-                inner = scope
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    inner = f"{scope}.{child.name}"
-                if isinstance(child, ast.Attribute) and child.attr in ("toarray", "todense"):
-                    found.append(f"{path.stem}{scope}.{child.attr}")
-                visit(child, inner, path)
-
-        for p in sorted(Path(sslab.__file__).parent.glob("*.py")):
-            text = p.read_text()
-            assert "adjacency_matrix" not in text, p.name
-            visit(ast.parse(text, str(p)), "", p)
+        for p in package_sources():
+            assert "adjacency_matrix" not in p.read_text(), p.name
+            found += [
+                f"{scope}.{node.attr}"
+                for scope, node in scoped_nodes(p)
+                if isinstance(node, ast.Attribute) and node.attr in ("toarray", "todense")
+            ]
         assert sorted(found) == [
             "homcounts._contract_sum.toarray",
             "spectra._Block._solve.toarray",
             "spectra.top_singular.toarray",
         ]
+
+    def test_one_owner_of_the_twin_classes(self):
+        # `Graph.twin_quotient` alone finds the false-twin classes and
+        # slices the CSR down to them; every counter reads that view
+        names, slices = [], []
+        for p in package_sources():
+            for scope, node in scoped_nodes(p):
+                if isinstance(node, ast.FunctionDef) and node.name == "_twins":
+                    names.append(f"{scope} defines _twins")
+                elif isinstance(node, ast.Call) and "_twins" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    names.append(f"{scope} calls _twins")
+                elif isinstance(node, ast.alias) and node.name == "_twins":
+                    names.append(f"{scope} imports _twins")
+                elif isinstance(node, ast.Subscript) and any(
+                    isinstance(n, ast.Name) and n.id == "reps" for n in ast.walk(node.slice)
+                ):
+                    slices.append(scope)
+        assert sorted(names) == [
+            "graphs defines _twins",
+            "graphs.Graph.twin_quotient calls _twins",
+        ]
+        assert slices and set(slices) == {"graphs.Graph.twin_quotient"}
 
 
 class TestParsing:

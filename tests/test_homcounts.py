@@ -41,6 +41,7 @@ from sslab.graphs import (
     sample_gnm,
     split_graph,
     star,
+    _twins,
 )
 from sslab.homcounts import (
     BudgetExceededError,
@@ -50,10 +51,10 @@ from sslab.homcounts import (
     _connected_order,
     _pair_total,
     _plan,
+    _plan_work,
     _put,
     _quotients,
     _schedule,
-    _twins,
     codegree_work,
     wedge_bound,
     wedge_work,
@@ -346,8 +347,8 @@ class TestContraction:
             "from scipy.sparse import csr_matrix\n"
             "from sslab.homcounts import CountError, hom_contract\n"
             "class Half:\n"
-            "    def sparse_adjacency(self):\n"
-            "        return csr_matrix(np.full((3, 3), 0.5))\n"
+            "    n = 3\n"
+            "    twin_quotient = np.arange(3), np.ones(3), csr_matrix(np.full((3, 3), 0.5))\n"
             "assert False, 'asserts are live'\n"
             "try:\n"
             "    hom_contract(2, [(0, 1)], Half())\n"
@@ -802,6 +803,29 @@ class TestConditionedSharing:
         log = _einsum_log(monkeypatch)
         assert hom_complete_bipartite(g, 3) == 2 * 1500**6
         assert [ops for _, dtype, ops in log if dtype == object].count(3) == 2
+
+    def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, monkeypatch):
+        # K_{3,3}'s sub-plan makes one k x k x k product per class, then a
+        # k x k and a k step: k^3 + k^2 + k, not 3k^3 + k^2 + k
+        ((_, plan, _, inner, *_),), _ = _schedule(((6, complete_bipartite(3, 3).edges, 1),))
+        assert _plan_work(plan, 150, inner=inner) == 150 * (150**3 + 150**2 + 150) == 509_647_500
+        # K_{800,800,800}, three classes: each class's share of
+        # hom(K_{3,3}) = 42 * 800^6 passes 2^52, so the plan reruns on
+        # Python ints (2400^6 >= 2^63), and the estimate is the work of the
+        # rerun's einsum calls, each the product of its index ranges
+        g = join(join(empty_graph(800), empty_graph(800)), empty_graph(800))
+        work, einsum = [], np.einsum
+
+        def logged(spec, *ops, **kwargs):
+            if ops[0].dtype == object:
+                inputs = spec.split("->")[0].split(",")
+                ranges = {c: size for s, op in zip(inputs, ops) for c, size in zip(s, op.shape)}
+                work.append(math.prod(ranges.values()))
+            return einsum(spec, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", logged)
+        assert hom_complete_bipartite(g, 3) == 42 * 800**6
+        assert sum(work) == _plan_work(plan, 3, inner=inner) == 3 * (3**3 + 3**2 + 3)
 
     @pytest.mark.parametrize(
         "edges",

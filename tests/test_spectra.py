@@ -274,6 +274,16 @@ class TestOpNorm:
                 x /= np.linalg.norm(x, ord=1.5)
                 assert np.linalg.norm(a @ x, ord=3) <= est.value + 1e-7
 
+    @pytest.mark.parametrize(
+        "m, value", [(10**4, 21.5435), (2 * 10**4, 27.1435), (10**5, 46.4157)]
+    )
+    def test_large_split_hosts_converge(self, m, value):
+        # the iterate values grow with the host, and so does their float
+        # roundoff: on S_{3,2*10^4} one step drops by 1.0e-12 on 27.14,
+        # which an absolute 1e-12 slack took for a decrease
+        est = opnorm(split_graph(3, m), 1.5, 3)
+        assert est.converged and abs(est.value - value) < 1e-4
+
     def test_regime_enforced(self):
         for p, q in [(1, 2), (3, 4), (2, math.inf), (2.5, 3)]:
             with pytest.raises(RegimeError):

@@ -34,8 +34,9 @@ from sslab.graphs import (
     sample_gnm,
     split_graph,
     star,
+    _twins,
 )
-from sslab.homcounts import _execute, _plan, _put, _quotients, _twins, codegree_work
+from sslab.homcounts import _execute, _plan, _put, _quotients, codegree_work
 from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 
@@ -164,7 +165,7 @@ class TestTwinClasses:
     def test_forced_collisions_still_split_exactly(self, monkeypatch):
         # with seed 0 every vertex key is 0, so every row of one degree has
         # the same key and only the entry-by-entry check tells them apart
-        monkeypatch.setattr("sslab.homcounts._TWIN_SEED", 0)
+        monkeypatch.setattr("sslab.graphs._TWIN_SEED", 0)
         hosts = [cycle(12), complete(7), split_graph(3, 40), blow_up(cycle(5), [3, 1, 2, 1, 2])]
         hosts += [random_graph(9100 + s, 14, allow_empty=True) for s in range(30)]
         for g in hosts:
@@ -211,6 +212,41 @@ class TestTwinClasses:
         monkeypatch.setattr(np, "einsum", logged)
         count_c2t(g, 3)
         assert shapes and all(s in ((40, 40), (40,)) for s in shapes)
+
+
+class TestOneQuotientPerHost:
+    def test_counters_share_one_twin_computation(self, monkeypatch):
+        calls, twins = [], _twins
+
+        def counted(a):
+            calls.append(a.shape)
+            return twins(a)
+
+        monkeypatch.setattr("sslab.graphs._twins", counted)
+        g, h = split_graph(3, 40), complete_bipartite(2, 3)
+        hom_contract(h.n, h.edges, g)
+        inj_count(h, g)
+        count_ktt(g, 3)
+        assert calls == [(g.n, g.n)]
+
+    def test_quotient_is_the_class_slice(self):
+        for g in (split_graph(3, 40), blow_up(cycle(5), [3, 1, 2, 1, 2]), star(6)):
+            reps, w, a = g.twin_quotient
+            assert (reps.tolist(), w.tolist()) == exact_classes(g)
+            assert np.array_equal(a.toarray(), dense_adjacency(g)[reps][:, reps])
+            assert a is not g.sparse_adjacency()
+
+    def test_twin_free_host_is_its_own_quotient(self):
+        g = sample_gnm(40, 160, 11)
+        reps, w, a = g.twin_quotient
+        assert a is g.sparse_adjacency()
+        assert reps.tolist() == list(range(g.n)) and w.tolist() == [1] * g.n
+
+    def test_classes_are_read_only(self):
+        for g in (split_graph(3, 40), sample_gnm(40, 160, 11)):
+            for view in g.twin_quotient[:2]:
+                with pytest.raises(ValueError):
+                    view[0] = 2
 
 
 # -- the weighted engine -------------------------------------------------------
