@@ -20,7 +20,8 @@ Three engines, every result an exact Python int:
   conditions on a pattern vertex shares in the same way inside the loop
   over that vertex's classes, with a store of its own for each class and
   the conditioned vertices held in place: K_{3,3} makes A diag(A[x]) A
-  once per class x, not three times.
+  once per class x, not three times.  The keys ride on the plan's steps,
+  and an exact rerun runs the same plan with a store of its own.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -271,57 +272,59 @@ def _keyed(subs) -> tuple:
     return {sub: form for sub, form in forms.items() if form in uses}, uses
 
 
-def _inner(nested) -> Optional[tuple]:
-    """(keys, uses, inner) for a condition step's sub-plan from its
-    `_sub_patterns` pair: one key per step, keyed among the sub-plan's own
-    steps since each class it runs for has a store of its own, the steps
-    that take each key, and the same for the sub-plan's own condition
-    step."""
-    if nested is None:
-        return None
-    subs, deeper = nested
-    keys, uses = _keyed(subs)
-    return tuple(map(keys.get, subs)), uses, _inner(deeper)
+def _attach(plan: tuple, found: tuple, keys: dict) -> tuple:
+    """`plan` with its keys on its steps, from its `_sub_patterns` pair
+    `found`: a sum step becomes ("sum", v, others, key), with the key
+    `keys` gives its sub-pattern (None if none), and a condition step
+    ("condition", c, keyed sub-plan, uses).  The sub-plan is keyed among
+    its own steps, since each class it runs for has a store of its own,
+    and `uses` counts the steps that take each of its keys."""
+    subs, nested = found
+    steps = [(*step, keys.get(sub)) for step, sub in zip(plan, subs) if step[0] == "sum"]
+    if nested:
+        _, c, subplan = plan[-1]
+        sub_keys, uses = _keyed(nested[0])
+        steps.append(("condition", c, _attach(subplan, nested, sub_keys), uses))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=256)
 def _schedule(terms: tuple) -> tuple:
-    """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan, keys,
-    inner, edges, mu) in evaluation order, and the number of steps that
-    take each key.
+    """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan,
+    edges, mu) in evaluation order, each plan keyed by `_attach`, and the
+    number of top-level steps that take each key.
 
     A step's key is the `_canonical` form of its sub-pattern
     (`_sub_patterns`) when another step of the sum has a sub-pattern with
     the same `_invariant`, and only when that form recurs; the other steps
-    get None.  `inner` keys the steps of a condition step's sub-plan in
-    the same way, among themselves (`_inner`).  Terms run in ascending
-    order of the largest sub-pattern behind a 2-axis step, so the k x k
-    results that later terms reuse are built as late as possible and few
-    are held at once.
+    get None.  A condition step's sub-plan is keyed in the same way, among
+    its own steps.  Terms run in ascending order of the largest
+    sub-pattern behind a 2-axis step, so the k x k results that later
+    terms reuse are built as late as possible and few are held at once.
     """
     planned = []
     for n_vars, edges, mu in terms:
         scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
         plan = _plan(frozenset(range(n_vars)), scopes)
-        subs, nested = _sub_patterns(plan, {s: frozenset([s]) for s in scopes})
-        planned.append((n_vars, plan, subs, _inner(nested), edges, mu))
-    keys, uses = _keyed([sub for term in planned for sub in term[2]])
+        found = _sub_patterns(plan, {s: frozenset([s]) for s in scopes})
+        planned.append((n_vars, plan, found, edges, mu))
+    keys, uses = _keyed([sub for term in planned for sub in term[2][0]])
 
     def widest(term):
-        plan, subs = term[1], term[2]
+        plan, subs = term[1], term[2][0]
         sizes = [sub[0] for step, sub in zip(plan, subs) if sub and len(step[2]) == 2]
         return max(sizes, default=0)
 
     order = tuple(
-        (n_vars, plan, tuple(map(keys.get, subs)), inner, edges, mu)
-        for n_vars, plan, subs, inner, edges, mu in sorted(planned, key=widest)
+        (n_vars, _attach(plan, found, keys), edges, mu)
+        for n_vars, plan, found, edges, mu in sorted(planned, key=widest)
     )
     return order, uses
 
 
 class _Shared:
-    """The keyed step results of one signed sum over one host, each
-    dropped at its last use."""
+    """The keyed step results of one run of keyed plans, each dropped at
+    its last use."""
 
     def __init__(self, uses: dict):
         self.left = dict(uses)
@@ -359,26 +362,21 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
-def _execute(
-    plan: tuple, factors: dict, n: int, shared=None, keys=(), inner=None
-) -> Optional[int]:
-    """Run `plan` over `factors` (scope -> array on n host vertices or
-    twin classes per axis; a vertex with no factor, which only an
-    unweighted run has, contributes a factor n).  Returns the exact value,
-    or None as soon as a float factor or scalar leaves the certified range.
-    `keys` yields one `_schedule` key per step; a keyed step takes its
-    result from `shared` when an earlier step with that key computed it,
-    and passes it through `_put` like a fresh one.  `inner` keys the
-    sub-plan of a condition step (`_inner`), which runs for each class
-    with a fresh store."""
+def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
+    """Run the keyed `plan` (`_attach`) over `factors` (scope -> array on n
+    host vertices or twin classes per axis; a vertex with no factor, which
+    only an unweighted run has, contributes a factor n).  Returns the exact
+    value, or None as soon as a float factor or scalar leaves the certified
+    range, after marking the keyed steps it did not reach as used.  A keyed
+    step takes its result from `shared` when an earlier step with that key
+    computed it, and passes it through `_put` like a fresh one.  A
+    condition step's sub-plan runs for each class with a store of its
+    own."""
     factors = dict(factors)
-    keys = iter(keys)
     value = 1
-    for step in plan:
-        key = next(keys, None)
+    for i, step in enumerate(plan):
         if step[0] == "condition":
-            _, c, subplan = step
-            sub_keys, sub_uses, deeper = inner or ((), {}, None)
+            _, c, subplan, uses = step
             total = 0
             for x in range(n):
                 weight, sliced = 1, {s: f for s, f in factors.items() if c not in s}
@@ -391,12 +389,12 @@ def _execute(
                             return None
                 if weight == 0:
                     continue
-                sub = _execute(subplan, sliced, n, _Shared(sub_uses), sub_keys, deeper)
+                sub = _execute(subplan, sliced, n, _Shared(uses))
                 if sub is None:
                     return None
                 total += weight * sub
             return value * total
-        _, v, others = step
+        _, v, others, key = step
         inc = [s for s in factors if v in s]
         if not inc:
             value *= n
@@ -413,30 +411,29 @@ def _execute(
         if key is not None:
             shared.used(key, f)
         if others:
-            if not _put(factors, others, f):
-                return None
+            r = 1 if _put(factors, others, f) else None
         else:
             r = _to_int(f)
-            if r is None:
-                return None
-            value *= r
+        if r is None:  # the steps after this one count as used
+            for later in plan[i + 1 :]:
+                if later[0] == "sum" and later[3] is not None:
+                    shared.used(later[3])
+            return None
+        value *= r
     return value
 
 
-def _plan_work(plan: tuple, n: int, keys=(), inner=None) -> int:
-    """Operations `_execute` spends on `plan` run alone over n host
-    vertices (twin classes, on a quotient): n^(j+1) for a sum step whose
-    result has j axes, and the rest of the plan n times over for a
-    conditioning.  Steps with one key (`keys`, one per step) count once,
-    since one store serves them; `inner` keys a condition step's sub-plan
-    (`_inner`), which has a fresh store for each class."""
+def _plan_work(plan: tuple, n: int) -> int:
+    """Operations `_execute` spends on the keyed `plan` run alone over n
+    host vertices (twin classes, on a quotient): n^(j+1) for a sum step
+    whose result has j axes, once per key, since one store serves the
+    steps that take it, and the rest of the plan n times over for a
+    conditioning, whose sub-plan has a store of its own for each class."""
     work, seen = 0, set()
-    keys = iter(keys)
     for step in plan:
-        key = next(keys, None)
         if step[0] == "condition":
-            sub_keys, _, deeper = inner or ((), {}, None)
-            return work + n * _plan_work(step[2], n, sub_keys, deeper)
+            return work + n * _plan_work(step[2], n)
+        key = step[3]
         if key is None or key not in seen:
             work += n ** (len(step[2]) + 1)
         seen.add(key)
@@ -470,15 +467,14 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     operations: on int64 when n^n_vars < 2^63, since the weights sum to n
     and every factor entry, product and partial sum counts weighted maps
     of at most n_vars pattern vertices into the k classes; else on Python
-    ints.  The estimate (`_plan_work`) counts each keyed step of a
-    conditioned sub-plan once per class, as the rerun makes it.  The float
-    runs share their keyed step results: the first step with a key
-    computes it, the later ones take the stored array, and the store drops
-    it at its last use, counted over the whole sum by `_schedule`.  A term
-    that falls back to integers reruns alone; the steps its float run did
-    not reach count as used, so later terms find the arrays or recompute
-    them.  Inside a conditioning, both runs share the sub-plan's keyed
-    steps among themselves, class by class.
+    ints.  Each run is one `_execute` of the keyed plan with a store
+    (`_Shared`): the first step with a key computes it, the later ones
+    take the stored array, and the store drops it at its last use.  The
+    float runs of all terms share one store, whose uses `_schedule` counts
+    over the whole sum; a float run that exits early marks the keyed steps
+    it did not reach as used.  A rerun has a store of its own, and its
+    estimate (`_plan_work`) counts each key once at every level, as the
+    rerun makes it.
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
@@ -487,14 +483,10 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     k = a.shape[0]
     w = w.astype(np.float64) if k < g.n else None  # a twin-free host runs unweighted
     total = 0
-    for n_vars, plan, keys, inner, edges, mu in order:
-        pending = iter(keys)
-        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared, pending, inner)
-        for key in pending:  # the keyed steps an early exit did not reach
-            if key is not None:
-                shared.used(key)
+    for n_vars, plan, edges, mu in order:
+        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared)
         if value is None:  # some float factor passed 2^52
-            work = _plan_work(plan, k, inner=inner)
+            work = _plan_work(plan, k)
             if work > WORK_BUDGET:
                 raise BudgetExceededError(
                     f"exact-integer contraction would take ~{work} operations", work
@@ -502,7 +494,7 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
             exact = a.astype(np.int64), None if w is None else w.astype(np.int64)
             if g.n**n_vars >= 2**63:
                 exact = tuple(None if f is None else f.astype(object) for f in exact)
-            value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, inner=inner)
+            value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, _Shared(uses))
         total += mu * value
     return total
 

@@ -93,6 +93,10 @@ def build_regular(g: Graph, k: int, d: Optional[EdgeDistribution] = None) -> Reg
         raise RegularizeError("k must be even and >= 2")
     if d is None:
         d = edge_distribution(g)
+    try:
+        lam_k = d.lam**k
+    except OverflowError:
+        raise RegularizeError(f"lambda^k = {d.lam!r}^{k} leaves the float64 range") from None
     comp = d.vertices
     n0 = len(comp)
     p = d.p.tocoo()
@@ -110,7 +114,6 @@ def build_regular(g: Graph, k: int, d: Optional[EdgeDistribution] = None) -> Reg
     t_k = math.factorial(k)
     for ni in n_vec:
         t_k //= math.factorial(ni)
-    lam_k = d.lam**k
     # degree can never exceed the tensor-power spectral radius
     if d_k > lam_k * (1 + 1e-9):
         raise RegularizeError(f"degree d_k={d_k} exceeds lambda^k={lam_k}")

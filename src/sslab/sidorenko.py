@@ -73,6 +73,18 @@ def _holds(hom: int, rhs: Optional[float]) -> Optional[bool]:
     return None if rhs is None else hom >= rhs - _REL_TOL * abs(rhs)
 
 
+def _rhs(name: str, *powers) -> float:
+    """The product of base ** exp over the (base, exp) `powers`, the report
+    field `name`; `SidorenkoError` if it leaves the float64 range."""
+    try:
+        value = math.prod(base**exp for base, exp in powers)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SidorenkoError(f"{name} leaves the float64 range")
+    return value
+
+
 def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     """Evaluate hom(h,g) against the density form, the two spectral forms,
     and the operator-norm certificate.
@@ -81,26 +93,29 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     rhs_ii = lam^{2e-v} M^{v-e}    (when v <= e)
     rhs_iii= lam^e n^{v-e}         (when v <= e)
     rhs_cert = opnorm(g, s', s)^e  (when v <= e; reuses lam when s = s' = 2)
+
+    The right-hand sides come first: one that leaves the float64 range
+    raises `SidorenkoError` before hom(h, g) is counted.
     """
     if g.edge_count < 1:
         raise SidorenkoError("host needs at least one edge")
     ex = exponents(h)
     v, e = ex.v, ex.e
-    hom = hom_contract(h.n, h.edges, g).value
-    big_m, n = g.big_m, g.n
-    rhs_i = float(big_m) ** e * float(n) ** (v - 2 * e)
+    big_m, n = float(g.big_m), float(g.n)
+    rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
     lam = perron(g, tol=tol).lam
     applicable = v <= e
     rhs_ii = rhs_iii = rhs_cert = chain_slack = None
     if applicable:
-        rhs_ii = lam ** (2 * e - v) * float(big_m) ** (v - e)
-        rhs_iii = lam**e * float(n) ** (v - e)
+        rhs_ii = _rhs("rhs_ii", (lam, 2 * e - v), (big_m, v - e))
+        rhs_iii = _rhs("rhs_iii", (lam, e), (n, v - e))
         if ex.s == 2.0 and ex.s_prime == 2.0:
             norm_val = lam  # the 2->2 norm is the spectral radius; skip opnorm
         else:
             norm_val = opnorm(g, ex.s_prime, ex.s, tol=max(tol, 1e-12)).value
-        rhs_cert = norm_val**e
-        chain_slack = norm_val**ex.alpha * float(big_m) ** (1 - ex.alpha) - lam
+        rhs_cert = _rhs("rhs_cert", (norm_val, e))
+        chain_slack = _rhs("chain_slack", (norm_val, ex.alpha), (big_m, 1 - ex.alpha)) - lam
+    hom = hom_contract(h.n, h.edges, g).value
     return IneqReport(
         hom=hom,
         rhs_i=rhs_i,

@@ -67,6 +67,16 @@ class PruneTrace:
     emptied: bool
 
 
+def _prune_eta(t: int, eta: Optional[float]) -> float:
+    """The pruning threshold `eta`, 1/(16t) when None; `SupersatError`
+    unless it lies in (0, 1/4)."""
+    if eta is None:
+        eta = 1.0 / (16 * t)
+    if not (0 < eta < 0.25):
+        raise SupersatError("eta must lie in (0, 1/4)")
+    return eta
+
+
 def heavy_prune(
     g: Graph, t: int, eta: Optional[float] = None, *, _blocks: Optional[PerronBlocks] = None
 ) -> PruneTrace:
@@ -85,10 +95,7 @@ def heavy_prune(
     """
     if t < 2:
         raise SupersatError("t must be >= 2")
-    if eta is None:
-        eta = 1.0 / (16 * t)
-    if not (0 < eta < 0.25):
-        raise SupersatError("eta must lie in (0, 1/4)")
+    eta = _prune_eta(t, eta)
     if g.edge_count < 1:
         raise SupersatError("input graph has no edges")
     m0 = g.edge_count
@@ -488,8 +495,9 @@ def split_threshold(g: Graph, pd: PerronData, t: int) -> tuple[float, bool]:
 def supersat_count(
     g: Graph, t: int, pattern: str, eta: Optional[float] = None
 ) -> PipelineReport:
-    """Prune at `eta` (heavy_prune's default when None), branch on
-    localization, and count.
+    """Prune at `eta` (1/(16t) when None), branch on localization, and
+    count.  An `eta` outside (0, 1/4) is refused before the Perron solve,
+    so on every host (`_prune_eta`).
 
     Reports every intermediate quantity; the branch thresholds `G_CUT` and
     `FRAC_CUT` are explicit finite-size heuristics and the driver never
@@ -503,6 +511,7 @@ def supersat_count(
         raise SupersatError("input graph has no edges")
     if pattern == "c2t":  # count_c2t's limit, on every host, before any solve
         check_pattern_size(2 * t)
+    eta = _prune_eta(t, eta)
     rules = PATTERNS[pattern]
     m = g.edge_count
     blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,23 @@ class TestHomAndCheck:
         assert json.loads(capsys.readouterr().out)["hom"] == 5**30 + 5
 
 
+    def test_float_overflow_is_a_typed_error(self, tmp_path, capsys):
+        # on G(30, 90) the path on 138 vertices puts check's M^e past the
+        # float64 range, and lambda^378 (lambda = 6.598...) is past it too
+        from sslab.cli import main
+        from sslab.graphs import sample_gnm
+
+        host = tmp_path / "g.txt"
+        host.write_text(write_edge_list(sample_gnm(30, 90, 1)))
+        for argv, line in [
+            (["check", "--pattern", "path", "--pn", "138"], "rhs_i leaves the float64 range"),
+            (["regularize", "--k", "378"], "lambda^k = 6.598486960192456^378 leaves the float64 range"),
+        ]:
+            assert main([*argv, "--in", str(host)]) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
+        assert main(["check", "--pattern", "path", "--pn", "137", "--in", str(host)]) == 0
+        assert main(["regularize", "--k", "376", "--in", str(host)]) == 0
+
 class TestPipelineCommands:
     def test_prune_reports_trace(self, split_file):
         r = run_cli("prune", "--in", split_file, "--t", "2")
@@ -291,6 +309,24 @@ class TestPipelineCommands:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.splitlines()[-1] == "error: pattern has 12 > 10 vertices"
+
+    @pytest.mark.parametrize("host", ["cycle", "complete"])
+    @pytest.mark.parametrize("eta", ["5", "nan", "-1", "0.25"])
+    def test_bad_eta_is_refused_on_every_host(self, host, eta, tmp_path, capsys, monkeypatch):
+        # C_40 lies below the split threshold, where nothing is pruned, and
+        # K_30 above it: eta is refused on both, before the Perron solve
+        from sslab import graphs, supersat
+        from sslab.cli import main
+
+        g = graphs.cycle(40) if host == "cycle" else graphs.complete(30)
+        p = tmp_path / "g.txt"
+        p.write_text(write_edge_list(g))
+        monkeypatch.setattr(supersat, "PerronBlocks", None)
+        argv = ["pipeline", "--in", str(p), "--t", "2", "--pattern", "c2t", "--eta", eta]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == "error: eta must lie in (0, 1/4)"
 
     def test_rowcover_explicit_sides(self, tmp_path):
         p = tmp_path / "k25.txt"
@@ -695,6 +731,25 @@ class TestUnexpectedErrors:
             "graphs.Graph.twin_quotient calls _twins",
         ]
         assert slices and set(slices) == {"graphs.Graph.twin_quotient"}
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path):
+        # every `sslab ...` line of the sh block under "## Command line", in
+        # order and in one directory, so the documented commands cannot drift
+        import sslab
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("sslab ")]
+        assert [argv[1] for argv in commands] == ["gen", "spectral", "check", "pipeline", "sweep"]
+        env = dict(os.environ, PYTHONPATH=str(Path(sslab.__file__).resolve().parent.parent))
+        for argv in commands:
+            r = subprocess.run([sys.executable, "-m", "sslab.cli", *argv[1:]], cwd=tmp_path,
+                               env=env, capture_output=True, text=True)
+            assert r.returncode == 0, (argv, r.stderr)
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 30
 
 
 class TestParsing:

@@ -763,7 +763,8 @@ class TestConditionedSharing:
     """A plan that conditions runs its sub-plan once per class of the
     conditioned vertex, with a store of its own for each class: steps of
     the sub-plan whose sub-patterns are isomorphic, with the conditioned
-    vertices held in place, compute one array between them."""
+    vertices held in place, compute one array between them.  An exact
+    rerun has a store of its own too, and shares as the float run does."""
 
     def test_one_three_operand_step_per_class(self, monkeypatch):
         # K_{3,3} conditions on one side's first vertex; its sub-plan then
@@ -807,8 +808,8 @@ class TestConditionedSharing:
     def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, monkeypatch):
         # K_{3,3}'s sub-plan makes one k x k x k product per class, then a
         # k x k and a k step: k^3 + k^2 + k, not 3k^3 + k^2 + k
-        ((_, plan, _, inner, *_),), _ = _schedule(((6, complete_bipartite(3, 3).edges, 1),))
-        assert _plan_work(plan, 150, inner=inner) == 150 * (150**3 + 150**2 + 150) == 509_647_500
+        ((_, plan, *_),), _ = _schedule(((6, complete_bipartite(3, 3).edges, 1),))
+        assert _plan_work(plan, 150) == 150 * (150**3 + 150**2 + 150) == 509_647_500
         # K_{800,800,800}, three classes: each class's share of
         # hom(K_{3,3}) = 42 * 800^6 passes 2^52, so the plan reruns on
         # Python ints (2400^6 >= 2^63), and the estimate is the work of the
@@ -825,7 +826,36 @@ class TestConditionedSharing:
 
         monkeypatch.setattr(np, "einsum", logged)
         assert hom_complete_bipartite(g, 3) == 42 * 800**6
-        assert sum(work) == _plan_work(plan, 3, inner=inner) == 3 * (3**3 + 3**2 + 3)
+        assert sum(work) == _plan_work(plan, 3) == 3 * (3**3 + 3**2 + 3)
+
+    @pytest.mark.parametrize("twin_free", [True, False])
+    def test_exact_rerun_shares_top_level_steps(self, twin_free, monkeypatch):
+        # K_{2,3}'s plan first sums out two of the side of three, each into
+        # the same k x k array of codegrees, so one key serves both steps.
+        # With no float certified, the term reruns on int64 and makes that
+        # array once, then sums out the other three vertices: one einsum per
+        # key and per unkeyed step, with the work `_plan_work` estimates
+        g = sample_gnm(9, 20, 4) if twin_free else blow_up(cycle(5), [1, 2, 1, 2, 1])
+        k = len(g.twin_quotient[1])
+        assert (k == g.n) == twin_free
+        h = complete_bipartite(2, 3)
+        ((_, plan, *_),), uses = _schedule(((h.n, h.edges, 1),))
+        assert [step[3] is not None for step in plan] == [True, True, False, False, False]
+        assert list(uses.values()) == [2]
+        calls, einsum = [], np.einsum
+
+        def logged(spec, *ops, **kwargs):
+            if ops[0].dtype == np.int64:
+                inputs, out = spec.split("->")
+                ranges = {c: n for s, op in zip(inputs.split(","), ops) for c, n in zip(s, op.shape)}
+                calls.append((len(out), math.prod(ranges.values())))
+            return einsum(spec, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", logged)
+        monkeypatch.setattr("sslab.homcounts._EXACT", 0.0)
+        assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+        assert [axes for axes, _ in calls] == [2, 2, 1, 0]
+        assert sum(work for _, work in calls) == _plan_work(plan, k) == 2 * k**3 + k**2 + k
 
     @pytest.mark.parametrize(
         "edges",
@@ -858,7 +888,10 @@ class TestConditionedSharing:
         for seed in range(300):
             h = _random_pattern(seed)
             order, _ = _schedule(_quotients(h.n, h.edges))
-            if not any(plan[0][0] == "sum" and inner and inner[1] for _, plan, _, inner, *_ in order):
+            if not any(
+                plan[0][0] == "sum" and plan[-1][0] == "condition" and plan[-1][3]
+                for _, plan, *_ in order
+            ):
                 continue
             checked += 1
             for g in hosts:

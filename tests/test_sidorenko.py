@@ -22,6 +22,7 @@ from sslab.graphs import (
     complete_bipartite,
     cycle,
     path,
+    sample_gnm,
     split_graph,
     star,
     union,
@@ -30,6 +31,7 @@ from sslab.sidorenko import (
     DegenerateExponentError,
     NonBipartiteError,
     SidorenkoError,
+    _rhs,
 )
 from conftest import random_graph
 
@@ -114,6 +116,29 @@ class TestCheckSuite:
         with pytest.raises(SidorenkoError):
             check_suite(cycle(4), empty_graph(3))
 
+
+    def test_right_hand_side_past_the_float_range(self, monkeypatch):
+        # M = 180 on G(30, 90), and M^e leaves the float64 range at e = 137
+        # edges, the path on 138 vertices: refused before hom is counted
+        g = sample_gnm(30, 90, 1)
+        assert check_suite(path(137), g).rhs_i == 180.0**136 * 30.0 ** (137 - 272)
+        monkeypatch.setattr("sslab.sidorenko.hom_contract", None)
+        with pytest.raises(SidorenkoError, match="^rhs_i leaves the float64 range$"):
+            check_suite(path(138), g)
+
+    @pytest.mark.parametrize(
+        "name, powers",
+        [
+            ("rhs_cert", [(10.0, 400)]),
+            ("chain_slack", [(1e300, 1.5), (2.0, -0.5)]),
+            ("rhs_ii", [(1e200, 1), (1e200, 1)]),
+        ],
+    )
+    def test_every_right_hand_side_is_range_checked(self, name, powers):
+        # an int or a float exponent past the range raises OverflowError,
+        # while a product of two finite powers passes it quietly
+        with pytest.raises(SidorenkoError, match=f"^{name} leaves the float64 range$"):
+            _rhs(name, *powers)
 
 class TestP3Counterexample:
     def test_t9_exact(self):

@@ -36,7 +36,7 @@ from sslab.graphs import (
     star,
     _twins,
 )
-from sslab.homcounts import _execute, _plan, _put, _quotients, codegree_work
+from sslab.homcounts import _Shared, _execute, _put, _quotients, _schedule, codegree_work
 from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 
@@ -45,13 +45,13 @@ from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 def unweighted_sum(terms, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms` on g's dense n x n
-    adjacency with no weights: each term's plan in float64, rerun on Python
-    ints when a factor passes 2^52, as the engine ran before the quotient."""
+    adjacency with no weights: each term's keyed plan in float64, rerun on
+    Python ints when a factor passes 2^52, as the engine ran before the
+    quotient."""
     a = dense_adjacency(g)
     total = 0
     for n_vars, edges, mu in terms:
-        scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
-        plan = _plan(frozenset(range(n_vars)), scopes)
+        ((_, plan, *_),), uses = _schedule(((n_vars, edges, 1),))
         value = None
         for host in (a, a.astype(np.int64).astype(object)):
             factors = {}
@@ -59,7 +59,7 @@ def unweighted_sum(terms, g: Graph) -> int:
                 scope = tuple(sorted({u, v}))
                 f = np.diagonal(host) if u == v else host
                 factors[scope] = factors[scope] * f if scope in factors else f
-            value = _execute(plan, factors, g.n)
+            value = _execute(plan, factors, g.n, _Shared(uses))
             if value is not None:
                 break
         total += mu * value
