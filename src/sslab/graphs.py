@@ -10,8 +10,10 @@ duplicate edges, and endpoint range.
 
 from __future__ import annotations
 
+import io
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -443,11 +445,69 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The numpy pass: a comment is `#` at the start of a line, up to the first
+# character that is not printable ASCII (a tab, a CR or any other character
+# `str.splitlines` may break at stays behind and sends the text to the
+# loop); every other character must belong to a data line.
+_COMMENT = re.compile(r"(#[ -~]*)")
+_PLAIN_HEADER = re.compile(r"[0-9]{1,18} *")
+_DATA_BYTES = b"0123456789 \n-"
+# numpy 1.25's int64 parse retries an overflowing integer as a float, with
+# a DeprecationWarning; a run of 19 digits goes to the loop, 18 stay below
+# 2**63
+_ZEROS = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _read_plain(text: str) -> Optional[Graph]:
+    """The graph of `text` from one `np.loadtxt` pass, or None where that
+    pass might not give the line loop's graph bit for bit: a character or
+    number the pass does not take exactly, a header the loop would read
+    with `int`'s leniency or refuse, a row not of two integers, no data
+    line, or any `GraphError`, whose line only the loop knows."""
+    pieces = _COMMENT.split(text)  # data, comment, data, ..., data
+    n = None
+    for before, comment in zip(pieces[::2], pieces[1::2]):
+        if before and not before.endswith("\n"):
+            return None  # a `#` inside a line
+        body = comment[1:].lstrip(" ")
+        if body.startswith("n="):
+            if not _PLAIN_HEADER.fullmatch(body, 2):
+                return None
+            n = int(body[2:])  # the last header wins, as in the loop
+    data = "".join(pieces[::2])
+    if not data.isascii() or not data.strip():
+        return None
+    raw = data.encode()
+    if raw.translate(None, _DATA_BYTES) or b"0" * 19 in raw.translate(_ZEROS):
+        return None
+    try:
+        e = np.loadtxt(io.StringIO(data), dtype=np.intp, comments=None, ndmin=2)
+    except ValueError:  # a token such as `-`, `1-2` or `--3`
+        return None
+    if e.shape[1] != 2:
+        return None
+    if n is None:
+        n = min(max(int(e.max()) + 1, 0), MAX_VERTICES)
+    try:
+        return Graph.from_edges(n, e)
+    except GraphError:
+        return None
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format: blank lines, `#` comments, an optional
     `# n=<int>` header, and data lines of two integers.  Every other check
     is `Graph.from_edges`'s, raised as a `ParseError` at the line of the
-    offending edge, or of the header for a bad vertex count."""
+    offending edge, or of the header for a bad vertex count.
+
+    Text such as `write_edge_list` writes is read by one numpy pass;
+    `_read_lines` reads the rest and names the line of every error."""
+    g = _read_plain(text)
+    return _read_lines(text) if g is None else g
+
+
+def _read_lines(text: str) -> Graph:
+    """`read_edge_list` one line at a time: any text, every error."""
     n, header = None, 0  # the `# n=` header's value and line
     pairs: list[tuple[int, int]] = []
     lines: list[int] = []  # line of each pair

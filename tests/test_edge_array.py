@@ -291,3 +291,84 @@ def test_reader_reports_validation_errors_at_their_line(text, line, message):
         read_edge_list(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: {message}")
+
+
+# -- the numpy reader against the line loop ---------------------------------
+
+# pieces of edge-list text, odd ones included: line breaks `splitlines`
+# knows and plain `\n` does not, signs and underscores `int` takes, leading
+# zeros, 19 digits and more, inline and indented `#`, header variants
+_FUZZ_PIECES = st.sampled_from([
+    "0", "1", "2", "3", "7", "12", "007", "-0", "-1", "+3", "1_0", "-",
+    "1-2", "--1", "1000000000000000000", "99999999999999999999",
+    "0000000000000000000002", " ", "  ", "\t", "\n", "\n", "\n", "\r",
+    "\r\n", "\f", "\v", "\x1c", "\x85", "\u2028", "\xa0", "\u0663", "#",
+    "# note", "##", " # n=3", "# n=", "# n=4", "#n=4", "# n= 4", "# n=4  ", "#  n=5",
+    "# n=+4", "# n=1_0", "# n=0004", "# n=-1", "# n=x", "# n=4 4",
+    "# N=4", "# n=99999999999999999999", "# n=9\t", "1 2 # c",
+])
+
+
+# comment lines the numpy pass reads itself
+_PLAIN_COMMENTS = st.sampled_from(["# n=10", "#n=12", "#  n=007  ", "# n=0", "# note", "#", "##"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: loose fuzz, or a graph's edge lines among comments,
+    now and then with a bad edge or an odd piece."""
+    if draw(st.integers(0, 3)) == 0:
+        return "".join(draw(st.lists(_FUZZ_PIECES, max_size=30)))
+    _, edges = draw(edge_lists().filter(lambda case: case[1]))
+    pad = draw(st.sampled_from(["", "", " ", "0"]))  # leading space or zero
+    sep = draw(st.sampled_from([" ", " ", " ", " ", "  ", "\t"]))
+    lines = [f"{pad}{u}{sep}{pad}{v}" for u, v in edges]
+    extras = st.one_of(
+        _PLAIN_COMMENTS, _PLAIN_COMMENTS, _PLAIN_COMMENTS,
+        st.tuples(st.integers(-1, 15), st.integers(-1, 15)).map("{0[0]} {0[1]}".format),
+        _FUZZ_PIECES,
+    )
+    for extra in draw(st.lists(extras, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = draw(st.sampled_from(["\n"] * 5 + ["\r\n"])).join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+def read_outcome(read, text):
+    """The graph `read` makes of `text`, or its error's message and line."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_numpy_reader_agrees_with_the_line_loop(text):
+    from sslab.graphs import _read_lines
+
+    got = read_outcome(read_edge_list, text)
+    assert got == read_outcome(_read_lines, text)
+    if isinstance(got, Graph):
+        check_stored_form(got)
+
+
+def _no_loop(text):
+    raise AssertionError("the line loop ran")
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(max_n=40))
+def test_written_edge_lists_take_the_numpy_pass(case):
+    import sslab.graphs as graphs
+
+    g = Graph.from_edges(*case)
+    saved, graphs._read_lines = graphs._read_lines, _no_loop
+    try:
+        if g.edge_count:
+            assert read_edge_list(write_edge_list(g)) == g
+        else:  # no data line: the loop reads it, as any empty file
+            with pytest.raises(AssertionError, match="the line loop ran"):
+                read_edge_list(write_edge_list(g))
+    finally:
+        graphs._read_lines = saved

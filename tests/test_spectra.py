@@ -177,6 +177,101 @@ def test_lanczos_counts_matvecs_and_keeps_the_csr_solve_bits(case):
     assert matvecs > 0
 
 
+def _int64_indices(a):
+    a = a.copy()
+    a.indptr, a.indices = a.indptr.astype(np.int64), a.indices.astype(np.int64)
+    return a
+
+
+def _deleted_block(g, u, v, size):
+    """The CSR of g's one block less the edge uv, of `size` vertices."""
+    from sslab.spectra import _Block
+
+    block = _Block(g.sparse_adjacency(), range(g.n))
+    assert block.delete(u, v) == [block] and block.a.shape == (size, size)
+    return block.a
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        sample_gnm(120, 700, 5).sparse_adjacency(),
+        _int64_indices(sample_gnm(120, 700, 5).sparse_adjacency()),
+        # two entries masked out of the block's CSR
+        _deleted_block(split_graph(2, 200), 0, 1, split_graph(2, 200).n),
+        # a pendant's row and column dropped
+        _deleted_block(Graph.from_edges(81, [(0, k) for k in range(1, 80)] + [(79, 80)]), 79, 80, 80),
+    ],
+    ids=["int32", "int64", "masked", "pendant"],
+)
+def test_the_kernel_operator_keeps_the_dot_bits_and_counts(adj):
+    from sslab.spectra import _csr_operator
+
+    op = _csr_operator()(adj)
+    assert _csr_operator() is type(op)  # one class for every solve
+    rng = np.random.default_rng(adj.shape[0])
+    for k in range(1, 6):
+        v = rng.standard_normal(adj.shape[0])
+        assert op.matvec(v).tobytes() == adj.dot(v).tobytes()
+        assert op.matvecs == k
+
+
+def _counting_eigsh(products, result):
+    """A stand-in `eigsh` that makes `products` matvecs and then raises
+    `ArpackNoConvergence` (result None) or returns the eigenvector result."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def eigsh(op, k, which, v0, tol):
+        for _ in range(products):
+            op.matvec(v0)
+        if result is None:
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((len(v0), 0)))
+        return np.ones(1), result(len(v0)).reshape(-1, 1)
+
+    return eigsh
+
+
+@pytest.mark.parametrize(
+    "result, restart",
+    [
+        (None, "v0"),  # ARPACK gives up
+        (np.zeros, "v0"),  # the clipped vector is 0
+        (lambda n: np.eye(n)[0], "x"),  # the residual is above tol
+    ],
+    ids=["no-convergence", "zero-vector", "residual"],
+)
+def test_a_fallback_counts_the_solver_matvecs(monkeypatch, result, restart):
+    import scipy.sparse.linalg
+
+    from sslab.spectra import _lanczos_top, _power_iterate
+
+    adj = split_graph(2, 200).sparse_adjacency()
+    n = adj.shape[0]
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _counting_eigsh(7, result))
+    lam, x, res, iters = _lanczos_top(adj, v0, 1e-10)
+    want = _power_iterate(adj, v0 if restart == "v0" else np.eye(n)[0], 1e-10)
+    assert (lam, x.tobytes(), res) == (want[0], want[1].tobytes(), want[2])
+    assert iters == 7 + want[3]
+    # and so does the Perron data of a graph whose block takes that path
+    assert perron(split_graph(2, 200)).iterations == 7 + want[3]
+
+
+def test_importing_the_cli_leaves_the_eigensolver_unloaded():
+    # CLI start-up, and the benchmark's setup_s, leave scipy.sparse.linalg
+    # to the first Lanczos solve
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, sslab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), os.pardir, "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 class TestSplitLambda:
     def test_divisible_closed_form(self):
         for k in range(1, 7):
