@@ -386,6 +386,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--m-range must be start:stop:step")
     if start < 1:
         raise UsageError("--m-range start must be >= 1")
+    if stop < start:
+        raise UsageError("--m-range stop must be >= start")
     if step <= 0:
         raise UsageError("sweep step must be > 0")
     if args.t < 2:
@@ -394,6 +396,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("samples must be >= 1")
     # rows come out sorted by (family, m, sample)
     families = sorted(f.strip() for f in args.families.split(",") if f.strip())
+    if not families:
+        raise UsageError("--families names no family")
+    if len(set(families)) < len(families):
+        raise UsageError("--families names a family twice")
     rows = [
         (fam, m, s)
         for fam in families

@@ -20,8 +20,10 @@ Three engines, every result an exact Python int:
   conditions on a pattern vertex shares in the same way inside the loop
   over that vertex's classes, with a store of its own for each class and
   the conditioned vertices held in place: K_{3,3} makes A diag(A[x]) A
-  once per class x, not three times.  The keys ride on the plan's steps,
-  and an exact rerun runs the same plan with a store of its own.
+  once per class x, not three times.  One walk of the pattern (`_plan`)
+  orders the eliminations and records the sub-pattern each step sums out,
+  so the keys ride on the plan's steps, and an exact rerun runs the same
+  plan with a store of its own.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -163,48 +165,42 @@ def hom_count(h: Graph, g: Graph) -> CountResult:
 _EXACT = 2.0**52  # float64 holds every integer up to 2^53
 
 
-@lru_cache(maxsize=1024)
-def _plan(variables: frozenset, scopes: frozenset) -> tuple:
-    """Elimination steps for factors on `scopes` (sorted variable tuples).
+def _sub_pattern(edges: frozenset, others: tuple, fixed: tuple) -> tuple:
+    """The sub-pattern a sum step sums out, as `(n, edges, colours)` on
+    0..n-1: the pattern `edges` multiplied into the step's inputs, with the
+    i-th vertex of the result scope `others` coloured 2(i+1), the j-th
+    vertex of `fixed` (the vertices conditioned on so far, each held at one
+    host vertex or class) coloured 2(j+3), and a looped vertex's colour
+    raised by 1."""
+    verts = sorted({u for s in edges for u in s})
+    label = {u: i for i, u in enumerate(verts)}
+    color = [
+        2 * (others.index(u) + 1) if u in others
+        else 2 * (fixed.index(u) + 3) if u in fixed
+        else 0
+        for u in verts
+    ]
+    for s in edges:
+        if len(s) == 1:
+            color[label[s[0]]] += 1
+    pairs = frozenset((label[s[0]], label[s[1]]) for s in edges if len(s) == 2)
+    return len(verts), pairs, tuple(color)
+
+
+def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
+    """Elimination steps for factors on the scopes (sorted variable tuples)
+    that `held` maps to the pattern edges multiplied into each.
 
     Each step sums out the variable whose result has the fewest variables,
-    lowest index on ties: ("sum", v, result scope).  When every result would
-    have three or more variables, the plan conditions instead, on the
-    variable of that scope found in the most factors, and the rest of the
-    plan runs once per host vertex: ("condition", c, subplan).
-    """
-    variables, scopes = set(variables), set(scopes)
-    # each variable's neighbours: the others that share a factor with it
-    nbrs = {v: {u for s in scopes if v in s for u in s} - {v} for v in variables}
-    steps = []
-    while variables:
-        v = min(variables, key=lambda v: (len(nbrs[v]), v))
-        others = tuple(sorted(nbrs[v]))
-        if len(others) > 2:
-            c = max(others, key=lambda u: (sum(u in s for s in scopes), -u))
-            rest = {tuple(u for u in s if u != c) for s in scopes} - {()}
-            steps.append(("condition", c, _plan(frozenset(variables - {c}), frozenset(rest))))
-            break
-        variables.discard(v)
-        for u in others:  # v's factors become one on `others`
-            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
-        scopes = {s for s in scopes if v not in s} | ({others} if others else set())
-        steps.append(("sum", v, others))
-    return tuple(steps)
-
-
-def _sub_patterns(plan: tuple, held: dict, fixed: tuple = ()) -> tuple:
-    """(subs, inner) for `plan`, a plan for factors on the scopes that
-    `held` maps to the pattern edges multiplied into each.  `subs` has one
-    entry per step.  A sum step whose result has axes gets the sub-pattern
-    it has summed out, as `(n, edges, colours)` on 0..n-1: the pattern
-    edges multiplied into its inputs, with the i-th vertex of the result
-    scope coloured 2(i+1), the j-th vertex of `fixed` (the vertices
-    conditioned on so far, each held at one host vertex or class)
-    coloured 2(j+3), and a looped vertex's colour raised by 1.  Every other
-    step gets None.  `inner` is the same pair for the sub-plan of a
-    condition step, whose factors hold the edges of the factors they are
-    sliced from, or None when the plan has no condition step.
+    lowest index on ties: ("sum", v, result scope, sub), with `sub` the
+    `_sub_pattern` it sums out when the result has axes, else None.  When
+    every result would have three or more variables, the plan conditions
+    instead, on the variable of that scope found in the most factors, and
+    the rest of the plan runs once per host vertex: ("condition", c,
+    subplan, uses), with the subplan's factors holding the edges of the
+    factors they are sliced from, `fixed` extended by c, and its sum steps
+    keyed among themselves (`_keyed`), since each class it runs for has a
+    store of its own; `uses` counts the steps that take each key.
 
     On one 0/1 host, with the fixed vertices held at the same places,
     steps with isomorphic sub-patterns give equal arrays: a factor is the
@@ -217,38 +213,32 @@ def _sub_patterns(plan: tuple, held: dict, fixed: tuple = ()) -> tuple:
     not from the factors' scopes: two factors on one scope may hold
     different summed-out sub-patterns.
     """
-    held = dict(held)
-    subs: list = []
-    for step in plan:
-        if step[0] == "condition":
-            _, c, subplan = step
+    variables, held = set(variables), dict(held)
+    # each variable's neighbours: the others that share a factor with it
+    nbrs = {v: {u for s in held if v in s for u in s} - {v} for v in variables}
+    steps = []
+    while variables:
+        v = min(variables, key=lambda v: (len(nbrs[v]), v))
+        others = tuple(sorted(nbrs[v]))
+        if len(others) > 2:
+            c = max(others, key=lambda u: (sum(u in s for s in held), -u))
             sliced: dict = {}
             for s, edges in held.items():
                 rest = tuple(u for u in s if u != c)
                 if rest:  # the factor on (c,) is the class's scalar weight
                     sliced[rest] = sliced.get(rest, frozenset()) | edges
-            return subs + [None], _sub_patterns(subplan, sliced, fixed + (c,))
-        _, v, others = step
-        inc = [s for s in held if v in s]
-        edges = frozenset().union(*(held.pop(s) for s in inc))
-        if not others:
-            subs.append(None)
-            continue
-        held[others] = held.get(others, frozenset()) | edges
-        verts = sorted({u for s in edges for u in s})
-        label = {u: i for i, u in enumerate(verts)}
-        color = [
-            2 * (others.index(u) + 1) if u in others
-            else 2 * (fixed.index(u) + 3) if u in fixed
-            else 0
-            for u in verts
-        ]
-        for s in edges:
-            if len(s) == 1:
-                color[label[s[0]]] += 1
-        pairs = frozenset((label[s[0]], label[s[1]]) for s in edges if len(s) == 2)
-        subs.append((len(verts), pairs, tuple(color)))
-    return subs, None
+            subplan = _plan(variables - {c}, sliced, fixed + (c,))
+            keys, uses = _keyed(step[3] for step in subplan if step[0] == "sum")
+            steps.append(("condition", c, _key(subplan, keys), uses))
+            break
+        variables.discard(v)
+        for u in others:  # v's factors become one on `others`
+            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
+        edges = frozenset().union(*[held.pop(s) for s in list(held) if v in s])
+        if others:
+            held[others] = held.get(others, frozenset()) | edges
+        steps.append(("sum", v, others, _sub_pattern(edges, others, fixed) if others else None))
+    return tuple(steps)
 
 
 def _invariant(sub: tuple) -> tuple:
@@ -272,52 +262,40 @@ def _keyed(subs) -> tuple:
     return {sub: form for sub, form in forms.items() if form in uses}, uses
 
 
-def _attach(plan: tuple, found: tuple, keys: dict) -> tuple:
-    """`plan` with its keys on its steps, from its `_sub_patterns` pair
-    `found`: a sum step becomes ("sum", v, others, key), with the key
-    `keys` gives its sub-pattern (None if none), and a condition step
-    ("condition", c, keyed sub-plan, uses).  The sub-plan is keyed among
-    its own steps, since each class it runs for has a store of its own,
-    and `uses` counts the steps that take each of its keys."""
-    subs, nested = found
-    steps = [(*step, keys.get(sub)) for step, sub in zip(plan, subs) if step[0] == "sum"]
-    if nested:
-        _, c, subplan = plan[-1]
-        sub_keys, uses = _keyed(nested[0])
-        steps.append(("condition", c, _attach(subplan, nested, sub_keys), uses))
-    return tuple(steps)
+def _key(plan: tuple, keys: dict) -> tuple:
+    """`plan` with each sum step's sub-pattern replaced by its key in
+    `keys`, None if it has none."""
+    return tuple((*step[:3], keys.get(step[3])) if step[0] == "sum" else step for step in plan)
 
 
 @lru_cache(maxsize=256)
 def _schedule(terms: tuple) -> tuple:
     """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan,
-    edges, mu) in evaluation order, each plan keyed by `_attach`, and the
-    number of top-level steps that take each key.
+    edges, mu) in evaluation order, each plan keyed, and the number of
+    top-level steps that take each key.
 
-    A step's key is the `_canonical` form of its sub-pattern
-    (`_sub_patterns`) when another step of the sum has a sub-pattern with
-    the same `_invariant`, and only when that form recurs; the other steps
-    get None.  A condition step's sub-plan is keyed in the same way, among
-    its own steps.  Terms run in ascending order of the largest
-    sub-pattern behind a 2-axis step, so the k x k results that later
-    terms reuse are built as late as possible and few are held at once.
+    A top-level sum step's key is the `_canonical` form of its sub-pattern
+    (`_plan`) when another step of the sum has a sub-pattern with the same
+    `_invariant`, and only when that form recurs (`_keyed`); the other
+    steps get None.  A condition step's sub-plan comes from `_plan` keyed
+    in the same way, among its own steps.  Terms run in ascending order of
+    the largest sub-pattern behind a 2-axis step, so the k x k results
+    that later terms reuse are built as late as possible and few are held
+    at once.
     """
     planned = []
     for n_vars, edges, mu in terms:
-        scopes = frozenset(tuple(sorted({u, v})) for u, v in edges)
-        plan = _plan(frozenset(range(n_vars)), scopes)
-        found = _sub_patterns(plan, {s: frozenset([s]) for s in scopes})
-        planned.append((n_vars, plan, found, edges, mu))
-    keys, uses = _keyed([sub for term in planned for sub in term[2][0]])
+        held = {s: frozenset([s]) for s in {tuple(sorted({u, v})) for u, v in edges}}
+        planned.append((n_vars, _plan(frozenset(range(n_vars)), held), edges, mu))
+    keys, uses = _keyed(step[3] for term in planned for step in term[1] if step[0] == "sum")
 
     def widest(term):
-        plan, subs = term[1], term[2][0]
-        sizes = [sub[0] for step, sub in zip(plan, subs) if sub and len(step[2]) == 2]
-        return max(sizes, default=0)
+        sums = [step for step in term[1] if step[0] == "sum" and len(step[2]) == 2]
+        return max((step[3][0] for step in sums), default=0)
 
     order = tuple(
-        (n_vars, _attach(plan, found, keys), edges, mu)
-        for n_vars, plan, found, edges, mu in sorted(planned, key=widest)
+        (n_vars, _key(plan, keys), edges, mu)
+        for n_vars, plan, edges, mu in sorted(planned, key=widest)
     )
     return order, uses
 
@@ -363,7 +341,7 @@ def _to_int(x) -> Optional[int]:
 
 
 def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
-    """Run the keyed `plan` (`_attach`) over `factors` (scope -> array on n
+    """Run the keyed `plan` (`_schedule`) over `factors` (scope -> array on n
     host vertices or twin classes per axis; a vertex with no factor, which
     only an unweighted run has, contributes a factor n).  Returns the exact
     value, or None as soon as a float factor or scalar leaves the certified

@@ -92,10 +92,12 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     rhs_i  = M^e n^{v-2e}          (always)
     rhs_ii = lam^{2e-v} M^{v-e}    (when v <= e)
     rhs_iii= lam^e n^{v-e}         (when v <= e)
-    rhs_cert = opnorm(g, s', s)^e  (when v <= e; reuses lam when s = s' = 2)
+    rhs_cert = opnorm(g, s', s)^e  (when v <= e; lam itself when s = s' = 2)
 
-    The right-hand sides come first: one that leaves the float64 range
-    raises `SidorenkoError` before hom(h, g) is counted.
+    Perron is solved once, at `tol`: lam, and `opnorm`'s start and 2->2
+    value, all come from that solve.  The right-hand sides come first: one
+    that leaves the float64 range raises `SidorenkoError` before hom(h, g)
+    is counted.
     """
     if g.edge_count < 1:
         raise SidorenkoError("host needs at least one edge")
@@ -103,16 +105,14 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     v, e = ex.v, ex.e
     big_m, n = float(g.big_m), float(g.n)
     rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
-    lam = perron(g, tol=tol).lam
+    pd = perron(g, tol=tol)
+    lam = pd.lam
     applicable = v <= e
     rhs_ii = rhs_iii = rhs_cert = chain_slack = None
     if applicable:
         rhs_ii = _rhs("rhs_ii", (lam, 2 * e - v), (big_m, v - e))
         rhs_iii = _rhs("rhs_iii", (lam, e), (n, v - e))
-        if ex.s == 2.0 and ex.s_prime == 2.0:
-            norm_val = lam  # the 2->2 norm is the spectral radius; skip opnorm
-        else:
-            norm_val = opnorm(g, ex.s_prime, ex.s, tol=max(tol, 1e-12)).value
+        norm_val = opnorm(g, ex.s_prime, ex.s, pd, tol=max(tol, 1e-12)).value
         rhs_cert = _rhs("rhs_cert", (norm_val, e))
         chain_slack = _rhs("chain_slack", (norm_val, ex.alpha), (big_m, 1 - ex.alpha)) - lam
     hom = hom_contract(h.n, h.edges, g).value

@@ -38,7 +38,7 @@ class RegimeError(SpectraError):
 
 
 # perron's default relative residual, the iteration cap of every solver
-# here, and how many random starts opnorm adds to the all-ones and Perron ones
+# here, and opnorm's starts after the all-ones one: the Perron one, then random
 _TOL = 1e-10
 _MAX_ITER = 100000
 _RESTARTS = 3
@@ -453,32 +453,27 @@ def _dual_power(y: np.ndarray, s: float) -> np.ndarray:
     return np.sign(y) * np.abs(y) ** (s - 1)
 
 
-def opnorm(g: Graph, p: float, q: float, tol: float = 1e-10) -> OpNormEstimate:
+def opnorm(g: Graph, p: float, q: float, pd: PerronData, tol: float = 1e-10) -> OpNormEstimate:
     """Certified lower bound on the p->q operator norm of the adjacency matrix.
 
     Regime 1 < p <= 2 <= q < infinity.  Nonlinear power iteration with
-    alternating dual-exponent sign-power maps from strictly positive starts;
-    for nonnegative matrices in this regime the iterate values are monotone
-    nondecreasing, so the best witness over all restarts is returned.
+    alternating dual-exponent sign-power maps from strictly positive starts
+    (all-ones, g's Perron vector from the caller's solve `pd`, and random
+    ones); for nonnegative matrices in this regime the iterate values are
+    monotone nondecreasing, so the best witness over all restarts is
+    returned.  At p = q = 2 the norm is `pd`'s spectral radius.
     """
     if not (1 < p <= 2 <= q < math.inf):
         raise RegimeError(f"(p,q)=({p},{q}) outside 1 < p <= 2 <= q < inf")
     if g.edge_count == 0:
         raise NoEdgesError("opnorm requires at least one edge")
     if p == 2 and q == 2:
-        pd = perron(g, tol=tol)
         return OpNormEstimate(p, q, pd.lam, pd.x.copy(), True, 0)
     a, n, p_conj = g.sparse_adjacency(), g.n, p / (p - 1)
     rng = np.random.default_rng(12345)
     best_val, best_x, converged = -1.0, None, False
-    starts = [np.ones(n)]
-    try:
-        pd = perron(g, tol=max(tol, 1e-8))
-        starts.append(pd.x + 1e-6)
-    except SpectraError:
-        pass
-    while len(starts) < _RESTARTS + 1:
-        starts.append(rng.uniform(0.5, 1.5, size=n))
+    starts = [np.ones(n), pd.x + 1e-6]
+    starts += [rng.uniform(0.5, 1.5, size=n) for _ in range(_RESTARTS - 1)]
     for x in starts:
         x = np.abs(x)
         x /= np.linalg.norm(x, ord=p)

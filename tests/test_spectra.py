@@ -337,20 +337,21 @@ class TestSplitLambda:
 
 class TestOpNorm:
     def test_single_edge_4_3_to_4(self):
-        est = opnorm(path(2), 4 / 3, 4)
+        est = opnorm(path(2), 4 / 3, 4, perron(path(2)))
         assert abs(est.value - 1.0) < 1e-8
 
     def test_two_two_is_spectral_radius(self):
         g = random_graph(11, 9)
-        est = opnorm(g, 2, 2)
-        assert abs(est.value - perron(g).lam) < 1e-9
+        est = opnorm(g, 2, 2, perron(g))
+        assert abs(est.value - eig_lambda(g)) < 1e-9
         assert est.restarts_used == 0
 
     def test_witness_invariant(self):
         for s in range(20):
             g = random_graph(600 + s, 9)
+            pd = perron(g)
             for p, q in [(4 / 3, 4), (1.5, 3), (2, 5)]:
-                est = opnorm(g, p, q)
+                est = opnorm(g, p, q, pd)
                 a = dense_adjacency(g)
                 assert abs(np.linalg.norm(est.witness, ord=p) - 1) < 1e-9
                 achieved = np.linalg.norm(a @ est.witness, ord=q)
@@ -363,7 +364,7 @@ class TestOpNorm:
         for s in range(10):
             g = random_graph(70 + s, 8)
             a = dense_adjacency(g)
-            est = opnorm(g, 1.5, 3)
+            est = opnorm(g, 1.5, 3, perron(g))
             for _ in range(200):
                 x = rng.standard_normal(g.n)
                 x /= np.linalg.norm(x, ord=1.5)
@@ -376,17 +377,22 @@ class TestOpNorm:
         # the iterate values grow with the host, and so does their float
         # roundoff: on S_{3,2*10^4} one step drops by 1.0e-12 on 27.14,
         # which an absolute 1e-12 slack took for a decrease
-        est = opnorm(split_graph(3, m), 1.5, 3)
+        g = split_graph(3, m)
+        est = opnorm(g, 1.5, 3, perron(g))
         assert est.converged and abs(est.value - value) < 1e-4
 
     def test_regime_enforced(self):
         for p, q in [(1, 2), (3, 4), (2, math.inf), (2.5, 3)]:
             with pytest.raises(RegimeError):
-                opnorm(path(2), p, q)
+                opnorm(path(2), p, q, perron(path(2)))
 
     def test_no_edges_rejected(self):
+        # an edgeless host has no Perron data, and opnorm refuses it too
+        g = Graph.from_edges(2, [])
         with pytest.raises(NoEdgesError):
-            opnorm(Graph.from_edges(2, []), 1.5, 3)
+            perron(g)
+        with pytest.raises(NoEdgesError):
+            opnorm(g, 1.5, 3, perron(path(2)))
 
 
 def reference_opnorm(g, p, q, tol=1e-10):
@@ -421,7 +427,7 @@ def test_opnorm_matches_the_dense_loop(seed, pq):
     # summation orders can stop one step apart: on 6000 hosts like these the
     # values agreed within 1e-12 relative on all but two, worst 9.6e-12
     g = random_graph(seed, 16)
-    est = opnorm(g, *pq)
+    est = opnorm(g, *pq, perron(g, tol=1e-8))
     assert est.restarts_used == 4
     assert abs(est.value - reference_opnorm(g, *pq)) <= 1e-10 * est.value
 
