@@ -65,7 +65,9 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Edges in any order and orientation.  The first loop or
         out-of-range edge in input order is reported before any repeat, and
-        the error's `position` is the offending edge's index in the input."""
+        the error's `position` is the offending edge's index in the input.
+        Input already in the stored form (u < v on every row, the rows
+        strictly increasing) is kept as it comes, in a copy, unsorted."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
@@ -82,6 +84,9 @@ class Graph:
                     raise GraphError(f"loop at vertex {u}", i)
                 if not (0 <= u < n and 0 <= v < n):
                     raise GraphError(f"edge ({u},{v}) out of range for n={n}", i)
+        u, v = e[:, 0], e[:, 1]
+        if np.all(u < v) and np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
+            return Graph(n, e)  # `np.array` copied the input
         e = np.sort(e, axis=1)
         order = np.lexsort((e[:, 1], e[:, 0]))  # stable: a repeat sorts after its first
         e = e[order]
@@ -107,10 +112,22 @@ class Graph:
 
     @cached_property
     def _csr(self) -> csr_matrix:
-        e = self.edge_array
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+        """The CSR read off the stored form, with no COO pass.  Mirrored,
+        each edge (u, v) is an entry of row v and one of row u; a stable
+        argsort of the rows keeps the (u, v) entries of row v first, in
+        ascending u, and then the (v, w) entries in ascending w, so every
+        row's columns come out ascending with no repeats.  The index dtype
+        is scipy's for these sizes: int32 while n and 2m fit it."""
+        e, n = self.edge_array, self.n
+        fits = max(n, 2 * len(e)) <= np.iinfo(np.int32).max
+        e = e.astype(np.int32) if fits else e
+        rows = np.concatenate([e[:, 1], e[:, 0]])
+        indptr = np.zeros(n + 1, dtype=e.dtype)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = np.concatenate([e[:, 0], e[:, 1]])[np.argsort(rows, kind="stable")]
+        a = csr_matrix((np.ones(len(rows)), indices, indptr), shape=(n, n))
+        a.has_canonical_format = True  # sorted rows, no repeats
+        return a
 
     def sparse_adjacency(self) -> csr_matrix:
         """Symmetric 0/1 float64 CSR adjacency with sorted indices, built

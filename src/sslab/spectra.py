@@ -59,8 +59,11 @@ class PerronData:
     solver ran.  `margin` is lam minus the largest spectral radius among the
     other components that have an edge (inf when there is none); deleting an
     edge outside this component can only lower the others, so it cannot
-    shrink.  Two solves are equal when every field is, `x` compared by its
-    bytes.
+    shrink.  Two solves are equal when every field but `iterations` is, `x`
+    compared by its bytes.  `iterations` is a work counter, not part of the
+    result: ARPACK's matvec count on one CSR can differ between two runs in
+    one process (OpenBLAS picks its kernels at run time) while lam, x and
+    the residual keep their bits.
     """
 
     lam: float
@@ -73,7 +76,7 @@ class PerronData:
     def _identity(self) -> tuple:
         x = self.x
         return (self.lam, x.dtype.str, x.shape, x.tobytes(), self.component,
-                self.residual, self.iterations, self.margin)
+                self.residual, self.margin)
 
     def __eq__(self, other):
         if not isinstance(other, PerronData):
@@ -88,22 +91,26 @@ def _power_iterate(adj, x, tol: float):
     """Power iteration on A + I (the shift removes bipartite oscillation)
     from the unit nonnegative start x.
 
-    `adj` is anything supporting `adj @ x`.  Returns (lam, x, residual, iters).
+    `adj` is anything supporting `adj @ x`: a dense block, or a CSR when
+    the Lanczos solve falls back.  Each step makes one product, A x of the
+    new iterate, which gives lam and the residual and starts the next
+    step.  Returns (lam, x, residual, iters).
     """
     lam = 0.0
     residual = math.inf
+    ax = adj @ x
     for it in range(1, _MAX_ITER + 1):
-        ax = adj @ x
         y = ax + x
-        ny = np.linalg.norm(y)
+        ny = math.sqrt(y @ y)  # np.linalg.norm's sum for a real vector
         if ny == 0:
             break
         x = y / ny
-        ax = adj @ x
+        ax = adj @ x  # for lam and the residual here, and the next step
         lam = float(x @ ax)
         # relative residual: the absolute one bottoms out at the float
         # summation noise floor (~ n * eps * lam) on large hosts
-        residual = float(np.linalg.norm(ax - lam * x)) / max(1.0, lam)
+        r = ax - lam * x
+        residual = math.sqrt(r @ r) / max(1.0, lam)
         if residual <= tol:
             return lam, x, residual, it
     raise ConvergenceError(
@@ -187,7 +194,8 @@ def _lanczos_top(adj, v0, tol: float):
 
 class _Block:
     """One component of a graph: its sorted vertex array `idx` and its block
-    `a` of the CSR adjacency, `sparse_adjacency()[idx][:, idx]`.  Each solve
+    `a` of the CSR adjacency, `sparse_adjacency()[idx][:, idx]`, or the CSR
+    itself when the component holds every vertex.  Each solve
     picks its solver by the block's current size: dense power iteration up
     to 64 vertices, Lanczos above.
 
@@ -201,7 +209,9 @@ class _Block:
 
     def __init__(self, a, comp: Sequence[int]):
         self.idx = np.asarray(comp, dtype=np.intp)
-        self.a = a[self.idx][:, self.idx]
+        # a connected graph's block is its CSR, shared: `delete` builds new
+        # arrays and writes none of a's
+        self.a = a if len(self.idx) == a.shape[0] else a[self.idx][:, self.idx]
         self._last = None  # ((start bytes, tol), solver result)
 
     @property

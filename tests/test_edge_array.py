@@ -372,3 +372,77 @@ def test_written_edge_lists_take_the_numpy_pass(case):
                 read_edge_list(write_edge_list(g))
     finally:
         graphs._read_lines = saved
+
+
+# -- input already in the stored form ------------------------------------------
+
+
+def sorting_from_edges(n, edges):
+    """`from_edges` sorting every input: orient each row, `lexsort` the
+    rows, and name the first repeat in input order."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        ok = bool(np.all(e[:, 0] != e[:, 1]) and np.all((e >= 0) & (e < n)))
+    except OverflowError:
+        ok = False
+    if not ok:
+        for i, (u, v) in enumerate(pairs):
+            if u == v:
+                raise GraphError(f"loop at vertex {u}", i)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}", i)
+    e = np.sort(e, axis=1)
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    e = e[order]
+    repeats = np.flatnonzero((e[1:, 0] == e[:-1, 0]) & (e[1:, 1] == e[:-1, 1])) + 1
+    if len(repeats):
+        raise GraphError("duplicate edge", int(order[repeats].min()))
+    return Graph(n, e)
+
+
+def build_outcome(build, n, edges):
+    """The graph `build` makes, or its error's message and position."""
+    try:
+        return build(n, edges)
+    except GraphError as exc:
+        return str(exc), exc.position
+
+
+@st.composite
+def stored_form_variants(draw):
+    """(n, edges): a graph's rows in the stored form, or that form nearly
+    kept: two neighbouring rows swapped, one row or every row reversed, a
+    row repeated, or a loop or out-of-range row put in."""
+    n, edges = draw(edge_lists(max_n=20))
+    rows = sorted((min(u, v), max(u, v)) for u, v in edges)
+    kind = draw(st.sampled_from(["stored", "swap", "flip", "reversed", "repeat", "bad"]))
+    if kind == "swap" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif kind == "flip" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][::-1]
+    elif kind == "reversed":
+        rows = [(v, u) for u, v in rows]
+    elif kind == "repeat" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    elif kind == "bad":
+        bad = draw(st.sampled_from([(0, 0), (0, n), (-1, 0)]))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_form_variants(), st.booleans())
+def test_from_edges_agrees_with_the_sorting_path(case, as_array):
+    n, rows = case
+    edges = np.array(rows, dtype=np.intp).reshape(-1, 2) if as_array else rows
+    got = build_outcome(Graph.from_edges, n, edges)
+    assert got == build_outcome(sorting_from_edges, n, edges)
+    if isinstance(got, Graph):
+        check_stored_form(got)
+        if as_array:  # a copy: the caller's array stays its own
+            assert not np.shares_memory(got.edge_array, edges)
+            assert edges.flags.writeable

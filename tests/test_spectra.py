@@ -63,6 +63,22 @@ class TestPerron:
         assert trace.final_perron is not None
         assert trace == heavy_prune(split_graph(2, 40), 2)
 
+    def test_the_iteration_count_is_not_part_of_a_solve(self):
+        # ARPACK's matvec count on one CSR varies between runs of a process
+        # while lam, x and the residual keep their bits
+        pd = perron(split_graph(2, 151))
+        recount = replace(pd, iterations=pd.iterations + 1)
+        assert pd == recount and hash(pd) == hash(recount)
+        others = [replace(pd, lam=np.nextafter(pd.lam, 0.0)),
+                  replace(pd, x=np.nextafter(pd.x, 1.0)),
+                  replace(pd, x=pd.x.astype(np.float32)),
+                  replace(pd, component=pd.component[:-1]),
+                  replace(pd, residual=pd.residual * 2 + 1e-300),
+                  replace(pd, margin=1.0)]
+        for other in others:
+            assert replace(other, iterations=pd.iterations) != pd
+        assert len({pd, recount, *others}) == len(others) + 1
+
     def test_unit_nonnegative_vector(self):
         for s in range(30):
             g = random_graph(50 + s, 10)
