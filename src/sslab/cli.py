@@ -131,8 +131,18 @@ def _emit(args, kind: str, *parts) -> None:
 
 
 def _load_graph(path) -> graphs.Graph:
-    with open(path) as fh:
-        return graphs.read_edge_list(fh.read())
+    """The graph in the edge-list file `path`, read as UTF-8 whatever the
+    locale; a byte that is not UTF-8 is a `ParseError` at its line.  Line
+    breaks are read as a file opened in text mode reads them, so `\r\n`
+    text too takes `read_edge_list`'s numpy pass."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())  # as the reader counts
+        raise graphs.ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8", line) from None
+    return graphs.read_edge_list(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _pattern_graph(args) -> graphs.Graph:

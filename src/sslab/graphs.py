@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -462,12 +463,9 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The numpy pass: a comment is `#` at the start of a line, up to the first
-# character that is not printable ASCII (a tab, a CR or any other character
-# `str.splitlines` may break at stays behind and sends the text to the
-# loop); every other character must belong to a data line.
-_COMMENT = re.compile(r"(#[ -~]*)")
-_PLAIN_HEADER = re.compile(r"[0-9]{1,18} *")
+# The numpy pass reads `write_edge_list`'s form only: an optional first
+# line `# n=<1-18 digits>`, then data lines of ASCII digits, `-` and spaces
+_HEADER = re.compile(r"# n=([0-9]{1,18})\n")
 _DATA_BYTES = b"0123456789 \n-"
 # numpy 1.25's int64 parse retries an overflowing integer as a float, with
 # a DeprecationWarning; a run of 19 digits goes to the loop, 18 stay below
@@ -476,22 +474,13 @@ _ZEROS = bytes.maketrans(b"123456789", b"000000000")
 
 
 def _read_plain(text: str) -> Optional[Graph]:
-    """The graph of `text` from one `np.loadtxt` pass, or None where that
-    pass might not give the line loop's graph bit for bit: a character or
-    number the pass does not take exactly, a header the loop would read
-    with `int`'s leniency or refuse, a row not of two integers, no data
-    line, or any `GraphError`, whose line only the loop knows."""
-    pieces = _COMMENT.split(text)  # data, comment, data, ..., data
-    n = None
-    for before, comment in zip(pieces[::2], pieces[1::2]):
-        if before and not before.endswith("\n"):
-            return None  # a `#` inside a line
-        body = comment[1:].lstrip(" ")
-        if body.startswith("n="):
-            if not _PLAIN_HEADER.fullmatch(body, 2):
-                return None
-            n = int(body[2:])  # the last header wins, as in the loop
-    data = "".join(pieces[::2])
+    """The graph of `text` from one `np.loadtxt` pass, or None where the
+    text is not in `write_edge_list`'s form: any other character, a
+    comment, a second header, a number the pass does not take exactly, a
+    row not of two integers, no data line, a vertex count past memory, or
+    any `GraphError`, whose line only the loop knows."""
+    header = _HEADER.match(text)
+    data = text[header.end():] if header else text
     if not data.isascii() or not data.strip():
         return None
     raw = data.encode()
@@ -503,8 +492,9 @@ def _read_plain(text: str) -> Optional[Graph]:
         return None
     if e.shape[1] != 2:
         return None
-    if n is None:
-        n = min(max(int(e.max()) + 1, 0), MAX_VERTICES)
+    n = int(header[1]) if header else min(max(int(e.max()) + 1, 0), MAX_VERTICES)
+    if _past_memory(n):
+        return None
     try:
         return Graph.from_edges(n, e)
     except GraphError:
@@ -515,10 +505,13 @@ def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format: blank lines, `#` comments, an optional
     `# n=<int>` header, and data lines of two integers.  Every other check
     is `Graph.from_edges`'s, raised as a `ParseError` at the line of the
-    offending edge, or of the header for a bad vertex count.
+    offending edge, or of the header for a bad vertex count.  Past those,
+    a vertex count whose CSR row pointer exceeds physical memory is refused
+    at the header, or at the first line holding the largest endpoint.
 
-    Text such as `write_edge_list` writes is read by one numpy pass;
-    `_read_lines` reads the rest and names the line of every error."""
+    Text in `write_edge_list`'s form (an optional `# n=` first line, then
+    plain data lines) is read by one numpy pass; `_read_lines` reads the
+    rest and names the line of every error."""
     g = _read_plain(text)
     return _read_lines(text) if g is None else g
 
@@ -552,7 +545,26 @@ def _read_lines(text: str) -> Graph:
         top = max(map(max, pairs), default=-1)
         n = min(max(top + 1, 0), MAX_VERTICES)
     try:
-        return Graph.from_edges(n, pairs)
+        g = Graph.from_edges(n, pairs)
     except GraphError as exc:
         line = header if exc.position is None else lines[exc.position]
         raise ParseError(str(exc), line) from None
+    past = _past_memory(n)
+    if past:  # at the header, or at the first line holding the largest endpoint
+        raise ParseError(past, header or next(k for p, k in zip(pairs, lines) if n - 1 in p))
+    return g
+
+
+def _past_memory(n: int) -> Optional[str]:
+    """Why n vertices do not fit: their CSR row pointer, n + 1 np.intp
+    entries, would exceed physical memory.  None where they fit, or where
+    `os.sysconf` cannot tell the memory's size."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no `os.sysconf`, or no such name
+        return None
+    need = (n + 1) * np.dtype(np.intp).itemsize
+    if memory <= 0 or need <= memory:  # a size of -1 is unknown
+        return None
+    return (f"vertex count {n} needs a {need}-byte row pointer,"
+            f" past the {memory} bytes of physical memory")

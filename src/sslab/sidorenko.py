@@ -97,14 +97,21 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     Perron is solved once, at `tol`: lam, and `opnorm`'s start and 2->2
     value, all come from that solve.  The right-hand sides come first: one
     that leaves the float64 range raises `SidorenkoError` before hom(h, g)
-    is counted.
+    is counted.  rhs_i, a ratio of integers, is rounded from that ratio
+    where only a float factor of it leaves the range.
     """
     if g.edge_count < 1:
         raise SidorenkoError("host needs at least one edge")
     ex = exponents(h)
     v, e = ex.v, ex.e
     big_m, n = float(g.big_m), float(g.n)
-    rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
+    try:
+        rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
+    except SidorenkoError:  # a factor may leave the range where the product does not
+        try:
+            rhs_i = float(Fraction(g.big_m) ** e * Fraction(g.n) ** (v - 2 * e))
+        except OverflowError:
+            raise SidorenkoError("rhs_i leaves the float64 range") from None
     pd = perron(g, tol=tol)
     lam = pd.lam
     applicable = v <= e

@@ -255,21 +255,26 @@ class TestHomAndCheck:
 
 
     def test_float_overflow_is_a_typed_error(self, tmp_path, capsys):
-        # on G(30, 90) the path on 138 vertices puts check's M^e past the
-        # float64 range, and lambda^378 (lambda = 6.598...) is past it too
+        # on G(30, 90) the path on 396 vertices puts check's rhs_i =
+        # 180 * 6^394 past the float64 range, and lambda^378 (lambda =
+        # 6.598...) is past it too
         from sslab.cli import main
         from sslab.graphs import sample_gnm
 
         host = tmp_path / "g.txt"
         host.write_text(write_edge_list(sample_gnm(30, 90, 1)))
         for argv, line in [
-            (["check", "--pattern", "path", "--pn", "138"], "rhs_i leaves the float64 range"),
+            (["check", "--pattern", "path", "--pn", "396"], "rhs_i leaves the float64 range"),
             (["regularize", "--k", "378"], "lambda^k = 6.598486960192456^378 leaves the float64 range"),
         ]:
             assert main([*argv, "--in", str(host)]) == 2
             assert capsys.readouterr() == ("", f"error: {line}\n")
+        # C_138's M^e = 180^138 is past the range, but rhs_i = 6^138 is not
+        assert main(["check", "--pattern", "c2t", "--t", "69", "--in", str(host)]) == 0
+        assert json.loads(capsys.readouterr().out)["rhs_i"] == 2.42589809216e+107
         assert main(["check", "--pattern", "path", "--pn", "137", "--in", str(host)]) == 0
         assert main(["regularize", "--k", "376", "--in", str(host)]) == 0
+
 
 class TestPipelineCommands:
     def test_prune_reports_trace(self, split_file):
@@ -640,6 +645,9 @@ class TestInputPastTheIndexRange:
             # within np.intp, but n + 1 row pointers are past numpy's array size
             "# n=9223372036854775807\n0 1\n",
             "# n=2305843009213693952\n0 1\n",
+            # within it, but n + 1 row pointers are past physical memory
+            "# n=100000000000\n0 1\n",
+            "0 1\n1 99999999999\n",
         ],
     )
     def test_is_a_clean_parse_error(self, tmp_path, capsys, text):
@@ -650,6 +658,63 @@ class TestInputPastTheIndexRange:
         assert main(["spectral", "--in", str(host)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "internal" not in err
+
+
+class TestInputFileText:
+    BAD = b"0 1\n\xff 2\n"
+
+    @pytest.mark.parametrize("flag", ["--in", "--pattern-file"])
+    def test_is_a_parse_error_at_its_line(self, tmp_path, capsys, flag):
+        from sslab.cli import main
+
+        bad, host = tmp_path / "bad.txt", tmp_path / "host.txt"
+        bad.write_bytes(self.BAD)
+        host.write_text(write_edge_list(star(4)))
+        if flag == "--in":
+            argv = ["spectral", "--in", str(bad)]
+        else:
+            argv = ["check", "--in", str(host), "--pattern", "custom", "--pattern-file", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: line 2: byte 0xff is not UTF-8\n")
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        # a comment in UTF-8 is read under a locale whose encoding is ASCII
+        host = tmp_path / "host.txt"
+        host.write_bytes("# g\u00e9n\u00e9r\u00e9\n".encode() + write_edge_list(star(4)).encode())
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C"}
+        env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")  # keep the locale's ASCII
+        r = subprocess.run(
+            [sys.executable, "-m", "sslab.cli", "spectral", "--in", str(host)],
+            capture_output=True, text=True, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == run_cli("spectral", "--in", str(host)).stdout
+
+    def test_line_counts_as_the_reader_does(self, tmp_path, capsys):
+        # a CR ends a line for the reader, so the bad byte sits on line 3
+        from sslab.cli import main
+
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\r\n1 2\r\xfe\n")
+        assert main(["spectral", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 3: byte 0xfe is not UTF-8\n"
+
+    def test_line_breaks_read_as_in_text_mode(self, tmp_path, monkeypatch):
+        # `\r\n` and `\r` break lines as `\n` does, so the numpy pass reads
+        # such a file without the line loop
+        import sslab.graphs
+        from sslab.cli import _load_graph
+
+        g = split_graph(2, 30)
+        host = tmp_path / "host.txt"
+        lines = write_edge_list(g).splitlines()
+        host.write_bytes(("\r\n".join(lines[:4]) + "\r" + "\r".join(lines[4:]) + "\r\n").encode())
+
+        def no_loop(text):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(sslab.graphs, "_read_lines", no_loop)
+        assert _load_graph(host) == g
 
 
 class TestUnexpectedErrors:

@@ -309,27 +309,31 @@ _FUZZ_PIECES = st.sampled_from([
 ])
 
 
-# comment lines the numpy pass reads itself
-_PLAIN_COMMENTS = st.sampled_from(["# n=10", "#n=12", "#  n=007  ", "# n=0", "# note", "#", "##"])
+# comment and header lines: the line loop reads every one of them, as the
+# numpy pass takes only the writer's `# n=` header, and that as line 1
+_COMMENT_LINES = st.sampled_from(["# n=10", "#n=12", "#  n=007  ", "# n=0", "# note", "#", "##"])
 
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list text: loose fuzz, or a graph's edge lines among comments,
-    now and then with a bad edge or an odd piece."""
+    now and then with a bad edge or an odd piece, and half the time under
+    the writer's header as line 1 (its n near the graph's, short of it too)."""
     if draw(st.integers(0, 3)) == 0:
         return "".join(draw(st.lists(_FUZZ_PIECES, max_size=30)))
-    _, edges = draw(edge_lists().filter(lambda case: case[1]))
+    n, edges = draw(edge_lists().filter(lambda case: case[1]))
     pad = draw(st.sampled_from(["", "", " ", "0"]))  # leading space or zero
     sep = draw(st.sampled_from([" ", " ", " ", " ", "  ", "\t"]))
     lines = [f"{pad}{u}{sep}{pad}{v}" for u, v in edges]
     extras = st.one_of(
-        _PLAIN_COMMENTS, _PLAIN_COMMENTS, _PLAIN_COMMENTS,
+        _COMMENT_LINES, _COMMENT_LINES, _COMMENT_LINES,
         st.tuples(st.integers(-1, 15), st.integers(-1, 15)).map("{0[0]} {0[1]}".format),
         _FUZZ_PIECES,
     )
     for extra in draw(st.lists(extras, max_size=4)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        lines.insert(0, f"# n={max(n + draw(st.integers(-1, 2)), 0)}")
     text = draw(st.sampled_from(["\n"] * 5 + ["\r\n"])).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))
 
@@ -372,6 +376,82 @@ def test_written_edge_lists_take_the_numpy_pass(case):
                 read_edge_list(write_edge_list(g))
     finally:
         graphs._read_lines = saved
+
+
+# a written list: `write_edge_list(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))`
+_WRITTEN = "# n=5\n0 1\n1 2\n3 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# note\n" + _WRITTEN,  # one extra comment line, before the header
+        _WRITTEN.replace("1 2\n", "1 2\n# note\n"),  # or among the data
+        _WRITTEN + "#\n",
+        _WRITTEN + "# n=7\n",  # a later header, which the loop reads last
+        _WRITTEN + "# n=3\n",  # one that refuses the edge (3, 4)
+        _WRITTEN.replace("# n=5", "# n=4"),  # the writer's header refusing it
+        _WRITTEN.replace("# n=5", "#n=5"),
+        _WRITTEN.replace("# n=5", "#  n=5"),
+        _WRITTEN.replace("# n=5", "# n=5 "),
+    ],
+)
+def test_only_the_writers_form_takes_the_numpy_pass(text):
+    from sslab.graphs import _read_lines, _read_plain
+
+    assert _read_plain(text) is None
+    assert read_outcome(read_edge_list, text) == read_outcome(_read_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text, line", [("# n=100000000000\n0 1\n", 1), ("0 1\n1 99999999999\n", 2)]
+)
+def test_vertex_count_past_memory_is_refused_at_its_line(text, line):
+    # the CSR row pointer would take 8 * (10^11 + 1) bytes, so the reader
+    # refuses the count instead of asking numpy for an array that size
+    import tracemalloc
+
+    from sslab.graphs import _read_plain
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            read_edge_list(text)
+        assert _read_plain(text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == line
+    message = f"line {line}: vertex count 100000000000 needs a 800000000008-byte row pointer"
+    assert str(exc.value).startswith(message)
+    assert str(exc.value).endswith(" bytes of physical memory")
+    assert peak < 10**6
+    # an error of from_edges comes first, with its own message and line
+    with pytest.raises(ParseError, match="^line 2: loop at vertex 0$"):
+        read_edge_list("# n=100000000000\n0 0\n")
+    assert read_edge_list("# n=1000000\n0 1\n") == Graph.from_edges(10**6, [(0, 1)])
+
+
+def test_memory_check_reads_the_physical_memory(monkeypatch):
+    import os
+
+    from sslab.graphs import _read_plain
+
+    # 100 pages of 8 bytes hold the row pointer of 99 vertices, not of 100
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 8}.__getitem__)
+    assert _read_plain("# n=99\n0 1\n") == Graph.from_edges(99, [(0, 1)])
+    message = "^line 2: vertex count 100 needs a 808-byte row pointer, past the 800 bytes"
+    with pytest.raises(ParseError, match=message):
+        read_edge_list("0 1\n98 99\n1 2\n")
+
+    # where `os.sysconf` lacks the names, the check is skipped
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(os, "sysconf", no_such_name)
+    assert read_edge_list("# n=100000000000\n0 1\n").n == 10**11
+    monkeypatch.delattr(os, "sysconf")
+    assert read_edge_list("0 1\n1 99999999999\n").n == 10**11
 
 
 # -- input already in the stored form ------------------------------------------

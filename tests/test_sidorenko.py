@@ -119,12 +119,15 @@ class TestCheckSuite:
 
     def test_right_hand_side_past_the_float_range(self, monkeypatch):
         # M = 180 on G(30, 90), and M^e leaves the float64 range at e = 137
-        # edges, the path on 138 vertices: refused before hom is counted
+        # edges, the path on 138 vertices, while rhs_i = 180 * 6^136 does
+        # not: it comes from the integers.  On the path on 396 vertices
+        # rhs_i = 180 * 6^394 does leave it: refused before hom is counted
         g = sample_gnm(30, 90, 1)
         assert check_suite(path(137), g).rhs_i == 180.0**136 * 30.0 ** (137 - 272)
+        assert check_suite(path(138), g).rhs_i == float(Fraction(180**137, 30**136))
         monkeypatch.setattr("sslab.sidorenko.hom_contract", None)
         with pytest.raises(SidorenkoError, match="^rhs_i leaves the float64 range$"):
-            check_suite(path(138), g)
+            check_suite(path(396), g)
 
     @pytest.mark.parametrize(
         "name, powers",
