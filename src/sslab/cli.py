@@ -133,7 +133,7 @@ def _emit(args, kind: str, *parts) -> None:
 def _load_graph(path) -> graphs.Graph:
     """The graph in the edge-list file `path`, read as UTF-8 whatever the
     locale; a byte that is not UTF-8 is a `ParseError` at its line.  Line
-    breaks are read as a file opened in text mode reads them, so `\r\n`
+    breaks are read as a file opened in text mode reads them, so `\\r\\n`
     text too takes `read_edge_list`'s numpy pass."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -236,10 +236,8 @@ def cmd_check(args) -> int:
     h = _pattern_graph(args)
     rep = sidorenko.check_suite(h, g, tol=args.tol)
     _emit(args, "check", {"pattern": args.pattern}, rep)
-    applicable = [rep.holds_i]
-    if rep.spectral_forms_applicable:
-        applicable += [rep.holds_ii, rep.holds_iii, rep.holds_cert]
-    return 0 if all(applicable) else 1
+    # a None verdict is a form that does not apply to the pattern
+    return 1 if False in (rep.holds_i, rep.holds_ii, rep.holds_iii, rep.holds_cert) else 0
 
 
 def cmd_prune(args) -> int:
@@ -306,8 +304,6 @@ def cmd_rowcover(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    if args.cap is not None and not args.materialize:
-        raise UsageError("--cap applies only with --materialize")
     g = _load_graph(args.infile)
     dist = regularize.edge_distribution(g)
     bundle = regularize.build_regular(g, args.k, dist)
@@ -316,8 +312,7 @@ def cmd_regularize(args) -> int:
         "log_lambda": math.log(dist.lam),
     }
     if args.materialize:
-        cap = {} if args.cap is None else {"cap": args.cap}
-        fk = regularize.materialize_fk(bundle, g, **cap)
+        fk = regularize.materialize_fk(bundle, g)
         derived.update(fk_vertices=fk.n, fk_edges=fk.edge_count)
     _emit(args, "regularize", bundle, derived)
     return 0
@@ -402,6 +397,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep step must be > 0")
     if args.t < 2:
         raise UsageError("sweep needs --t >= 2")
+    if args.pattern == "c2t":  # count_c2t's limit, on every m, before any work
+        homcounts.check_pattern_size(2 * args.t)
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
     # rows come out sorted by (family, m, sample)
@@ -410,19 +407,23 @@ def cmd_sweep(args) -> int:
         raise UsageError("--families names no family")
     if len(set(families)) < len(families):
         raise UsageError("--families names a family twice")
-    rows = [
-        (fam, m, s)
-        for fam in families
-        for m in range(start, stop + 1, step)
-        for s in range(args.samples)
-    ]
-    work = sum(_estimate_work(fam, args.pattern, args.t, m) for fam, m, _ in rows)
+    ms = range(start, stop + 1, step)
+    # a row's estimate does not depend on its sample; the pairs are walked
+    # lazily, so a refusal takes neither time nor memory for the whole range
+    work = 0
+    for fam in families:
+        for m in ms:
+            work += args.samples * _estimate_work(fam, args.pattern, args.t, m)
+            if work > homcounts.WORK_BUDGET and not args.force:
+                sys.stderr.write(f"estimated work: at least {work} elementary steps\n")
+                sys.stderr.write("budget exceeded; re-run with --force\n")
+                return 2
     sys.stderr.write(f"estimated work: {work} elementary steps\n")
-    if work > homcounts.WORK_BUDGET and not args.force:
-        sys.stderr.write("budget exceeded; re-run with --force\n")
-        return 2
     lines = [
-        _sweep_row(fam, args.pattern, args.t, m, s, args.seed) for fam, m, s in rows
+        _sweep_row(fam, args.pattern, args.t, m, s, args.seed)
+        for fam in families
+        for m in ms
+        for s in range(args.samples)
     ]
     _write(args.out, "\n".join([CSV_HEADER, *lines]) + "\n")
     return 0
@@ -490,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("regularize")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--materialize", action="store_true")
-    sp.add_argument("--cap", type=int)
 
     sp = command("pipeline", t=True)
     sp.add_argument("--pattern", required=True, choices=list(supersat.PATTERNS))

@@ -140,7 +140,11 @@ def _multiset_perms(counts: list[int]):
     yield from rec()
 
 
-def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
+# most type-class tuples `materialize_fk` builds
+FK_CAP = 5000
+
+
+def materialize_fk(bundle: RegularBundle, g: Graph) -> Graph:
     """Explicit regular subgraph on the type-class tuples.
 
     Vertices are the tuples with n_i coordinates equal to component vertex i;
@@ -148,9 +152,9 @@ def materialize_fk(bundle: RegularBundle, g: Graph, cap: int = 5000) -> Graph:
     coordinates r with (a_r, b_r) = (i, j) is exactly N_ij.  Verified
     d_k-regular and contained in the tensor power coordinatewise.
     """
-    if bundle.t_k_size > cap:
+    if bundle.t_k_size > FK_CAP:
         raise CapExceededError(
-            f"type class has {bundle.t_k_size} tuples > cap {cap}", bundle.t_k_size
+            f"type class has {bundle.t_k_size} tuples > cap {FK_CAP}", bundle.t_k_size
         )
     comp = bundle.vertices
     n0 = len(comp)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Graph, complete_bipartite, star, union
+from .graphs import Graph, star, union
 from .homcounts import hom_contract
-from .spectra import PerronData, opnorm, perron
+from .spectra import opnorm, perron
 
 
 class SidorenkoError(ValueError):
@@ -75,11 +75,17 @@ def _holds(hom: int, rhs: Optional[float]) -> Optional[bool]:
 
 def _rhs(name: str, *powers) -> float:
     """The product of base ** exp over the (base, exp) `powers`, the report
-    field `name`; `SidorenkoError` if it leaves the float64 range."""
+    field `name`: the float product, else, with int exponents, the exact
+    one rounded; `SidorenkoError` if neither is in the float64 range."""
     try:
         value = math.prod(base**exp for base, exp in powers)
     except OverflowError:
         value = math.inf
+    if not math.isfinite(value) and all(isinstance(exp, int) for _, exp in powers):
+        try:  # a factor may leave the range where the product does not
+            value = float(math.prod(Fraction(base) ** exp for base, exp in powers))
+        except OverflowError:
+            pass
     if not math.isfinite(value):
         raise SidorenkoError(f"{name} leaves the float64 range")
     return value
@@ -96,22 +102,15 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
 
     Perron is solved once, at `tol`: lam, and `opnorm`'s start and 2->2
     value, all come from that solve.  The right-hand sides come first: one
-    that leaves the float64 range raises `SidorenkoError` before hom(h, g)
-    is counted.  rhs_i, a ratio of integers, is rounded from that ratio
-    where only a float factor of it leaves the range.
+    that leaves the float64 range (`_rhs`) raises `SidorenkoError` before
+    hom(h, g) is counted.
     """
     if g.edge_count < 1:
         raise SidorenkoError("host needs at least one edge")
     ex = exponents(h)
     v, e = ex.v, ex.e
     big_m, n = float(g.big_m), float(g.n)
-    try:
-        rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
-    except SidorenkoError:  # a factor may leave the range where the product does not
-        try:
-            rhs_i = float(Fraction(g.big_m) ** e * Fraction(g.n) ** (v - 2 * e))
-        except OverflowError:
-            raise SidorenkoError("rhs_i leaves the float64 range") from None
+    rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
     pd = perron(g, tol=tol)
     lam = pd.lam
     applicable = v <= e

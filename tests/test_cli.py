@@ -275,6 +275,45 @@ class TestHomAndCheck:
         assert main(["check", "--pattern", "path", "--pn", "137", "--in", str(host)]) == 0
         assert main(["regularize", "--k", "376", "--in", str(host)]) == 0
 
+    def test_spectral_right_hand_side_whose_factor_leaves_the_float_range(self, tmp_path, capsys):
+        # K_{10,10} on K_{2,5000}: rhs_ii = lam^180 M^-80 with lam ~ 100 and
+        # M = 20000.  lam^180 leaves the float64 range, rhs_ii ~ 8.27e15
+        # does not, so it is rounded from the exact product
+        from fractions import Fraction
+
+        from sslab.cli import _f, main
+        from sslab.sidorenko import check_suite
+
+        g = complete_bipartite(2, 5000)
+        rep = check_suite(complete_bipartite(10, 10), g)
+        assert rep.rhs_ii == float(Fraction(rep.lam) ** 180 * Fraction(20000) ** -80)
+        host = tmp_path / "k2b.txt"
+        host.write_text(write_edge_list(g))
+        assert main(["check", "--in", str(host), "--pattern", "ktt", "--t", "10"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["lambda"], obj["rhs_ii"]) == (_f(rep.lam), _f(rep.rhs_ii))
+        assert obj["rhs_ii"] == pytest.approx(8.27e15, rel=1e-3)
+
+    @pytest.mark.parametrize("field", ["holds_i", "holds_ii", "holds_iii", "holds_cert"])
+    @pytest.mark.parametrize("value, code", [(True, 0), (False, 1), (None, 0)])
+    def test_check_exits_1_exactly_on_a_false_verdict(
+        self, field, value, code, split_file, monkeypatch, capsys
+    ):
+        # None is a form that does not apply to the pattern, not a failure
+        import dataclasses
+
+        import sslab.sidorenko
+        from sslab.cli import main
+
+        check_suite = sslab.sidorenko.check_suite
+        monkeypatch.setattr(
+            sslab.sidorenko,
+            "check_suite",
+            lambda *a, **kw: dataclasses.replace(check_suite(*a, **kw), **{field: value}),
+        )
+        assert main(["check", "--in", split_file, "--pattern", "ktt", "--t", "2"]) == code
+        assert json.loads(capsys.readouterr().out).get(field) is value
+
 
 class TestPipelineCommands:
     def test_prune_reports_trace(self, split_file):
@@ -426,18 +465,18 @@ class TestPipelineCommands:
         assert _plain(np.array([True, False])) == [True, False]
         assert _plain(np.array([[1 / 3]])) == [[0.333333333333]]
 
-    def test_regularize_cap(self, tmp_path, capsys):
+    def test_regularize_cap(self, tmp_path, monkeypatch, capsys):
         from sslab.cli import main
 
         p = tmp_path / "p3.txt"
         p.write_text(write_edge_list(star(2)))
-        argv = ["regularize", "--in", str(p), "--k", "4", "--cap"]
+        argv = ["regularize", "--in", str(p), "--k", "4", "--materialize"]
         # the type class has 12 tuples
-        assert main([*argv, "11"]) == 2
-        assert capsys.readouterr().err == "error: --cap applies only with --materialize\n"
-        assert main([*argv, "11", "--materialize"]) == 2
+        monkeypatch.setattr("sslab.regularize.FK_CAP", 11)
+        assert main(argv) == 2
         assert "> cap 11" in capsys.readouterr().err
-        assert main([*argv, "12", "--materialize"]) == 0
+        monkeypatch.setattr("sslab.regularize.FK_CAP", 12)
+        assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["fk_vertices"] == 12
 
     def test_pipeline(self, split_file):
@@ -546,13 +585,26 @@ class TestSweep:
         assert r.stderr == "error: sweep needs --t >= 2\n"
 
     def test_c2t_past_the_pattern_limit_exits_2(self, capsys):
+        # before the estimate and any host: S_{6,15} = K_6 has fewer than 12
+        # vertices, where count_c2t itself would answer 0
         from sslab.cli import main
 
-        argv = ["sweep", "--pattern", "c2t", "--t", "6", "--m-range", "200:200:1", "--seed", "1"]
+        for family, m in [("split-t", 15), ("split-t", 100), ("gnm-balanced", 200)]:
+            argv = ["sweep", "--pattern", "c2t", "--t", "6", "--m-range", f"{m}:{m}:1",
+                    "--seed", "1", "--families", family]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: pattern has 12 > 10 vertices\n")
+
+    def test_refusal_stops_at_the_first_pair_past_the_budget(self, capsys):
+        # 10^10 values of m: the estimate walks the (family, m) pairs lazily
+        # and stops once it passes WORK_BUDGET, with no list of rows
+        from sslab.cli import main
+
+        argv = ["sweep", "--pattern", "c2t", "--t", "2", "--families", "gnm-balanced",
+                "--m-range", "100:10000000000:1", "--seed", "1"]
         assert main(argv) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.splitlines()[-1] == "error: pattern has 12 > 10 vertices"
+        assert capsys.readouterr() == ("", "estimated work: at least 1000470798 elementary "
+                                           "steps\nbudget exceeded; re-run with --force\n")
 
     def test_requires_seed(self):
         r = run_cli("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1")
@@ -798,6 +850,29 @@ class TestUnexpectedErrors:
             ]
         assert found == []
 
+    def test_no_unused_import_in_the_package(self):
+        # a module-level import that no Name node loads (`np.x` loads `np`)
+        # is dead code; `__init__` imports to re-export
+        found = []
+        for p in package_sources():
+            if p.name == "__init__.py":
+                continue
+            tree = ast.parse(p.read_text(), str(p))
+            loaded = {
+                n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)
+            }
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                found += [f"{p.name}:{node.lineno} {name}" for name in bound
+                          if name not in loaded]
+        assert found == []
+
     def test_dense_matrices_only_where_named(self):
         # the host adjacency is densified once, for the contraction engine;
         # the other two dense steps are small Perron blocks and the row
@@ -877,6 +952,7 @@ class TestParsing:
             ("gen", "--family", "star", "--n", "3", "--in", "g.txt"),
             ("sweep", "--pattern", "c2t", "--t", "2", "--m-range", "50:50:1",
              "--seed", "1", "--in", "g.txt"),
+            ("regularize", "--in", "g.txt", "--k", "4", "--materialize", "--cap", "5"),
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):

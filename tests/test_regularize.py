@@ -182,10 +182,11 @@ class TestMaterialize:
                         ub = ub * g.n + comp[cb]
                     assert power.has_edge(ua, ub)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         b = build_regular(cycle(3), 6)
+        monkeypatch.setattr("sslab.regularize.FK_CAP", 10)
         with pytest.raises(CapExceededError):
-            materialize_fk(b, cycle(3), cap=10)
+            materialize_fk(b, cycle(3))
 
     def test_c3_k6(self):
         b = build_regular(cycle(3), 6)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sslab import (
     c2t_copy_lower,
@@ -128,6 +130,34 @@ class TestCheckSuite:
         monkeypatch.setattr("sslab.sidorenko.hom_contract", None)
         with pytest.raises(SidorenkoError, match="^rhs_i leaves the float64 range$"):
             check_suite(path(396), g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.5, 300.0),
+                              st.one_of(st.integers(-160, 160), st.floats(-3.0, 3.0))),
+                    min_size=1, max_size=4))
+    @example([(100.0, 180), (20000.0, -80)])  # lam^180 alone is past the range
+    @example([(180.0, 137), (30.0, -136)])
+    @example([(1e300, 1.5), (2.0, -0.5)])
+    def test_right_hand_side_is_the_float_product_wherever_it_is_finite(self, powers):
+        # else the exact product where every exponent is an int, rounded
+        try:
+            plain = math.prod(base**exp for base, exp in powers)
+        except OverflowError:
+            plain = math.inf
+        if math.isfinite(plain):
+            assert _rhs("rhs", *powers).hex() == plain.hex()
+            return
+        exact = math.inf
+        if all(isinstance(exp, int) for _, exp in powers):
+            try:
+                exact = float(math.prod(Fraction(b) ** exp for b, exp in powers))
+            except OverflowError:
+                pass
+        if math.isfinite(exact):
+            assert _rhs("rhs", *powers) == exact
+        else:
+            with pytest.raises(SidorenkoError, match="^rhs leaves the float64 range$"):
+                _rhs("rhs", *powers)
 
     @pytest.mark.parametrize(
         "name, powers",
