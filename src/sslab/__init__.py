@@ -8,6 +8,7 @@ certificates, tensor-power regular subgraphs, and exact subgraph counting.
 from .graphs import (
     Graph,
     SplitSpec,
+    SslabError,
     complete,
     complete_bipartite,
     cycle,

@@ -29,7 +29,7 @@ CSV_HEADER = (
 )
 
 
-class UsageError(Exception):
+class UsageError(graphs.SslabError):
     pass
 
 
@@ -338,8 +338,7 @@ def _sweep_size(family: str, t: int, m: int) -> tuple[int, int]:
         # the perturbed host is S_{t-1,m-1} plus an edge between two of its
         # independent vertices, which leave their class
         k, mk, q = (t, m, 0) if family == "split-t" else (t - 1, m - 1, 2)
-        if mk >= k * (k - 1) // 2 and graphs.SplitSpec(k, mk).q >= q:
-            spec = graphs.SplitSpec(k, mk)
+        if graphs.SplitSpec.exists(k, mk) and (spec := graphs.SplitSpec(k, mk)).q >= q:
             return spec.n, spec.classes + q
     else:
         raise UsageError(f"unknown sweep family {family!r}")
@@ -397,8 +396,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep step must be > 0")
     if args.t < 2:
         raise UsageError("sweep needs --t >= 2")
-    if args.pattern == "c2t":  # count_c2t's limit, on every m, before any work
-        homcounts.check_pattern_size(2 * args.t)
+    supersat.PATTERNS[args.pattern].refuse(args.t)  # on every m, before any work
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
     # rows come out sorted by (family, m, sample)
@@ -465,14 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--{name}", type=int)
 
     sp = command("spectral")
-    sp.add_argument("--tol", type=positive_float, default=1e-10)
+    sp.add_argument("--tol", type=positive_float, default=spectra.TOL)
 
     sp = command("hom", t=False)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
 
     sp = command("check", t=False)
-    sp.add_argument("--tol", type=positive_float, default=1e-10)
+    sp.add_argument("--tol", type=positive_float, default=spectra.TOL)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--pn", type=int)
     sp.add_argument("--pattern-file")
@@ -514,16 +512,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (
-        UsageError,
-        OSError,
-        graphs.GraphError,
-        spectra.SpectraError,
-        homcounts.CountError,
-        sidorenko.SidorenkoError,
-        regularize.RegularizeError,
-        supersat.SupersatError,
-    ) as exc:
+    except (graphs.SslabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
     except MemoryError as exc:
         sys.stderr.write(f"error: out of memory: {exc}\n")

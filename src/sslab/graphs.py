@@ -28,7 +28,11 @@ from scipy.sparse import csr_matrix, kron
 MAX_VERTICES = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize - 1
 
 
-class GraphError(ValueError):
+class SslabError(ValueError):
+    """The root of every error the package raises: a refusal, exit 2 in the CLI."""
+
+
+class GraphError(SslabError):
     def __init__(self, message: str, position: Optional[int] = None):
         super().__init__(message)
         self.position = position  # input index of the offending edge, if any
@@ -174,13 +178,7 @@ class Graph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        from scipy.sparse.csgraph import connected_components
-
-        _, labels = connected_components(self._csr, directed=False)
-        # labels are assigned in order of each component's smallest vertex
-        order = np.argsort(labels, kind="stable")
-        ends = np.cumsum(np.bincount(labels))
-        return tuple(tuple(c.tolist()) for c in np.split(order, ends)[:-1])
+        return tuple(tuple(c.tolist()) for c in component_groups(self._csr))
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on `vertices`, relabeled 0..len-1 in sorted order."""
@@ -200,10 +198,20 @@ class Graph:
     def is_bipartite(self) -> bool:
         """No odd cycle: the bipartite double cover A (x) K_2 splits a
         component in two exactly when that component has no odd cycle."""
-        from scipy.sparse.csgraph import connected_components
-
         cover = kron(self._csr, [[0, 1], [1, 0]], format="csr")
-        return connected_components(cover, directed=False)[0] == 2 * len(self.components)
+        return len(component_groups(cover)) == 2 * len(self.components)
+
+
+def component_groups(a) -> list[np.ndarray]:
+    """The vertices of each connected component of the symmetric sparse
+    matrix `a`, ascending, and the components in the order of their
+    smallest vertex; none when `a` is 0 x 0."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(a, directed=False)
+    # labels are assigned in order of each component's smallest vertex
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels)))[:-1]
 
 
 # -- false twins -----------------------------------------------------------
@@ -268,13 +276,17 @@ class SplitSpec:
     q: int = field(init=False)
     r: int = field(init=False)
 
+    @staticmethod
+    def exists(k: int, m: int) -> bool:
+        """Whether S_{k,m} exists: k >= 1 and m at least the clique's k(k-1)/2 edges."""
+        return k >= 1 and m >= k * (k - 1) // 2
+
     def __post_init__(self):
-        if self.k < 1:
-            raise GraphError("split: clique size k must be >= 1")
         base = self.k * (self.k - 1) // 2
-        if self.m < base:
+        if not self.exists(self.k, self.m):
             raise GraphError(
-                f"split: m={self.m} below clique edge count {base} for k={self.k}"
+                "split: clique size k must be >= 1" if self.k < 1
+                else f"split: m={self.m} below clique edge count {base} for k={self.k}"
             )
         q, r = divmod(self.m - base, self.k)
         object.__setattr__(self, "q", q)

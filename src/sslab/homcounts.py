@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, cycle
+from .graphs import Graph, SslabError, cycle
 
 
 # elementary steps a count may take: count_ktt's, the exact contraction
@@ -68,7 +68,7 @@ from .graphs import Graph, cycle
 WORK_BUDGET = 10**9
 
 
-class CountError(ValueError):
+class CountError(SslabError):
     pass
 
 

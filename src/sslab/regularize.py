@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graphs import CapExceededError, Graph
+from .graphs import CapExceededError, Graph, SslabError
 from .spectra import perron
 
 
-class RegularizeError(ValueError):
+class RegularizeError(SslabError):
     pass
 
 

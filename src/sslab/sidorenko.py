@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Graph, star, union
+from .graphs import Graph, SslabError, star, union
 from .homcounts import hom_contract
-from .spectra import opnorm, perron
+from .spectra import TOL, opnorm, perron
 
 
-class SidorenkoError(ValueError):
+class SidorenkoError(SslabError):
     pass
 
 
@@ -36,12 +36,17 @@ class CertificateExponents:
     alpha: Optional[float]  # e/(2e-v), defined when 2e > v
 
 
-def exponents(h: Graph) -> CertificateExponents:
+def _sizes(h: Graph) -> tuple[int, int]:
+    """(v, e) of the pattern h, which every form needs bipartite with an edge."""
     if not h.is_bipartite():
         raise NonBipartiteError("pattern must be bipartite")
-    v, e = h.n, h.edge_count
-    if e < 1:
+    if h.edge_count < 1:
         raise SidorenkoError("pattern needs at least one edge")
+    return h.n, h.edge_count
+
+
+def exponents(h: Graph) -> CertificateExponents:
+    v, e = _sizes(h)
     if 2 * e == v:
         raise DegenerateExponentError("2e = v: conjugate exponent is infinite")
     s = 2 * e / v
@@ -91,14 +96,15 @@ def _rhs(name: str, *powers) -> float:
     return value
 
 
-def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
+def check_suite(h: Graph, g: Graph, tol: float = TOL) -> IneqReport:
     """Evaluate hom(h,g) against the density form, the two spectral forms,
     and the operator-norm certificate.
 
     rhs_i  = M^e n^{v-2e}          (always)
     rhs_ii = lam^{2e-v} M^{v-e}    (when v <= e)
     rhs_iii= lam^e n^{v-e}         (when v <= e)
-    rhs_cert = opnorm(g, s', s)^e  (when v <= e; lam itself when s = s' = 2)
+    rhs_cert = opnorm(g, s', s)^e  (when v <= e, so 2e > v and s' is finite;
+                                    lam itself when s = s' = 2)
 
     Perron is solved once, at `tol`: lam, and `opnorm`'s start and 2->2
     value, all come from that solve.  The right-hand sides come first: one
@@ -107,8 +113,7 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     """
     if g.edge_count < 1:
         raise SidorenkoError("host needs at least one edge")
-    ex = exponents(h)
-    v, e = ex.v, ex.e
+    v, e = _sizes(h)
     big_m, n = float(g.big_m), float(g.n)
     rhs_i = _rhs("rhs_i", (big_m, e), (n, v - 2 * e))
     pd = perron(g, tol=tol)
@@ -116,6 +121,7 @@ def check_suite(h: Graph, g: Graph, tol: float = 1e-10) -> IneqReport:
     applicable = v <= e
     rhs_ii = rhs_iii = rhs_cert = chain_slack = None
     if applicable:
+        ex = exponents(h)
         rhs_ii = _rhs("rhs_ii", (lam, 2 * e - v), (big_m, v - e))
         rhs_iii = _rhs("rhs_iii", (lam, e), (n, v - e))
         norm_val = opnorm(g, ex.s_prime, ex.s, pd, tol=max(tol, 1e-12)).value

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graphs import Graph, GraphError, SplitSpec
+from .graphs import Graph, GraphError, SplitSpec, SslabError, component_groups
 
 
-class SpectraError(ValueError):
+class SpectraError(SslabError):
     pass
 
 
@@ -37,9 +37,10 @@ class RegimeError(SpectraError):
     pass
 
 
-# perron's default relative residual, the iteration cap of every solver
-# here, and opnorm's starts after the all-ones one: the Perron one, then random
-_TOL = 1e-10
+# the default relative residual of every Perron solve (perron, opnorm,
+# check_suite, the CLI's --tol), the iteration cap of every solver here,
+# and opnorm's starts after the all-ones one: the Perron one, then random
+TOL = 1e-10
 _MAX_ITER = 100000
 _RESTARTS = 3
 
@@ -287,19 +288,13 @@ class _Block:
         self.a = csr_matrix((data, ind, ptr), shape=(len(idx), len(idx)))
         if lone:  # a graph less a pendant vertex stays connected
             return [self]
-        from scipy.sparse.csgraph import connected_components
-
-        count, labels = connected_components(self.a, directed=False)
-        if count == 1:
+        groups = component_groups(self.a)
+        if len(groups) == 1:
             return [self]
-        # labels follow each piece's smallest vertex; isolated ones cannot
-        # occur, since neither endpoint was left without an edge
-        order = np.argsort(labels, kind="stable")
-        pieces = []
-        for local in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
-            piece = _Block(self.a, local)
-            piece.idx = idx[local]
-            pieces.append(piece)
+        # no piece is an isolated vertex: neither endpoint was left without an edge
+        pieces = [_Block(self.a, local) for local in groups]
+        for piece in pieces:
+            piece.idx = idx[piece.idx]
         return pieces
 
 
@@ -320,7 +315,7 @@ class PerronBlocks:
     solve next needs the blocks.
     """
 
-    def __init__(self, g: Graph, tol: float = _TOL, x0: Optional[np.ndarray] = None):
+    def __init__(self, g: Graph, tol: float = TOL, x0: Optional[np.ndarray] = None):
         a = g.sparse_adjacency()
         self.n, self.tol = g.n, tol
         self._blocks = [_Block(a, comp) for comp in g.components if len(comp) > 1]
@@ -389,7 +384,7 @@ class PerronBlocks:
         return self.pd
 
 
-def perron(g: Graph, tol: float = _TOL, x0: Optional[np.ndarray] = None) -> PerronData:
+def perron(g: Graph, tol: float = TOL, x0: Optional[np.ndarray] = None) -> PerronData:
     """Spectral radius and unit nonnegative Perron vector.
 
     On disconnected input the component attaining the maximum spectral radius
@@ -463,7 +458,7 @@ def _dual_power(y: np.ndarray, s: float) -> np.ndarray:
     return np.sign(y) * np.abs(y) ** (s - 1)
 
 
-def opnorm(g: Graph, p: float, q: float, pd: PerronData, tol: float = 1e-10) -> OpNormEstimate:
+def opnorm(g: Graph, p: float, q: float, pd: PerronData, tol: float = TOL) -> OpNormEstimate:
     """Certified lower bound on the p->q operator norm of the adjacency matrix.
 
     Regime 1 < p <= 2 <= q < infinity.  Nonlinear power iteration with

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, complete_bipartite, cycle
+from .graphs import Graph, SslabError, SplitSpec, complete_bipartite, cycle
 from .homcounts import (
     CountResult,
     check_pattern_size,
@@ -24,7 +24,7 @@ from .sidorenko import c2t_copy_lower, constants, gnm_expected_ktt, ktt_copy_low
 from .spectra import PerronBlocks, PerronData, incidence_matrix, split_lambda, top_singular
 
 
-class SupersatError(ValueError):
+class SupersatError(SslabError):
     pass
 
 
@@ -113,11 +113,7 @@ def heavy_prune(
         if not prods[i] < eta / math.sqrt(m_i):
             break
         (u, v), prod = e[i].tolist(), float(prods[i])
-        ref = (
-            split_lambda(t - 1, m_i)
-            if m_i >= max(1, (t - 1) * (t - 2) // 2)
-            else 0.0
-        )
+        ref = split_lambda(t - 1, m_i) if SplitSpec.exists(t - 1, m_i) else 0.0
         steps.append(
             PruneStep(
                 edge=(u, v),
@@ -462,6 +458,7 @@ class Pattern(NamedTuple):
     """What the CLI, the pipeline and the sweep know about one pattern."""
 
     graph: Callable[[int], Graph]  # t -> the pattern itself
+    refuse: Callable[[int], None]  # t -> raises if `count` cannot count it on any host
     count: Callable[[Graph, int], CountResult]  # (host, t) -> exact copies
     # (n, m, t, twin classes) -> bound on `count`'s work
     work: Callable[[int, int, int, int], int]
@@ -475,10 +472,10 @@ class Pattern(NamedTuple):
 # on the k twin classes, and the c2t estimate k^2 understates the
 # contraction's k^3 steps.
 PATTERNS = {
-    "ktt": Pattern(lambda t: complete_bipartite(t, t), count_ktt,
+    "ktt": Pattern(lambda t: complete_bipartite(t, t), lambda t: None, count_ktt,
                    lambda n, m, t, k: wedge_bound(n, m) if t == 2 else codegree_work(n, t, k),
                    lambda t: constants(t).b_t, ktt_copy_lower, gnm_expected_ktt),
-    "c2t": Pattern(lambda t: cycle(2 * t), count_c2t,
+    "c2t": Pattern(lambda t: cycle(2 * t), lambda t: check_pattern_size(2 * t), count_c2t,
                    lambda n, m, t, k: wedge_bound(n, m) if t == 2 else k * k,
                    lambda t: constants(t).c_t,
                    lambda t, lam, m, n: c2t_copy_lower(t, lam, n), None),
@@ -496,8 +493,8 @@ def supersat_count(
     g: Graph, t: int, pattern: str, eta: Optional[float] = None
 ) -> PipelineReport:
     """Prune at `eta` (1/(16t) when None), branch on localization, and
-    count.  An `eta` outside (0, 1/4) is refused before the Perron solve,
-    so on every host (`_prune_eta`).
+    count.  A refusal of t, the pattern or `eta` needs no host: it comes
+    before the edge check and the Perron solve, so on every host.
 
     Reports every intermediate quantity; the branch thresholds `G_CUT` and
     `FRAC_CUT` are explicit finite-size heuristics and the driver never
@@ -507,12 +504,11 @@ def supersat_count(
         raise SupersatError("t must be >= 2")
     if pattern not in PATTERNS:
         raise SupersatError(f"unknown pattern {pattern!r}")
+    rules = PATTERNS[pattern]
+    rules.refuse(t)
+    eta = _prune_eta(t, eta)
     if g.edge_count < 1:
         raise SupersatError("input graph has no edges")
-    if pattern == "c2t":  # count_c2t's limit, on every host, before any solve
-        check_pattern_size(2 * t)
-    eta = _prune_eta(t, eta)
-    rules = PATTERNS[pattern]
     m = g.edge_count
     blocks = PerronBlocks(g)  # one Perron solve, for the threshold and the pruning
     pd = blocks.pd

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sslab import cli, graphs, homcounts, regularize, sidorenko, spectra, supersat
 from sslab.graphs import complete_bipartite, path, split_graph, star, union, write_edge_list
 from sslab.regularize import edge_distribution
 from conftest import csr_rows
@@ -32,6 +33,47 @@ def package_sources() -> list[Path]:
     return sorted(Path(sslab.__file__).parent.glob("*.py"))
 
 
+def exception_classes() -> list[type]:
+    """Every exception class that a module of the package defines at its
+    top level, where a caller can name it to catch it."""
+    import importlib
+
+    found = []
+    for p in package_sources():
+        module = importlib.import_module("sslab" if p.stem == "__init__" else f"sslab.{p.stem}")
+        for node in ast.parse(p.read_text(), str(p)).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    found.append(cls)
+    return found
+
+
+# one instance of each exception class the package defines, raised as it
+# raises them
+ERROR_CATALOGUE = [
+    graphs.SslabError("refused"),
+    graphs.GraphError("loop at vertex 3", 0),
+    graphs.CapExceededError("tensor power would have 1000000 vertices", 10**6),
+    graphs.ParseError("expected two vertex ids", 3),
+    spectra.SpectraError("no edge (0, 1) in the graph"),
+    spectra.NoEdgesError("perron requires at least one edge"),
+    spectra.ConvergenceError("power iteration did not reach tol=1e-10", 1e-3),
+    spectra.RegimeError("(p,q)=(3,2) outside 1 < p <= 2 <= q < inf"),
+    homcounts.CountError("count_ktt needs t >= 2"),
+    homcounts.PatternTooLargeError("pattern has 12 > 10 vertices"),
+    homcounts.BudgetExceededError("exact-integer contraction would take ~10 operations", 10),
+    sidorenko.SidorenkoError("host needs at least one edge"),
+    sidorenko.NonBipartiteError("pattern must be bipartite"),
+    sidorenko.DegenerateExponentError("2e = v: conjugate exponent is infinite"),
+    regularize.RegularizeError("k must be even and >= 2"),
+    supersat.SupersatError("input graph has no edges"),
+    supersat.NotHeavyError("1 edges below the eta-heavy threshold", [(0, 1, 0.01)]),
+    supersat.TooDelocalizedError("index window [] does not clear ell=1 (K=1)", 1, []),
+    cli.UsageError("--m-range must be start:stop:step"),
+]
+
+
 def scoped_nodes(path: Path) -> list:
     """(scope, node) for every AST node of the module at `path`, its scope
     the module and the classes and functions around the node, dotted."""
@@ -45,6 +87,14 @@ def scoped_nodes(path: Path) -> list:
 
     visit(ast.parse(path.read_text(), str(path)), path.stem)
     return found
+
+
+# the pipeline's refusal hosts: below the split threshold, above it, no edges
+EVERY_HOST = {
+    "cycle": lambda: graphs.cycle(40),
+    "complete": lambda: graphs.complete(30),
+    "edgeless": lambda: graphs.empty_graph(5),
+}
 
 
 @pytest.fixture()
@@ -232,6 +282,29 @@ class TestHomAndCheck:
         assert out.out == ""
         assert out.err == f"error: {flag} does not apply to pattern {pattern}\n"
 
+    @pytest.mark.parametrize("pattern, edges", [
+        ("path", [(0, 1)]),  # K_2, as --pn 2
+        ("custom", [(0, 1), (2, 3)]),  # 2K_2
+        ("custom", [(0, 1), (1, 2)]),  # P_3 plus an isolated vertex
+    ])
+    def test_check_pattern_with_2e_equal_to_v(self, pattern, edges, tmp_path, capsys):
+        # 2e = v leaves s' infinite, but then v > e: only the density form
+        # applies, rhs_i = M^e n^0 = M^e, and it needs no exponent
+        from sslab.cli import main
+        from sslab.graphs import Graph, sample_gnm
+
+        host = tmp_path / "g.txt"
+        host.write_text(write_edge_list(sample_gnm(30, 90, 1)))
+        pf = tmp_path / "pat.txt"
+        pf.write_text(write_edge_list(Graph.from_edges(2 * len(edges), edges)))
+        own = ["--pn", "2"] if pattern == "path" else ["--pattern-file", str(pf)]
+        assert main(["check", "--in", str(host), "--pattern", pattern, *own]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["rhs_i"] == 180 ** len(edges) and obj["holds_i"] is True
+        assert obj["hom"] >= obj["rhs_i"]
+        assert obj["spectral_forms_applicable"] is False
+        assert "rhs_ii" not in obj and "holds_cert" not in obj
+
     def test_hom_has_no_custom_pattern(self, split_file):
         r = run_cli("hom", "--in", split_file, "--pattern", "custom")
         assert (r.returncode, r.stdout) == (2, "")
@@ -336,16 +409,16 @@ class TestPipelineCommands:
         obj = json.loads(r.stdout)
         assert obj["error"] == "too-delocalized"
 
-    @pytest.mark.parametrize("host", ["cycle", "complete"])
+    @pytest.mark.parametrize("host", ["cycle", "complete", "edgeless"])
     def test_c2t_past_the_pattern_limit_is_refused_on_every_host(
         self, host, tmp_path, capsys, monkeypatch
     ):
-        # C_40 lies below the split threshold and K_30 above it: C_12 is
-        # refused on both, before the Perron solve
-        from sslab import graphs, supersat
+        # C_40 lies below the split threshold, K_30 above it, and the
+        # edgeless host is refused for its missing edges: C_12 is refused on
+        # all three, before the edge check and the Perron solve
         from sslab.cli import main
 
-        g = graphs.cycle(40) if host == "cycle" else graphs.complete(30)
+        g = EVERY_HOST[host]()
         p = tmp_path / "g.txt"
         p.write_text(write_edge_list(g))
         monkeypatch.setattr(supersat, "PerronBlocks", None)
@@ -354,15 +427,15 @@ class TestPipelineCommands:
         assert out.out == ""
         assert out.err.splitlines()[-1] == "error: pattern has 12 > 10 vertices"
 
-    @pytest.mark.parametrize("host", ["cycle", "complete"])
+    @pytest.mark.parametrize("host", ["cycle", "complete", "edgeless"])
     @pytest.mark.parametrize("eta", ["5", "nan", "-1", "0.25"])
     def test_bad_eta_is_refused_on_every_host(self, host, eta, tmp_path, capsys, monkeypatch):
-        # C_40 lies below the split threshold, where nothing is pruned, and
-        # K_30 above it: eta is refused on both, before the Perron solve
-        from sslab import graphs, supersat
+        # C_40 lies below the split threshold, where nothing is pruned, K_30
+        # above it, and the edgeless host is refused for its missing edges:
+        # eta is refused on all three, before the edge check and the Perron solve
         from sslab.cli import main
 
-        g = graphs.cycle(40) if host == "cycle" else graphs.complete(30)
+        g = EVERY_HOST[host]()
         p = tmp_path / "g.txt"
         p.write_text(write_edge_list(g))
         monkeypatch.setattr(supersat, "PerronBlocks", None)
@@ -371,6 +444,25 @@ class TestPipelineCommands:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.splitlines()[-1] == "error: eta must lie in (0, 1/4)"
+
+    def test_edgeless_host_is_refused(self, tmp_path, capsys):
+        from sslab.cli import main
+
+        p = tmp_path / "g.txt"
+        p.write_text(write_edge_list(graphs.empty_graph(5)))
+        assert main(["pipeline", "--in", str(p), "--t", "2", "--pattern", "ktt"]) == 2
+        assert capsys.readouterr() == ("", "error: input graph has no edges\n")
+
+    def test_pattern_rules_come_from_the_table(self):
+        # the pipeline and the sweep ask `supersat.PATTERNS` what a pattern
+        # refuses; neither names one
+        scopes = {"supersat.supersat_count", "cli.cmd_sweep"}
+        nodes = [(s, n) for p in package_sources() for s, n in scoped_nodes(p) if s in scopes]
+        assert {s for s, _ in nodes} == scopes
+        assert [
+            f"{s}:{n.lineno}" for s, n in nodes
+            if isinstance(n, ast.Constant) and n.value in supersat.PATTERNS
+        ] == []
 
     def test_rowcover_explicit_sides(self, tmp_path):
         p = tmp_path / "k25.txt"
@@ -820,6 +912,28 @@ class TestUnexpectedErrors:
         ]
         assert found == []
 
+    def test_every_error_derives_from_the_root(self):
+        # `cli.main` exits 2 on a `SslabError`, so an error class outside it
+        # would print `error: internal:` for a refusal
+        import sslab
+
+        found = exception_classes()
+        assert graphs.SslabError in found and sslab.SslabError is graphs.SslabError
+        assert [c.__name__ for c in found].count("SslabError") == 1
+        assert [c.__qualname__ for c in found if not issubclass(c, graphs.SslabError)] == []
+
+    def test_the_catalogue_holds_every_error_class(self):
+        classes = [type(exc) for exc in ERROR_CATALOGUE]
+        assert sorted(map(repr, classes)) == sorted(map(repr, exception_classes()))
+
+    @pytest.mark.parametrize("exc", ERROR_CATALOGUE, ids=lambda e: type(e).__name__)
+    def test_every_error_is_a_refusal(self, monkeypatch, capsys, exc):
+        from sslab.cli import main
+
+        self._raise(monkeypatch, exc)
+        assert main(self.ARGV) == 2
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
+
     def test_no_private_name_crosses_package_modules(self):
         # a module's _names are its own; what another module needs from it
         # gets a public name
@@ -974,6 +1088,16 @@ class TestParsing:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"argument --tol: must be positive and finite, got '{tol}'" in out.err
+
+    def test_one_default_tolerance(self):
+        # every Perron solve and both --tol flags default to spectra.TOL
+        import inspect
+
+        for f in (spectra.perron, spectra.PerronBlocks, spectra.opnorm, sidorenko.check_suite):
+            assert inspect.signature(f).parameters["tol"].default is spectra.TOL, f
+        for argv in (["spectral"], ["check", "--pattern", "path"]):
+            args = cli._build_parser().parse_args([*argv, "--in", "g.txt"])
+            assert args.tol is spectra.TOL
 
     def test_one_parser_and_no_value_carries_over(self, monkeypatch, capsys):
         # main parses with one parser per process; each call must still see

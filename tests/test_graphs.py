@@ -99,6 +99,16 @@ class TestSplitGraphs:
         with pytest.raises(GraphError):
             SplitSpec(4, 5)
 
+    def test_exists_is_what_construction_accepts(self):
+        for k in range(-1, 6):
+            for m in range(-1, 16):
+                try:
+                    SplitSpec(k, m)
+                except GraphError:
+                    assert not SplitSpec.exists(k, m), (k, m)
+                else:
+                    assert SplitSpec.exists(k, m), (k, m)
+
     def test_edge_count_exact(self):
         for k in range(1, 6):
             for m in range(max(1, k * (k - 1) // 2), 120, 7):

@@ -52,6 +52,7 @@ def test_components_match_networkx(g):
 
 def test_components_of_the_null_graph_is_empty():
     assert empty_graph(0).components == ()
+    assert sslab.graphs.component_groups(empty_graph(0).sparse_adjacency()) == []
 
 
 @settings(max_examples=120, deadline=None)

@@ -70,6 +70,15 @@ class TestCheckSuite:
         assert rep.rhs_ii == pytest.approx(16.0)
         assert rep.holds_i and rep.holds_ii and rep.holds_iii and rep.holds_cert
 
+    def test_matching_density_only(self):
+        # 2e = v leaves s' infinite, but then v > e and only the density
+        # form applies: rhs_i = M^e n^0 = M
+        rep = check_suite(path(2), sample_gnm(30, 90, 1))
+        assert (rep.hom, rep.rhs_i, rep.holds_i) == (180, 180.0, True)
+        assert not rep.spectral_forms_applicable
+        assert (rep.rhs_ii, rep.rhs_iii, rep.rhs_cert, rep.chain_slack) == (None,) * 4
+        assert (rep.holds_ii, rep.holds_iii, rep.holds_cert) == (None,) * 3
+
     def test_tree_pattern_density_only(self):
         rep = check_suite(path(3), complete(4))
         assert not rep.spectral_forms_applicable
