@@ -20,8 +20,6 @@ from .graphs import (
     sample_gnm,
     split_graph,
     star,
-    subdivide,
-    tensor_power,
     union,
     write_edge_list,
 )
@@ -31,7 +29,6 @@ from .homcounts import (
     closed_walk_count,
     count_c2t,
     count_ktt,
-    hom_complete_bipartite,
     hom_contract,
     hom_count,
     inj_count,
@@ -64,7 +61,6 @@ from .spectra import (
     cut_diagnostics,
     opnorm,
     perron,
-    split_increment_lb,
     split_lambda,
     top_singular,
 )
@@ -74,8 +70,6 @@ from .supersat import (
     PruneTrace,
     RowCoverOutcome,
     acd_partition,
-    aligned_rows,
-    delocalization_check,
     heavy_prune,
     localization_g,
     row_cover_analyze,

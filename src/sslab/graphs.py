@@ -422,37 +422,6 @@ def make_family(family: str, params: Sequence[int], seed: Optional[int] = None) 
 # -- graph algebra ---------------------------------------------------------
 
 
-# most vertices `tensor_power` builds
-TENSOR_CAP = 10**6
-
-
-def tensor_power(g: Graph, k: int) -> Graph:
-    """Tensor (categorical) power: k-tuples adjacent iff coordinatewise adjacent.
-
-    Vertex i encodes the tuple as base-|V(g)| digits, most significant first.
-    """
-    if k < 1:
-        raise GraphError("tensor power needs k >= 1")
-    size = g.n**k
-    if size > TENSOR_CAP:
-        raise CapExceededError(f"tensor power would have {size} vertices", size)
-    if k == 1:
-        return g
-    # extend each (k-1)-tuple edge (a, b) by each edge (u, v) of g, both ways
-    ab = tensor_power(g, k - 1).edge_array[:, None, :] * g.n
-    uv = g.edge_array[None, :, :]
-    both = np.concatenate([ab + uv, ab + uv[..., ::-1]])
-    return Graph.from_edges(size, both.reshape(-1, 2))
-
-
-def subdivide(h: Graph) -> Graph:
-    """Subdivide every edge once: original vertices keep their indices,
-    subdivision vertices appended in edge order."""
-    e, w = h.edge_array, h.n + np.arange(h.edge_count)
-    halves = np.column_stack([e[:, 0], w, w, e[:, 1]]).reshape(-1, 2)
-    return Graph.from_edges(h.n + h.edge_count, halves)
-
-
 def union(g1: Graph, g2: Graph) -> Graph:
     # every shifted row of g2 sorts after every row of g1
     return Graph(g1.n + g2.n, np.concatenate([g1.edge_array, g2.edge_array + g1.n]))

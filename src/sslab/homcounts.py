@@ -522,14 +522,6 @@ def closed_walk_count(g: Graph, length: int) -> CountResult:
     return CountResult(_contract_sum((term,), g), "trace-power")
 
 
-def hom_complete_bipartite(g: Graph, t: int) -> int:
-    """Exact hom(K_{t,t}, g)."""
-    if t < 1:
-        raise CountError("t must be >= 1")
-    term = (2 * t, tuple((i, t + j) for i in range(t) for j in range(t)), 1)
-    return _contract_sum((term,), g)
-
-
 # -- codegree counters -----------------------------------------------------
 
 

@@ -213,8 +213,6 @@ class SharpConstants:
     t: int
     b_t: float  # 2^{-(t-1)^2} / t!^2
     c_t: float  # (t-1)! / (2 t^t)
-    random_cycle: float  # 1/(4t)
-    ktt_alt: float  # 1/(t! t^t)
 
 
 def constants(t: int) -> SharpConstants:
@@ -226,8 +224,6 @@ def constants(t: int) -> SharpConstants:
         t=t,
         b_t=float(b_t),
         c_t=float(c_t),
-        random_cycle=1.0 / (4 * t),
-        ktt_alt=float(Fraction(1, math.factorial(t) * t**t)),
     )
 
 

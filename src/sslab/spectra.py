@@ -1,9 +1,8 @@
 """Eigen and operator-norm computation.
 
 Perron data (spectral radius + unit nonnegative eigenvector), exact split-graph
-spectral radii, the discrete increment lower bound, p->q operator norms by
-nonlinear power iteration, bipartite top-singular data, and vertex-cut
-diagnostics.
+spectral radii, p->q operator norms by nonlinear power iteration, bipartite
+top-singular data, and vertex-cut diagnostics.
 """
 
 from __future__ import annotations
@@ -431,16 +430,6 @@ def split_lambda(k: int, m: int) -> float:
     return float(np.max(eig.real))
 
 
-def split_increment_lb(k: int, m: int, d: int) -> float:
-    """Lower bound on lambda(S_{k,m}) - lambda(S_{k,m-d})."""
-    base = k * (k - 1) // 2
-    if k < 1 or m < base + 1:
-        raise GraphError("split_increment_lb: need k >= 1 and m above the clique size")
-    if not (0 <= d <= m - base):
-        raise GraphError("split_increment_lb: d out of range")
-    return d / (2 * k * (math.sqrt(m) + k))
-
-
 # -- p -> q operator norms -------------------------------------------------
 
 
@@ -511,11 +500,13 @@ def opnorm(g: Graph, p: float, q: float, pd: PerronData, tol: float = TOL) -> Op
 
 
 def incidence_matrix(rows: Sequence[int], cols: Sequence[int], g: Graph):
-    """The rows x cols 0/1 incidence matrix of g: a slice of its CSR on the
-    sorted, distinct, range-checked sides, which must be disjoint."""
+    """The rows x cols 0/1 incidence matrix of g (the row cover's A x D): a
+    slice of its CSR on the sorted, distinct, range-checked sides, which
+    must be disjoint."""
     rows, cols = g.vertex_list(set(rows)), g.vertex_list(set(cols))
-    if set(rows) & set(cols):
-        raise SpectraError("top_singular: rows and cols must be disjoint")
+    both = set(rows) & set(cols)
+    if both:
+        raise SpectraError(f"A and D sides must be disjoint: vertex {min(both)} is in both")
     return g.sparse_adjacency()[rows][:, cols]
 
 
@@ -532,14 +523,19 @@ def top_singular(m):
     dense = m.toarray()
     mt_m = dense.T @ dense
     sig2 = 0.0
-    for _ in range(100000):
+    for _ in range(_MAX_ITER):
         w = mt_m @ v  # not 0: v >= 0 is positive on a column of M with an entry
         v_new = w / np.linalg.norm(w)
         sig2_new = float(v_new @ (mt_m @ v_new))
-        done = abs(sig2_new - sig2) <= 1e-14 * max(1.0, sig2_new)
+        step = abs(sig2_new - sig2)
         v, sig2 = v_new, sig2_new
-        if done:
+        if step <= 1e-14 * max(1.0, sig2):
             break
+    else:
+        raise ConvergenceError(
+            f"top_singular: power iteration did not settle in {_MAX_ITER} iterations",
+            step / max(1.0, sig2),
+        )
     sigma1 = math.sqrt(max(sig2, 0.0))
     mv = dense @ v  # not 0 either, for the same reason
     return sigma1, v, mv / np.linalg.norm(mv)

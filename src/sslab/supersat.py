@@ -166,16 +166,6 @@ def localization_g(pd: PerronData, m: int) -> float:
     return float(np.max(pd.x)) * m**0.25
 
 
-def delocalization_check(pd: PerronData, m: int, delta: float) -> bool:
-    """If lambda^2 >= (1+delta) m then the sup-norm localization parameter is
-    below delta^{-4}.  Vacuously true when the hypothesis fails."""
-    if not (0 < delta <= 1 / 3):
-        raise SupersatError("delta must lie in (0, 1/3]")
-    if pd.lam**2 < (1 + delta) * m:
-        return True
-    return localization_g(pd, m) < delta**-4.0
-
-
 # -- level-set A/C/D partition ---------------------------------------------
 
 
@@ -317,24 +307,6 @@ def partition_pruned(trace: PruneTrace) -> AcdPartition:
 
 
 # -- aligned rows and row cover --------------------------------------------
-
-
-def aligned_rows(
-    h: Graph, a_set: Sequence[int], d_set: Sequence[int], theta: float
-):
-    """Rows of the A x D incidence matrix whose squared normalized inner
-    product with the top right singular vector is >= 1 - theta.
-
-    Returns (R, (sigma1, v_right, u_left)).
-    """
-    if not (0 <= theta <= 1):
-        raise SupersatError("theta must lie in [0, 1]")
-    a_sorted = sorted(set(a_set))
-    m = incidence_matrix(a_sorted, d_set, h)  # rejects overlap and bad ids
-    sigma1, v_right, u_left = top_singular(m)  # rejects an empty side
-    if sigma1 == 0:
-        raise SupersatError("empty incidence matrix")
-    return [a_sorted[i] for i in _aligned(m, theta, v_right)], (sigma1, v_right, u_left)
 
 
 def _aligned(m, theta: float, v_right) -> np.ndarray:

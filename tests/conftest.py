@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from sslab import Graph, sample_gnm
+from sslab.spectra import incidence_matrix, top_singular
+from sslab.supersat import _aligned
 
 _CRITERION = re.compile(r"test_(criterion_\d+)\w*")
 _results: dict = {}
@@ -53,6 +55,30 @@ def blow_up(base: Graph, w) -> Graph:
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The n x n 0/1 float64 adjacency, for references that index it."""
     return g.sparse_adjacency().toarray()
+
+
+def tensor_power(g: Graph, k: int) -> Graph:
+    """The k-th tensor (categorical) power: k-tuples adjacent iff adjacent in
+    every coordinate.  Vertex i encodes its tuple as base-n digits, most
+    significant first."""
+    power = g
+    for _ in range(k - 1):
+        # extend each edge (a, b) of the power by each edge (u, v) of g, both ways
+        ab = power.edge_array[:, None, :] * g.n
+        uv = g.edge_array[None, :, :]
+        both = np.concatenate([ab + uv, ab + uv[..., ::-1]])
+        power = Graph.from_edges(power.n * g.n, both.reshape(-1, 2))
+    return power
+
+
+def aligned_rows(h: Graph, a_set, d_set, theta: float):
+    """The rows a of the A x D incidence matrix M with deg_a > 0 and
+    (Mv)_a^2 / deg_a >= 1 - theta, v the top right singular vector, picked as
+    the row cover picks them.  Returns (R, (sigma1, v_right, u_left))."""
+    a_sorted = sorted(set(a_set))
+    m = incidence_matrix(a_sorted, d_set, h)
+    sigma1, v_right, u_left = top_singular(m)
+    return [a_sorted[i] for i in _aligned(m, theta, v_right)], (sigma1, v_right, u_left)
 
 
 def random_graph(seed: int, n_max: int, allow_empty: bool = False) -> Graph:

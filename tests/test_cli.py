@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, JSON/CSV output, determinism, exits."""
 
+import argparse
 import ast
 import json
+import re
 import math
 import os
 import shlex
@@ -54,7 +56,7 @@ def exception_classes() -> list[type]:
 ERROR_CATALOGUE = [
     graphs.SslabError("refused"),
     graphs.GraphError("loop at vertex 3", 0),
-    graphs.CapExceededError("tensor power would have 1000000 vertices", 10**6),
+    graphs.CapExceededError("type class has 6000 tuples > cap 5000", 6000),
     graphs.ParseError("expected two vertex ids", 3),
     spectra.SpectraError("no edge (0, 1) in the graph"),
     spectra.NoEdgesError("perron requires at least one edge"),
@@ -495,6 +497,30 @@ class TestPipelineCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    def test_rowcover_overlapping_sides_name_the_rule(self, tmp_path, capsys):
+        from sslab.cli import main
+
+        p = tmp_path / "star.txt"
+        p.write_text(write_edge_list(star(3)))
+        argv = ["rowcover", "--in", str(p), "--t", "2", "--a-side", "0,1", "--d-side", "1,2"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: A and D sides must be disjoint: vertex 1 is in both\n"
+        )
+
+    def test_rowcover_singular_solve_past_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        from sslab.cli import main
+
+        p = tmp_path / "gnm.txt"
+        p.write_text(write_edge_list(graphs.sample_gnm(40, 300, 3)))
+        monkeypatch.setattr(spectra, "_MAX_ITER", 3)
+        argv = ["rowcover", "--in", str(p), "--t", "2", "--a-side",
+                ",".join(map(str, range(12))), "--d-side", ",".join(map(str, range(12, 40)))]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: top_singular: power iteration did not settle in 3 iterations\n"
 
     def test_regularize(self, tmp_path):
         p = tmp_path / "p3.txt"
@@ -987,6 +1013,44 @@ class TestUnexpectedErrors:
                           if name not in loaded]
         assert found == []
 
+    def test_every_public_name_is_read(self):
+        # a public function or class must be read, outside its own
+        # definition, by package code, a demo or the acceptance criteria; a
+        # helper that only its unit tests read belongs in the tests.
+        # `__init__`'s re-exports are no read, and `main` runs `cmd_<name>`
+        # for each subcommand
+        root = Path(__file__).resolve().parent.parent
+
+        def names(tree, skip=None):
+            found, stack = set(), [tree]
+            while stack:
+                node = stack.pop()
+                if node is not skip:
+                    if isinstance(node, ast.Name):
+                        found.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        found.add(node.attr)
+                    stack.extend(ast.iter_child_nodes(node))
+            return found
+
+        trees = {p.stem: ast.parse(p.read_text(), str(p))
+                 for p in package_sources() if p.name != "__init__.py"}
+        readers = [*sorted((root / "demos").glob("*.py")), root / "tests" / "test_acceptance.py"]
+        read = set().union(*(names(ast.parse(p.read_text(), str(p))) for p in readers))
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        read |= {f"cmd_{name}" for name in subparsers.choices}
+        unread = []
+        for stem, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                    continue
+                seen = read.union(*(names(t, node if s == stem else None)
+                                    for s, t in trees.items()))
+                if node.name not in seen:
+                    unread.append(f"{stem}.{node.name}")
+        assert unread == []
+
     def test_dense_matrices_only_where_named(self):
         # the host adjacency is densified once, for the contraction engine;
         # the other two dense steps are small Perron blocks and the row
@@ -1031,13 +1095,40 @@ class TestUnexpectedErrors:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_library_tour_runs(self):
+        # the python block under "## Library tour", as a reader pastes it
+        block = self.README.read_text().split("## Library tour", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+
+    def test_install_names_every_test_dependency(self):
+        # the `test` extra is the one list: CI's install step and the
+        # README's Install section name each of its packages
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            tomllib = pytest.importorskip("tomli")
+        root = self.README.parent
+        with (root / "pyproject.toml").open("rb") as fh:
+            extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+        packages = [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in extra]
+        assert "sympy" in packages
+        workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+        step = workflow.split("- name: Install dependencies", 1)[1].split("- name:", 1)[0]
+        run = step.split("run:", 1)[1].split()
+        install = self.README.read_text().split("## Install", 1)[1].split("\n## ", 1)[0]
+        assert [p for p in packages if p not in run] == []
+        assert [p for p in packages if f"`{p}`" not in install] == []
+
     def test_command_line_block_runs(self, tmp_path):
         # every `sslab ...` line of the sh block under "## Command line", in
         # order and in one directory, so the documented commands cannot drift
         import sslab
 
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        block = self.README.read_text().split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
         lines = block.replace("\\\n", " ").splitlines()
         commands = [shlex.split(line) for line in lines if line.startswith("sslab ")]
         assert [argv[1] for argv in commands] == ["gen", "spectral", "check", "pipeline", "sweep"]

@@ -22,14 +22,12 @@ from sslab import (
     sample_gnm,
     split_graph,
     star,
-    subdivide,
-    tensor_power,
     union,
     write_edge_list,
 )
-from sslab.graphs import CapExceededError, GraphError, ParseError, _edge_unrank
+from sslab.graphs import GraphError, ParseError, _edge_unrank
 
-from conftest import csr_rows
+from conftest import csr_rows, tensor_power
 from test_edge_array import edge_lists
 
 
@@ -224,17 +222,6 @@ class TestAlgebra:
         for g in [path(2), path(3), cycle(3), star(3)]:
             for k in (1, 2, 3):
                 assert tensor_power(g, k).big_m == g.big_m**k
-
-    def test_tensor_power_cap(self):
-        with pytest.raises(CapExceededError):
-            tensor_power(complete(10), 8)  # 10^8 vertices
-
-    def test_subdivide_counts(self):
-        h = complete(4)
-        s = subdivide(h)
-        assert s.n == h.n + h.edge_count
-        assert s.edge_count == 2 * h.edge_count
-        assert s.is_bipartite()
 
     def test_union_join(self):
         u = union(cycle(3), path(2))

@@ -25,7 +25,6 @@ from sslab import (
     closed_walk_count,
     count_c2t,
     count_ktt,
-    hom_complete_bipartite,
     hom_contract,
     hom_count,
     inj_count,
@@ -461,7 +460,7 @@ class TestCompleteBipartite:
             g = random_graph(700 + s, 7, allow_empty=True)
             for t in (2, 3):
                 assert (
-                    hom_complete_bipartite(g, t)
+                    hom_contract(2 * t, complete_bipartite(t, t).edges, g).value
                     == hom_count(complete_bipartite(t, t), g).value
                 )
 
@@ -793,7 +792,7 @@ class TestConditionedSharing:
         codeg = np.einsum("ai,bi,ci->abc", a, a, a)
         want = int((codeg**3).sum())
         log = _einsum_log(monkeypatch)
-        assert hom_complete_bipartite(g, 3) == want
+        assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == want
         assert [ops for *_, ops in log].count(3) == k
 
     def test_complete_bipartite_on_twin_free_hosts_and_blow_ups(self):
@@ -818,7 +817,7 @@ class TestConditionedSharing:
         # ints, since 3000^6 >= 2^63; it shares as the float run does
         g = complete_bipartite(1500, 1500)
         log = _einsum_log(monkeypatch)
-        assert hom_complete_bipartite(g, 3) == 2 * 1500**6
+        assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == 2 * 1500**6
         assert [ops for _, dtype, ops in log if dtype == object].count(3) == 2
 
     def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, monkeypatch):
@@ -841,7 +840,7 @@ class TestConditionedSharing:
             return einsum(spec, *ops, **kwargs)
 
         monkeypatch.setattr(np, "einsum", logged)
-        assert hom_complete_bipartite(g, 3) == 42 * 800**6
+        assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == 42 * 800**6
         assert sum(work) == _plan_work(plan, 3) == 3 * (3**3 + 3**2 + 3)
 
     @pytest.mark.parametrize("twin_free", [True, False])
@@ -998,7 +997,7 @@ class TestContractionCalls:
         for g in hosts:
             for t in (3, 4, 5):
                 count_c2t(g, t)
-            hom_complete_bipartite(g, 3)
+            hom_contract(6, complete_bipartite(3, 3).edges, g).value
             hom_contract(k23.n, k23.edges, g)
             for length in (8, 24, 30):  # K_6 reruns L = 24 on int64, L = 30 on Python ints
                 closed_walk_count(g, length)

@@ -16,12 +16,12 @@ from sslab.supersat import (
     SupersatError,
     TooDelocalizedError,
     acd_partition,
-    aligned_rows,
     heavy_prune,
     partition_pruned,
     row_cover_analyze,
     verify_T,
 )
+from conftest import aligned_rows
 from test_golden_reports import HOSTS
 
 # -- oracles ---------------------------------------------------------------

@@ -14,11 +14,10 @@ from sslab import (
     materialize_fk,
     perron,
     round_counts,
-    tensor_power,
 )
 from sslab.graphs import CapExceededError, complete, cycle, path, star, union
 from sslab.regularize import RegularizeError, fk_tuples
-from conftest import dense_adjacency, random_connected_graph, random_graph
+from conftest import dense_adjacency, random_connected_graph, random_graph, tensor_power
 
 
 def reference_edge_distribution(g):

@@ -220,8 +220,6 @@ class TestConstantsAndBounds:
         c2 = constants(2)
         assert c2.b_t == pytest.approx(1 / 8)
         assert c2.c_t == pytest.approx(1 / 8)
-        assert c2.random_cycle == pytest.approx(1 / 8)
-        assert c2.ktt_alt == pytest.approx(1 / 8)
         c3 = constants(3)
         assert c3.b_t == pytest.approx(1 / 576)
         assert c3.c_t == pytest.approx(1 / 27)

@@ -14,7 +14,7 @@ from sslab import (
     heavy_prune,
     opnorm,
     perron,
-    split_increment_lb,
+    row_cover_analyze,
     split_lambda,
     top_singular,
 )
@@ -30,7 +30,9 @@ from sslab.graphs import (
     union,
 )
 from sslab.homcounts import _refine
+from sslab import spectra
 from sslab.spectra import (
+    ConvergenceError,
     NoEdgesError,
     RegimeError,
     SpectraError,
@@ -333,13 +335,6 @@ class TestSplitLambda:
                 m = rng.randint(base + 1, 5000)
                 gap = split_lambda(k, m) - split_lambda(k, m - 1)
                 assert gap >= 1 / (2 * k * (math.sqrt(m) + k)) - 1e-12
-                assert gap >= split_increment_lb(k, m, 1) - 1e-12
-
-    def test_increment_lb_validation(self):
-        with pytest.raises(Exception):
-            split_increment_lb(2, 1, 1)
-        with pytest.raises(Exception):
-            split_increment_lb(2, 10, 20)
 
     def test_asymptotic_sanity(self):
         # |lambda(S_{k,m}) - sqrt(m) - (k-1)/2| <= C_k / sqrt(m)
@@ -537,6 +532,15 @@ class TestTopSingular:
         for rows, cols in (([], [1, 2]), ([0], [])):
             with pytest.raises(SpectraError, match="empty"):
                 top_singular(incidence_matrix(rows, cols, star(3)))
+
+    def test_stops_at_the_iteration_cap(self, monkeypatch):
+        # sigma1 feeds the row cover's theta, floor_l and copy_bound, so an
+        # unsettled one is an error, not a value
+        g = sample_gnm(40, 300, 3)
+        monkeypatch.setattr(spectra, "_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="did not settle in 3 iterations") as e:
+            row_cover_analyze(g, range(12), range(12, 40), 2)
+        assert e.value.residual > 1e-14
 
     @settings(max_examples=150, deadline=None)
     @given(sides_on_hosts())

@@ -8,9 +8,7 @@ import pytest
 
 from sslab import (
     acd_partition,
-    aligned_rows,
     count_ktt,
-    delocalization_check,
     heavy_prune,
     localization_g,
     perron,
@@ -36,7 +34,7 @@ from sslab.supersat import (
     TooDelocalizedError,
     heavy_violations,
 )
-from conftest import random_graph
+from conftest import aligned_rows, random_graph
 
 
 def above_threshold_inputs(count=50):
@@ -126,16 +124,10 @@ class TestLocalization:
             g = random_graph(70_000 + s, 12)
             pd = perron(g)
             m = g.edge_count
-            assert delocalization_check(pd, m, 1 / 3)
             if pd.lam**2 >= (4 / 3) * m:
                 hits += 1
                 assert localization_g(pd, m) < 81
         assert hits > 0  # the hypothesis side is actually exercised
-
-    def test_delta_validation(self):
-        pd = perron(star(4))
-        with pytest.raises(SupersatError):
-            delocalization_check(pd, 4, 0.5)
 
 
 class TestVerifyT:
@@ -243,10 +235,6 @@ class TestAlignedRowsAndCover:
         r, _ = aligned_rows(g, [0, 1], [2, 3, 4], 0.1)
         assert r == [1]
 
-    def test_theta_validation(self):
-        with pytest.raises(SupersatError):
-            aligned_rows(star(3), [0], [1, 2, 3], 1.5)
-
     def test_k2q_t2_many_copies(self):
         for q in (5, 20, 100):
             g = complete_bipartite(2, q)
@@ -322,8 +310,7 @@ class TestAlignedRowsAndCover:
         g = complete_bipartite(2, 5)
         for t in (2, 3):  # many-copies, then cover
             row_cover_analyze(g, [0, 1], list(range(2, 7)), t)
-        aligned_rows(g, [0, 1], list(range(2, 7)), 0.5)
-        assert len(built) == 3
+        assert len(built) == 2
 
     def test_overlap_is_reported_before_missing_edges(self):
         # the sides share vertex 2 and no edge joins them
