@@ -214,6 +214,9 @@ def cmd_hom(args) -> int:
     res = homcounts.hom_count(h, g)
     inj = homcounts.inj_count(h, g)
     aut = homcounts.aut_order(h)
+    copies, rest = divmod(inj.value, aut)
+    if rest:
+        raise homcounts.CountError(f"inj = {inj.value} is not divisible by aut = {aut}")
     _emit(
         args,
         "hom",
@@ -224,7 +227,7 @@ def cmd_hom(args) -> int:
             "hom": res.value,
             "inj": inj.value,
             "aut": aut,
-            "copies": inj.value // aut,
+            "copies": copies,
             "method": res.method,
         },
     )

@@ -28,10 +28,11 @@ Three engines, every result an exact Python int:
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
   CSR adjacency; at t>=3 a bitset recursion over twin classes.
-- backtracking (`hom_count`): plain enumeration, which `sslab hom` reports;
-  the last pattern vertex is counted by the size of its candidate set, not
-  placed.  The tests enumerate inj themselves as the oracle for the
-  Moebius sums.
+- backtracking (`hom_count`), which `sslab hom` reports: breadth-first
+  enumeration of every map of all but the last pattern vertex, over numpy
+  blocks of partial maps that grow through the host's CSR rows; the last
+  vertex is counted by the size of its candidate set, not placed.  The
+  tests enumerate inj themselves as the oracle for the Moebius sums.
 
 The first two count on the host's false-twin quotient, which they read
 from `Graph.twin_quotient`, built once per host: non-adjacent vertices
@@ -122,11 +123,27 @@ def check_pattern_size(n: int) -> None:
         raise PatternTooLargeError(f"pattern has {n} > {PATTERN_LIMIT} vertices")
 
 
+# most candidates `hom_count` builds at once (one row's at least), so each
+# level of its enumeration holds at most this many partial maps.  1 << 13
+# counts C_6 on G(60, 180) as fast as 1 << 14 or 1 << 15 do, at a peak of
+# 1.0 MB against 1.9 and 3.1 MB
+HOM_BLOCK = 1 << 13
+
+
 def hom_count(h: Graph, g: Graph) -> CountResult:
-    """hom(h, g) by backtracking: each pattern vertex in `_connected_order`
-    goes to the common host neighbours of its placed pattern neighbours,
-    every host vertex if it has none.  The last vertex is not placed: its
-    candidates are counted by the size of that set."""
+    """hom(h, g) by breadth-first backtracking over numpy blocks.
+
+    The pattern vertices are placed in `_connected_order`.  A frontier
+    holds one partial map per row, the images of the placed vertices.  The
+    next vertex extends each row through the host neighbours of its first
+    placed pattern neighbour (its first anchor), every host vertex if it has
+    none, and keeps the candidates adjacent to the images of its other
+    anchors, each looked up by one `searchsorted` on the sorted keys
+    row * n + column of the host's CSR.  Each extension runs in blocks of
+    at most `HOM_BLOCK` candidates, recursing block by block, so memory is
+    bounded whatever the count.  The last vertex is not placed: its
+    candidates are counted by the size of their set, once per distinct
+    tuple of anchor images, times the rows that share it."""
     check_pattern_size(h.n)
     if not h.n:
         return CountResult(1, "backtracking")  # the one empty map
@@ -135,29 +152,67 @@ def hom_count(h: Graph, g: Graph) -> CountResult:
     pos = {v: i for i, v in enumerate(order)}
     # for each step, the pattern neighbors already placed
     back = [[pos[w] for w in rows[v] if pos[w] < i] for i, v in enumerate(order)]
-    gsets = [set(r) for r in _rows(g.sparse_adjacency())]
+    n = g.n
+    if n * n >= 1 << 63:
+        raise CountError(f"host of {n} vertices past the int64 key range")
+    a = g.sparse_adjacency()
+    ptr, idx = a.indptr, a.indices
+    # every entry's key, ascending, then one past every key: a lookup's
+    # insertion point is always a valid index
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) * n + idx
+    keys = np.append(keys, np.iinfo(np.int64).max)
     last = h.n - 1
-    total = 0
-    image = [0] * h.n
 
-    def extend(i: int):
-        nonlocal total
+    def count(f: np.ndarray, i: int, mult: Optional[np.ndarray] = None) -> int:
+        """The maps of the pattern vertices up to `last` that extend the
+        rows of `f`, the images of the first i; at the last vertex, each
+        row stands for `mult` of them."""
         anchors = back[i]
+        if i == last and mult is None:
+            if not anchors:
+                return len(f) * n
+            x = f[:, anchors[0]]
+            if len(anchors) == 1:
+                return int((ptr[x + 1] - ptr[x]).sum())
+            # one row per distinct tuple of anchor images.  Before the third
+            # anchor and each one after, the key becomes its rank among the
+            # keys, so it stays below len(f) * n <= max(HOM_BLOCK, n) * n
+            key = x.astype(np.int64)
+            for j, b in enumerate(anchors[1:]):
+                if j:
+                    key = np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
+                key = key * n + f[:, b]
+            _, first, mult = np.unique(key, return_index=True, return_counts=True)
+            return count(f[first], i, mult)
         if anchors:
-            cands = gsets[image[anchors[0]]]
-            for a in anchors[1:]:
-                cands = cands & gsets[image[a]]
+            x = f[:, anchors[0]]
+            shift, d = ptr[x], ptr[x + 1] - ptr[x]
         else:
-            cands = range(g.n)
-        if i == last:
-            total += len(cands)
-            return
-        for c in cands:
-            image[i] = c
-            extend(i + 1)
+            shift, d = np.zeros(len(f), dtype=np.int64), np.full(len(f), n, dtype=np.int64)
+        cum = np.cumsum(d)
+        shift = shift - cum + d  # a candidate's CSR place minus its index
+        total = lo = 0
+        while lo < len(f):
+            base = int(cum[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cum, base + HOM_BLOCK, side="right")))
+            r = np.repeat(np.arange(lo, hi), d[lo:hi])
+            c = np.arange(base, base + len(r)) + shift[r]
+            if anchors:
+                c = idx[c]
+            for b in anchors[1:]:
+                k = f[r, b].astype(np.int64) * n + c
+                keep = keys[np.searchsorted(keys, k)] == k
+                r, c = r[keep], c[keep]
+            lo = hi
+            if i == last:
+                total += int(mult[r].sum())
+            elif len(r):
+                grown = np.column_stack((f[r], c.astype(f.dtype)))
+                del r, c  # only the grown block lives on through the recursion
+                total += count(grown, i + 1)
+        return total
 
-    extend(0)
-    return CountResult(total, "backtracking")
+    return CountResult(count(np.zeros((1, 0), dtype=idx.dtype), 0), "backtracking")
 
 
 # -- the contraction engine ------------------------------------------------

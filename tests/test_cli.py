@@ -328,6 +328,17 @@ class TestHomAndCheck:
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["hom"] == 5**30 + 5
 
+    def test_hom_copies_with_a_remainder_exit_2(self, tmp_path, monkeypatch, capsys):
+        from sslab.cli import main
+        from sslab.graphs import complete
+
+        host = tmp_path / "k4.txt"
+        host.write_text(write_edge_list(complete(4)))
+        # inj(P_3, K_4) = 24, which a wrong aut of 5 does not divide
+        monkeypatch.setattr(homcounts, "aut_order", lambda h: 5)
+        assert main(["hom", "--in", str(host), "--pattern", "path", "--pn", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: inj = 24 is not divisible by aut = 5\n")
+
 
     def test_float_overflow_is_a_typed_error(self, tmp_path, capsys):
         # on G(30, 90) the path on 396 vertices puts check's rhs_i =

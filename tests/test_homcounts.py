@@ -44,6 +44,7 @@ from sslab.graphs import (
     _twins,
 )
 from sslab.homcounts import (
+    HOM_BLOCK,
     BudgetExceededError,
     CountError,
     PatternTooLargeError,
@@ -132,6 +133,50 @@ class TestBacktracking:
             u, v = rng.choice(non_edges)
             g2 = Graph.from_edges(g.n, list(g.edges) + [(u, v)])
             assert hom_count(h, g2).value >= hom_count(h, g).value
+
+    def test_block_boundaries(self, monkeypatch):
+        # last vertices with 0, 1, 2 and 3 anchors, a pattern whose
+        # anchor-free vertex (0, after 3, 2, 4) is not last, K_{3,3}, C_6,
+        # C_8 and the empty pattern, on the empty host among others.  C_8
+        # skips the larger hosts: at one row per block its 10^5 partial
+        # maps on G(8, 14) take seconds
+        disjoint = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        assert _connected_order([list(r) for r in csr_rows(disjoint)]) == [3, 2, 4, 0, 1]
+        patterns = [Graph.from_edges(0, []), Graph.from_edges(3, [(0, 1)]), path(3), cycle(4),
+                    complete(4), disjoint, complete_bipartite(3, 3), cycle(6), cycle(8)]
+        small = [Graph.from_edges(0, []), Graph.from_edges(1, []), path(2), star(3), cycle(5)]
+        small += [random_graph(7400 + s, 6, allow_empty=True) for s in range(8)]
+        larger = [sample_gnm(8, 14, s) for s in range(3)]
+        for h in patterns:
+            for g in small + larger * (h.n < 8):
+                want = hom_contract(h.n, h.edges, g).value
+                if h.n <= 5 and g.n <= 6:
+                    assert self._every_map(h, g) == want
+                for block in (1, 2, 7):
+                    monkeypatch.setattr("sslab.homcounts.HOM_BLOCK", block)
+                    assert hom_count(h, g).value == want, (h.edges, g.edges, block)
+
+    def test_memory_is_bounded_by_the_block(self):
+        g = sample_gnm(60, 180, 3)
+        g.sparse_adjacency()  # the host's own CSR, built once for every count
+        # C_6's first five vertices in `_connected_order` form a path, so
+        # its frontier at depth 5 holds hom(P_5, g) partial maps
+        assert hom_count(path(5), g).value > 8 * HOM_BLOCK
+        tracemalloc.start()
+        try:
+            value = hom_count(cycle(6), g).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == hom_contract(6, cycle(6).edges, g).value
+        assert peak <= 2 * 10**6
+
+    def test_host_past_the_int64_key_range(self):
+        # n * n >= 2^63, so a key row * n + column could wrap: refused
+        # before the CSR, whose row pointer alone would take n words
+        g = Graph.from_edges(3_100_000_000, [(0, 1)])
+        with pytest.raises(CountError, match="int64 key range"):
+            hom_count(path(2), g)
 
 
 # fixed patterns whose plans condition: K_{3,3}; K4, a quotient of C8; and
