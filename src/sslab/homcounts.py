@@ -19,11 +19,16 @@ Three engines, every result an exact Python int:
   make four k x k products (A^2 to A^5) instead of thirteen.  A plan that
   conditions on a pattern vertex shares in the same way inside the loop
   over that vertex's classes, with a store of its own for each class and
-  the conditioned vertices held in place: K_{3,3} makes A diag(A[x]) A
-  once per class x, not three times.  One walk of the pattern (`_plan`)
-  orders the eliminations and records the sub-pattern each step sums out,
-  so the keys ride on the plan's steps, and an exact rerun runs the same
-  plan with a store of its own.
+  the conditioned vertices held in place.  A sum step whose vertex has a
+  factor of its own that is zero on at least half the classes sums over
+  the nonzero ones alone, so class x reaches only its neighbours N(x):
+  K_{3,3} makes A[N(x)]^T diag(w[N(x)]) A[N(x)] once per class x (w the
+  class sizes below), not A diag(w A[x]) A three times.  One walk of the
+  pattern (`_plan`) orders the eliminations and records the sub-pattern
+  each step sums out, so the keys ride on the plan's steps, and an exact
+  rerun runs the same plan with a store of its own.  Each `np.einsum`
+  takes the greedy contraction path searched once per spec and operand
+  shapes (`_einsum_path`).
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -395,6 +400,15 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
+@lru_cache(maxsize=1024)
+def _einsum_path(spec: str, shapes: tuple) -> tuple:
+    """The greedy contraction path `np.einsum(optimize=True)` would search
+    for on operands of these shapes, searched once per (spec, shapes) on
+    zero-byte stand-ins; a tuple, so no caller can change the cached one."""
+    stand_ins = (np.broadcast_to(np.empty(()), shape) for shape in shapes)
+    return tuple(np.einsum_path(spec, *stand_ins, optimize="greedy")[0])
+
+
 def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
     """Run the keyed `plan` (`_schedule`) over `factors` (scope -> array on n
     host vertices or twin classes per axis; a vertex with no factor, which
@@ -402,9 +416,11 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
     value, or None as soon as a float factor or scalar leaves the certified
     range, after marking the keyed steps it did not reach as used.  A keyed
     step takes its result from `shared` when an earlier step with that key
-    computed it, and passes it through `_put` like a fresh one.  A
-    condition step's sub-plan runs for each class with a store of its
-    own."""
+    computed it, and passes it through `_put` like a fresh one.  A fresh
+    sum over v whose factors include one on (v,) alone, zero on at least
+    half of the n classes, takes every factor at its nonzero classes only
+    (on a conditioned step, w * A[x]: the neighbours of x).  A condition
+    step's sub-plan runs for each class with a store of its own."""
     factors = dict(factors)
     value = 1
     for i, step in enumerate(plan):
@@ -437,7 +453,13 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
             letters = dict(zip((v, *others), "ijk"))
             spec = ",".join("".join(letters[u] for u in s) for s in inc)
             spec += "->" + "".join(letters[u] for u in others)
-            f = np.einsum(spec, *(factors.pop(s) for s in inc), optimize=True)
+            ops = [factors.pop(s) for s in inc]
+            if (v,) in inc and len(inc) > 1:  # sum only where v's weight is nonzero
+                support = np.flatnonzero(ops[inc.index((v,))])
+                if 2 * len(support) <= n:
+                    ops = [np.take(op, support, axis=s.index(v)) for s, op in zip(inc, ops)]
+            path = _einsum_path(spec, tuple(op.shape for op in ops))
+            f = np.einsum(spec, *ops, optimize=path)
         else:
             for s in inc:
                 del factors[s]
@@ -461,7 +483,10 @@ def _plan_work(plan: tuple, n: int) -> int:
     host vertices (twin classes, on a quotient): n^(j+1) for a sum step
     whose result has j axes, once per key, since one store serves the
     steps that take it, and the rest of the plan n times over for a
-    conditioning, whose sub-plan has a store of its own for each class."""
+    conditioning, whose sub-plan has a store of its own for each class.
+    The count is exact where no step sums over the support of a weight
+    alone (`_execute`), and an upper bound where one does, since that
+    step's summed axis is shorter than n."""
     work, seen = 0, set()
     for step in plan:
         if step[0] == "condition":
@@ -550,10 +575,14 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     or product that reaches an output entry is at most that entry.  Float64
     computes each partial exactly while it stays at most 2^52; rounding is
     monotone and 2^52 + 1 is a float, so the first partial past 2^52 leaves
-    its output entry past 2^52 as well.  Hence if every factor the engine keeps, and every scalar,
-    is at most 2^52, every float step was exact.  (A partial that reaches no
-    output was multiplied by 0, and is finite because each step's inputs are
-    at most 2^52.)  Otherwise the same plan is rerun once on int64 when
+    its output entry past 2^52 as well.  Hence if every factor the engine
+    keeps, and every scalar, is at most 2^52, every float step was exact.
+    (A partial that reaches no output was multiplied by 0, and is finite
+    because each step's inputs are at most 2^52.)  A step that sums only
+    over the classes where a weight factor is nonzero (`_execute`) drops
+    terms that are exact zeros: it gives the same output entries, and its
+    partial sums are still at most their entry, so the argument holds.
+    Otherwise the same plan is rerun once on int64 when
     n^n_vars < 2^63, else on object arrays of Python ints; a rerun
     estimated past `WORK_BUDGET` operations (about k^3 per step, k times
     that under each conditioning) raises `BudgetExceededError` before it

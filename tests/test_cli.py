@@ -1080,6 +1080,19 @@ class TestUnexpectedErrors:
             "spectra.top_singular.toarray",
         ]
 
+    def test_one_contraction_call_site(self):
+        # every contraction is one `np.einsum` in `homcounts._execute`, on
+        # the path `homcounts._einsum_path` searches once per spec and
+        # shapes, so each sums only over the support of its weight
+        found = []
+        for p in package_sources():
+            for scope, node in scoped_nodes(p):
+                if isinstance(node, ast.Attribute) and node.attr in ("einsum", "einsum_path"):
+                    found.append(f"{scope}.{node.attr}")
+                elif isinstance(node, ast.alias) and node.name in ("einsum", "einsum_path"):
+                    found.append(f"{scope} imports {node.name}")
+        assert sorted(found) == ["homcounts._einsum_path.einsum_path", "homcounts._execute.einsum"]
+
     def test_one_owner_of_the_twin_classes(self):
         # `Graph.twin_quotient` alone finds the false-twin classes and
         # slices the CSR down to them; every counter reads that view

@@ -41,6 +41,7 @@ from sslab.graphs import (
     sample_gnm,
     split_graph,
     star,
+    union,
     _twins,
 )
 from sslab.homcounts import (
@@ -50,6 +51,7 @@ from sslab.homcounts import (
     PatternTooLargeError,
     _canonical,
     _connected_order,
+    _einsum_path,
     _pair_total,
     _plan,
     _plan_work,
@@ -708,6 +710,33 @@ def _einsum_log(monkeypatch) -> list:
     return log
 
 
+def _einsum_calls(monkeypatch) -> list:
+    """Record every `np.einsum` call as (spec, operand shapes, operand
+    dtypes)."""
+    log, einsum = [], np.einsum
+
+    def logged(spec, *ops, **kwargs):
+        log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops)))
+        return einsum(spec, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", logged)
+    return log
+
+
+def _summed_sizes(spec: str, shapes: tuple) -> set:
+    """The sizes of a logged call's operands along its summed axis `i`
+    (every sum step names the vertex it sums out `i`)."""
+    inputs = spec.split("->")[0].split(",")
+    return {shape[s.index("i")] for s, shape in zip(inputs, shapes) if "i" in s}
+
+
+# a pattern whose plan conditions twice
+CONDITIONS_TWICE = Graph.from_edges(8, [
+    (0, 1), (0, 3), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6),
+    (2, 7), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7),
+])
+
+
 class TestSharedMoebiusSum:
     """At t >= 3 `count_c2t` contracts all of the cycle's quotients as one
     signed sum that shares each keyed step result across its terms."""
@@ -958,6 +987,120 @@ class TestConditionedSharing:
                 assert inj_count(h, g).value == inj_backtrack(h, g)
         assert checked >= 10
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sums_only_over_the_support_of_a_weight(self, exact, monkeypatch):
+        # a sum step over v with a factor on v alone that is zero on at
+        # least half of the k classes sums over the nonzero classes only;
+        # the dropped terms are exact zeros.  On a conditioned step that
+        # factor is w * A[x] (A[x] when twin-free), so class x reaches its
+        # neighbours alone.  With `_EXACT` at 0 no float run is certified,
+        # so every count comes from the int64 rerun, which slices alike
+        k33 = complete_bipartite(3, 3)
+        hosts = _sparse_hosts()
+        assert len(hosts[0].twin_quotient[1]) == hosts[0].n  # twin-free
+        wants = [
+            (hom_count(k33, g).value, hom_count(CONDITIONS_TWICE, g).value,
+             inj_backtrack(cycle(8), g) // 16)
+            for g in hosts
+        ]
+        if exact:
+            monkeypatch.setattr("sslab.homcounts._EXACT", 0.0)
+        log = _einsum_calls(monkeypatch)
+        for g, want in zip(hosts, wants):
+            log.clear()
+            assert (
+                hom_contract(k33.n, k33.edges, g).value,
+                hom_contract(CONDITIONS_TWICE.n, CONDITIONS_TWICE.edges, g).value,
+                count_c2t(g, 4).value,
+            ) == want
+            k = len(g.twin_quotient[1])
+            # the calls with a factor on the summed vertex alone, and the
+            # dtype and size along the summed axis, the same for every operand
+            weighted = [
+                (dtypes[0], *_summed_sizes(spec, shapes))
+                for spec, shapes, dtypes in log
+                if len(shapes) > 1 and "i" in spec.split("->")[0].split(",")
+            ]
+            assert all(len(call) == 2 for call in weighted)
+            sizes = {size for _, size in weighted}
+            assert k in sizes  # some weight is nonzero on more than half the classes
+            assert all(size == k or size <= k // 2 for size in sizes)
+            sliced = {dtype for dtype, size in weighted if size < k}
+            assert ("int64" if exact else "float64") in sliced
+
+    def test_dense_quotients_keep_full_shapes(self, monkeypatch):
+        # K_6 is its own quotient, and each of the three classes of
+        # K_{800,800,800} is adjacent to the other two: a weight w * A[x]
+        # is nonzero on k - 1 of the k classes, so every operand of K_{3,3}
+        # and C_6 keeps k entries on every axis
+        k800 = join(join(empty_graph(800), empty_graph(800)), empty_graph(800))
+        log = _einsum_calls(monkeypatch)
+        for g, k in ((complete(6), 6), (k800, 3)):
+            log.clear()
+            hom_contract(6, complete_bipartite(3, 3).edges, g)
+            count_c2t(g, 3)
+            assert len(g.twin_quotient[1]) == k
+            assert log and {size for _, shapes, _ in log for s in shapes for size in s} == {k}
+        # conditioned twice, on classes x != y, a vertex adjacent to both
+        # has the weight w * A[x] * A[y], nonzero on the third class alone:
+        # its step sums over that class.  Every map into the blow-up of K_3
+        # by 800 weighs 800^8
+        log.clear()
+        h = CONDITIONS_TWICE
+        assert hom_contract(h.n, h.edges, k800).value == hom_count(h, complete(3)).value * 800**8
+        assert {size for _, shapes, _ in log for s in shapes for size in s} == {1, 3}
+
+
+def _with_pendants(g: Graph, anchors) -> Graph:
+    """g with a new leaf hung on each vertex of `anchors`."""
+    leaves = [(a, g.n + i) for i, a in enumerate(anchors)]
+    return Graph.from_edges(g.n + len(leaves), list(g.edges) + leaves)
+
+
+def _sparse_hosts() -> list:
+    """Sparse hosts with pendant leaves and isolated vertices: a twin-free
+    G(n, m) with pendants, G(n, m) beside a star and isolated vertices,
+    and split graphs, whose independent vertices are twins, with pendants
+    on the clique and on independent vertices."""
+    return [
+        _with_pendants(sample_gnm(40, 80, 0), range(0, 40, 7)),
+        union(union(sample_gnm(40, 80, 1), star(5)), empty_graph(3)),
+        _with_pendants(split_graph(3, 24), [3, 4, 5, 6]),
+        union(_with_pendants(split_graph(4, 30), [0, 5, 9]), empty_graph(2)),
+    ]
+
+
+class TestEinsumPaths:
+
+    def test_one_path_search_per_spec_and_shapes(self, monkeypatch):
+        # the contraction path of each (spec, operand shapes) is searched
+        # once and reused, also across the classes of a conditioning
+        _einsum_path.cache_clear()
+        searched, einsum_path = [], np.einsum_path
+
+        def logged(spec, *ops, **kwargs):
+            searched.append((spec, tuple(op.shape for op in ops)))
+            return einsum_path(spec, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", logged)
+        log = _einsum_calls(monkeypatch)
+        h, g = complete_bipartite(3, 3), sample_gnm(40, 160, 11)
+        assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+        assert len(searched) == len(set(searched))
+        assert set(searched) == {(spec, shapes) for spec, shapes, _ in log}
+        assert len(log) > 2 * len(searched)
+
+    def test_the_path_is_the_one_optimize_true_takes(self):
+        rng = np.random.default_rng(3)
+        for spec, shapes in [
+            ("ij,ik,i->jk", ((7, 12), (7, 12), (7,))),
+            ("ij,jk,ik,i->jk", ((5, 9), (9, 9), (5, 9), (5,))),
+            ("ij,i->j", ((4, 30), (4,))),
+            ("i->", ((6,),)),
+        ]:
+            ops = [rng.integers(0, 3, shape).astype(np.float64) for shape in shapes]
+            assert list(_einsum_path(spec, shapes)) == np.einsum_path(spec, *ops, optimize=True)[0]
+
 
 def _cycles_in_complete_bipartite(a: int, t: int) -> int:
     """#C_2t in K_{a,a}: a cycle alternates between t vertices of each
@@ -1020,22 +1163,14 @@ class TestContractionCalls:
     or sharing changes the digest, which is then updated on purpose."""
 
     # (spec, operand shapes, operand dtypes) of every call below, in order
-    DIGEST = "0a6dc317e0d3e65aacbe792830a63c4b1d1940ee89def3f6b1f2419e0bc725d7"
+    DIGEST = "07296fde92a26a2aec15ab6382deadec3c6726b81ded1b196cb27ed953a57772"
+    # (spec, operand dtypes) alone: the plans, keys and arithmetic, which
+    # a change to how a step is evaluated leaves as they are
+    SPEC_DIGEST = "f39506777602dfa360f35ff7a6ca8d59f4364abcd2901c81fefa3136cc6947eb"
 
     def test_call_sequence_is_pinned(self, monkeypatch):
-        log, einsum = [], np.einsum
-
-        def logged(spec, *ops, **kwargs):
-            log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops)))
-            return einsum(spec, *ops, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", logged)
-        # the second pattern conditions twice
-        conditions_twice = Graph.from_edges(8, [
-            (0, 1), (0, 3), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6),
-            (2, 7), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7),
-        ])
-        patterns = [path(4), conditions_twice] + [_random_pattern(seed) for seed in range(40)]
+        log = _einsum_calls(monkeypatch)
+        patterns = [path(4), CONDITIONS_TWICE] + [_random_pattern(seed) for seed in range(40)]
         k23 = complete_bipartite(2, 3)
         hosts = [sample_gnm(12, 30, 5), split_graph(3, 24), complete(6), complete(12)]
         hosts.append(join(join(empty_graph(2), empty_graph(3)), empty_graph(3)))
@@ -1051,6 +1186,8 @@ class TestContractionCalls:
         for h in patterns:
             aut_order(h)
         assert {dtype for *_, dtypes in log for dtype in dtypes} == {"float64", "int64", "object"}
+        specs = [(spec, dtypes) for spec, _, dtypes in log]
+        assert hashlib.sha256(repr(specs).encode()).hexdigest() == self.SPEC_DIGEST
         assert hashlib.sha256(repr(log).encode()).hexdigest() == self.DIGEST
 
 
