@@ -201,7 +201,7 @@ def cmd_spectral(args) -> int:
             "lambda": pd.lam,
             "component": g.components.index(pd.component),
             "residual_below_tol": pd.residual <= args.tol,
-            "sup_norm": max(pd.x),
+            "sup_norm": pd.x.max(),
             "g_loc": supersat.localization_g(pd, g.edge_count),
         },
     )

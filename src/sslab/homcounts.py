@@ -5,16 +5,17 @@ Three engines, every result an exact Python int:
 
 - contraction (`hom_contract`): hom(H, G) is a sum over the pattern's
   vertices of a product of adjacency factors, one per pattern edge, and the
-  engine sums the pattern vertices out one at a time with `np.einsum`.
-  Closed walks, hom(K_{t,t}), the inequality suite and every inj count
-  run on it: `inj_count`, `aut_order` (inj(H, H)) and the 2t-cycle counter
-  (t >= 3) use the spasm identity inj(H, G) = sum_q mu_q hom(q, G) over
-  the loop-free quotients q of H (`_quotients`; Lovasz 2012, section 5.2;
-  Curticapean-Dell-Marx), with integer Moebius coefficients mu_q.  Every
+  engine sums the pattern vertices out one at a time, each step one matrix
+  product (`_sum_out`).  Closed walks, hom(K_{t,t}), the inequality suite
+  and every inj count run on it: `inj_count`, `aut_order` (inj(H, H)) and
+  the 2t-cycle counter (t >= 3) use the spasm identity inj(H, G) = sum_q
+  mu_q hom(q, G) over the loop-free quotients q of H (`_quotients`; Lovasz
+  2012, section 5.2; Curticapean-Dell-Marx), with integer Moebius
+  coefficients mu_q.  Every
   caller goes through one entry point for a signed sum of patterns over one
   host (`_contract_sum`).  Within the sum, a step whose summed-out
   sub-pattern is isomorphic to an earlier step's (boundary vertices in
-  scope order) takes that step's stored array instead of a new `np.einsum`,
+  scope order) takes that step's stored array instead of a new product,
   and the store drops each array at its last use.  So C_6's ten quotients
   make four k x k products (A^2 to A^5) instead of thirteen.  A plan that
   conditions on a pattern vertex shares in the same way inside the loop
@@ -26,9 +27,7 @@ Three engines, every result an exact Python int:
   class sizes below), not A diag(w A[x]) A three times.  One walk of the
   pattern (`_plan`) orders the eliminations and records the sub-pattern
   each step sums out, so the keys ride on the plan's steps, and an exact
-  rerun runs the same plan with a store of its own.  Each `np.einsum`
-  takes the greedy contraction path searched once per spec and operand
-  shapes (`_einsum_path`).
+  rerun runs the same plan with a store of its own.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -400,13 +399,33 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
-@lru_cache(maxsize=1024)
-def _einsum_path(spec: str, shapes: tuple) -> tuple:
-    """The greedy contraction path `np.einsum(optimize=True)` would search
-    for on operands of these shapes, searched once per (spec, shapes) on
-    zero-byte stand-ins; a tuple, so no caller can change the cached one."""
-    stand_ins = (np.broadcast_to(np.empty(()), shape) for shape in shapes)
-    return tuple(np.einsum_path(spec, *stand_ins, optimize="greedy")[0])
+def _sum_out(spec: str, ops: list):
+    """One sum step `spec` (`_execute`'s, summing out i) as one product.
+    The step holds at most one vector on (i,), the weight w, and one
+    matrix per output axis, each given as (i, j) or (j, i) and read as
+    (i, j) (a transposed view for the latter).  In any operand order:
+    `i->` is w.sum(), `ij->j` a column sum, `ij,i->j` w @ M, `ij,ik->jk`
+    M1.T @ M2 and `ij,ik,i->jk` (M1 * w[:, None]).T @ M2.  Any other form
+    raises `CountError`."""
+    terms, out = spec.split("->")
+    w, mats = None, {}
+    for term, op in zip(terms.split(","), ops):
+        axis = term.replace("i", "", 1)
+        if term == "i" and w is None:
+            w = op
+        elif len(term) == 2 and term.count("i") == 1 and axis in out and axis not in mats:
+            mats[axis] = op if term[0] == "i" else op.T
+        else:
+            raise CountError(f"no one-product form for the contraction {spec!r}")
+    if sorted(mats) != sorted(out) or len(out) > 2 or not (mats or w is not None):
+        raise CountError(f"no one-product form for the contraction {spec!r}")
+    if not out:
+        return w.sum()
+    if len(out) == 1:
+        m = mats[out]
+        return m.sum(axis=0) if w is None else w @ m
+    left, right = mats[out[0]], mats[out[1]]
+    return (left if w is None else left * w[:, None]).T @ right
 
 
 def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
@@ -458,8 +477,7 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
                 support = np.flatnonzero(ops[inc.index((v,))])
                 if 2 * len(support) <= n:
                     ops = [np.take(op, support, axis=s.index(v)) for s, op in zip(inc, ops)]
-            path = _einsum_path(spec, tuple(op.shape for op in ops))
-            f = np.einsum(spec, *ops, optimize=path)
+            f = _sum_out(spec, ops)
         else:
             for s in inc:
                 del factors[s]
@@ -562,13 +580,14 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     given edge list ((u, u) is a loop; repeated edges are allowed).
 
     Pattern vertices are summed out one at a time, lowest resulting width
-    first, with `np.einsum` over float64 factors: the adjacency of g's twin
-    quotient on each pattern edge and the class sizes on each pattern
-    vertex (`_contract_sum`).  No factor ever has more than two class axes:
-    where every elimination would need three, the engine conditions on one
-    pattern vertex instead, loops over its k classes and adds up the exact
-    integer results, each times the class size.  Within one class, steps
-    that sum out isomorphic sub-patterns compute one array (`_schedule`).
+    first, each step one matrix product (`_sum_out`) over float64 factors:
+    the adjacency of g's twin quotient on each pattern edge and the class
+    sizes on each pattern vertex (`_contract_sum`).  No factor ever has
+    more than two class axes: where every elimination would need three,
+    the engine conditions on one pattern vertex instead, loops over its k
+    classes and adds up the exact integer results, each times the class
+    size.  Within one class, steps that sum out isomorphic sub-patterns
+    compute one array (`_schedule`).
 
     Exactness is certified by the data, not by an a-priori bound.  Inputs,
     class sizes included, are nonnegative integers, so every partial sum
@@ -578,7 +597,10 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     its output entry past 2^52 as well.  Hence if every factor the engine
     keeps, and every scalar, is at most 2^52, every float step was exact.
     (A partial that reaches no output was multiplied by 0, and is finite
-    because each step's inputs are at most 2^52.)  A step that sums only
+    because each step's inputs are at most 2^52.)  The argument holds for
+    any association of a step's products and sums, so `_sum_out` may fold
+    the weight into either matrix and the product may sum in any order; the
+    integer reruns are exact in any order.  A step that sums only
     over the classes where a weight factor is nonzero (`_execute`) drops
     terms that are exact zeros: it gives the same output entries, and its
     partial sums are still at most their entry, so the argument holds.

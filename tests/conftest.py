@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from sslab import Graph, sample_gnm
+from sslab import Graph, homcounts, sample_gnm
 from sslab.spectra import incidence_matrix, top_singular
 from sslab.supersat import _aligned
 
@@ -30,6 +30,22 @@ def pytest_terminal_summary(terminalreporter):
     for name in sorted(_results):
         verdict = "PASS" if _results[name] == "passed" else "FAIL"
         terminalreporter.write_line(f"{name}: {verdict}")
+
+
+@pytest.fixture
+def contraction_log(monkeypatch) -> list:
+    """Every sum step the contraction engine evaluates, logged as (spec,
+    operand shapes, operand dtypes as strings, result) by a hook on
+    `homcounts._sum_out`."""
+    log, sum_out = [], homcounts._sum_out
+
+    def logged(spec, ops):
+        out = sum_out(spec, ops)
+        log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops), out))
+        return out
+
+    monkeypatch.setattr(homcounts, "_sum_out", logged)
+    return log
 
 
 def csr_rows(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -1081,17 +1081,21 @@ class TestUnexpectedErrors:
         ]
 
     def test_one_contraction_call_site(self):
-        # every contraction is one `np.einsum` in `homcounts._execute`, on
-        # the path `homcounts._einsum_path` searches once per spec and
-        # shapes, so each sums only over the support of its weight
-        found = []
+        # every contraction step is one matrix product in
+        # `homcounts._sum_out`; no module calls or imports `np.einsum` or
+        # `np.einsum_path`, and the only other `@` in `homcounts` is
+        # `_count_c4`'s sparse product
+        found, products = [], []
         for p in package_sources():
             for scope, node in scoped_nodes(p):
                 if isinstance(node, ast.Attribute) and node.attr in ("einsum", "einsum_path"):
                     found.append(f"{scope}.{node.attr}")
                 elif isinstance(node, ast.alias) and node.name in ("einsum", "einsum_path"):
                     found.append(f"{scope} imports {node.name}")
-        assert sorted(found) == ["homcounts._einsum_path.einsum_path", "homcounts._execute.einsum"]
+                elif isinstance(node, ast.MatMult) and p.stem == "homcounts":
+                    products.append(scope)
+        assert found == []
+        assert sorted(set(products)) == ["homcounts._count_c4", "homcounts._sum_out"]
 
     def test_one_owner_of_the_twin_classes(self):
         # `Graph.twin_quotient` alone finds the false-twin classes and

@@ -51,13 +51,13 @@ from sslab.homcounts import (
     PatternTooLargeError,
     _canonical,
     _connected_order,
-    _einsum_path,
     _pair_total,
     _plan,
     _plan_work,
     _put,
     _quotients,
     _schedule,
+    _sum_out,
     codegree_work,
     wedge_bound,
     wedge_work,
@@ -696,31 +696,10 @@ class TestEvenCycles:
         assert count_c2t(cycle(8), 2).value == 0
 
 
-def _einsum_log(monkeypatch) -> list:
-    """Record every `np.einsum` call as (its result, the operands' dtype,
-    the number of operands)."""
-    log, einsum = [], np.einsum
-
-    def logged(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        log.append((out, args[1].dtype, len(args) - 1))
-        return out
-
-    monkeypatch.setattr(np, "einsum", logged)
-    return log
-
-
-def _einsum_calls(monkeypatch) -> list:
-    """Record every `np.einsum` call as (spec, operand shapes, operand
-    dtypes)."""
-    log, einsum = [], np.einsum
-
-    def logged(spec, *ops, **kwargs):
-        log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops)))
-        return einsum(spec, *ops, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", logged)
-    return log
+def _index_work(spec: str, shapes: tuple) -> int:
+    """A logged step's work: the product of its index ranges."""
+    inputs = spec.split("->")[0].split(",")
+    return math.prod({c: n for s, shape in zip(inputs, shapes) for c, n in zip(s, shape)}.values())
 
 
 def _summed_sizes(spec: str, shapes: tuple) -> set:
@@ -760,30 +739,29 @@ class TestSharedMoebiusSum:
             for t in (3, 4):
                 assert count_c2t(g, t).value == self._per_quotient(g, t)
 
-    def test_one_product_per_distinct_factor(self, monkeypatch):
+    def test_one_product_per_distinct_factor(self, contraction_log):
         # C6's quotients build A^2 eight times, A^3 three times and A^4, A^5
         # once each; shared, each n x n result is computed once
         g = sample_gnm(40, 160, 11)
         a = dense_adjacency(g)
         want = count_c2t(g, 3).value
-        log = _einsum_log(monkeypatch)
+        contraction_log.clear()
         assert count_c2t(g, 3).value == want
-        squares = [out for out, *_ in log if np.ndim(out) == 2]
+        squares = [out for *_, out in contraction_log if np.ndim(out) == 2]
         powers = [np.linalg.matrix_power(a, k) for k in (2, 3, 4, 5)]
         assert len(squares) == len(powers)
         for out, power in zip(squares, powers):
             assert np.array_equal(out, power)
 
-    def test_only_the_c6_term_reruns_on_int64(self, monkeypatch):
+    def test_only_the_c6_term_reruns_on_int64(self, contraction_log):
         # on K_410 only hom(C_6) itself passes 2^52 (tr A^6 ~ 410^6): its
         # plan alone reruns, six steps, while the other nine quotients keep
         # their float run and their shared factors.  410^6 < 2^63 bounds
         # every entry of the rerun, so it runs on int64, not Python ints.
         # #C_6(K_n) = n! / ((n - 6)! * 12)
-        log = _einsum_log(monkeypatch)
         assert count_c2t(complete(410), 3).value == math.perm(410, 6) // 12
-        assert sum(dtype == np.int64 for _, dtype, _ in log) == 6
-        assert not any(dtype == object for _, dtype, _ in log)
+        first = [dtypes[0] for _, _, dtypes, _ in contraction_log]
+        assert first.count("int64") == 6 and "object" not in first
 
     def test_peak_memory_stays_at_four_matrices(self):
         g = sample_gnm(600, 6000, 4)
@@ -855,7 +833,7 @@ class TestConditionedSharing:
     vertices held in place, compute one array between them.  An exact
     rerun has a store of its own too, and shares as the float run does."""
 
-    def test_one_three_operand_step_per_class(self, monkeypatch):
+    def test_one_three_operand_step_per_class(self, contraction_log):
         # K_{3,3} conditions on one side's first vertex; its sub-plan then
         # sums out the other side's three vertices, each joined to that
         # vertex and to the two left, so A diag(A[x]) A is computed once
@@ -865,9 +843,8 @@ class TestConditionedSharing:
         a = dense_adjacency(g).astype(np.int64)
         codeg = np.einsum("ai,bi,ci->abc", a, a, a)
         want = int((codeg**3).sum())
-        log = _einsum_log(monkeypatch)
         assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == want
-        assert [ops for *_, ops in log].count(3) == k
+        assert [len(shapes) for _, shapes, *_ in contraction_log].count(3) == k
 
     def test_complete_bipartite_on_twin_free_hosts_and_blow_ups(self):
         rng = random.Random(31)
@@ -885,16 +862,16 @@ class TestConditionedSharing:
                 assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
         assert 3 <= twin_free <= 5
 
-    def test_exact_rerun_shares_on_python_ints(self, monkeypatch):
+    def test_exact_rerun_shares_on_python_ints(self, contraction_log):
         # K_{1500,1500} is the blow-up of an edge into two classes: the
         # count 2 * 1500^6 passes 2^52, so the plan reruns, and on Python
         # ints, since 3000^6 >= 2^63; it shares as the float run does
         g = complete_bipartite(1500, 1500)
-        log = _einsum_log(monkeypatch)
         assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == 2 * 1500**6
-        assert [ops for _, dtype, ops in log if dtype == object].count(3) == 2
+        exact = [len(shapes) for _, shapes, dtypes, _ in contraction_log if dtypes[0] == "object"]
+        assert exact.count(3) == 2
 
-    def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, monkeypatch):
+    def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, contraction_log):
         # K_{3,3}'s sub-plan makes one k x k x k product per class, then a
         # k x k and a k step: k^3 + k^2 + k, not 3k^3 + k^2 + k
         ((_, plan, *_),), _ = _schedule(((6, complete_bipartite(3, 3).edges, 1),))
@@ -902,27 +879,22 @@ class TestConditionedSharing:
         # K_{800,800,800}, three classes: each class's share of
         # hom(K_{3,3}) = 42 * 800^6 passes 2^52, so the plan reruns on
         # Python ints (2400^6 >= 2^63), and the estimate is the work of the
-        # rerun's einsum calls, each the product of its index ranges
+        # rerun's steps, each the product of its index ranges
         g = join(join(empty_graph(800), empty_graph(800)), empty_graph(800))
-        work, einsum = [], np.einsum
-
-        def logged(spec, *ops, **kwargs):
-            if ops[0].dtype == object:
-                inputs = spec.split("->")[0].split(",")
-                ranges = {c: size for s, op in zip(inputs, ops) for c, size in zip(s, op.shape)}
-                work.append(math.prod(ranges.values()))
-            return einsum(spec, *ops, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", logged)
         assert hom_contract(6, complete_bipartite(3, 3).edges, g).value == 42 * 800**6
+        work = [
+            _index_work(spec, shapes)
+            for spec, shapes, dtypes, _ in contraction_log
+            if dtypes[0] == "object"
+        ]
         assert sum(work) == _plan_work(plan, 3) == 3 * (3**3 + 3**2 + 3)
 
     @pytest.mark.parametrize("twin_free", [True, False])
-    def test_exact_rerun_shares_top_level_steps(self, twin_free, monkeypatch):
+    def test_exact_rerun_shares_top_level_steps(self, twin_free, contraction_log, monkeypatch):
         # K_{2,3}'s plan first sums out two of the side of three, each into
         # the same k x k array of codegrees, so one key serves both steps.
         # With no float certified, the term reruns on int64 and makes that
-        # array once, then sums out the other three vertices: one einsum per
+        # array once, then sums out the other three vertices: one step per
         # key and per unkeyed step, with the work `_plan_work` estimates
         g = sample_gnm(9, 20, 4) if twin_free else blow_up(cycle(5), [1, 2, 1, 2, 1])
         k = len(g.twin_quotient[1])
@@ -931,18 +903,13 @@ class TestConditionedSharing:
         ((_, plan, *_),), uses = _schedule(((h.n, h.edges, 1),))
         assert [step[3] is not None for step in plan] == [True, True, False, False, False]
         assert list(uses.values()) == [2]
-        calls, einsum = [], np.einsum
-
-        def logged(spec, *ops, **kwargs):
-            if ops[0].dtype == np.int64:
-                inputs, out = spec.split("->")
-                ranges = {c: n for s, op in zip(inputs.split(","), ops) for c, n in zip(s, op.shape)}
-                calls.append((len(out), math.prod(ranges.values())))
-            return einsum(spec, *ops, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", logged)
         monkeypatch.setattr("sslab.homcounts._EXACT", 0.0)
         assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+        calls = [
+            (len(spec.split("->")[1]), _index_work(spec, shapes))
+            for spec, shapes, dtypes, _ in contraction_log
+            if dtypes[0] == "int64"
+        ]
         assert [axes for axes, _ in calls] == [2, 2, 1, 0]
         assert sum(work for _, work in calls) == _plan_work(plan, k) == 2 * k**3 + k**2 + k
 
@@ -988,7 +955,7 @@ class TestConditionedSharing:
         assert checked >= 10
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_sums_only_over_the_support_of_a_weight(self, exact, monkeypatch):
+    def test_sums_only_over_the_support_of_a_weight(self, exact, contraction_log, monkeypatch):
         # a sum step over v with a factor on v alone that is zero on at
         # least half of the k classes sums over the nonzero classes only;
         # the dropped terms are exact zeros.  On a conditioned step that
@@ -1005,7 +972,7 @@ class TestConditionedSharing:
         ]
         if exact:
             monkeypatch.setattr("sslab.homcounts._EXACT", 0.0)
-        log = _einsum_calls(monkeypatch)
+        log = contraction_log
         for g, want in zip(hosts, wants):
             log.clear()
             assert (
@@ -1018,7 +985,7 @@ class TestConditionedSharing:
             # dtype and size along the summed axis, the same for every operand
             weighted = [
                 (dtypes[0], *_summed_sizes(spec, shapes))
-                for spec, shapes, dtypes in log
+                for spec, shapes, dtypes, _ in log
                 if len(shapes) > 1 and "i" in spec.split("->")[0].split(",")
             ]
             assert all(len(call) == 2 for call in weighted)
@@ -1028,19 +995,19 @@ class TestConditionedSharing:
             sliced = {dtype for dtype, size in weighted if size < k}
             assert ("int64" if exact else "float64") in sliced
 
-    def test_dense_quotients_keep_full_shapes(self, monkeypatch):
+    def test_dense_quotients_keep_full_shapes(self, contraction_log):
         # K_6 is its own quotient, and each of the three classes of
         # K_{800,800,800} is adjacent to the other two: a weight w * A[x]
         # is nonzero on k - 1 of the k classes, so every operand of K_{3,3}
         # and C_6 keeps k entries on every axis
         k800 = join(join(empty_graph(800), empty_graph(800)), empty_graph(800))
-        log = _einsum_calls(monkeypatch)
+        log = contraction_log
         for g, k in ((complete(6), 6), (k800, 3)):
             log.clear()
             hom_contract(6, complete_bipartite(3, 3).edges, g)
             count_c2t(g, 3)
             assert len(g.twin_quotient[1]) == k
-            assert log and {size for _, shapes, _ in log for s in shapes for size in s} == {k}
+            assert log and {size for _, shapes, *_ in log for s in shapes for size in s} == {k}
         # conditioned twice, on classes x != y, a vertex adjacent to both
         # has the weight w * A[x] * A[y], nonzero on the third class alone:
         # its step sums over that class.  Every map into the blow-up of K_3
@@ -1048,7 +1015,7 @@ class TestConditionedSharing:
         log.clear()
         h = CONDITIONS_TWICE
         assert hom_contract(h.n, h.edges, k800).value == hom_count(h, complete(3)).value * 800**8
-        assert {size for _, shapes, _ in log for s in shapes for size in s} == {1, 3}
+        assert {size for _, shapes, *_ in log for s in shapes for size in s} == {1, 3}
 
 
 def _with_pendants(g: Graph, anchors) -> Graph:
@@ -1068,38 +1035,6 @@ def _sparse_hosts() -> list:
         _with_pendants(split_graph(3, 24), [3, 4, 5, 6]),
         union(_with_pendants(split_graph(4, 30), [0, 5, 9]), empty_graph(2)),
     ]
-
-
-class TestEinsumPaths:
-
-    def test_one_path_search_per_spec_and_shapes(self, monkeypatch):
-        # the contraction path of each (spec, operand shapes) is searched
-        # once and reused, also across the classes of a conditioning
-        _einsum_path.cache_clear()
-        searched, einsum_path = [], np.einsum_path
-
-        def logged(spec, *ops, **kwargs):
-            searched.append((spec, tuple(op.shape for op in ops)))
-            return einsum_path(spec, *ops, **kwargs)
-
-        monkeypatch.setattr(np, "einsum_path", logged)
-        log = _einsum_calls(monkeypatch)
-        h, g = complete_bipartite(3, 3), sample_gnm(40, 160, 11)
-        assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
-        assert len(searched) == len(set(searched))
-        assert set(searched) == {(spec, shapes) for spec, shapes, _ in log}
-        assert len(log) > 2 * len(searched)
-
-    def test_the_path_is_the_one_optimize_true_takes(self):
-        rng = np.random.default_rng(3)
-        for spec, shapes in [
-            ("ij,ik,i->jk", ((7, 12), (7, 12), (7,))),
-            ("ij,jk,ik,i->jk", ((5, 9), (9, 9), (5, 9), (5,))),
-            ("ij,i->j", ((4, 30), (4,))),
-            ("i->", ((6,),)),
-        ]:
-            ops = [rng.integers(0, 3, shape).astype(np.float64) for shape in shapes]
-            assert list(_einsum_path(spec, shapes)) == np.einsum_path(spec, *ops, optimize=True)[0]
 
 
 def _cycles_in_complete_bipartite(a: int, t: int) -> int:
@@ -1147,29 +1082,28 @@ class TestCycleArithmeticBoundaries:
             ]
         ],
     )
-    def test_counts_at_the_boundaries(self, t, a, arithmetic, monkeypatch):
+    def test_counts_at_the_boundaries(self, t, a, arithmetic, contraction_log):
         g = complete_bipartite(a, a)
-        log = _einsum_log(monkeypatch)
+        log = contraction_log
         assert count_c2t(g, t).value == _cycles_in_complete_bipartite(a, t)
-        assert {str(dtype) for _, dtype, _ in log} == arithmetic
+        assert {dtypes[0] for _, _, dtypes, _ in log} == arithmetic
         log.clear()
         assert closed_walk_count(g, 2 * t).value == 2 * a ** (2 * t)
-        assert {str(dtype) for _, dtype, _ in log} == arithmetic
+        assert {dtypes[0] for _, _, dtypes, _ in log} == arithmetic
 
 
 
 class TestContractionCalls:
-    """The contraction's `np.einsum` calls, pinned: a change to planning
-    or sharing changes the digest, which is then updated on purpose."""
+    """The contraction's sum steps, pinned: a change to planning or
+    sharing changes the digest, which is then updated on purpose."""
 
-    # (spec, operand shapes, operand dtypes) of every call below, in order
+    # (spec, operand shapes, operand dtypes) of every step below, in order
     DIGEST = "07296fde92a26a2aec15ab6382deadec3c6726b81ded1b196cb27ed953a57772"
     # (spec, operand dtypes) alone: the plans, keys and arithmetic, which
     # a change to how a step is evaluated leaves as they are
     SPEC_DIGEST = "f39506777602dfa360f35ff7a6ca8d59f4364abcd2901c81fefa3136cc6947eb"
 
-    def test_call_sequence_is_pinned(self, monkeypatch):
-        log = _einsum_calls(monkeypatch)
+    def test_call_sequence_is_pinned(self, contraction_log):
         patterns = [path(4), CONDITIONS_TWICE] + [_random_pattern(seed) for seed in range(40)]
         k23 = complete_bipartite(2, 3)
         hosts = [sample_gnm(12, 30, 5), split_graph(3, 24), complete(6), complete(12)]
@@ -1185,10 +1119,64 @@ class TestContractionCalls:
                 inj_count(h, g)
         for h in patterns:
             aut_order(h)
+        log = [(spec, shapes, dtypes) for spec, shapes, dtypes, _ in contraction_log]
         assert {dtype for *_, dtypes in log for dtype in dtypes} == {"float64", "int64", "object"}
         specs = [(spec, dtypes) for spec, _, dtypes in log]
+        assert {spec for spec, *_ in log} == set(SUM_FORMS)
         assert hashlib.sha256(repr(specs).encode()).hexdigest() == self.SPEC_DIGEST
         assert hashlib.sha256(repr(log).encode()).hexdigest() == self.DIGEST
+
+
+# every form of sum step the planner emits (`TestContractionCalls` logs
+# each): i summed out, at most one weight on (i,), one matrix per output axis
+SUM_FORMS = [
+    "i->", "ij->j", "i,ij->j", "ij,i->j",
+    "ij,ik->jk", "ik,ij->jk", "ji,ki->jk",
+    "i,ij,ik->jk", "i,ik,ij->jk", "i,ik,ji->jk", "i,ji,ki->jk", "ij,i,ik->jk",
+    "ij,ik,i->jk", "ik,i,ij->jk", "ik,i,ji->jk", "ik,ij,i->jk",
+]
+
+
+@st.composite
+def sum_steps(draw):
+    """A sum step in one of `SUM_FORMS` on nonnegative integer operands of
+    one dtype: float64 and int64 entries below 2^16, so every sum is exact,
+    object entries up to 2^80.  The summed axis and each output axis have
+    0 to 12 entries of their own, as a step sliced to a weight's support has."""
+    spec = draw(st.sampled_from(SUM_FORMS))
+    dtype = draw(st.sampled_from(["float64", "int64", "object"]))
+    top = 2**80 if dtype == "object" else 2**16
+    sizes = {c: draw(st.integers(0, 12)) for c in "ijk"}
+    ops = []
+    for term in spec.split("->")[0].split(","):
+        shape = tuple(sizes[c] for c in term)
+        size = math.prod(shape)
+        entries = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        ops.append(np.array(entries, dtype=object).reshape(shape).astype(dtype))
+    return spec, ops
+
+
+class TestSumOut:
+    """`_sum_out` evaluates each sum step as one product; `np.einsum` is
+    the oracle, in value, dtype and type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_steps())
+    def test_matches_einsum(self, step):
+        spec, ops = step
+        got, want = _sum_out(spec, ops), np.einsum(spec, *ops)
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "spec", ["ij,ji->j", "ii->i", "i,i->", "ij->", "ij->i", "ij,jk->ik", "ij,ik,il->jkl",
+                 "ij,ij->j", "i->i", "->"],
+    )
+    def test_other_forms_raise(self, spec):
+        ops = [np.ones((2,) * len(term)) for term in spec.split("->")[0].split(",") if term]
+        with pytest.raises(CountError):
+            _sum_out(spec, ops)
 
 
 @st.composite

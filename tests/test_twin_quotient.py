@@ -198,19 +198,13 @@ class TestTwinClasses:
                 got = len(_twins(h.sparse_adjacency())[0])
                 assert got == k + (spec.r > 0) + 2 + (spec.q > 2) <= spec.classes + 2
 
-    def test_twin_free_host_runs_without_weights(self, monkeypatch):
+    def test_twin_free_host_runs_without_weights(self, contraction_log):
         # no class holds two vertices: the engine runs on the host's own
-        # adjacency, so every einsum sees n x n or n-vector operands
+        # adjacency, so every sum step sees n x n or n-vector operands
         g = sample_gnm(40, 160, 11)
         assert len(_twins(g.sparse_adjacency())[0]) == g.n
-        shapes, einsum = [], np.einsum
-
-        def logged(*args, **kwargs):
-            shapes.extend(np.shape(x) for x in args[1:])
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", logged)
         count_c2t(g, 3)
+        shapes = [s for _, step_shapes, *_ in contraction_log for s in step_shapes]
         assert shapes and all(s in ((40, 40), (40,)) for s in shapes)
 
 
@@ -285,26 +279,22 @@ class TestWeightedEngine:
         assert abs(value / 10**18 - 1 / 27) < 1e-4
         print(f"count_c2t(split_graph(3, 10**6), 3): {elapsed:.3f} s")
 
-    def test_exact_rerun_picks_int64_by_the_range_bound(self, monkeypatch):
-        dtypes, einsum = [], np.einsum
+    def test_exact_rerun_picks_int64_by_the_range_bound(self, contraction_log):
+        def dtypes():  # each logged step's dtype, read off its first operand
+            return {step_dtypes[0] for _, _, step_dtypes, _ in contraction_log}
 
-        def logged(*args, **kwargs):
-            dtypes.append(args[1].dtype)
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", logged)
         # K_{10,...,10} with 23 parts: 23 classes of 10; tr(A^8) ~ 220^8
         # passes 2^52 and 230^8 < 2^63, so the weighted rerun is on int64,
         # checked against the int64 matrix power (every entry below 230^8)
         g = blow_up(complete(23), [10] * 23)
         a = dense_adjacency(g).astype(np.int64)
         assert closed_walk_count(g, 8).value == int(np.trace(np.linalg.matrix_power(a, 8)))
-        assert np.dtype(np.int64) in dtypes and object not in dtypes
+        assert "int64" in dtypes() and "object" not in dtypes()
         # hom(C_30, K_6) = 5^30 + 5, and 6^30 passes 2^63, so that rerun is
         # on Python ints
-        dtypes.clear()
+        contraction_log.clear()
         assert closed_walk_count(complete(6), 30).value == 5**30 + 5
-        assert object in dtypes and np.dtype(np.int64) not in dtypes
+        assert "object" in dtypes() and "int64" not in dtypes()
         # the bound reads the vertices, not the classes: S_{2,60} has 4
         # classes and 31 vertices, 4^24 < 2^63 < 31^24, and tr(A^24) > 2^63
         g = split_graph(2, 60)
