@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _str_text
 
 import numpy as np
 
@@ -90,22 +90,61 @@ def _shape(obj) -> dict:
     return _SHAPES.get(type(obj), _fields)(obj)
 
 
-def _plain(x):
-    """JSON-ready copy of a report value: dataclasses through `_SHAPES`,
-    floats rounded by `_f`, tuples and arrays as lists, dict keys as str."""
-    if is_dataclass(x):
-        x = _shape(x)
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind in "biu":  # no floats inside: nothing to round
-            return x.tolist()
-        x = x.tolist()
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, float):
-        return _f(x)
-    return x
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x) -> str:
+    """`x` rounded by `_f`, spelled as `json` spells floats."""
+    x = _f(x)
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _text(x, pieces: list, indent: str) -> None:
+    """Append to `pieces` the JSON text of the report value `x`, its inner
+    lines indented two spaces past `indent`: dataclasses through `_SHAPES`,
+    floats rounded by `_f`, tuples and arrays as lists, dict keys as str
+    and sorted, non-ASCII escaped; the bytes `json.dumps(..., indent=2,
+    sort_keys=True)` writes.  Any other type is a `TypeError`."""
+    if x is None or x is True or x is False:
+        pieces.append(_WORDS[x])
+    elif isinstance(x, str):
+        pieces.append(_str_text(x))
+    elif isinstance(x, int):
+        pieces.append(int.__repr__(x))
+    elif isinstance(x, float):
+        pieces.append(_float_text(x))
+    elif isinstance(x, np.ndarray):
+        _text(x.tolist(), pieces, indent)
+    elif isinstance(x, (dict, list, tuple)) and not x:
+        pieces.append("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, dict):
+        x = {str(k): v for k, v in x.items()}
+        inner = indent + "  "
+        sep = ",\n" + inner
+        pieces.append("{")
+        for i, k in enumerate(sorted(x)):
+            pieces.append((sep if i else "\n" + inner) + _str_text(k) + ": ")
+            _text(x[k], pieces, inner)
+        pieces.append("\n" + indent + "}")
+    elif isinstance(x, (list, tuple)):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, x)) <= {int}:  # one C-level pass: the n_mat rows
+            pieces.append("[\n" + inner + sep.join(map(int.__repr__, x)) + "\n" + indent + "]")
+            return
+        pieces.append("[")
+        for i, v in enumerate(x):
+            pieces.append(sep if i else "\n" + inner)
+            _text(v, pieces, inner)
+        pieces.append("\n" + indent + "]")
+    elif is_dataclass(x):
+        _text(_shape(x), pieces, indent)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _render(kind: str, *parts) -> str:
@@ -114,7 +153,9 @@ def _render(kind: str, *parts) -> str:
     obj = {"schema": SCHEMA, "kind": kind}
     for part in parts:
         obj.update(_shape(part) if is_dataclass(part) else part)
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    pieces = []
+    _text(obj, pieces, "")
+    return "".join(pieces) + "\n"
 
 
 def _write(path, text: str) -> None:

@@ -2,11 +2,12 @@
 
 import random
 import re
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 
-from sslab import Graph, homcounts, sample_gnm
+from sslab import Graph, cli, homcounts, sample_gnm
 from sslab.spectra import incidence_matrix, top_singular
 from sslab.supersat import _aligned
 
@@ -46,6 +47,26 @@ def contraction_log(monkeypatch) -> list:
 
     monkeypatch.setattr(homcounts, "_sum_out", logged)
     return log
+
+
+def plain_report(x):
+    """JSON-ready copy of a report value, for `json.dumps(..., indent=2,
+    sort_keys=True)` to write as the reference for `cli._render`:
+    dataclasses through `cli._shape`, floats rounded by `cli._f`, tuples
+    and arrays as lists, dict keys as str."""
+    if is_dataclass(x):
+        x = cli._shape(x)
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind in "biu":  # no floats inside: nothing to round
+            return x.tolist()
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {str(k): plain_report(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain_report(v) for v in x]
+    if isinstance(x, float):
+        return cli._f(x)
+    return x
 
 
 def csr_rows(g: Graph) -> tuple[tuple[int, ...], ...]:

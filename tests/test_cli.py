@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import re
 import math
@@ -11,12 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sslab import cli, graphs, homcounts, regularize, sidorenko, spectra, supersat
 from sslab.graphs import complete_bipartite, path, split_graph, star, union, write_edge_list
 from sslab.regularize import edge_distribution
-from conftest import csr_rows
+from conftest import csr_rows, plain_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -585,14 +590,23 @@ class TestPipelineCommands:
 
     def test_integer_arrays_serialize_whole(self):
         # the regularize report's n_mat: int and bool arrays go out as
-        # their lists, float arrays still round each entry
-        import numpy as np
-        from sslab.cli import _plain
-
-        ints = _plain(np.arange(6, dtype=np.int64).reshape(2, 3))
-        assert ints == [[0, 1, 2], [3, 4, 5]] and type(ints[1][2]) is int
-        assert _plain(np.array([True, False])) == [True, False]
-        assert _plain(np.array([[1 / 3]])) == [[0.333333333333]]
+        # their integers and words, float arrays still round each entry
+        text = cli._render(
+            "regularize",
+            {
+                "n_mat": np.arange(6, dtype=np.int64).reshape(2, 3),
+                "bools": np.array([True, False]),
+                "floats": np.array([[1 / 3]]),
+            },
+        )
+        assert text == (
+            '{\n  "bools": [\n    true,\n    false\n  ],\n'
+            '  "floats": [\n    [\n      0.333333333333\n    ]\n  ],\n'
+            '  "kind": "regularize",\n'
+            '  "n_mat": [\n    [\n      0,\n      1,\n      2\n    ],\n'
+            '    [\n      3,\n      4,\n      5\n    ]\n  ],\n'
+            '  "schema": "sslab.report.v1"\n}\n'
+        )
 
     def test_regularize_cap(self, tmp_path, monkeypatch, capsys):
         from sslab.cli import main
@@ -625,6 +639,114 @@ class TestPipelineCommands:
         out = capsys.readouterr()
         assert out.out == ""
         assert "unrecognized arguments: --budget 10" in out.err
+
+
+class TestReportWriter:
+    """`cli._render` writes the bytes `json.dumps(..., indent=2,
+    sort_keys=True)` writes for the reference copy `plain_report` makes of
+    the same report, on drawn values of every type a report holds."""
+
+    # floats json spells apart, the sign of zero, subnormals, and values
+    # that 12 significant digits round across a digit boundary
+    FLOATS = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225073858507e-308,
+        999999999999.5, 0.99999999999995, -9.99999999999951e99, 1 / 3, 1e16, 1e-7,
+    ]
+    # quotes, backslashes, control characters, non-ASCII and a lone surrogate
+    CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+
+    @dataclasses.dataclass
+    class Probe:
+        first: object
+        second: object = None
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        """One report dataclass of each type the CLI writes."""
+        host = split_graph(2, 60)
+        trace = supersat.heavy_prune(union(star(20), graphs.sample_gnm(15, 30, 1)), 2, eta=1e-4)
+        return [
+            sidorenko.check_suite(complete_bipartite(2, 2), host),
+            trace,
+            supersat.partition_pruned(trace),
+            supersat.row_cover_analyze(complete_bipartite(2, 5), [0, 1], [2, 3, 4, 5, 6], 2),
+            regularize.build_regular(star(2), 4),
+            supersat.supersat_count(host, 2, "ktt"),
+        ]
+
+    @classmethod
+    def values(cls, reports):
+        text = st.text(st.one_of(st.characters(), st.sampled_from(cls.CHARS)), max_size=8)
+        ints = st.one_of(
+            st.integers(-(2**70), 2**70), st.sampled_from([2**63, -(2**63) - 1, 2**64])
+        )
+        floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(cls.FLOATS))
+        shapes = hnp.array_shapes(min_dims=0, max_side=3)  # 0-d arrays too
+        arrays = st.one_of(
+            hnp.arrays(st.sampled_from([np.int64, np.uint64, np.int8]), shapes),
+            hnp.arrays(np.bool_, shapes),
+            hnp.arrays(np.float64, shapes, elements=floats),
+        )
+        leaves = st.one_of(
+            st.none(), st.booleans(), ints, floats, text, arrays,
+            floats.map(np.float64), st.sampled_from(reports),
+        )
+        # int keys whose string order is not their numeric order (2, 10)
+        keys = st.one_of(text, st.integers(-20, 20), st.sampled_from([2, 10, "2", "10"]))
+
+        def nest(inner):
+            return st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=4).map(tuple),
+                st.dictionaries(keys, inner, max_size=4),
+                st.builds(cls.Probe, inner, inner),
+            )
+
+        return st.recursive(leaves, nest, max_leaves=12)
+
+    @staticmethod
+    def reference(kind, part) -> str:
+        obj = {"schema": cli.SCHEMA, "kind": kind}
+        obj.update(cli._shape(part) if dataclasses.is_dataclass(part) else part)
+        return json.dumps(plain_report(obj), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_json_dumps(self, reports, data):
+        kind = data.draw(st.text(max_size=6))
+        values = self.values(reports)
+        part = data.draw(st.one_of(
+            st.dictionaries(st.text(max_size=4), values, max_size=5),
+            st.builds(self.Probe, values, values),
+            st.sampled_from(reports),
+        ))
+        text = cli._render(kind, part)
+        assert text == self.reference(kind, part)
+        assert text.isascii()
+
+    def test_nesting_and_empties(self, reports):
+        part = {
+            "deep": [[[{}], ()], {"a": {"b": [[], {10: 1, 2: (0.1 + 0.2,)}]}}],
+            "reports": reports,
+        }
+        text = cli._render("probe", part)
+        assert text == self.reference("probe", part)
+        assert '"10": 1,\n' in text and "[]" in text and "{}" in text
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), np.float32(0.5), 1j])
+    def test_other_types_raise_in_both(self, value):
+        part = {"a": [1, {"b": value}]}
+        with pytest.raises(TypeError):
+            self.reference("probe", part)
+        with pytest.raises(TypeError):
+            cli._render("probe", part)
+
+    def test_internal_error_on_a_value_no_writer_takes(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: cli._emit(args, "gen", {"n": np.int64(3)}))
+        assert cli.main(["gen", "--family", "star", "--n", "3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: internal: TypeError: Object of type int64 is not JSON serializable\n"
+        )
 
 
 class TestSweep:
@@ -1096,6 +1218,24 @@ class TestUnexpectedErrors:
                     products.append(scope)
         assert found == []
         assert sorted(set(products)) == ["homcounts._count_c4", "homcounts._sum_out"]
+
+    def test_one_report_writer(self):
+        # every report's text comes from `cli._text`, which `_render` alone
+        # calls; no module calls or imports `json.dump` or `json.dumps`, and
+        # no `_plain` copy of a report is left to hand to one
+        found, writers = [], []
+        for p in package_sources():
+            for scope, node in scoped_nodes(p):
+                if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                    found.append(f"{scope}.{node.attr}")
+                elif isinstance(node, ast.alias) and node.name in ("dump", "dumps"):
+                    found.append(f"{scope} imports {node.name}")
+                elif isinstance(node, ast.FunctionDef) and node.name == "_plain":
+                    found.append(f"{scope} defines _plain")
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_text":
+                    writers.append(scope)
+        assert found == []
+        assert sorted(set(writers)) == ["cli._render", "cli._text"]
 
     def test_one_owner_of_the_twin_classes(self):
         # `Graph.twin_quotient` alone finds the false-twin classes and

@@ -136,6 +136,21 @@ def test_cli_report_bytes(case, tmp_path, capsys):
     assert (out if rc == 0 else err) == want
 
 
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_report_bytes_with_out(case, tmp_path, capsys):
+    # --out writes the bytes stdout would carry, and stdout stays empty; a
+    # refusal writes no file
+    target = tmp_path / "report.out"
+    rc = cli.main([*cli_argv(case, tmp_path), "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert rc == CLI_CASES[case][3] and out == ""
+    want = (GOLDEN / golden_name(case)).read_bytes()
+    if rc == 0:
+        assert target.read_bytes() == want and err == ""
+    else:
+        assert err.encode() == want and not target.exists()
+
+
 @pytest.fixture(scope="module")
 def reports():
     return pipeline_reports()
