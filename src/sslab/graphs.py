@@ -189,12 +189,6 @@ class Graph:
         keep = (sub[:, 0] >= 0) & (sub[:, 1] >= 0)
         return Graph(len(vs), sub[keep])
 
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        i = self._find(u, v)
-        if i < 0:
-            raise GraphError(f"no such edge {(u, v) if u < v else (v, u)}")
-        return Graph(self.n, np.delete(self.edge_array, i, axis=0))
-
     def is_bipartite(self) -> bool:
         """No odd cycle: the bipartite double cover A (x) K_2 splits a
         component in two exactly when that component has no odd cycle."""

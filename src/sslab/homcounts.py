@@ -4,10 +4,11 @@ closed walks, and copies of complete-bipartite and even-cycle patterns.
 Three engines, every result an exact Python int:
 
 - contraction (`hom_contract`): hom(H, G) is a sum over the pattern's
-  vertices of a product of adjacency factors, one per pattern edge, and the
-  engine sums the pattern vertices out one at a time, each step one matrix
-  product (`_sum_out`).  Closed walks, hom(K_{t,t}), the inequality suite
-  and every inj count run on it: `inj_count`, `aut_order` (inj(H, H)) and
+  vertices of a product of adjacency factors, one per pattern edge, and a
+  weight per pattern vertex, and the engine sums the pattern vertices out
+  one at a time, each step one weighted product (`_sum_out`): w.sum(),
+  w @ M or (M1 * w)^T @ M2.  Closed walks, hom(K_{t,t}), the inequality
+  suite and every inj count run on it: `inj_count`, `aut_order` (inj(H, H)) and
   the 2t-cycle counter (t >= 3) use the spasm identity inj(H, G) = sum_q
   mu_q hom(q, G) over the loop-free quotients q of H (`_quotients`; Lovasz
   2012, section 5.2; Curticapean-Dell-Marx), with integer Moebius
@@ -20,9 +21,9 @@ Three engines, every result an exact Python int:
   make four k x k products (A^2 to A^5) instead of thirteen.  A plan that
   conditions on a pattern vertex shares in the same way inside the loop
   over that vertex's classes, with a store of its own for each class and
-  the conditioned vertices held in place.  A sum step whose vertex has a
-  factor of its own that is zero on at least half the classes sums over
-  the nonzero ones alone, so class x reaches only its neighbours N(x):
+  the conditioned vertices held in place.  A sum step whose vertex's
+  weight is zero on at least half the classes sums over the nonzero ones
+  alone, so class x reaches only its neighbours N(x):
   K_{3,3} makes A[N(x)]^T diag(w[N(x)]) A[N(x)] once per class x (w the
   class sizes below), not A diag(w A[x]) A three times.  One walk of the
   pattern (`_plan`) orders the eliminations and records the sub-pattern
@@ -45,8 +46,8 @@ quotient W by the class sizes w, and hom(H, G) is the vertex-weighted
 hom(H, (W, w)) (Lovasz 2012, ch. 5).  So k above is the class count: the
 engine contracts W's k x k adjacency with w on every pattern vertex, and
 the recursion weighs each choice of classes by the subsets it stands for.
-A twin-free host (k = n) is its own quotient, and the engine runs on its
-adjacency with no weights.
+A twin-free host (k = n) is its own quotient, with all-ones class sizes,
+and the engine runs the same steps on it.
 
 Exactness rule: float arithmetic is trusted only where the data certify it
 (see `hom_contract`); otherwise the same contraction reruns on int64 where
@@ -58,6 +59,7 @@ fails, so no result depends on `assert`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -264,13 +266,13 @@ def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
     On one 0/1 host, with the fixed vertices held at the same places,
     steps with isomorphic sub-patterns give equal arrays: a factor is the
     sum, over its summed-out vertices, of the product of its pattern edges,
-    and a repeated edge changes nothing, since A∘A = A.  On a twin quotient
-    the sum also weighs each summed-out vertex by its class size.  Every
-    pattern vertex carries exactly one such weight factor, so the weights
-    are left out of the sub-pattern: they are no loops, and isomorphic
-    sub-patterns still give equal arrays.  The edges come from the pattern,
-    not from the factors' scopes: two factors on one scope may hold
-    different summed-out sub-patterns.
+    and a repeated edge changes nothing, since A∘A = A.  The sum also
+    weighs each summed-out vertex by its class size (1 on a twin-free
+    host).  Every pattern vertex carries exactly one such weight factor,
+    so the weights are left out of the sub-pattern: they are no loops,
+    and isomorphic sub-patterns still give equal arrays.  The edges come
+    from the pattern, not from the factors' scopes: two factors on one
+    scope may hold different summed-out sub-patterns.
     """
     variables, held = set(variables), dict(held)
     # each variable's neighbours: the others that share a factor with it
@@ -300,23 +302,13 @@ def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
     return tuple(steps)
 
 
-def _invariant(sub: tuple) -> tuple:
-    """A cheap isomorphism invariant of a sub-pattern: its edge count and
-    the sorted (colour, degree) pairs of its vertices."""
-    _, pairs, color = sub
-    degree = Counter(u for pair in pairs for u in pair)
-    return len(pairs), tuple(sorted((c, degree[u]) for u, c in enumerate(color)))
-
-
 def _keyed(subs) -> tuple:
     """(keys, uses) for the sub-patterns `subs` (None entries skipped):
     the `_canonical` form of each sub-pattern whose form recurs, and the
-    number of entries with each such form.  Forms are computed only for
-    the sub-patterns whose `_invariant` recurs."""
+    number of entries with each such form."""
     found = [sub for sub in subs if sub]
-    seen = Counter(map(_invariant, found))
-    forms = {sub: _canonical(*sub) for sub in found if seen[_invariant(sub)] > 1}
-    uses = Counter(forms[sub] for sub in found if sub in forms)
+    forms = {sub: _canonical(*sub) for sub in set(found)}
+    uses = Counter(forms[sub] for sub in found)
     uses = {form: c for form, c in uses.items() if c > 1}
     return {sub: form for sub, form in forms.items() if form in uses}, uses
 
@@ -334,10 +326,9 @@ def _schedule(terms: tuple) -> tuple:
     top-level steps that take each key.
 
     A top-level sum step's key is the `_canonical` form of its sub-pattern
-    (`_plan`) when another step of the sum has a sub-pattern with the same
-    `_invariant`, and only when that form recurs (`_keyed`); the other
-    steps get None.  A condition step's sub-plan comes from `_plan` keyed
-    in the same way, among its own steps.  Terms run in ascending order of
+    (`_plan`) when another step of the sum has the same form (`_keyed`);
+    the other steps get None.  A condition step's sub-plan comes from
+    `_plan` keyed in the same way, among its own steps.  Terms run in ascending order of
     the largest sub-pattern behind a 2-axis step, so the k x k results
     that later terms reuse are built as late as possible and few are held
     at once.
@@ -399,47 +390,32 @@ def _to_int(x) -> Optional[int]:
     return int(x)
 
 
-def _sum_out(spec: str, ops: list):
-    """One sum step `spec` (`_execute`'s, summing out i) as one product.
-    The step holds at most one vector on (i,), the weight w, and one
-    matrix per output axis, each given as (i, j) or (j, i) and read as
-    (i, j) (a transposed view for the latter).  In any operand order:
-    `i->` is w.sum(), `ij->j` a column sum, `ij,i->j` w @ M, `ij,ik->jk`
-    M1.T @ M2 and `ij,ik,i->jk` (M1 * w[:, None]).T @ M2.  Any other form
-    raises `CountError`."""
-    terms, out = spec.split("->")
-    w, mats = None, {}
-    for term, op in zip(terms.split(","), ops):
-        axis = term.replace("i", "", 1)
-        if term == "i" and w is None:
-            w = op
-        elif len(term) == 2 and term.count("i") == 1 and axis in out and axis not in mats:
-            mats[axis] = op if term[0] == "i" else op.T
-        else:
-            raise CountError(f"no one-product form for the contraction {spec!r}")
-    if sorted(mats) != sorted(out) or len(out) > 2 or not (mats or w is not None):
-        raise CountError(f"no one-product form for the contraction {spec!r}")
-    if not out:
+def _sum_out(w: np.ndarray, mats: list):
+    """One sum step as one weighted product: `w` the summed-out vertex's
+    weight, and `mats` its factors toward the 0 to 2 result axes, each
+    with the summed axis first.  `i->` is w.sum(), `ij,i->j` is w @ M and
+    `ij,ik,i->jk` is (M1 * w[:, None]).T @ M2."""
+    if not mats:
         return w.sum()
-    if len(out) == 1:
-        m = mats[out]
-        return m.sum(axis=0) if w is None else w @ m
-    left, right = mats[out[0]], mats[out[1]]
-    return (left if w is None else left * w[:, None]).T @ right
+    if len(mats) == 1:
+        return w @ mats[0]
+    return (mats[0] * w[:, None]).T @ mats[1]
 
 
 def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
     """Run the keyed `plan` (`_schedule`) over `factors` (scope -> array on n
-    host vertices or twin classes per axis; a vertex with no factor, which
-    only an unweighted run has, contributes a factor n).  Returns the exact
-    value, or None as soon as a float factor or scalar leaves the certified
-    range, after marking the keyed steps it did not reach as used.  A keyed
-    step takes its result from `shared` when an earlier step with that key
-    computed it, and passes it through `_put` like a fresh one.  A fresh
-    sum over v whose factors include one on (v,) alone, zero on at least
-    half of the n classes, takes every factor at its nonzero classes only
-    (on a conditioned step, w * A[x]: the neighbours of x).  A condition
-    step's sub-plan runs for each class with a store of its own."""
+    host vertices or twin classes per axis, with a weight on every pattern
+    vertex).  Returns the exact value, or None as soon as a float factor
+    or scalar leaves the certified range, after marking the keyed steps it
+    did not reach as used.  A keyed step takes its result from `shared`
+    when an earlier step with that key computed it, and passes it through
+    `_put` like a fresh one.  A fresh sum over v takes v's weight and its
+    factors toward `others`, oriented with v's axis first, as one
+    `_sum_out`; when that weight is zero on at least half of the n classes,
+    every operand is taken at its nonzero classes only (on a conditioned
+    step, w * A[x]: the neighbours of x).  A step that is not of that form
+    raises `CountError`.  A condition step's sub-plan runs for each class
+    with a store of its own."""
     factors = dict(factors)
     value = 1
     for i, step in enumerate(plan):
@@ -447,14 +423,13 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
             _, c, subplan, uses = step
             total = 0
             for x in range(n):
-                weight, sliced = 1, {s: f for s, f in factors.items() if c not in s}
+                sliced = {s: f for s, f in factors.items() if c not in s}
                 for s, f in factors.items():
-                    if s == (c,):
-                        weight = _to_int(f[x])
-                    elif c in s:
+                    if c in s and s != (c,):
                         rest = tuple(u for u in s if u != c)
                         if not _put(sliced, rest, f[x] if s[0] == c else f[:, x]):
                             return None
+                weight = _to_int(factors[(c,)][x])
                 if weight == 0:
                     continue
                 sub = _execute(subplan, sliced, n, _Shared(uses))
@@ -463,23 +438,21 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
                 total += weight * sub
             return value * total
         _, v, others, key = step
-        inc = [s for s in factors if v in s]
-        if not inc:
-            value *= n
-            continue
         f = None if key is None else shared.arrays.get(key)
         if f is None:
-            letters = dict(zip((v, *others), "ijk"))
-            spec = ",".join("".join(letters[u] for u in s) for s in inc)
-            spec += "->" + "".join(letters[u] for u in others)
-            ops = [factors.pop(s) for s in inc]
-            if (v,) in inc and len(inc) > 1:  # sum only where v's weight is nonzero
-                support = np.flatnonzero(ops[inc.index((v,))])
+            w = factors.pop((v,), None)
+            mats = [factors.pop((v, u) if v < u else (u, v), None) for u in others]
+            stray = [s for s in factors if v in s]
+            if w is None or len(others) > 2 or any(m is None for m in mats) or stray:
+                raise CountError(f"no one-product form for the sum over {v} onto {others}")
+            mats = [m if v < u else m.T for m, u in zip(mats, others)]
+            if mats:  # sum only over the classes where v's weight is nonzero, if at most half
+                support = np.flatnonzero(w)
                 if 2 * len(support) <= n:
-                    ops = [np.take(op, support, axis=s.index(v)) for s, op in zip(inc, ops)]
-            f = _sum_out(spec, ops)
+                    w, mats = w[support], [m[support] for m in mats]
+            f = _sum_out(w, mats)
         else:
-            for s in inc:
+            for s in [s for s in factors if v in s]:
                 del factors[s]
         if key is not None:
             shared.used(key, f)
@@ -516,12 +489,11 @@ def _plan_work(plan: tuple, n: int) -> int:
     return work
 
 
-def _edge_factors(n_vars: int, edges, a: np.ndarray, w: Optional[np.ndarray]) -> dict:
-    """One factor per pattern edge: `a` on the edge's two vertices, or the
-    diagonal of `a` on a loop; and, unless `w` is None, the class sizes `w`
-    on each of the n_vars pattern vertices.  Repeated scopes are multiplied
-    together."""
-    factors: dict = {} if w is None else {(v,): w for v in range(n_vars)}
+def _edge_factors(n_vars: int, edges, a: np.ndarray, w: np.ndarray) -> dict:
+    """The class sizes `w` on each of the n_vars pattern vertices, and one
+    factor per pattern edge: `a` on the edge's two vertices, or the
+    diagonal of `a` on a loop.  Repeated scopes are multiplied together."""
+    factors: dict = {(v,): w for v in range(n_vars)}
     for u, v in edges:
         scope = tuple(sorted({u, v}))
         f = np.diagonal(a) if u == v else a
@@ -533,10 +505,11 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms`, each (n_vars, edges, mu)
     for a pattern on vertices 0..n_vars-1, on the false-twin quotient of g
     (`g.twin_quotient`): its k x k 0/1 adjacency, densified once per call
-    (the one dense host matrix in the package), with the class sizes w as
-    a factor on every pattern vertex.  g is the blow-up of the quotient, so
-    this is hom(H, g) (Lovasz 2012, ch. 5).  A twin-free host is its own
-    quotient: it runs on its adjacency with no weight factors.
+    (the one dense host matrix in the package), with the class sizes w,
+    cast like the adjacency, as a factor on every pattern vertex.  g is
+    the blow-up of the quotient, so this is hom(H, g) (Lovasz 2012,
+    ch. 5).  A twin-free host is its own quotient, with all-ones class
+    sizes, and runs the same steps.
 
     Each term is the float64 run when certified.  Otherwise the same plan
     reruns on exact integers, refused when estimated past `WORK_BUDGET`
@@ -557,7 +530,7 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     _, w, a = g.twin_quotient
     a = a.toarray()
     k = a.shape[0]
-    w = w.astype(np.float64) if k < g.n else None  # a twin-free host runs unweighted
+    w = w.astype(np.float64)
     total = 0
     for n_vars, plan, edges, mu in order:
         value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared)
@@ -567,9 +540,9 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
                 raise BudgetExceededError(
                     f"exact-integer contraction would take ~{work} operations", work
                 )
-            exact = a.astype(np.int64), None if w is None else w.astype(np.int64)
+            exact = a.astype(np.int64), w.astype(np.int64)
             if g.n**n_vars >= 2**63:
-                exact = tuple(None if f is None else f.astype(object) for f in exact)
+                exact = tuple(f.astype(object) for f in exact)
             value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, _Shared(uses))
         total += mu * value
     return total
@@ -580,9 +553,11 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     given edge list ((u, u) is a loop; repeated edges are allowed).
 
     Pattern vertices are summed out one at a time, lowest resulting width
-    first, each step one matrix product (`_sum_out`) over float64 factors:
-    the adjacency of g's twin quotient on each pattern edge and the class
-    sizes on each pattern vertex (`_contract_sum`).  No factor ever has
+    first, each step one weighted product (`_sum_out`) over float64
+    factors: the adjacency of g's twin quotient on each pattern edge and
+    the class sizes on each pattern vertex, all ones on a twin-free host
+    (`_contract_sum`).  A step sums its vertex's weight, or its weighted
+    factors toward one or two result axes.  No factor ever has
     more than two class axes: where every elimination would need three,
     the engine conditions on one pattern vertex instead, loops over its k
     classes and adds up the exact integer results, each times the class
@@ -601,21 +576,28 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     any association of a step's products and sums, so `_sum_out` may fold
     the weight into either matrix and the product may sum in any order; the
     integer reruns are exact in any order.  A step that sums only
-    over the classes where a weight factor is nonzero (`_execute`) drops
+    over the classes where its vertex's weight is nonzero (`_execute`) drops
     terms that are exact zeros: it gives the same output entries, and its
     partial sums are still at most their entry, so the argument holds.
     Otherwise the same plan is rerun once on int64 when
     n^n_vars < 2^63, else on object arrays of Python ints; a rerun
     estimated past `WORK_BUDGET` operations (about k^3 per step, k times
     that under each conditioning) raises `BudgetExceededError` before it
-    starts.
+    starts.  The edges are read once, so any iterable will do; an end
+    that is not an integer (`operator.index`) raises `CountError`.
     """
     if n_vars < 0:
         raise CountError(f"pattern vertex count {n_vars} < 0")
+    pairs = []
     for u, v in edges:
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise CountError(f"pattern edge ({u!r}, {v!r}) has a non-integer end") from None
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
-    term = (n_vars, tuple((u, v) for u, v in edges), 1)
+        pairs.append((u, v))
+    term = (n_vars, tuple(pairs), 1)
     return CountResult(_contract_sum((term,), g), "contraction")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sslab import Graph, cli, homcounts, sample_gnm
+from sslab.graphs import GraphError
 from sslab.spectra import incidence_matrix, top_singular
 from sslab.supersat import _aligned
 
@@ -35,14 +36,18 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def contraction_log(monkeypatch) -> list:
-    """Every sum step the contraction engine evaluates, logged as (spec,
+    """Every sum step the contraction engine evaluates, logged as (form,
     operand shapes, operand dtypes as strings, result) by a hook on
-    `homcounts._sum_out`."""
+    `homcounts._sum_out`.  The form is the step's einsum label, the summed
+    axis `i`: `i->`, `ij,i->j` or `ij,ik,i->jk`, with the operands in its
+    order, the matrices first and the weight last."""
     log, sum_out = [], homcounts._sum_out
 
-    def logged(spec, ops):
-        out = sum_out(spec, ops)
-        log.append((spec, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops), out))
+    def logged(w, mats):
+        out = sum_out(w, mats)
+        ops = (*mats, w)
+        form = ("i->", "ij,i->j", "ij,ik,i->jk")[len(mats)]
+        log.append((form, tuple(op.shape for op in ops), tuple(str(op.dtype) for op in ops), out))
         return out
 
     monkeypatch.setattr(homcounts, "_sum_out", logged)
@@ -92,6 +97,14 @@ def blow_up(base: Graph, w) -> Graph:
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The n x n 0/1 float64 adjacency, for references that index it."""
     return g.sparse_adjacency().toarray()
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """g less the edge {u, v}; `GraphError` if it has no such edge."""
+    i = g._find(u, v)
+    if i < 0:
+        raise GraphError(f"no such edge {(u, v) if u < v else (v, u)}")
+    return Graph(g.n, np.delete(g.edge_array, i, axis=0))
 
 
 def tensor_power(g: Graph, k: int) -> Graph:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_rows
+from conftest import csr_rows, delete_edge
 from sslab import Graph
 from sslab.graphs import (
     MAX_VERTICES,
@@ -120,12 +120,12 @@ def test_delete_edge_matches_the_reference(case, data):
     if not edges:
         return
     u, v = data.draw(st.sampled_from(edges))
-    h = g.delete_edge(u, v)
+    h = delete_edge(g, u, v)
     check_stored_form(h)
     assert h.edges == tuple(e for e in ref_edges(n, edges) if e != (min(u, v), max(u, v)))
     assert h == Graph.from_edges(n, h.edges)
     with pytest.raises(GraphError, match="no such edge"):
-        h.delete_edge(v, u)
+        delete_edge(h, v, u)
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,9 +169,10 @@ def test_equality_and_hash_across_construction_routes():
         Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
         Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)]),
         Graph.from_edges(4, np.array([[2, 3], [0, 1], [1, 2]])),
-        complete(4).delete_edge(0, 2).delete_edge(0, 3).delete_edge(1, 3),
-        complete(5).induced_subgraph([0, 1, 2, 3]).delete_edge(0, 2)
-        .delete_edge(0, 3).delete_edge(3, 1),
+        delete_edge(delete_edge(delete_edge(complete(4), 0, 2), 0, 3), 1, 3),
+        delete_edge(
+            delete_edge(delete_edge(complete(5).induced_subgraph([0, 1, 2, 3]), 0, 2), 0, 3), 3, 1
+        ),
         read_edge_list("# n=4\n0 1\n2 1\n3 2\n"),
     ]
     for g in routes:

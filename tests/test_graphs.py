@@ -27,7 +27,7 @@ from sslab import (
 )
 from sslab.graphs import GraphError, ParseError, _edge_unrank
 
-from conftest import csr_rows, tensor_power
+from conftest import csr_rows, delete_edge, tensor_power
 from test_edge_array import edge_lists
 
 
@@ -67,10 +67,10 @@ class TestGraphBasics:
         assert g.induced_subgraph([0, 2, 4]).edges == ((0, 2),)
 
     def test_delete_edge(self):
-        g = complete(3).delete_edge(2, 0)
+        g = delete_edge(complete(3), 2, 0)
         assert g.edges == ((0, 1), (1, 2))
         with pytest.raises(GraphError):
-            g.delete_edge(0, 2)
+            delete_edge(g, 0, 2)
 
     def test_bipartition(self):
         assert complete_bipartite(2, 3).is_bipartite()

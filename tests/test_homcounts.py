@@ -49,8 +49,10 @@ from sslab.homcounts import (
     BudgetExceededError,
     CountError,
     PatternTooLargeError,
+    _Shared,
     _canonical,
     _connected_order,
+    _execute,
     _pair_total,
     _plan,
     _plan_work,
@@ -387,11 +389,37 @@ class TestContraction:
         assert res.method == "contraction"
         assert res.value == hom_count(h, g).value
 
-    def test_loops_and_repeated_edges(self):
-        g = random_graph(11, 8)
+    @pytest.mark.parametrize("twin_free", [True, False], ids=["twin-free", "blow-up"])
+    def test_loops_and_repeated_edges(self, twin_free):
+        # a pattern vertex on no edge, or only on a loop, is summed out of
+        # its weight alone: the class sizes, all ones on a twin-free host
+        g = sample_gnm(8, 14, 0) if twin_free else blow_up(cycle(5), [1, 2, 1, 3, 2])
+        assert (len(g.twin_quotient[1]) == g.n) == twin_free
         assert hom_contract(1, [(0, 0)], g).value == 0
         assert hom_contract(2, [(0, 1), (1, 0), (0, 1)], g).value == g.big_m
         assert hom_contract(3, [], g).value == g.n**3
+        assert hom_contract(0, [], g).value == 1
+        assert hom_contract(3, [(0, 1)], g).value == g.big_m * g.n
+
+    def test_factors_are_read_with_the_summed_axis_first(self):
+        # this plan sums some vertex v out of a factor on (u, v), u < v,
+        # that is not symmetric, so `_execute` must hand it over transposed
+        h = Graph.from_edges(
+            7, [(0, 2), (0, 4), (1, 4), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6), (5, 6)]
+        )
+        for s in range(3):
+            g = sample_gnm(7, 12, s)
+            assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
+
+    def test_edges_are_read_once(self):
+        # a one-shot iterable of edges is read once, by the range check
+        # and the count alike; P_3 has 5 * 2 * 2 maps into C_5
+        g = cycle(5)
+        assert hom_contract(3, ((i, i + 1) for i in range(2)), g).value == 20
+        assert hom_contract(3, iter([(0, 1), (1, 2)]), g).value == 20
+        assert hom_contract(3, [(np.int64(0), 1), (1, np.int8(2))], g).value == 20
+        with pytest.raises(CountError, match="non-integer"):
+            hom_contract(2, [(0, 1.0)], g)
 
     def test_edge_outside_pattern(self):
         with pytest.raises(CountError):
@@ -1097,11 +1125,11 @@ class TestContractionCalls:
     """The contraction's sum steps, pinned: a change to planning or
     sharing changes the digest, which is then updated on purpose."""
 
-    # (spec, operand shapes, operand dtypes) of every step below, in order
-    DIGEST = "07296fde92a26a2aec15ab6382deadec3c6726b81ded1b196cb27ed953a57772"
-    # (spec, operand dtypes) alone: the plans, keys and arithmetic, which
+    # (form, operand shapes, operand dtypes) of every step below, in order
+    DIGEST = "e69934b638a3b818c8bd8d79377d4dc5ab048bc643d46b06f64b60f74a529c63"
+    # (form, operand dtypes) alone: the plans, keys and arithmetic, which
     # a change to how a step is evaluated leaves as they are
-    SPEC_DIGEST = "f39506777602dfa360f35ff7a6ca8d59f4364abcd2901c81fefa3136cc6947eb"
+    SPEC_DIGEST = "305c90cd11d834c5e132c39ca94d839f6573d03c6edd55a34692c6d68f0c8f5b"
 
     def test_call_sequence_is_pinned(self, contraction_log):
         patterns = [path(4), CONDITIONS_TWICE] + [_random_pattern(seed) for seed in range(40)]
@@ -1123,60 +1151,80 @@ class TestContractionCalls:
         assert {dtype for *_, dtypes in log for dtype in dtypes} == {"float64", "int64", "object"}
         specs = [(spec, dtypes) for spec, _, dtypes in log]
         assert {spec for spec, *_ in log} == set(SUM_FORMS)
-        assert hashlib.sha256(repr(specs).encode()).hexdigest() == self.SPEC_DIGEST
-        assert hashlib.sha256(repr(log).encode()).hexdigest() == self.DIGEST
+        digests = {
+            "SPEC_DIGEST": hashlib.sha256(repr(specs).encode()).hexdigest(),
+            "DIGEST": hashlib.sha256(repr(log).encode()).hexdigest(),
+        }
+        pinned = {name: getattr(self, name) for name in digests}
+        # a declared re-pin copies the observed values from the message
+        assert digests == pinned, "observed: " + ", ".join(
+            f'{name} = "{value}"' for name, value in digests.items()
+        )
 
 
-# every form of sum step the planner emits (`TestContractionCalls` logs
-# each): i summed out, at most one weight on (i,), one matrix per output axis
-SUM_FORMS = [
-    "i->", "ij->j", "i,ij->j", "ij,i->j",
-    "ij,ik->jk", "ik,ij->jk", "ji,ki->jk",
-    "i,ij,ik->jk", "i,ik,ij->jk", "i,ik,ji->jk", "i,ji,ki->jk", "ij,i,ik->jk",
-    "ij,ik,i->jk", "ik,i,ij->jk", "ik,i,ji->jk", "ik,ij,i->jk",
-]
+# every form of sum step (`TestContractionCalls` logs each): i summed out,
+# its weight last, one matrix per output axis before it
+SUM_FORMS = ["i->", "ij,i->j", "ij,ik,i->jk"]
 
 
 @st.composite
 def sum_steps(draw):
-    """A sum step in one of `SUM_FORMS` on nonnegative integer operands of
-    one dtype: float64 and int64 entries below 2^16, so every sum is exact,
-    object entries up to 2^80.  The summed axis and each output axis have
-    0 to 12 entries of their own, as a step sliced to a weight's support has."""
-    spec = draw(st.sampled_from(SUM_FORMS))
+    """A sum step in one of `SUM_FORMS` as `_execute` hands it over: a
+    weight, and one matrix per output axis with the summed axis first,
+    each drawn as it is or as the transposed view of its transpose.  The
+    entries are nonnegative integers of one dtype: float64 and int64 below
+    2^16, so every sum is exact, object up to 2^80, with zeros frequent.
+    Each axis has 0 to 12 entries, and the step may be sliced to the rows
+    where the weight is nonzero, as a step on a weight's support is."""
+    form = draw(st.sampled_from(SUM_FORMS))
     dtype = draw(st.sampled_from(["float64", "int64", "object"]))
-    top = 2**80 if dtype == "object" else 2**16
-    sizes = {c: draw(st.integers(0, 12)) for c in "ijk"}
-    ops = []
-    for term in spec.split("->")[0].split(","):
-        shape = tuple(sizes[c] for c in term)
+    entry = st.one_of(st.just(0), st.integers(0, 2**80 if dtype == "object" else 2**16))
+
+    def array(*shape):
         size = math.prod(shape)
-        entries = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
-        ops.append(np.array(entries, dtype=object).reshape(shape).astype(dtype))
-    return spec, ops
+        entries = draw(st.lists(entry, min_size=size, max_size=size))
+        return np.array(entries, dtype=object).reshape(shape).astype(dtype)
+
+    n = draw(st.integers(0, 12))
+    w, mats = array(n), []
+    for _ in form.split("->")[1]:
+        cols = draw(st.integers(0, 12))
+        mats.append(array(cols, n).T if draw(st.booleans()) else array(n, cols))
+    if draw(st.booleans()):
+        support = np.flatnonzero(w)
+        w, mats = w[support], [m[support] for m in mats]
+    return form, w, mats
 
 
 class TestSumOut:
-    """`_sum_out` evaluates each sum step as one product; `np.einsum` is
-    the oracle, in value, dtype and type."""
+    """`_sum_out` evaluates each sum step as one weighted product;
+    `np.einsum` is the oracle, in value, dtype and type."""
 
     @settings(max_examples=300, deadline=None)
     @given(sum_steps())
     def test_matches_einsum(self, step):
-        spec, ops = step
-        got, want = _sum_out(spec, ops), np.einsum(spec, *ops)
+        form, w, mats = step
+        got, want = _sum_out(w, mats), np.einsum(form, *mats, w)
         assert type(got) is type(want)
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "spec", ["ij,ji->j", "ii->i", "i,i->", "ij->", "ij->i", "ij,jk->ik", "ij,ik,il->jkl",
-                 "ij,ij->j", "i->i", "->"],
+        "scopes, others",
+        [
+            ([(0, 1)], (1,)),  # no weight on the summed vertex
+            ([(0,), (0, 1), (0, 2), (0, 3)], (1, 2, 3)),  # three result axes
+            ([(0,), (0, 1, 2)], (1, 2)),  # a factor on three vertices
+            ([(0,), (0, 1), (0, 2), (0, 1, 2)], (1, 2)),  # and beside the matrices
+            ([(0,), (0, 1)], ()),  # a matrix toward no result axis
+            ([(0,), (0, 1)], (1, 2)),  # a result axis with no matrix
+        ],
     )
-    def test_other_forms_raise(self, spec):
-        ops = [np.ones((2,) * len(term)) for term in spec.split("->")[0].split(",") if term]
-        with pytest.raises(CountError):
-            _sum_out(spec, ops)
+    def test_execute_refuses_other_steps(self, scopes, others):
+        factors = {s: np.ones((3,) * len(s)) for s in scopes}
+        plan = (("sum", 0, others, None),)
+        with pytest.raises(CountError, match="no one-product form"):
+            _execute(plan, factors, 3, _Shared({}))
 
 
 @st.composite

@@ -44,16 +44,17 @@ from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 def unweighted_sum(terms, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms` on g's dense n x n
-    adjacency with no weights: each term's keyed plan in float64, rerun on
-    Python ints when a factor passes 2^52, as the engine ran before the
-    quotient."""
+    adjacency with all-ones weights: each term's keyed plan in float64,
+    rerun on Python ints when a factor passes 2^52, as the engine ran
+    before the quotient."""
     a = dense_adjacency(g)
     total = 0
     for n_vars, edges, mu in terms:
         ((_, plan, *_),), uses = _schedule(((n_vars, edges, 1),))
         value = None
         for host in (a, a.astype(np.int64).astype(object)):
-            factors = {}
+            ones = np.ones(g.n, dtype=host.dtype)
+            factors = {(v,): ones for v in range(n_vars)}
             for u, v in edges:
                 scope = tuple(sorted({u, v}))
                 f = np.diagonal(host) if u == v else host
