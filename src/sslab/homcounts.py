@@ -26,9 +26,9 @@ Three engines, every result an exact Python int:
   alone, so class x reaches only its neighbours N(x):
   K_{3,3} makes A[N(x)]^T diag(w[N(x)]) A[N(x)] once per class x (w the
   class sizes below), not A diag(w A[x]) A three times.  One walk of the
-  pattern (`_plan`) orders the eliminations and records the sub-pattern
-  each step sums out, so the keys ride on the plan's steps, and an exact
-  rerun runs the same plan with a store of its own.
+  pattern (`_plan`) orders the eliminations and keys each step by the
+  canonical form of the sub-pattern it sums out, where it plans it, and
+  an exact rerun runs the same plan with a store of its own.
 - codegree (`count_ktt`): common-neighbourhood counts, which need no dense
   matrix.  At t=2 (and `count_c2t` at t=2, since C_4 = K_{2,2}) this is
   Chiba-Nishizeki's degree-ordered wedge count, one sparse product over the
@@ -49,9 +49,9 @@ the recursion weighs each choice of classes by the subsets it stands for.
 A twin-free host (k = n) is its own quotient, with all-ones class sizes,
 and the engine runs the same steps on it.
 
-Exactness rule: float arithmetic is trusted only where the data certify it
-(see `hom_contract`); otherwise the same contraction reruns on int64 where
-a range bound allows it, else on Python ints, within a work budget.
+Exactness rule: a float contraction is trusted when every scalar it
+returns is at most 2^52 (see `hom_contract`); otherwise it reruns on int64
+where a range bound allows it, else on Python ints, within a work budget.
 Every parity, divisibility and float-to-int step raises `CountError` when it
 fails, so no result depends on `assert`.
 """
@@ -253,15 +253,15 @@ def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
     that `held` maps to the pattern edges multiplied into each.
 
     Each step sums out the variable whose result has the fewest variables,
-    lowest index on ties: ("sum", v, result scope, sub), with `sub` the
-    `_sub_pattern` it sums out when the result has axes, else None.  When
-    every result would have three or more variables, the plan conditions
-    instead, on the variable of that scope found in the most factors, and
-    the rest of the plan runs once per host vertex: ("condition", c,
-    subplan, uses), with the subplan's factors holding the edges of the
-    factors they are sliced from, `fixed` extended by c, and its sum steps
-    keyed among themselves (`_keyed`), since each class it runs for has a
-    store of its own; `uses` counts the steps that take each key.
+    lowest index on ties: ("sum", v, result scope, key), `key` the memoized
+    `_canonical` form of the `_sub_pattern` it sums out, or None when the
+    result has no axes.  When every result would have three or more
+    variables, the plan conditions instead, on the variable of that scope
+    found in the most factors, and the rest of the plan runs once per host
+    vertex: ("condition", c, subplan, uses), with the subplan's factors
+    holding the edges of the factors they are sliced from, `fixed` extended
+    by c, and `uses` its `_uses`, since each class it runs for has a store
+    of its own.
 
     On one 0/1 host, with the fixed vertices held at the same places,
     steps with isomorphic sub-patterns give equal arrays: a factor is the
@@ -289,8 +289,7 @@ def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
                 if rest:  # the factor on (c,) is the class's scalar weight
                     sliced[rest] = sliced.get(rest, frozenset()) | edges
             subplan = _plan(variables - {c}, sliced, fixed + (c,))
-            keys, uses = _keyed(step[3] for step in subplan if step[0] == "sum")
-            steps.append(("condition", c, _key(subplan, keys), uses))
+            steps.append(("condition", c, subplan, _uses([subplan])))
             break
         variables.discard(v)
         for u in others:  # v's factors become one on `others`
@@ -298,92 +297,68 @@ def _plan(variables: frozenset, held: dict, fixed: tuple = ()) -> tuple:
         edges = frozenset().union(*[held.pop(s) for s in list(held) if v in s])
         if others:
             held[others] = held.get(others, frozenset()) | edges
-        steps.append(("sum", v, others, _sub_pattern(edges, others, fixed) if others else None))
+        key = _canonical(*_sub_pattern(edges, others, fixed)) if others else None
+        steps.append(("sum", v, others, key))
     return tuple(steps)
 
 
-def _keyed(subs) -> tuple:
-    """(keys, uses) for the sub-patterns `subs` (None entries skipped):
-    the `_canonical` form of each sub-pattern whose form recurs, and the
-    number of entries with each such form."""
-    found = [sub for sub in subs if sub]
-    forms = {sub: _canonical(*sub) for sub in set(found)}
-    uses = Counter(forms[sub] for sub in found)
-    uses = {form: c for form, c in uses.items() if c > 1}
-    return {sub: form for sub, form in forms.items() if form in uses}, uses
-
-
-def _key(plan: tuple, keys: dict) -> tuple:
-    """`plan` with each sum step's sub-pattern replaced by its key in
-    `keys`, None if it has none."""
-    return tuple((*step[:3], keys.get(step[3])) if step[0] == "sum" else step for step in plan)
+def _uses(plans) -> Counter:
+    """The number of sum steps of `plans` that take each key; the steps
+    of a condition step's sub-plan are counted in that step's own."""
+    return Counter(step[3] for plan in plans for step in plan if step[0] == "sum" and step[3])
 
 
 @lru_cache(maxsize=256)
 def _schedule(terms: tuple) -> tuple:
     """The terms (n_vars, edges, mu) of a signed sum as (n_vars, plan,
-    edges, mu) in evaluation order, each plan keyed, and the number of
-    top-level steps that take each key.
+    edges, mu) in evaluation order, each planned by `_plan`, and the
+    number of top-level steps that take each key (`_uses`).
 
-    A top-level sum step's key is the `_canonical` form of its sub-pattern
-    (`_plan`) when another step of the sum has the same form (`_keyed`);
-    the other steps get None.  A condition step's sub-plan comes from
-    `_plan` keyed in the same way, among its own steps.  Terms run in ascending order of
-    the largest sub-pattern behind a 2-axis step, so the k x k results
-    that later terms reuse are built as late as possible and few are held
-    at once.
+    Terms run in ascending order of the largest sub-pattern behind a
+    2-axis step, so the k x k results that later terms reuse are built as
+    late as possible and few are held at once.
     """
     planned = []
     for n_vars, edges, mu in terms:
         held = {s: frozenset([s]) for s in {tuple(sorted({u, v})) for u, v in edges}}
         planned.append((n_vars, _plan(frozenset(range(n_vars)), held), edges, mu))
-    keys, uses = _keyed(step[3] for term in planned for step in term[1] if step[0] == "sum")
 
-    def widest(term):
-        sums = [step for step in term[1] if step[0] == "sum" and len(step[2]) == 2]
-        return max((step[3][0] for step in sums), default=0)
+    def widest(term):  # a key's sorted colours hold one per sub-pattern vertex
+        return max((len(s[3][0]) for s in term[1] if s[0] == "sum" and len(s[2]) == 2), default=0)
 
-    order = tuple(
-        (n_vars, _key(plan, keys), edges, mu)
-        for n_vars, plan, edges, mu in sorted(planned, key=widest)
-    )
-    return order, uses
+    order = tuple(sorted(planned, key=widest))
+    return order, _uses(plan for _, plan, *_ in order)
 
 
 class _Shared:
-    """The keyed step results of one run of keyed plans, each dropped at
-    its last use."""
+    """The step results of one run of plans, by key, each held from its
+    first use to its last; a key with one use is never held."""
 
     def __init__(self, uses: dict):
         self.left = dict(uses)
         self.arrays: dict = {}
 
-    def used(self, key, f=None):
-        """One step with `key` has run (holding its result `f`) or was
-        skipped (`f` None)."""
+    def used(self, key, f):
+        """One step with `key` has run, with the result `f`."""
         self.left[key] -= 1
-        if not self.left[key]:
-            self.arrays.pop(key, None)
-        elif f is not None:
+        if self.left[key]:
             self.arrays[key] = f
+        else:
+            self.arrays.pop(key, None)
 
 
-def _put(factors: dict, scope: tuple, f: np.ndarray) -> bool:
-    """Multiply `f` into the factor on `scope`; False if a float entry of the
-    product lies past 2^52 (or is NaN).  Integer factors always pass."""
-    if scope in factors:
-        f = factors[scope] * f
-    factors[scope] = f
-    return f.dtype.kind != "f" or not f.size or bool(f.max() <= _EXACT)
+def _put(factors: dict, scope: tuple, f: np.ndarray) -> None:
+    """Multiply `f` into the factor on `scope`."""
+    factors[scope] = factors[scope] * f if scope in factors else f
 
 
 def _to_int(x) -> Optional[int]:
     """The integer a contraction scalar holds; None if it is a float past
-    2^52, which may have been rounded."""
+    2^52 (or NaN, or infinite), which may have been rounded."""
     x = np.asarray(x).item()
     if isinstance(x, int):
         return x
-    if not x <= _EXACT:
+    if not abs(x) <= _EXACT:
         return None
     if not x.is_integer():
         raise CountError(f"contraction produced the non-integer {x!r}")
@@ -403,40 +378,40 @@ def _sum_out(w: np.ndarray, mats: list):
 
 
 def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[int]:
-    """Run the keyed `plan` (`_schedule`) over `factors` (scope -> array on n
-    host vertices or twin classes per axis, with a weight on every pattern
-    vertex).  Returns the exact value, or None as soon as a float factor
-    or scalar leaves the certified range, after marking the keyed steps it
-    did not reach as used.  A keyed step takes its result from `shared`
-    when an earlier step with that key computed it, and passes it through
-    `_put` like a fresh one.  A fresh sum over v takes v's weight and its
+    """Run `plan` (`_plan`) over `factors` (scope -> array on n host
+    vertices or twin classes per axis, with a weight on every pattern
+    vertex): the exact value, or None if a scalar or a conditioned class's
+    weight is a float past 2^52 (`_to_int`).  Every step runs, so `shared`
+    sees each use of each key; a condition step, always the last, stops at
+    its first such class.  A step whose key an earlier step computed takes
+    its result from `shared`.  A fresh sum over v takes v's weight and its
     factors toward `others`, oriented with v's axis first, as one
     `_sum_out`; when that weight is zero on at least half of the n classes,
     every operand is taken at its nonzero classes only (on a conditioned
     step, w * A[x]: the neighbours of x).  A step that is not of that form
     raises `CountError`.  A condition step's sub-plan runs for each class
-    with a store of its own."""
+    of nonzero weight with a store of its own."""
     factors = dict(factors)
-    value = 1
-    for i, step in enumerate(plan):
+    value: Optional[int] = 1
+    for step in plan:
         if step[0] == "condition":
             _, c, subplan, uses = step
             total = 0
             for x in range(n):
+                weight = _to_int(factors[(c,)][x])
+                if weight is None:
+                    return None
+                if not weight:
+                    continue
                 sliced = {s: f for s, f in factors.items() if c not in s}
                 for s, f in factors.items():
                     if c in s and s != (c,):
-                        rest = tuple(u for u in s if u != c)
-                        if not _put(sliced, rest, f[x] if s[0] == c else f[:, x]):
-                            return None
-                weight = _to_int(factors[(c,)][x])
-                if weight == 0:
-                    continue
+                        _put(sliced, tuple(u for u in s if u != c), f[x] if s[0] == c else f[:, x])
                 sub = _execute(subplan, sliced, n, _Shared(uses))
                 if sub is None:
                     return None
                 total += weight * sub
-            return value * total
+            return None if value is None else value * total
         _, v, others, key = step
         f = None if key is None else shared.arrays.get(key)
         if f is None:
@@ -457,15 +432,10 @@ def _execute(plan: tuple, factors: dict, n: int, shared: _Shared) -> Optional[in
         if key is not None:
             shared.used(key, f)
         if others:
-            r = 1 if _put(factors, others, f) else None
+            _put(factors, others, f)
         else:
             r = _to_int(f)
-        if r is None:  # the steps after this one count as used
-            for later in plan[i + 1 :]:
-                if later[0] == "sum" and later[3] is not None:
-                    shared.used(later[3])
-            return None
-        value *= r
+            value = None if value is None or r is None else value * r
     return value
 
 
@@ -511,19 +481,21 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     ch. 5).  A twin-free host is its own quotient, with all-ones class
     sizes, and runs the same steps.
 
-    Each term is the float64 run when certified.  Otherwise the same plan
+    Each term is the float64 run when its scalars certify it
+    (`hom_contract`); that run ignores float overflow and invalid values,
+    since inf and NaN fail the certificate.  Otherwise the same plan
     reruns on exact integers, refused when estimated past `WORK_BUDGET`
     operations: on int64 when n^n_vars < 2^63, since the weights sum to n
     and every factor entry, product and partial sum counts weighted maps
     of at most n_vars pattern vertices into the k classes; else on Python
-    ints.  Each run is one `_execute` of the keyed plan with a store
+    ints.  Each run is one `_execute` of the plan with a store
     (`_Shared`): the first step with a key computes it, the later ones
     take the stored array, and the store drops it at its last use.  The
     float runs of all terms share one store, whose uses `_schedule` counts
-    over the whole sum; a float run that exits early marks the keyed steps
-    it did not reach as used.  A rerun has a store of its own, and its
-    estimate (`_plan_work`) counts each key once at every level, as the
-    rerun makes it.
+    over the whole sum; each runs every step, so a failing term costs at
+    most one full float run before its rerun estimate.  A rerun has a
+    store of its own, and its estimate (`_plan_work`) counts each key once
+    at every level, as the rerun makes it.
     """
     order, uses = _schedule(terms)
     shared = _Shared(uses)
@@ -533,8 +505,9 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
     w = w.astype(np.float64)
     total = 0
     for n_vars, plan, edges, mu in order:
-        value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared)
-        if value is None:  # some float factor passed 2^52
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _execute(plan, _edge_factors(n_vars, edges, a, w), k, shared)
+        if value is None:  # some float scalar passed 2^52
             work = _plan_work(plan, k)
             if work > WORK_BUDGET:
                 raise BudgetExceededError(
@@ -546,6 +519,14 @@ def _contract_sum(terms: tuple, g: Graph) -> int:
             value = _execute(plan, _edge_factors(n_vars, edges, *exact), k, _Shared(uses))
         total += mu * value
     return total
+
+
+def _index(x, what: str) -> int:
+    """`operator.index(x)`; `CountError` if x is not an integer (a float)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise CountError(f"non-integer {what}: {x!r}") from None
 
 
 def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
@@ -562,38 +543,39 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
     the engine conditions on one pattern vertex instead, loops over its k
     classes and adds up the exact integer results, each times the class
     size.  Within one class, steps that sum out isomorphic sub-patterns
-    compute one array (`_schedule`).
+    compute one array (`_plan` keys them).
 
-    Exactness is certified by the data, not by an a-priori bound.  Inputs,
-    class sizes included, are nonnegative integers, so every partial sum
-    or product that reaches an output entry is at most that entry.  Float64
-    computes each partial exactly while it stays at most 2^52; rounding is
-    monotone and 2^52 + 1 is a float, so the first partial past 2^52 leaves
-    its output entry past 2^52 as well.  Hence if every factor the engine
-    keeps, and every scalar, is at most 2^52, every float step was exact.
-    (A partial that reaches no output was multiplied by 0, and is finite
-    because each step's inputs are at most 2^52.)  The argument holds for
-    any association of a step's products and sums, so `_sum_out` may fold
-    the weight into either matrix and the product may sum in any order; the
-    integer reruns are exact in any order.  A step that sums only
-    over the classes where its vertex's weight is nonzero (`_execute`) drops
-    terms that are exact zeros: it gives the same output entries, and its
-    partial sums are still at most their entry, so the argument holds.
-    Otherwise the same plan is rerun once on int64 when
-    n^n_vars < 2^63, else on object arrays of Python ints; a rerun
-    estimated past `WORK_BUDGET` operations (about k^3 per step, k times
-    that under each conditioning) raises `BudgetExceededError` before it
-    starts.  The edges are read once, so any iterable will do; an end
-    that is not an integer (`operator.index`) raises `CountError`.
+    Exactness is certified by the scalars of the float run, not by an
+    a-priori bound.  Inputs, class sizes included, are nonnegative
+    integers, so every partial sum or product that reaches a scalar is at
+    most that scalar.  Float64 computes each partial exactly while it
+    stays at most 2^52; rounding is monotone and 2^52 + 1 is a float, so
+    an entry that passes 2^52 leaves every scalar it reaches past 2^52 as
+    well, or inf, or NaN once an inf meets a 0.  Any other entry was
+    multiplied by an exact 0: a true zero stays 0 in float, and a true
+    nonzero never rounds to 0.  Hence if every scalar `_execute` returns,
+    and the weight of every class it conditions on, is at most 2^52
+    (`_to_int`), every float step that reaches the count was exact, and no
+    factor is scanned.  The argument holds for any association of a step's
+    products and sums, so `_sum_out` may fold the weight into either matrix
+    and the product may sum in any order; the integer reruns are exact in
+    any order.  A step that sums only over the classes where its vertex's
+    weight is nonzero (`_execute`) drops terms that are exact zeros: it
+    gives the same output entries, and its partial sums are still at most
+    their entry, so the argument holds.  Otherwise the same plan is rerun
+    once on int64 when n^n_vars < 2^63, else on object arrays of Python
+    ints; a rerun estimated past `WORK_BUDGET` operations (about k^3 per
+    step, k times that under each conditioning) raises
+    `BudgetExceededError` before it starts.  The edges are read once, so
+    any iterable will do; a vertex count or an end that is not an integer
+    (`operator.index`) raises `CountError`.
     """
+    n_vars = _index(n_vars, "pattern vertex count")
     if n_vars < 0:
         raise CountError(f"pattern vertex count {n_vars} < 0")
     pairs = []
     for u, v in edges:
-        try:
-            u, v = operator.index(u), operator.index(v)
-        except TypeError:
-            raise CountError(f"pattern edge ({u!r}, {v!r}) has a non-integer end") from None
+        u, v = _index(u, "pattern edge end"), _index(v, "pattern edge end")
         if not (0 <= u < n_vars and 0 <= v < n_vars):
             raise CountError(f"pattern edge ({u}, {v}) outside 0..{n_vars - 1}")
         pairs.append((u, v))
@@ -604,6 +586,7 @@ def hom_contract(n_vars: int, edges, g: Graph) -> CountResult:
 def closed_walk_count(g: Graph, length: int) -> CountResult:
     """Exact number of closed walks of the given length: hom(C_L, g), with
     C_1 a loop and C_2 a double edge."""
+    length = _index(length, "walk length")
     if length < 1:
         raise CountError("walk length must be >= 1")
     term = (length, tuple((i, (i + 1) % length) for i in range(length)), 1)
@@ -699,6 +682,7 @@ def count_ktt(g: Graph, t: int) -> CountResult:
     every w_i is 1 and this is the subset recursion over vertices.  It is
     refused up front when `codegree_work`, its tries, exceeds `WORK_BUDGET`.
     """
+    t = _index(t, "t")
     if t < 2:
         raise CountError("count_ktt needs t >= 2")
     if t == 2:
@@ -767,6 +751,7 @@ def _refine(nbrs: list, color: list) -> list:
         color = refined
 
 
+@lru_cache(maxsize=1 << 12)
 def _canonical(n: int, edges: frozenset, color: Optional[tuple] = None) -> tuple:
     """Isomorphism-invariant form of the graph on 0..n-1 with vertex colours
     `color` (all 0 by default): the sorted colours, and the least sorted
@@ -888,6 +873,7 @@ def count_c2t(g: Graph, t: int) -> CountResult:
     at once.  A quotient whose float run leaves the certified range reruns
     alone on exact integers.
     """
+    t = _index(t, "t")
     if t < 2:
         raise CountError("count_c2t needs t >= 2")
     if g.n < 2 * t or g.edge_count < 2 * t:

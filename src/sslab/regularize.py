@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -107,6 +108,13 @@ def build_regular(g: Graph, k: int, d: Optional[EdgeDistribution] = None) -> Reg
     n_vec = tuple(int(x) for x in n_mat.sum(axis=1))
     if sum(n_vec) != k:
         raise RegularizeError(f"rounded pair counts sum to {sum(n_vec)}, not k={k}")
+    # d_k < |T_k| (a tuple's neighbours lie in T_k), so |T_k| past the limit
+    # on printing an int (0: none) is refused before any factorial, also at
+    # lambda = 1 (one edge), where the lambda^k guard never fires
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    log10_t = (math.lgamma(k + 1) - sum(math.lgamma(ni + 1) for ni in n_vec)) / math.log(10)
+    if limit and log10_t >= limit - 1:
+        raise RegularizeError(f"|T_k| ~ 10^{log10_t:.0f} has more digits than an int may print")
     # d_k = prod_i n_i! / prod_ij N_ij!, and 0! = 1 for the zero N_ij
     d_k = math.prod(math.factorial(ni) for ni in n_vec)
     for nij in n_mat[n_mat > 0].tolist():

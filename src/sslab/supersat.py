@@ -83,11 +83,14 @@ def heavy_prune(
     """Delete light edges one at a time until every surviving edge uv has
     Perron product x_u x_v >= eta / sqrt(m).
 
-    Among violating edges the one with the smallest product is deleted, ties
-    broken by lexicographic edge.  The loop runs on g's edge array with an
-    alive mask, and builds the final graph once.  After every deletion
-    `spectra.PerronBlocks` gives the same Perron data as a full `perron`
-    warm started from the previous x: it keeps each component's block
+    Among violating edges the one with the smallest float product is
+    deleted: the first minimum in edge (lexicographic) order.  Products
+    that tie in exact arithmetic may differ in their last bits after a warm
+    re-solve, so rounding, not edge order, may pick among them.  The loop
+    runs on g's edge array with an alive mask, and builds the final graph
+    once.  After every deletion `spectra.PerronBlocks` gives the same
+    Perron data as a full `perron` warm started from the previous x: it
+    keeps each component's block
     across deletions, changes only the block that lost the edge, and
     re-solves the Perron component's block alone while the deletions stay
     outside it.  `supersat_count` passes the fresh `PerronBlocks(g)` it read

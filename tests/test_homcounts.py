@@ -60,6 +60,7 @@ from sslab.homcounts import (
     _quotients,
     _schedule,
     _sum_out,
+    _to_int,
     codegree_work,
     wedge_bound,
     wedge_work,
@@ -421,6 +422,27 @@ class TestContraction:
         with pytest.raises(CountError, match="non-integer"):
             hom_contract(2, [(0, 1.0)], g)
 
+    @pytest.mark.parametrize(
+        "count, args, want",
+        [
+            (hom_contract, (2, [(0, 1)], cycle(5)), 10),  # 2|E(C_5)|
+            (closed_walk_count, (cycle(5), 4), 30),
+            (count_ktt, (complete(6), 3), 10),  # C(6, 3) / 2
+            (count_c2t, (complete(7), 3), 420),  # 7! / (1! * 12)
+        ],
+    )
+    def test_a_size_argument_is_read_through_operator_index(self, count, args, want):
+        # the pattern size, the walk length or t: a numpy integer counts,
+        # a float is a CountError
+        at = 0 if count is hom_contract else 1
+
+        def given(x):
+            return (*args[:at], x, *args[at + 1 :])
+
+        assert count(*args).value == count(*given(np.int64(args[at]))).value == want
+        with pytest.raises(CountError, match="non-integer"):
+            count(*given(float(args[at])))
+
     def test_edge_outside_pattern(self):
         with pytest.raises(CountError):
             hom_contract(2, [(0, 2)], path(3))
@@ -527,6 +549,21 @@ class TestClosedWalks:
     def test_bad_length(self):
         with pytest.raises(CountError):
             closed_walk_count(path(2), 0)
+
+    @pytest.mark.parametrize("a, length", [(40, 13), (6, 25)])
+    def test_a_zero_trace_is_certified_in_float(self, a, length, contraction_log):
+        # K_{a,a} has no odd closed walk.  The path factor passes 2^52
+        # before the closing edge multiplies every entry by zero: the
+        # scalar 0 is exact, so no step reruns
+        assert closed_walk_count(complete_bipartite(a, a), length).value == 0
+        assert {dtypes[0] for _, _, dtypes, _ in contraction_log} == {"float64"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_float_overflow_reruns_without_a_warning(self, contraction_log):
+        # 2 * 1000^104 passes the float64 range: the float run ends in inf
+        # (and inf * 0 = NaN off the trace), so the term reruns on Python ints
+        assert closed_walk_count(complete_bipartite(1000, 1000), 104).value == 2 * 1000**104
+        assert {dtypes[0] for _, _, dtypes, _ in contraction_log} == {"float64", "object"}
 
 
 class TestCompleteBipartite:
@@ -821,13 +858,17 @@ class TestSharedMoebiusSum:
             assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
 
     def test_range_check(self):
-        assert _put({}, (0,), np.array([0.0, 2.0**52]))
-        assert not _put({}, (0,), np.array([1.0, 2.0**52 + 2]))
-        assert not _put({}, (0,), np.array([1.0, np.nan]))
-        assert _put({}, (0, 1), np.zeros((0, 0)))
+        # a float scalar is kept up to 2^52, an integer one always
+        for x in (np.float64(2.0**52), np.array(0.0), np.int64(2**62), np.array(2**70, object)):
+            assert _to_int(x) == int(x) and type(_to_int(x)) is int
+        for x in (2.0**52 + 2, np.nan, np.inf, -np.inf):
+            assert _to_int(np.float64(x)) is None
+        with pytest.raises(CountError, match="non-integer"):
+            _to_int(np.float64(0.5))
+        # a factor is multiplied in, whatever its entries
         factors = {(0,): np.array([2.0**30, 1.0])}
-        assert not _put(factors, (0,), np.array([2.0**30, 1.0]))  # the product is checked
-        assert factors[(0,)][0] == 2.0**60
+        _put(factors, (0,), np.array([2.0**30, 1.0]))
+        assert factors[(0,)].tolist() == [2.0**60, 1.0]
 
     def test_coloured_canonical_form(self):
         rng = random.Random(5)
@@ -899,6 +940,21 @@ class TestConditionedSharing:
         exact = [len(shapes) for _, shapes, dtypes, _ in contraction_log if dtypes[0] == "object"]
         assert exact.count(3) == 2
 
+    def test_a_conditioned_class_weight_past_2_52_reruns(self, contraction_log):
+        # K_{3,3}'s plan conditions on vertex 3.  A path of 23 edges hung
+        # there sums out first, into 3's weight: 5^23 > 2^52 per class of
+        # K_6.  That weight is checked like a scalar, so the term reruns (on
+        # Python ints, 6^29 >= 2^63) instead of dropping the class
+        k33 = complete_bipartite(3, 3).edges
+        edges = (*k33, (3, 6), *((i, i + 1) for i in range(6, 28)))
+        ((_, plan, *_),), _ = _schedule(((29, edges, 1),))
+        assert plan[-1][:2] == ("condition", 3)
+        g = complete(6)
+        want = hom_contract(6, k33, g).value * 5**23
+        contraction_log.clear()
+        assert hom_contract(29, edges, g).value == want
+        assert {dtypes[0] for _, _, dtypes, _ in contraction_log} == {"float64", "object"}
+
     def test_rerun_estimate_counts_each_keyed_step_once_per_class(self, contraction_log):
         # K_{3,3}'s sub-plan makes one k x k x k product per class, then a
         # k x k and a k step: k^3 + k^2 + k, not 3k^3 + k^2 + k
@@ -929,8 +985,9 @@ class TestConditionedSharing:
         assert (k == g.n) == twin_free
         h = complete_bipartite(2, 3)
         ((_, plan, *_),), uses = _schedule(((h.n, h.edges, 1),))
-        assert [step[3] is not None for step in plan] == [True, True, False, False, False]
-        assert list(uses.values()) == [2]
+        keys = [step[3] for step in plan]
+        assert keys[0] == keys[1] and keys[-1] is None
+        assert [uses[key] for key in keys[1:-1]] == [2, 1, 1]
         monkeypatch.setattr("sslab.homcounts._EXACT", 0.0)
         assert hom_contract(h.n, h.edges, g).value == hom_count(h, g).value
         calls = [
@@ -973,7 +1030,8 @@ class TestConditionedSharing:
             h = _random_pattern(seed)
             order, _ = _schedule(_quotients(h.n, h.edges))
             if not any(
-                plan[0][0] == "sum" and plan[-1][0] == "condition" and plan[-1][3]
+                plan[0][0] == "sum" and plan[-1][0] == "condition"
+                and max(plan[-1][3].values(), default=0) > 1  # a sub-plan key recurs
                 for _, plan, *_ in order
             ):
                 continue
@@ -1126,10 +1184,10 @@ class TestContractionCalls:
     sharing changes the digest, which is then updated on purpose."""
 
     # (form, operand shapes, operand dtypes) of every step below, in order
-    DIGEST = "e69934b638a3b818c8bd8d79377d4dc5ab048bc643d46b06f64b60f74a529c63"
+    DIGEST = "58522803ede188a2ddf851b0826849b51b1970506b5d9ceed7dce34830461977"
     # (form, operand dtypes) alone: the plans, keys and arithmetic, which
     # a change to how a step is evaluated leaves as they are
-    SPEC_DIGEST = "305c90cd11d834c5e132c39ca94d839f6573d03c6edd55a34692c6d68f0c8f5b"
+    SPEC_DIGEST = "86ba27e2caa754a396d06d9626fabe865581766731d36e4202c65183760e60ee"
 
     def test_call_sequence_is_pinned(self, contraction_log):
         patterns = [path(4), CONDITIONS_TWICE] + [_random_pattern(seed) for seed in range(40)]

@@ -1,6 +1,8 @@
 """Edge distribution, entropy identity, rounding, regular subgraphs."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from sslab import (
     perron,
     round_counts,
 )
-from sslab.graphs import CapExceededError, complete, cycle, path, star, union
+from sslab.cli import main
+from sslab.graphs import CapExceededError, complete, cycle, path, star, union, write_edge_list
 from sslab.regularize import RegularizeError, fk_tuples
 from conftest import dense_adjacency, random_connected_graph, random_graph, tensor_power
 
@@ -128,6 +131,30 @@ class TestBuildRegular:
         b = build_regular(star(2), 4)
         assert b.d_k == 2
         assert b.t_k_size == 12
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-text conversion"
+    )
+    @pytest.mark.parametrize("k", [20_000, 10**7])
+    def test_a_type_class_past_the_digit_limit_is_refused(self, k, tmp_path, capsys):
+        # on K_2, lambda = 1 leaves lambda^k in range, while |T_k| =
+        # C(k, k/2) passes 4300 digits near k = 14 300: refused, from the
+        # lgamma estimate, before any factorial
+        host = tmp_path / "k2.txt"
+        host.write_text(write_edge_list(complete(2)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            assert main(["regularize", "--in", str(host), "--k", str(k)]) == 2
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: |T_k| ~ 10^") and "internal" not in err
+            # with no limit the class is built
+            sys.set_int_max_str_digits(0)
+            assert build_regular(path(2), 20_000).t_k_size == math.comb(20_000, 10_000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_odd_k_rejected(self):
         with pytest.raises(RegularizeError):

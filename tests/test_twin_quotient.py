@@ -35,7 +35,7 @@ from sslab.graphs import (
     star,
     _twins,
 )
-from sslab.homcounts import _Shared, _execute, _put, _quotients, _schedule, codegree_work
+from sslab.homcounts import _Shared, _execute, _quotients, _schedule, _to_int, codegree_work
 from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 
 
@@ -45,7 +45,7 @@ from conftest import blow_up, csr_rows, dense_adjacency, random_graph
 def unweighted_sum(terms, g: Graph) -> int:
     """Sum of mu * hom(pattern, g) over `terms` on g's dense n x n
     adjacency with all-ones weights: each term's keyed plan in float64,
-    rerun on Python ints when a factor passes 2^52, as the engine ran
+    rerun on Python ints when a scalar passes 2^52, as the engine ran
     before the quotient."""
     a = dense_adjacency(g)
     total = 0
@@ -303,9 +303,11 @@ class TestWeightedEngine:
         assert value == unweighted_sum((cycle_term(24),), g) > 2**63
 
     def test_integer_factors_pass_the_float_range_check(self):
-        assert _put({}, (0,), np.array([1, 2**60], dtype=np.int64))
-        assert _put({}, (0,), np.array([1, 2**70], dtype=object))
-        assert not _put({}, (0,), np.array([1.0, 2.0**60]))
+        # an int64 or Python-int scalar is exact at any size; a float one
+        # past 2^52 may have been rounded
+        assert _to_int(np.int64(2**60)) == 2**60
+        assert _to_int(np.array(2**70, dtype=object)) == 2**70
+        assert _to_int(np.float64(2.0**60)) is None
 
 
 # -- count_ktt over classes ----------------------------------------------------
